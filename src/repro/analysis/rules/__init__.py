@@ -11,8 +11,6 @@ REP001    engine-funnel     all model traffic flows through
                             ``ExecutionPolicy.build_engine()`` → ``ModelBackend``
 REP002    rng-discipline    no global-state NumPy RNG; every stochastic call
                             takes a seeded ``Generator``
-REP003    legacy-knob       no internal use of the PR-5-deprecated execution
-                            knobs (``engine=``/``num_workers=``/…)
 REP004    lock-discipline   attributes mutated under a ``self._lock`` block are
                             never touched lock-free elsewhere in the class
 REP005    dict-round-trip   ``to_dict``/``from_dict`` pairs agree on their key
@@ -28,8 +26,9 @@ REP008    clock-discipline  no wall-clock reads (``time.time()``/
                             durations/deadlines stay monotonic
 ========  ================  ====================================================
 
-REP001–REP008 are per-file rules (one module at a time); REP009–REP011 are
-whole-program rules run over the cross-module
+REP001, REP002 and REP004–REP008 are per-file rules (one module at a time;
+REP003 is retired and its id is not reused); REP009–REP011 are whole-program
+rules run over the cross-module
 :class:`~repro.analysis.program.graph.ProgramGraph`:
 
 ========  ================  ====================================================
@@ -51,7 +50,6 @@ from .clocks import ClockDisciplineRule
 from .flow import FunnelEscapeRule
 from .funnel import EngineFunnelRule
 from .iteration import IterationOrderRule
-from .knobs import LegacyKnobRule
 from .lockorder import LockOrderingRule
 from .locks import LockDisciplineRule
 from .rng import RngDisciplineRule
@@ -62,7 +60,6 @@ from .timeouts import TimeoutDisciplineRule
 __all__ = [
     "EngineFunnelRule",
     "RngDisciplineRule",
-    "LegacyKnobRule",
     "LockDisciplineRule",
     "DictRoundTripRule",
     "TimeoutDisciplineRule",

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..config import RngLike, clip01
 from ..exceptions import AttackError, ShapeError
-from ..runtime.policy import ExecutionPolicy
+from ..runtime.policy import ExecutionPolicy, policy_or_default
 from ..types import Classifier
 
 
@@ -81,13 +81,10 @@ class Attack:
     ) -> None:
         if epsilon <= 0:
             raise AttackError(f"epsilon must be positive, got {epsilon}")
-        if policy is not None and not isinstance(policy, ExecutionPolicy):
-            raise AttackError(
-                f"{type(self).__name__}: policy must be an ExecutionPolicy, "
-                f"got {type(policy).__name__} ({policy!r})"
-            )
         self.epsilon = epsilon
-        self.policy = policy if policy is not None else ExecutionPolicy()
+        self.policy = policy_or_default(
+            policy, ExecutionPolicy(), type(self).__name__, AttackError
+        )
 
     def run(
         self,

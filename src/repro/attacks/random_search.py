@@ -13,8 +13,7 @@ loop would have charged (a seed stops being billed at its first hit when the
 attack early-stops).  Each attack's :class:`~repro.runtime.ExecutionPolicy`
 selects the execution backend for those physical calls (the replicated
 ``"sharded"`` backend fans chunks out across worker processes with
-bit-identical results); the legacy ``batch_size``/``engine``/``num_workers``
-knobs survive as deprecated shims folding into the policy.
+bit-identical results).
 """
 
 from __future__ import annotations
@@ -25,31 +24,9 @@ import numpy as np
 
 from ..config import RngLike, ensure_rng
 from ..exceptions import AttackError
-from ..runtime.policy import ExecutionPolicy, resolve_legacy_knobs
+from ..runtime.policy import ExecutionPolicy
 from ..types import Classifier
 from .base import Attack, AttackResult
-
-
-def _resolve_attack_policy(
-    owner: str,
-    policy: Optional[ExecutionPolicy],
-    batch_size: Optional[int],
-    engine: Optional[str],
-    num_workers: Optional[int],
-) -> ExecutionPolicy:
-    """Shared legacy-knob shim of the black-box attacks (warns per knob)."""
-    return resolve_legacy_knobs(
-        owner,
-        policy,
-        ExecutionPolicy(),
-        {
-            "batch_size": ("batch_size", batch_size),
-            "engine": ("backend", engine),
-            "num_workers": ("num_workers", num_workers),
-        },
-        error=AttackError,
-        stacklevel=5,
-    )
 
 
 class RandomFuzz(Attack):
@@ -66,8 +43,6 @@ class RandomFuzz(Attack):
     policy:
         Execution policy for the physical calls (backend, batching, workers
         — results are bit-identical across policies).
-    batch_size, engine, num_workers:
-        **Deprecated** shims folding into ``policy``.
     """
 
     name = "random-fuzz"
@@ -77,17 +52,9 @@ class RandomFuzz(Attack):
         epsilon: float = 0.1,
         num_trials: int = 20,
         early_stop: bool = True,
-        batch_size: Optional[int] = None,
-        engine: Optional[str] = None,
-        num_workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
-        super().__init__(
-            epsilon,
-            policy=_resolve_attack_policy(
-                "RandomFuzz", policy, batch_size, engine, num_workers
-            ),
-        )
+        super().__init__(epsilon, policy=policy)
         if num_trials <= 0:
             raise AttackError("num_trials must be positive")
         self.num_trials = num_trials
@@ -128,17 +95,9 @@ class GaussianNoise(Attack):
         epsilon: float = 0.1,
         std_fraction: float = 0.5,
         num_trials: int = 10,
-        batch_size: Optional[int] = None,
-        engine: Optional[str] = None,
-        num_workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
-        super().__init__(
-            epsilon,
-            policy=_resolve_attack_policy(
-                "GaussianNoise", policy, batch_size, engine, num_workers
-            ),
-        )
+        super().__init__(epsilon, policy=policy)
         if not 0 < std_fraction <= 1:
             raise AttackError("std_fraction must be in (0, 1]")
         if num_trials <= 0:
@@ -184,17 +143,9 @@ class BoundaryNudge(Attack):
         epsilon: float = 0.1,
         num_directions: int = 5,
         num_bisections: int = 4,
-        batch_size: Optional[int] = None,
-        engine: Optional[str] = None,
-        num_workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
-        super().__init__(
-            epsilon,
-            policy=_resolve_attack_policy(
-                "BoundaryNudge", policy, batch_size, engine, num_workers
-            ),
-        )
+        super().__init__(epsilon, policy=policy)
         if num_directions <= 0 or num_bisections <= 0:
             raise AttackError("num_directions and num_bisections must be positive")
         self.num_directions = num_directions

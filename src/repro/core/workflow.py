@@ -35,8 +35,8 @@ from ..data.partition import Partition, build_partition_for_dataset
 from ..engine.batching import QueryStats
 from ..exceptions import CheckpointMismatchError, ConfigurationError
 from ..faults.supervision import DegradeEvent, on_degrade
-from ..fuzzing.fuzzer import EXECUTION_MODES, FuzzerConfig, OperationalFuzzer
-from ..runtime.policy import ExecutionPolicy, warn_legacy_knob
+from ..fuzzing.fuzzer import FuzzerConfig, OperationalFuzzer
+from ..runtime.policy import ExecutionPolicy, policy_or_default
 from ..store.checkpoint import Checkpointer, campaign_fingerprint, read_checkpoint
 from ..naturalness.metrics import NaturalnessScorer, default_naturalness_scorer
 from ..nn.network import Sequential
@@ -46,11 +46,6 @@ from ..reliability.assessment import ReliabilityAssessor, ReliabilityEstimate, S
 from ..retraining.adversarial_training import OperationalRetrainer, RetrainingConfig
 from ..sampling.samplers import OperationalSeedSampler, SeedSampler
 from ..types import AdversarialExample, CampaignReport, IterationReport
-
-
-#: Deprecated per-knob parameters of :class:`WorkflowConfig`, each a thin
-#: shim folding into :attr:`WorkflowConfig.policy`.
-WORKFLOW_LEGACY_KNOBS = ("engine", "num_workers", "cache_dir", "checkpoint_every")
 
 
 @dataclass
@@ -70,18 +65,13 @@ class WorkflowConfig:
         iteration notes (slower but an independent cross-check).
     policy:
         One :class:`~repro.runtime.ExecutionPolicy` driving the whole loop:
-        it replaces the fuzzer config's execution surface, selects the
-        backend of the default reliability assessor, and its
-        ``checkpoint_every`` sets the loop's checkpoint cadence (in
-        iterations).  ``None`` (default) leaves the fuzzer and assessor at
-        their own policies.  Campaign results are bit-identical across
+        it replaces the fuzzer config's execution surface (the fuzzer keeps
+        its own ``checkpoint_every``), drives the default reliability
+        assessor (without checkpointing), and its ``checkpoint_every`` sets
+        the loop's checkpoint cadence (in iterations).  ``None`` (default)
+        leaves the fuzzer and assessor at their own policies and disables
+        loop checkpoints.  Campaign results are bit-identical across
         policies.
-    engine, num_workers, cache_dir, checkpoint_every:
-        **Deprecated** per-knob shims.  ``engine`` maps onto the fuzzer's
-        ``execution`` control flow plus ``policy.backend``; the others patch
-        the matching policy field for the fuzzer (``checkpoint_every`` sets
-        the loop cadence).  Each emits a ``DeprecationWarning`` naming the
-        ``ExecutionPolicy`` replacement.
     """
 
     test_budget_per_iteration: int = 600
@@ -89,10 +79,6 @@ class WorkflowConfig:
     operational_dataset_size: int = 500
     reassess_with_monte_carlo: bool = False
     policy: Optional[ExecutionPolicy] = None
-    engine: Optional[str] = None
-    num_workers: Optional[int] = None
-    cache_dir: Optional[str] = None
-    checkpoint_every: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.test_budget_per_iteration <= 0:
@@ -101,133 +87,13 @@ class WorkflowConfig:
             raise ConfigurationError("seeds_per_iteration must be positive")
         if self.operational_dataset_size <= 0:
             raise ConfigurationError("operational_dataset_size must be positive")
-        if self.policy is not None and not isinstance(self.policy, ExecutionPolicy):
-            raise ConfigurationError(
-                "WorkflowConfig: policy must be an ExecutionPolicy, "
-                f"got {type(self.policy).__name__} ({self.policy!r})"
-            )
-
-        # ---- fold the deprecated shims into policy-speak ----------------- #
-        # the loop consumes two resolved pieces of state: a patch of policy
-        # fields (plus an optional control-flow override) applied to the
-        # fuzzer config, and the assessor/checkpoint settings
-        patch: dict = {}
-        execution_override: Optional[str] = None
-        if self.engine is not None:
-            if self.engine not in EXECUTION_MODES:
-                raise ConfigurationError(
-                    f"engine must be None or one of {EXECUTION_MODES}, "
-                    f"got {self.engine!r}"
-                )
-            warn_legacy_knob(
-                "WorkflowConfig",
-                "engine",
-                # "sequential"/"population" are control-flow choices: their
-                # replacement is the fuzzer's execution knob, not a policy
-                # backend — pointing at ExecutionPolicy would change behavior
-                "policy=ExecutionPolicy(backend='sharded')"
-                if self.engine == "sharded"
-                else f"FuzzerConfig(execution={self.engine!r})",
-                stacklevel=4,
-            )
-            if self.engine == "sharded":
-                patch["backend"] = "sharded"
-                execution_override = "population"
-            else:
-                patch["backend"] = "batched"
-                execution_override = self.engine
-        if self.num_workers is not None:
-            warn_legacy_knob(
-                "WorkflowConfig",
-                "num_workers",
-                "policy=ExecutionPolicy(num_workers=...)",
-                stacklevel=4,
-            )
-            if self.num_workers <= 0:
-                raise ConfigurationError("num_workers must be positive")
-            patch["num_workers"] = self.num_workers
-        if self.cache_dir is not None:
-            warn_legacy_knob(
-                "WorkflowConfig",
-                "cache_dir",
-                "policy=ExecutionPolicy(cache=True, cache_dir=...)",
-                stacklevel=4,
-            )
-            patch["cache_dir"] = str(self.cache_dir)
-        cadence = 0
-        if self.checkpoint_every is not None:
-            warn_legacy_knob(
-                "WorkflowConfig",
-                "checkpoint_every",
-                "policy=ExecutionPolicy(checkpoint_every=...)",
-                stacklevel=4,
-            )
-            if self.checkpoint_every < 0:
-                raise ConfigurationError("checkpoint_every must be non-negative")
-            cadence = int(self.checkpoint_every)
-
-        if self.policy is not None:
-            # the new-style override is wholesale: the workflow policy *is*
-            # the fuzzer's execution surface (its own checkpoint cadence
-            # excepted — that stays the fuzzer's business), with any legacy
-            # shims patched on top
-            fields = (
-                "backend",
-                "num_workers",
-                "batch_size",
-                "cache",
-                "cache_max_entries",
-                "cache_dir",
-                "rng_spawning",
-                "start_method",
-                "retry",
-                "faults",
-            )
-            patch = {
-                **{name: getattr(self.policy, name) for name in fields},
-                **patch,
-            }
-            if self.checkpoint_every is None:
-                cadence = self.policy.checkpoint_every
-        self._fuzzer_policy_patch = patch
-        self._fuzzer_execution = execution_override
-        self._checkpoint_cadence = cadence
-        # the shims are spent: null them so copying the config (dataclasses
-        # .replace) stays warning-free.  A policy-built config round-trips
-        # losslessly (everything is recomputed from the policy field); a
-        # legacy-built config does not survive replace() — its state lives
-        # only in the resolved private attributes — which is one more reason
-        # to migrate.
-        self.engine = None
-        self.num_workers = None
-        self.cache_dir = None
-        self.checkpoint_every = None
+        self.policy = policy_or_default(self.policy, None, "WorkflowConfig")
 
     @property
     def checkpoint_cadence(self) -> int:
-        """Iterations between loop checkpoints (0 disables), resolved from
-        the policy or the deprecated ``checkpoint_every`` shim."""
-        return self._checkpoint_cadence
-
-    def fuzzer_overrides(self) -> Tuple[Optional[str], dict]:
-        """``(execution override, policy-field patch)`` applied to the fuzzer."""
-        return self._fuzzer_execution, dict(self._fuzzer_policy_patch)
-
-    def assessor_policy(self) -> ExecutionPolicy:
-        """Policy for the default reliability assessor.
-
-        The workflow policy when one was given; otherwise the assessor
-        default patched with any legacy backend/worker override (the legacy
-        ``cache_dir`` knob never reached the assessor, and still doesn't).
-        """
-        if self.policy is not None:
-            return self.policy.replace(checkpoint_every=0)
-        subset = {
-            name: value
-            for name, value in self._fuzzer_policy_patch.items()
-            if name in ("backend", "num_workers", "batch_size", "start_method")
-        }
-        return ExecutionPolicy(**subset)
+        """Iterations between loop checkpoints (0 disables): the policy's
+        ``checkpoint_every``."""
+        return self.policy.checkpoint_every if self.policy is not None else 0
 
 
 class OperationalTestingLoop:
@@ -252,15 +118,19 @@ class OperationalTestingLoop:
         self.config = workflow_config if workflow_config is not None else WorkflowConfig()
         self.stopping_rule = stopping_rule if stopping_rule is not None else StoppingRule()
         self.fuzzer_config = fuzzer_config if fuzzer_config is not None else FuzzerConfig()
-        execution_override, policy_patch = self.config.fuzzer_overrides()
-        if execution_override is not None or policy_patch:
+        workflow_policy = self.config.policy
+        assessor_policy = ExecutionPolicy()
+        if workflow_policy is not None:
             # one workflow-level policy drives every hot path: the fuzzer's
-            # execution surface here, the assessor backend below
+            # execution surface (its checkpoint cadence stays its own) and
+            # the default assessor's, which never checkpoints
             self.fuzzer_config = replace(
                 self.fuzzer_config,
-                execution=execution_override or self.fuzzer_config.execution,
-                policy=self.fuzzer_config.policy.replace(**policy_patch),
+                policy=workflow_policy.replace(
+                    checkpoint_every=self.fuzzer_config.policy.checkpoint_every
+                ),
             )
+            assessor_policy = workflow_policy.replace(checkpoint_every=0)
         self._rng = ensure_rng(rng)
 
         self.partition = (
@@ -286,7 +156,7 @@ class OperationalTestingLoop:
                 partition=self.partition,
                 profile=profile,
                 confidence=self.stopping_rule.confidence,
-                policy=self.config.assessor_policy(),
+                policy=assessor_policy,
                 rng=self._rng,
             )
         )
@@ -498,4 +368,4 @@ class OperationalTestingLoop:
         return iteration_report, model, estimate_after
 
 
-__all__ = ["WORKFLOW_LEGACY_KNOBS", "WorkflowConfig", "OperationalTestingLoop"]
+__all__ = ["WorkflowConfig", "OperationalTestingLoop"]

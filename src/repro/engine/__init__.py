@@ -13,8 +13,7 @@ queries:
   lock-step population loop behind the batched operational fuzzer.
 * :mod:`repro.engine.parallel` — :class:`ShardedQueryEngine`, the
   multi-worker execution backend that shards physical chunks across a pool
-  of pickled model replicas with bit-identical results, plus the low-level
-  :func:`build_query_engine` construction helpers.
+  of pickled model replicas with bit-identical results.
 * :mod:`repro.engine.transport` — how shard row blocks travel to the
   workers: the pickle wire, zero-copy shared-memory ring buffers, or an
   in-process thread pool (``transport="pickle" | "shm" | "threads"``,
@@ -35,14 +34,7 @@ from .batching import (
     QueryStats,
     as_query_engine,
 )
-from .parallel import (
-    ENGINE_BACKENDS,
-    Shard,
-    ShardedQueryEngine,
-    build_query_engine,
-    plan_shards,
-    query_engine_session,
-)
+from .parallel import Shard, ShardedQueryEngine, plan_shards
 from .population import (
     MemberOutcome,
     PopulationFuzzEngine,
@@ -59,12 +51,9 @@ __all__ = [
     "QueryCache",
     "QueryStats",
     "as_query_engine",
-    "ENGINE_BACKENDS",
     "Shard",
     "ShardedQueryEngine",
-    "build_query_engine",
     "plan_shards",
-    "query_engine_session",
     "MemberOutcome",
     "PopulationFuzzEngine",
     "SeedTask",

@@ -24,6 +24,7 @@ classifier (mutation operators, attacks, evaluators).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
@@ -80,19 +81,7 @@ class QueryStats:
     cache_corrupt_records: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "rows_queried": self.rows_queried,
-            "model_calls": self.model_calls,
-            "cache_hits": self.cache_hits,
-            "gradient_rows": self.gradient_rows,
-            "gradient_calls": self.gradient_calls,
-            "naturalness_rows": self.naturalness_rows,
-            "naturalness_calls": self.naturalness_calls,
-            "shard_retries": self.shard_retries,
-            "worker_respawns": self.worker_respawns,
-            "degraded_shards": self.degraded_shards,
-            "cache_corrupt_records": self.cache_corrupt_records,
-        }
+        return {name: getattr(self, name) for name in _COUNTER_FIELDS}
 
     def to_dict(self) -> Dict[str, int]:
         """Serializable counter snapshot (the registry's stats.json format)."""
@@ -120,18 +109,14 @@ class QueryStats:
         concurrently completing shards must serialise calls (the sharded
         engine holds a lock around every merge).
         """
-        self.rows_queried += other.rows_queried
-        self.model_calls += other.model_calls
-        self.cache_hits += other.cache_hits
-        self.gradient_rows += other.gradient_rows
-        self.gradient_calls += other.gradient_calls
-        self.naturalness_rows += other.naturalness_rows
-        self.naturalness_calls += other.naturalness_calls
-        self.shard_retries += other.shard_retries
-        self.worker_respawns += other.worker_respawns
-        self.degraded_shards += other.degraded_shards
-        self.cache_corrupt_records += other.cache_corrupt_records
+        for name in _COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
+
+
+#: Every :class:`QueryStats` counter, in declaration order — the one list
+#: ``as_dict`` and ``merge`` loop over (read once here, not per merge).
+_COUNTER_FIELDS = tuple(field.name for field in dataclasses.fields(QueryStats))
 
 
 #: The :class:`QueryStats` fields that describe supervision events rather

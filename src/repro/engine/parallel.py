@@ -79,9 +79,8 @@ import pickle
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import multiprocessing
 
@@ -101,7 +100,6 @@ from .batching import (
     BatchedQueryEngine,
     QueryStats,
     _iter_chunks,
-    as_query_engine,
 )
 from .transport import (
     SLOT_HEADROOM,
@@ -114,13 +112,6 @@ from .transport import (
     validate_transport,
     write_response,
 )
-
-#: Engine backends accepted wherever an ``engine`` knob is threaded through
-#: (attacks, reliability evaluators, scenarios).  The fuzzer's ``execution``
-#: knob additionally distinguishes ``"population"`` vs ``"sequential"``
-#: control flow; ``"sharded"`` there selects this backend.
-ENGINE_BACKENDS = ("batched", "sharded")
-
 
 # --------------------------------------------------------------------------- #
 # shard planning
@@ -489,8 +480,8 @@ class ShardedQueryEngine(BatchedQueryEngine):
     @naturalness.setter
     def naturalness(self, scorer: Optional[NaturalnessScorer]) -> None:
         # replicas snapshot (model, naturalness) when the pool starts; a
-        # scorer attached afterwards (as_query_engine / build_query_engine
-        # do this on pass-through) must invalidate the pool so the next
+        # scorer attached afterwards (as_query_engine does this on
+        # pass-through) must invalidate the pool so the next
         # dispatch re-snapshots — otherwise workers would raise on their
         # scorer-less replica
         self._naturalness = scorer
@@ -832,93 +823,8 @@ class ShardedQueryEngine(BatchedQueryEngine):
         release_rings(self._rings)
 
 
-# --------------------------------------------------------------------------- #
-# construction helpers
-# --------------------------------------------------------------------------- #
-def validate_engine_knobs(
-    engine: str, num_workers: int, exception: type = ConfigurationError
-) -> None:
-    """Validate an ``engine``/``num_workers`` knob pair.
-
-    Shared by every subsystem that threads the knobs through, so the accepted
-    backends live in exactly one place; ``exception`` lets each subsystem
-    keep its own error taxonomy (``AttackError``, ``ReliabilityError``, …).
-    """
-    if engine not in ENGINE_BACKENDS:
-        raise exception(f"engine must be one of {ENGINE_BACKENDS}, got {engine!r}")
-    if num_workers <= 0:
-        raise exception("num_workers must be positive")
-
-
-def build_query_engine(
-    model: Classifier,
-    naturalness: Optional[NaturalnessScorer] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    cache: object = False,
-    cache_max_entries: int = 65536,
-    engine: str = "batched",
-    num_workers: int = 1,
-    start_method: Optional[str] = None,
-    transport: str = "auto",
-) -> BatchedQueryEngine:
-    """Build the requested engine backend (or pass an existing engine through).
-
-    Low-level construction helper; subsystems build engines through
-    :meth:`repro.runtime.ExecutionPolicy.build_engine`, which also opens the
-    backend set to registered plug-ins.  Like
-    :func:`repro.engine.batching.as_query_engine`, a pre-built engine is
-    returned unchanged so nested subsystems share one set of counters, one
-    cache and one worker pool.
-    """
-    validate_engine_knobs(engine, num_workers)
-    validate_transport(transport)
-    if engine == "sharded" and not isinstance(model, BatchedQueryEngine):
-        return ShardedQueryEngine(
-            model,
-            naturalness=naturalness,
-            batch_size=batch_size,
-            cache=cache,
-            cache_max_entries=cache_max_entries,
-            num_workers=num_workers,
-            start_method=start_method,
-            transport=transport,
-        )
-    # pass-through (with scorer injection) and batched construction both
-    # live in as_query_engine — one funnel, not two copies of the rule
-    return as_query_engine(
-        model,
-        naturalness=naturalness,
-        batch_size=batch_size,
-        cache=cache,
-        cache_max_entries=cache_max_entries,
-    )
-
-
-@contextmanager
-def query_engine_session(
-    model: Classifier, **kwargs: object
-) -> Iterator[BatchedQueryEngine]:
-    """Build an engine for one campaign and release its workers afterwards.
-
-    Engines the caller already owns (``model`` is itself an engine) are
-    passed through *without* being closed — their lifecycle belongs to the
-    caller.
-    """
-    engine = build_query_engine(model, **kwargs)
-    created = engine is not model
-    try:
-        yield engine
-    finally:
-        if created:
-            engine.close()
-
-
 __all__ = [
-    "ENGINE_BACKENDS",
     "Shard",
     "plan_shards",
     "ShardedQueryEngine",
-    "validate_engine_knobs",
-    "build_query_engine",
-    "query_engine_session",
 ]

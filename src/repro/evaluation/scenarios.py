@@ -51,9 +51,6 @@ class Scenario:
         self,
         policy: Optional["ExecutionPolicy"] = None,
         cache: Optional["CacheBackend"] = None,
-        engine: Optional[str] = None,
-        num_workers: Optional[int] = None,
-        batch_size: Optional[int] = None,
     ):
         """Build a query engine over the scenario's model and scorer.
 
@@ -66,23 +63,12 @@ class Scenario:
         engine and should :meth:`~repro.engine.BatchedQueryEngine.close` it
         (or use it as a context manager) when a multi-worker backend was
         requested.
-
-        The ``engine``/``num_workers``/``batch_size`` knobs are
-        **deprecated** shims folding into ``policy``.
         """
         from ..engine.batching import CacheBackend
-        from ..runtime.policy import ExecutionPolicy, resolve_legacy_knobs
+        from ..runtime.policy import ExecutionPolicy, policy_or_default
 
-        resolved = resolve_legacy_knobs(
-            "Scenario.query_engine",
-            policy,
-            ExecutionPolicy(),
-            {
-                "engine": ("backend", engine),
-                "num_workers": ("num_workers", num_workers),
-                "batch_size": ("batch_size", batch_size),
-            },
-            stacklevel=4,
+        resolved = policy_or_default(
+            policy, ExecutionPolicy(), "Scenario.query_engine"
         )
         if cache is not None and not isinstance(cache, CacheBackend):
             raise ConfigurationError(

@@ -3,7 +3,6 @@
 from .fuzzer import (
     DEFAULT_FUZZER_POLICY,
     EXECUTION_MODES,
-    FUZZER_LEGACY_KNOBS,
     FuzzCampaignResult,
     FuzzerConfig,
     OperationalFuzzer,
@@ -24,7 +23,6 @@ __all__ = [
     "BatchMutationContext",
     "DEFAULT_FUZZER_POLICY",
     "EXECUTION_MODES",
-    "FUZZER_LEGACY_KNOBS",
     "FuzzCampaignResult",
     "FuzzerConfig",
     "OperationalFuzzer",

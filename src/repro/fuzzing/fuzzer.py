@@ -64,28 +64,15 @@ from ..engine.population import (
 )
 from ..exceptions import FuzzingError
 from ..naturalness.metrics import NaturalnessScorer
-from ..runtime.policy import ExecutionPolicy, resolve_legacy_knobs, warn_legacy_knob
+from ..runtime.policy import ExecutionPolicy, policy_or_default
 from ..store.checkpoint import Checkpointer, campaign_fingerprint, read_checkpoint
 from ..types import AdversarialExample, Classifier
 from .mutations import MutationContext, MutationOperator, default_operators
 
 #: Valid values of :attr:`FuzzerConfig.execution` — the *control flow* knob:
-#: the batched lock-step default and the sequential reference loop.
-#: ``"sharded"`` is accepted as a deprecated alias for ``execution=
-#: "population"`` plus ``policy.backend="sharded"`` (the execution backend
-#: now lives on the :class:`~repro.runtime.ExecutionPolicy`).
-EXECUTION_MODES = ("population", "sequential", "sharded")
-
-#: Deprecated per-knob parameters of :class:`FuzzerConfig`, each a thin shim
-#: folding into :attr:`FuzzerConfig.policy` (mapping: knob -> policy field).
-FUZZER_LEGACY_KNOBS = {
-    "num_workers": "num_workers",
-    "batch_size": "batch_size",
-    "use_query_cache": "cache",
-    "cache_max_entries": "cache_max_entries",
-    "cache_dir": "cache_dir",
-    "checkpoint_every": "checkpoint_every",
-}
+#: the batched lock-step default and the sequential reference loop.  The
+#: execution backend lives on the :class:`~repro.runtime.ExecutionPolicy`.
+EXECUTION_MODES = ("population", "sequential")
 
 #: The fuzzer's default execution surface: in-process backend with the
 #: memoizing query cache on (the fuzzer re-visits rows constantly, so the
@@ -129,20 +116,11 @@ class FuzzerConfig:
     execution:
         Control flow: ``"population"`` (batched lock-step fuzzing, the fast
         default) or ``"sequential"`` (the reference per-seed loop).
-        ``"sharded"`` is a deprecated alias for population control flow with
-        ``policy.backend="sharded"``.
     policy:
         The campaign's :class:`~repro.runtime.ExecutionPolicy` (backend,
         workers, batching, caching, checkpoint cadence).  Defaults to
         :data:`DEFAULT_FUZZER_POLICY` (in-process, query cache on).
         Campaign results are bit-identical across policies.
-    num_workers, batch_size, use_query_cache, cache_max_entries, cache_dir,
-    checkpoint_every:
-        **Deprecated** per-knob shims.  Each one emits a
-        ``DeprecationWarning`` and overrides the matching field of
-        ``policy`` (``use_query_cache`` maps to ``policy.cache``); after
-        construction they read as ``None`` and only the resolved ``policy``
-        carries the execution surface.
     """
 
     epsilon: float = 0.1
@@ -158,12 +136,6 @@ class FuzzerConfig:
     stall_limit: int = 8
     execution: str = "population"
     policy: Optional[ExecutionPolicy] = None
-    num_workers: Optional[int] = None
-    batch_size: Optional[int] = None
-    use_query_cache: Optional[bool] = None
-    cache_max_entries: Optional[int] = None
-    cache_dir: Optional[str] = None
-    checkpoint_every: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -188,34 +160,9 @@ class FuzzerConfig:
             raise FuzzingError(
                 f"execution must be one of {EXECUTION_MODES}, got {self.execution!r}"
             )
-        policy = resolve_legacy_knobs(
-            "FuzzerConfig",
-            self.policy,
-            DEFAULT_FUZZER_POLICY,
-            {
-                knob: (policy_field, getattr(self, knob))
-                for knob, policy_field in FUZZER_LEGACY_KNOBS.items()
-            },
-            error=FuzzingError,
-            stacklevel=5,
+        self.policy = policy_or_default(
+            self.policy, DEFAULT_FUZZER_POLICY, "FuzzerConfig", FuzzingError
         )
-        if self.execution == "sharded":
-            warn_legacy_knob(
-                "FuzzerConfig",
-                "execution",
-                "policy=ExecutionPolicy(backend='sharded')",
-                stacklevel=4,
-            )
-            overrides = {"backend": "sharded"}
-            if self.num_workers is None and self.policy is None:
-                overrides["num_workers"] = 2  # the historical sharded default
-            policy = policy.replace(**overrides)
-            self.execution = "population"
-        self.policy = policy
-        # the shims have been folded into the policy; null them so replace()
-        # round-trips warning-free and equality ignores the spelling used
-        for knob in FUZZER_LEGACY_KNOBS:
-            setattr(self, knob, None)
 
 
 @dataclass
@@ -433,8 +380,8 @@ class OperationalFuzzer:
                     resume_state=resume_state,
                 )
             else:
-                # "population" and "sharded" share the lock-step control
-                # flow; only the physical execution backend differs
+                # every backend (in-process or sharded) runs the same
+                # lock-step control flow; only the physical execution differs
                 result = self._fuzz_population(
                     engine,
                     seeds,
@@ -689,7 +636,6 @@ class OperationalFuzzer:
 
 __all__ = [
     "EXECUTION_MODES",
-    "FUZZER_LEGACY_KNOBS",
     "DEFAULT_FUZZER_POLICY",
     "FuzzerConfig",
     "OperationalFuzzer",

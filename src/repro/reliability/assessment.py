@@ -27,7 +27,7 @@ from ..data.partition import Partition
 from ..exceptions import ReliabilityError
 from ..nn.metrics import accuracy
 from ..op.profile import OperationalProfile
-from ..runtime.policy import ExecutionPolicy, resolve_legacy_knobs
+from ..runtime.policy import ExecutionPolicy, policy_or_default
 from ..types import Classifier
 from .bayesian import BayesianCellModel, BetaPrior
 from .cells import CellEvidenceTable, CellRobustnessEvaluator
@@ -160,9 +160,6 @@ class ReliabilityAssessor:
         :class:`~repro.runtime.ExecutionPolicy` for evidence collection
         (threaded into the default evaluator and the Monte Carlo estimator).
         Estimates are bit-identical across policies.
-    batch_size, engine, num_workers:
-        **Deprecated** per-knob shims folding into ``policy`` (``engine``
-        maps to ``policy.backend``); each emits a ``DeprecationWarning``.
     """
 
     def __init__(
@@ -173,25 +170,13 @@ class ReliabilityAssessor:
         prior: Optional[BetaPrior] = None,
         confidence: float = 0.90,
         op_samples: int = 4096,
-        batch_size: Optional[int] = None,
-        engine: Optional[str] = None,
-        num_workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
         rng: RngLike = None,
     ) -> None:
         if not 0 < confidence < 1:
             raise ReliabilityError("confidence must be in (0, 1)")
-        self.policy = resolve_legacy_knobs(
-            "ReliabilityAssessor",
-            policy,
-            ExecutionPolicy(),
-            {
-                "batch_size": ("batch_size", batch_size),
-                "engine": ("backend", engine),
-                "num_workers": ("num_workers", num_workers),
-            },
-            error=ReliabilityError,
-            stacklevel=4,
+        self.policy = policy_or_default(
+            policy, ExecutionPolicy(), "ReliabilityAssessor", ReliabilityError
         )
         self.partition = partition
         self.profile = profile

@@ -131,9 +131,6 @@ class CellRobustnessEvaluator:
     policy:
         :class:`~repro.runtime.ExecutionPolicy` for classifying the test
         points.  Evidence is bit-identical across policies.
-    batch_size, engine, num_workers:
-        **Deprecated** per-knob shims folding into ``policy`` (``engine``
-        maps to ``policy.backend``); each emits a ``DeprecationWarning``.
     """
 
     def __init__(
@@ -142,26 +139,14 @@ class CellRobustnessEvaluator:
         samples_per_cell: int = 10,
         perturbation_radius: Optional[float] = None,
         include_center: bool = True,
-        batch_size: Optional[int] = None,
-        engine: Optional[str] = None,
-        num_workers: Optional[int] = None,
         policy: Optional["ExecutionPolicy"] = None,
     ) -> None:
-        from ..runtime.policy import ExecutionPolicy, resolve_legacy_knobs
+        from ..runtime.policy import ExecutionPolicy, policy_or_default
 
         if samples_per_cell <= 0:
             raise ReliabilityError("samples_per_cell must be positive")
-        self.policy = resolve_legacy_knobs(
-            "CellRobustnessEvaluator",
-            policy,
-            ExecutionPolicy(),
-            {
-                "batch_size": ("batch_size", batch_size),
-                "engine": ("backend", engine),
-                "num_workers": ("num_workers", num_workers),
-            },
-            error=ReliabilityError,
-            stacklevel=4,
+        self.policy = policy_or_default(
+            policy, ExecutionPolicy(), "CellRobustnessEvaluator", ReliabilityError
         )
         self.partition = partition
         self.samples_per_cell = samples_per_cell

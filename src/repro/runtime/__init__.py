@@ -6,8 +6,8 @@ campaigns execute (the *what* stays with each subsystem's own config):
 * :mod:`repro.runtime.policy` — :class:`ExecutionPolicy`, the frozen,
   serializable object capturing the entire execution surface (backend,
   workers, batching, caching, checkpoint cadence, RNG spawning), with a
-  ``build_engine``/``session`` factory subsuming the former per-subsystem
-  engine plumbing, plus the deprecation shims behind every legacy knob.
+  ``build_engine``/``session`` factory — the one way subsystems build
+  their query engines.
 * :mod:`repro.runtime.backends` — the :class:`ModelBackend` protocol (the
   formerly implicit ``predict`` / ``predict_proba`` / ``loss_input_gradient``
   contract made explicit) and the open backend registry with the two
@@ -35,12 +35,7 @@ from .backends import (
     resolve_backend,
     unregister_backend,
 )
-from .policy import (
-    RNG_SPAWN_POLICIES,
-    ExecutionPolicy,
-    resolve_legacy_knobs,
-    warn_legacy_knob,
-)
+from .policy import RNG_SPAWN_POLICIES, ExecutionPolicy
 from .spec import CampaignSpec
 
 __all__ = [
@@ -55,7 +50,5 @@ __all__ = [
     "ExecutionPolicy",
     "RetryPolicy",
     "FaultPlan",
-    "resolve_legacy_knobs",
-    "warn_legacy_knob",
     "CampaignSpec",
 ]

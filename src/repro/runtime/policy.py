@@ -1,13 +1,10 @@
 """``ExecutionPolicy`` — the whole execution surface in one object.
 
-Three infrastructure layers (the PR 2 batching engine, the PR 3 sharded
-dispatch, the PR 4 persistent store) each used to thread their own knobs —
-``engine``, ``num_workers``, ``batch_size``, ``use_query_cache``,
-``cache_dir``, ``checkpoint_every`` — through every configuration object in
-the stack.  :class:`ExecutionPolicy` replaces that sprawl: one frozen,
-serializable dataclass that says *how* a campaign executes, accepted by every
-subsystem as a single ``policy`` parameter and recorded verbatim in campaign
-specs (:mod:`repro.runtime.spec`).
+:class:`ExecutionPolicy` is one frozen, serializable dataclass that says
+*how* a campaign executes — backend, workers, transport, batching, caching,
+checkpoint cadence — accepted by every subsystem as its single ``policy``
+parameter (checked by :func:`policy_or_default`) and recorded verbatim in
+campaign specs (:mod:`repro.runtime.spec`).
 
 What the policy deliberately does **not** contain is anything that changes a
 campaign's logical results.  Backends are bit-identical by construction, the
@@ -16,23 +13,16 @@ the equivalence suites — so two runs of the same campaign under different
 policies produce identical detections, per-seed query counts and reliability
 estimates; only the physical execution (model calls, processes, durability)
 differs.
-
-The legacy per-knob parameters survive as thin deprecated shims: each one
-emits a :class:`DeprecationWarning` naming its replacement and folds into a
-policy via :func:`resolve_legacy_knobs`, so old call sites keep working
-bit-identically while the warning gate in CI keeps *internal* callers off
-them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Union
 
 from ..config import RngLike, spawn_rngs
 from ..engine.batching import DEFAULT_BATCH_SIZE, BatchedQueryEngine, as_query_engine
@@ -236,13 +226,11 @@ class ExecutionPolicy:
     ) -> BatchedQueryEngine:
         """Build the query engine this policy describes over ``model``.
 
-        The single construction funnel that subsumes the PR 2/3
-        ``build_query_engine`` / ``query_engine_session`` helpers and the
-        per-subsystem knob plumbing.  A ``model`` that already *is* an engine
-        is passed through unchanged (its configuration wins, so nested
-        subsystems share one set of counters, one cache and one worker
-        pool); ``cache`` overrides the policy's cache spec with a concrete
-        :class:`repro.engine.CacheBackend` instance.
+        The single engine-construction funnel.  A ``model`` that already
+        *is* an engine is passed through unchanged (its configuration wins,
+        so nested subsystems share one set of counters, one cache and one
+        worker pool); ``cache`` overrides the policy's cache spec with a
+        concrete :class:`repro.engine.CacheBackend` instance.
         """
         if isinstance(model, BatchedQueryEngine):
             return as_query_engine(model, naturalness=naturalness)
@@ -301,81 +289,33 @@ def load_structured_file(path: Union[str, Path]) -> dict:
     return data
 
 
-# --------------------------------------------------------------------------- #
-# the deprecation shims behind every legacy knob
-# --------------------------------------------------------------------------- #
-def warn_legacy_knob(
-    owner: str, knob: str, replacement: str, stacklevel: int = 3
-) -> None:
-    """Emit the single :class:`DeprecationWarning` for one legacy knob.
-
-    ``replacement`` is the full replacement phrase (usually
-    ``"policy=ExecutionPolicy(...)"``).  ``stacklevel`` must point at the
-    *user's* frame so the warning (and the CI gate filtering on ``repro.*``
-    modules) is attributed to whoever still passes the knob, not to the
-    shim.
-    """
-    warnings.warn(
-        f"{owner}({knob}=...) is deprecated; use {replacement} instead — "
-        "see the README 'Runtime API' section",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def resolve_legacy_knobs(
+def policy_or_default(
+    policy: object,
+    default: Optional[ExecutionPolicy],
     owner: str,
-    policy: Optional[ExecutionPolicy],
-    default: ExecutionPolicy,
-    legacy: Mapping[str, Tuple[str, object]],
     error: type = ConfigurationError,
-    stacklevel: int = 4,
-) -> ExecutionPolicy:
-    """Fold deprecated per-knob parameters into an :class:`ExecutionPolicy`.
+) -> Optional[ExecutionPolicy]:
+    """``policy`` itself, or ``default`` when it is ``None``.
 
-    ``legacy`` maps each knob name to ``(policy_field, value)`` where a
-    ``None`` value means "not passed" (every legacy knob uses ``None`` as its
-    sentinel).  Each knob that *was* passed emits one deprecation warning
-    naming its replacement, then overrides the matching field of ``policy``
-    (or of ``default`` when no policy was given).  Validation errors are
-    re-raised as ``error`` so each subsystem keeps its own error taxonomy.
-
-    ``stacklevel`` is forwarded to :func:`warnings.warn`: pass 4 when called
-    directly from an ``__init__``, 5 from a dataclass ``__post_init__``.
+    Every subsystem takes its execution surface as one ``policy`` parameter
+    and checks it here, at construction, where the caller can see the
+    mistake (a backend name string, a dict, a stray positional argument) —
+    not attributes deep into the campaign.  The rejection is raised as
+    ``owner``'s own ``error`` class.
     """
-    if policy is not None and not isinstance(policy, ExecutionPolicy):
-        # catch the easy mistake (a backend name string, a dict) here, where
-        # the caller can see it — not attributes deep into the campaign
+    if policy is None:
+        return default
+    if not isinstance(policy, ExecutionPolicy):
         raise error(
             f"{owner}: policy must be an ExecutionPolicy, "
             f"got {type(policy).__name__} ({policy!r})"
         )
-    overrides: Dict[str, object] = {}
-    for knob, (field_name, value) in legacy.items():
-        if value is None:
-            continue
-        warn_legacy_knob(
-            owner,
-            knob,
-            f"policy=ExecutionPolicy({field_name}=...)",
-            stacklevel=stacklevel,
-        )
-        overrides[field_name] = value
-    base = policy if policy is not None else default
-    if not overrides:
-        return base
-    try:
-        return base.replace(**overrides)
-    except ConfigurationError as exc:
-        if error is ConfigurationError:
-            raise
-        raise error(str(exc)) from exc
+    return policy
 
 
 __all__ = [
     "RNG_SPAWN_POLICIES",
     "ExecutionPolicy",
     "load_structured_file",
-    "warn_legacy_knob",
-    "resolve_legacy_knobs",
+    "policy_or_default",
 ]

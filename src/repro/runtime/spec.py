@@ -21,10 +21,10 @@ it **verbatim** in the run registry (``run.json``'s ``config.spec``), and
 ``python -m repro run --from-run <id>`` re-launches a campaign from a stored
 run's spec — so a stored run is reproducible from its spec alone.
 
-Section keys are validated against the target configuration objects, and the
-*legacy* execution knobs (``num_workers``, ``cache_dir``, ...) are rejected
-outright: in a spec the execution surface lives in the ``policy`` section,
-nowhere else.
+Section keys are validated against the target configuration objects, and
+execution settings (``num_workers``, ``cache_dir``, ... — any
+:class:`ExecutionPolicy` field) are rejected outside the ``policy`` section:
+in a spec the execution surface lives there, nowhere else.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Union
 
 from ..exceptions import ConfigurationError
 from .policy import ExecutionPolicy, load_structured_file
@@ -47,46 +47,48 @@ SCENARIO_KEY_ALIASES = {"samples": "num_samples"}
 _SECTIONS = ("scenario", "fuzzer", "workflow", "stopping", "policy")
 
 
-def _section_fields(section: str) -> Tuple[set, set]:
-    """(allowed keys, legacy keys) of one spec section's target dataclass."""
+#: Keys that belong in the ``policy`` section, and nowhere else.
+_POLICY_KEYS = frozenset(ExecutionPolicy.__dataclass_fields__)
+
+
+def _section_fields(section: str) -> set:
+    """Allowed keys of one spec section's target dataclass."""
     # imported lazily: the spec module sits below the subsystems in the
     # package graph, and only needs them once a spec is actually validated
     if section == "fuzzer":
-        from ..fuzzing.fuzzer import FUZZER_LEGACY_KNOBS, FuzzerConfig
+        from ..fuzzing.fuzzer import FuzzerConfig
 
-        legacy = set(FUZZER_LEGACY_KNOBS)
-        return set(FuzzerConfig.__dataclass_fields__) - legacy - {"policy"}, legacy
+        return set(FuzzerConfig.__dataclass_fields__) - {"policy"}
     if section == "workflow":
-        from ..core.workflow import WORKFLOW_LEGACY_KNOBS, WorkflowConfig
+        from ..core.workflow import WorkflowConfig
 
-        legacy = set(WORKFLOW_LEGACY_KNOBS)
-        return set(WorkflowConfig.__dataclass_fields__) - legacy - {"policy"}, legacy
+        return set(WorkflowConfig.__dataclass_fields__) - {"policy"}
     if section == "stopping":
         from ..reliability.assessment import StoppingRule
 
-        return set(StoppingRule.__dataclass_fields__), set()
+        return set(StoppingRule.__dataclass_fields__)
     raise ConfigurationError(f"unknown spec section {section!r}")  # pragma: no cover
 
 
 def _validate_section(section: str, data: Mapping[str, object]) -> Dict[str, object]:
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"spec section {section!r} must be a mapping")
-    allowed, legacy = _section_fields(section)
+    allowed = _section_fields(section)
     for key in data:
-        if key in legacy:
+        if key in allowed:
+            continue
+        if key in _POLICY_KEYS:
             raise ConfigurationError(
-                f"spec section {section!r} must not carry the legacy execution "
-                f"knob {key!r}; the execution surface lives in the 'policy' "
+                f"spec section {section!r} must not carry the execution "
+                f"setting {key!r}; the execution surface lives in the 'policy' "
                 "section"
             )
-        if key not in allowed:
-            raise ConfigurationError(
-                f"unknown key {key!r} in spec section {section!r}; "
-                f"expected a subset of {sorted(allowed)}"
-            )
+        raise ConfigurationError(
+            f"unknown key {key!r} in spec section {section!r}; "
+            f"expected a subset of {sorted(allowed)}"
+        )
     if section == "fuzzer" and data.get("execution") == "sharded":
-        # "sharded" is itself a deprecated alias (and would silently override
-        # policy.backend): in a spec the backend lives in the policy section
+        # the backend is a policy setting: point the retired alias there
         raise ConfigurationError(
             "spec section 'fuzzer' must not use execution='sharded'; set "
             "backend='sharded' in the 'policy' section (execution selects "
@@ -115,8 +117,8 @@ class CampaignSpec:
     fuzzer, workflow, stopping:
         Keyword sections for :class:`repro.fuzzing.FuzzerConfig`,
         :class:`repro.core.WorkflowConfig` and
-        :class:`repro.reliability.StoppingRule`; unknown and legacy keys are
-        rejected at construction.
+        :class:`repro.reliability.StoppingRule`; unknown keys and execution
+        settings are rejected at construction.
     """
 
     scenario: Mapping[str, object]

@@ -132,9 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _spec_from_flags(args: argparse.Namespace) -> dict:
     """Assemble a campaign-spec document from the legacy per-flag options.
 
-    The flags never touch the deprecated per-knob configuration surface:
-    they are translated straight into the policy/section layout, so the
-    stored run looks exactly like one launched from a spec file.
+    The flags are translated straight into the policy/section layout, so
+    the stored run looks exactly like one launched from a spec file.
     """
     from ..faults.retry import RetryPolicy
     from ..runtime.policy import ExecutionPolicy

@@ -53,10 +53,11 @@ def dedent(snippet: str) -> str:
 # registry / framework
 # --------------------------------------------------------------------------- #
 class TestFramework:
-    def test_eight_per_file_rules_registered(self):
+    def test_seven_per_file_rules_registered(self):
+        # REP003 (legacy-knob) is retired; ids are never renumbered because
+        # baselines, SARIF fingerprints and pragmas key on them
         assert sorted(registered_rules()) == [
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-            "REP007", "REP008",
+            "REP001", "REP002", "REP004", "REP005", "REP006", "REP007", "REP008",
         ]
 
     def test_three_program_rules_registered(self):
@@ -214,47 +215,6 @@ class TestRngDiscipline:
             """
         )
         assert analyze_source(source, APP_PATH) == []
-
-
-# --------------------------------------------------------------------------- #
-# REP003 legacy-knob
-# --------------------------------------------------------------------------- #
-class TestLegacyKnob:
-    def test_shim_owner_with_legacy_knob_flagged(self):
-        # a dead branch like this is exactly what the runtime warning gate
-        # misses — the static rule must see it anyway
-        source = dedent(
-            """
-            def build(sharded):
-                if sharded:
-                    return FuzzerConfig(num_workers=4)
-                return FuzzerConfig(queries_per_seed=5)
-            """
-        )
-        findings = analyze_source(source, APP_PATH)
-        assert len(findings) == 1
-        assert (findings[0].rule, findings[0].line) == ("REP003", 3)
-        assert "policy=ExecutionPolicy(num_workers=...)" in findings[0].hint
-
-    def test_knob_to_policy_field_mapping_in_hint(self):
-        source = "cfg = WorkflowConfig(engine='sharded', use_query_cache=True)\n"
-        findings = analyze_source(source, APP_PATH)
-        hints = " ".join(f.hint for f in findings)
-        assert "ExecutionPolicy(backend=...)" in hints
-        assert "ExecutionPolicy(cache=...)" in hints
-
-    def test_policy_itself_and_unknown_owners_clean(self):
-        source = dedent(
-            """
-            policy = ExecutionPolicy(num_workers=4, cache_dir="/tmp/c")
-            engine = ShardedQueryEngine(model, num_workers=2)
-            """
-        )
-        assert analyze_source(source, APP_PATH) == []
-
-    def test_runtime_shim_layer_exempt(self):
-        source = "cfg = FuzzerConfig(num_workers=4)\n"
-        assert analyze_source(source, "src/repro/runtime/policy.py") == []
 
 
 # --------------------------------------------------------------------------- #
@@ -815,8 +775,12 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
+        for rule_id in (
+            "REP001", "REP002", "REP004", "REP005", "REP006", "REP007",
+            "REP008", "REP009", "REP010", "REP011",
+        ):
             assert rule_id in out
+        assert "REP003" not in out
 
     def test_conflicting_baseline_flags_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -838,7 +802,7 @@ class TestSelfScan:
         assert len(baseline) == 0, "the shipped tree must carry no lint debt"
 
     def test_shipped_tree_has_no_findings(self):
-        # also the regression pin that REP003/REP004/REP005 (which currently
+        # also the regression pin that REP004/REP005 (which currently
         # find nothing in the tree) stay silent: any future hit fails here
         result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
         assert result.findings == [], "\n".join(f.format() for f in result.findings)
@@ -852,7 +816,6 @@ class TestSelfScan:
         seeded = {
             "REP001": "def f(model, x):\n    return model.predict(x)\n",
             "REP002": "import numpy as np\nnp.random.seed(0)\n",
-            "REP003": "cfg = FuzzerConfig(engine='sharded')\n",
             "REP004": dedent(LOCKED_CLASS),
             "REP005": dedent(
                 """

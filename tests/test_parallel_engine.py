@@ -22,13 +22,11 @@ from repro.engine import (
     BatchedQueryEngine,
     QueryStats,
     ShardedQueryEngine,
-    build_query_engine,
     plan_shards,
-    query_engine_session,
 )
 from repro.engine.transport import ShmRing, resolve_auto_transport
 from repro.evaluation import make_scenario
-from repro.exceptions import ConfigurationError, FuzzingError
+from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.fuzzing import FuzzerConfig, OperationalFuzzer
 from repro.reliability import ReliabilityAssessor
@@ -268,9 +266,6 @@ class TestShardedCampaignEquivalence:
     def test_invalid_num_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             FuzzerConfig(policy=ExecutionPolicy(num_workers=0))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(FuzzingError):
-                FuzzerConfig(num_workers=0)  # the deprecated shim path
         with pytest.raises(ConfigurationError):
             plan_shards(4, 2, -1)
 
@@ -307,17 +302,9 @@ class TestShardedAttacks:
 
     def test_attack_rejects_bad_engine_knobs(self):
         from repro.attacks import RandomFuzz
-        from repro.exceptions import AttackError
 
         with pytest.raises(ConfigurationError):
             RandomFuzz(policy=ExecutionPolicy(backend="warp"))
-        # the deprecated shims keep validating, in the attack's own taxonomy
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(AttackError):
-                RandomFuzz(engine="warp")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(AttackError):
-                RandomFuzz(engine="sharded", num_workers=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -408,36 +395,16 @@ class TestConcurrentMergeSafety:
 # construction and lifecycle
 # --------------------------------------------------------------------------- #
 class TestEngineConstruction:
-    def test_build_query_engine_backends(self, trained_cluster_model):
-        batched = build_query_engine(trained_cluster_model, engine="batched")
-        assert type(batched) is BatchedQueryEngine
-        sharded = build_query_engine(
-            trained_cluster_model, engine="sharded", num_workers=2
-        )
-        assert isinstance(sharded, ShardedQueryEngine)
-        sharded.close()
-
-    def test_build_query_engine_passthrough(self, trained_cluster_model):
-        engine = BatchedQueryEngine(trained_cluster_model, batch_size=3)
-        assert build_query_engine(engine, engine="sharded", num_workers=4) is engine
-
-    def test_build_query_engine_rejects_bad_knobs(self, trained_cluster_model):
-        with pytest.raises(ConfigurationError):
-            build_query_engine(trained_cluster_model, engine="quantum")
-        with pytest.raises(ConfigurationError):
-            build_query_engine(trained_cluster_model, engine="sharded", num_workers=0)
-
     def test_session_closes_created_engines_only(self, trained_cluster_model):
-        with query_engine_session(
-            trained_cluster_model, engine="sharded", num_workers=2
-        ) as engine:
+        policy = ExecutionPolicy(backend="sharded", num_workers=2)
+        with policy.session(trained_cluster_model) as engine:
             engine.predict(np.zeros((3, 2)))
             assert engine._pools is not None
         assert engine._pools is None  # closed on exit
         owned = ShardedQueryEngine(trained_cluster_model, num_workers=2)
         try:
             owned.predict(np.zeros((3, 2)))
-            with query_engine_session(owned) as passed_through:
+            with policy.session(owned) as passed_through:
                 assert passed_through is owned
             assert owned._pools is not None  # caller-owned engines survive
         finally:
@@ -448,16 +415,16 @@ class TestEngineConstruction:
     ):
         """Attaching a scorer after the pool snapshot must refresh replicas.
 
-        ``as_query_engine``/``build_query_engine`` inject a naturalness
-        scorer into pre-built engines on pass-through; if the worker pool
-        already snapshotted a scorer-less replica it must be rebuilt, not
-        left to raise mid-campaign.
+        ``ExecutionPolicy.build_engine`` (through ``as_query_engine``) injects
+        a naturalness scorer into pre-built engines on pass-through; if the
+        worker pool already snapshotted a scorer-less replica it must be
+        rebuilt, not left to raise mid-campaign.
         """
         engine = ShardedQueryEngine(trained_cluster_model, batch_size=4, num_workers=2)
         try:
             x = operational_cluster_data.x[:12]
             engine.predict(x)  # pool snapshots (model, None)
-            assert build_query_engine(engine, naturalness=cluster_naturalness) is engine
+            assert ExecutionPolicy().build_engine(engine, cluster_naturalness) is engine
             np.testing.assert_array_equal(
                 engine.score_naturalness(x), cluster_naturalness.score(x)
             )
@@ -545,8 +512,6 @@ class TestTransportBitIdentity:
             ShardedQueryEngine(trained_cluster_model, transport="carrier-pigeon")
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(transport="carrier-pigeon")
-        with pytest.raises(ConfigurationError):
-            build_query_engine(trained_cluster_model, transport="carrier-pigeon")
 
     def test_transport_round_trips_through_policy(self):
         policy = ExecutionPolicy(backend="sharded", num_workers=2, transport="shm")

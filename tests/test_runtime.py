@@ -1,15 +1,10 @@
-"""Runtime API: ExecutionPolicy, the backend registry, CampaignSpec, shims.
-
-The acceptance pins of the api_redesign PR:
+"""Runtime API: ExecutionPolicy, the backend registry, CampaignSpec.
 
 * ``ExecutionPolicy`` / ``CampaignSpec`` serialize exactly (dict and file
   round-trips) and reject unknown keys and unknown backend names.
-* A campaign configured via ``ExecutionPolicy`` is **bit-identical**
-  (detections, per-seed query counts, reliability estimates, ``QueryStats``)
-  to the same campaign configured via the legacy knobs, for both the
-  in-process (``batched``) and replicated (``sharded``) backends.
-* Every legacy knob emits one ``DeprecationWarning`` naming the
-  ``ExecutionPolicy`` replacement.
+* Every subsystem takes one ``policy`` parameter, type-checked at
+  construction in the subsystem's own error class; a workflow policy
+  reaches the fuzzer and the default assessor whole.
 * ``python -m repro run --spec`` records the spec document verbatim,
   ``show`` renders it, and ``run --from-run`` re-launches from it.
 """
@@ -29,7 +24,7 @@ from repro.exceptions import (
     FuzzingError,
     ReliabilityError,
 )
-from repro.fuzzing import DEFAULT_FUZZER_POLICY, FuzzerConfig, OperationalFuzzer
+from repro.fuzzing import DEFAULT_FUZZER_POLICY, FuzzerConfig
 from repro.reliability import ReliabilityAssessor
 from repro.runtime import (
     CampaignSpec,
@@ -41,29 +36,6 @@ from repro.runtime import (
     register_backend,
     unregister_backend,
 )
-
-
-def _legacy(factory, *args, **kwargs):
-    """Build an object through its deprecated knobs, warnings silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return factory(*args, **kwargs)
-
-
-def _campaign_digest(campaign):
-    """Bit-comparable digest of a fuzzing campaign's logical outcome."""
-    return [
-        (
-            r.seed_index,
-            r.queries,
-            r.best_fitness,
-            r.candidates_rejected_by_naturalness,
-            None
-            if r.adversarial_example is None
-            else r.adversarial_example.perturbed.tobytes(),
-        )
-        for r in campaign.per_seed
-    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -231,103 +203,69 @@ class TestBackendRegistry:
 
 
 # --------------------------------------------------------------------------- #
-# deprecation shims: one warning per knob, naming the replacement
+# what replaced the legacy knob shims: one type-checked policy per owner
 # --------------------------------------------------------------------------- #
-class TestLegacyKnobShims:
-    @pytest.mark.parametrize(
-        "kwargs, knob",
-        [
-            ({"num_workers": 2}, "num_workers"),
-            ({"batch_size": 64}, "batch_size"),
-            ({"use_query_cache": False}, "use_query_cache"),
-            ({"cache_max_entries": 128}, "cache_max_entries"),
-            ({"cache_dir": "/tmp/x"}, "cache_dir"),
-            ({"checkpoint_every": 3}, "checkpoint_every"),
-            ({"execution": "sharded"}, "execution"),
-        ],
+@pytest.fixture()
+def scenario(
+    clusters_split,
+    trained_cluster_model,
+    cluster_profile,
+    cluster_naturalness,
+    operational_cluster_data,
+    clusters_dataset,
+):
+    train, test = clusters_split
+    return Scenario(
+        name="fixture-clusters",
+        train_data=train,
+        test_data=test,
+        operational_data=operational_cluster_data,
+        model=trained_cluster_model,
+        profile=cluster_profile,
+        naturalness=cluster_naturalness,
+        partition=build_partition_for_dataset(
+            clusters_dataset.x, scheme="grid", bins_per_dim=4
+        ),
+        operational_priors=np.array([0.55, 0.25, 0.15, 0.05]),
     )
-    def test_fuzzer_config_knobs_warn_and_name_replacement(self, kwargs, knob):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy") as record:
-            FuzzerConfig(**kwargs)
-        messages = [str(w.message) for w in record]
-        assert any(f"FuzzerConfig({knob}=...)" in m for m in messages)
 
-    def test_fuzzer_legacy_knobs_fold_into_policy(self):
-        cfg = _legacy(
-            FuzzerConfig,
-            execution="sharded",
-            num_workers=3,
-            batch_size=32,
-            use_query_cache=False,
-            cache_max_entries=11,
-            cache_dir="/tmp/c",
-            checkpoint_every=4,
-        )
-        assert cfg.execution == "population"  # control flow normalised
-        assert cfg.policy == ExecutionPolicy(
-            backend="sharded",
-            num_workers=3,
-            batch_size=32,
-            cache=False,
-            cache_max_entries=11,
-            cache_dir="/tmp/c",
-            checkpoint_every=4,
-        )
-        # the shims are spent: reconstructing from the resolved config is
-        # warning-free and equal
-        import dataclasses
 
-        assert dataclasses.replace(cfg) == cfg
-        assert cfg.num_workers is None and cfg.batch_size is None
-
-    def test_fuzzer_sharded_alias_keeps_historical_worker_default(self):
-        cfg = _legacy(FuzzerConfig, execution="sharded")
-        assert cfg.policy.backend == "sharded"
-        assert cfg.policy.num_workers == 2
+class TestLegacyKnobShims:
+    """The per-object execution knobs are gone: every owner takes exactly one
+    ``policy``, checked at construction."""
 
     def test_fuzzer_default_policy(self):
         cfg = FuzzerConfig()
         assert cfg.policy == DEFAULT_FUZZER_POLICY
         assert cfg.policy.cache is True  # the fuzzer's historical default
 
-    def test_fuzzer_legacy_validation_keeps_its_taxonomy(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(FuzzingError):
-                FuzzerConfig(batch_size=0)
+    def test_workflow_policy_drives_cadence_and_assessor(
+        self, cluster_profile, clusters_split, cluster_naturalness
+    ):
+        from repro.core import OperationalTestingLoop, WorkflowConfig
 
-    def test_workflow_config_knobs_warn(self):
-        from repro.core import WorkflowConfig
-
-        for kwargs in (
-            {"engine": "sharded"},
-            {"num_workers": 2},
-            {"cache_dir": "/tmp/x"},
-            {"checkpoint_every": 1},
-        ):
-            with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-                WorkflowConfig(**kwargs)
-
-    def test_workflow_legacy_engine_resolves_overrides(self):
-        from repro.core import WorkflowConfig
-
-        cfg = _legacy(WorkflowConfig, engine="sharded", num_workers=2, cache_dir="/tmp/c")
-        execution, patch = cfg.fuzzer_overrides()
-        assert execution == "population"
-        assert patch == {"backend": "sharded", "num_workers": 2, "cache_dir": "/tmp/c"}
-        assert cfg.assessor_policy() == ExecutionPolicy(backend="sharded", num_workers=2)
-        assert cfg.checkpoint_cadence == 0
-
-    def test_workflow_policy_drives_cadence_and_assessor(self):
-        from repro.core import WorkflowConfig
-
-        policy = ExecutionPolicy(backend="sharded", num_workers=2, cache=True,
-                                 checkpoint_every=3)
-        cfg = WorkflowConfig(policy=policy)
-        assert cfg.checkpoint_cadence == 3
-        assert cfg.assessor_policy() == policy.replace(checkpoint_every=0)
-        _, patch = cfg.fuzzer_overrides()
-        assert patch["backend"] == "sharded"
-        assert "checkpoint_every" not in patch  # fuzzer cadence stays its own
+        policy = ExecutionPolicy(
+            backend="sharded",
+            num_workers=2,
+            transport="threads",
+            cache=True,
+            checkpoint_every=3,
+            telemetry=True,
+        )
+        loop = OperationalTestingLoop(
+            profile=cluster_profile,
+            train_data=clusters_split[0],
+            naturalness=cluster_naturalness,
+            fuzzer_config=FuzzerConfig(policy=ExecutionPolicy(checkpoint_every=5)),
+            workflow_config=WorkflowConfig(policy=policy),
+            rng=0,
+        )
+        assert loop.config.checkpoint_cadence == 3
+        # every workflow-policy field reaches the fuzzer (transport and
+        # telemetry included); only the fuzzer's own cadence stays its own
+        assert loop.fuzzer_config.policy == policy.replace(checkpoint_every=5)
+        assert loop.fuzzer_config.policy.transport == "threads"
+        assert loop.assessor.policy == policy.replace(checkpoint_every=0)
 
     def test_workflow_policy_config_copies_warning_free(self):
         import dataclasses
@@ -341,20 +279,10 @@ class TestLegacyKnobShims:
         assert copied.checkpoint_cadence == 3
         assert copied == cfg
 
-    def test_legacy_engine_sequential_warning_names_fuzzer_execution(self):
-        from repro.core import WorkflowConfig
-
-        with pytest.warns(DeprecationWarning, match="FuzzerConfig"):
-            cfg = WorkflowConfig(engine="sequential")
-        execution, patch = cfg.fuzzer_overrides()
-        assert execution == "sequential"
-        # the named replacement must not be an ExecutionPolicy backend —
-        # the control flow has no policy equivalent
-        assert patch["backend"] == "batched"
-
-    def test_wrong_typed_policy_rejected_at_construction(self):
+    def test_wrong_typed_policy_rejected_at_construction(self, scenario):
         from repro.attacks import RandomFuzz
         from repro.core import WorkflowConfig
+        from repro.reliability.cells import CellRobustnessEvaluator
 
         with pytest.raises(FuzzingError, match="ExecutionPolicy"):
             FuzzerConfig(policy="sharded")
@@ -362,227 +290,19 @@ class TestLegacyKnobShims:
             WorkflowConfig(policy={"backend": "sharded"})
         with pytest.raises(AttackError, match="ExecutionPolicy"):
             RandomFuzz(policy="batched")
-
-    def test_assessor_and_evaluator_knobs_warn(self, cluster_profile, clusters_dataset):
-        from repro.reliability.cells import CellRobustnessEvaluator
-
-        partition = build_partition_for_dataset(
-            clusters_dataset.x, scheme="grid", bins_per_dim=4
-        )
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            ReliabilityAssessor(
-                partition, cluster_profile, engine="batched", rng=0
-            )
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            CellRobustnessEvaluator(partition, batch_size=64)
-        with pytest.raises(ReliabilityError):
-            _legacy(CellRobustnessEvaluator, partition, num_workers=0)
-
-    def test_attack_knobs_warn(self):
-        from repro.attacks import BoundaryNudge, GaussianNoise, RandomFuzz
-
-        for cls in (RandomFuzz, GaussianNoise, BoundaryNudge):
-            with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-                attack = cls(engine="batched", batch_size=32)
-            assert attack.policy.batch_size == 32
-        with pytest.raises(AttackError):
-            _legacy(RandomFuzz, engine="warp")
-
-
-# --------------------------------------------------------------------------- #
-# legacy knobs vs ExecutionPolicy: bit-identical campaigns
-# --------------------------------------------------------------------------- #
-class TestLegacyPolicyEquivalence:
-    """Old-style and new-style configuration of the *same* campaign must be
-    indistinguishable: detections, per-seed query counts, fitness, rejected
-    counts and QueryStats, for both shipping backends."""
-
-    def _run(self, config, model, naturalness, data):
-        fuzzer = OperationalFuzzer(naturalness, config=config, natural_pool=data.x)
-        campaign = fuzzer.fuzz(model, data.x[:10], data.y[:10], budget=120, rng=9)
-        return campaign, fuzzer.last_query_stats
-
-    def test_fuzzer_batched_equivalence(
-        self, trained_cluster_model, cluster_naturalness, operational_cluster_data
-    ):
-        base = dict(epsilon=0.12, queries_per_seed=15, naturalness_threshold=0.3)
-        legacy_cfg = _legacy(
-            FuzzerConfig, batch_size=32, use_query_cache=True, **base
-        )
-        policy_cfg = FuzzerConfig(
-            policy=ExecutionPolicy(batch_size=32, cache=True), **base
-        )
-        legacy, legacy_stats = self._run(
-            legacy_cfg, trained_cluster_model, cluster_naturalness,
-            operational_cluster_data,
-        )
-        modern, modern_stats = self._run(
-            policy_cfg, trained_cluster_model, cluster_naturalness,
-            operational_cluster_data,
-        )
-        assert _campaign_digest(legacy) == _campaign_digest(modern)
-        assert legacy_stats.as_dict() == modern_stats.as_dict()
-
-    def test_fuzzer_sharded_equivalence(
-        self, trained_cluster_model, cluster_naturalness, operational_cluster_data
-    ):
-        base = dict(epsilon=0.12, queries_per_seed=15, naturalness_threshold=0.3)
-        legacy_cfg = _legacy(
-            FuzzerConfig, execution="sharded", num_workers=2, batch_size=32, **base
-        )
-        policy_cfg = FuzzerConfig(
-            policy=ExecutionPolicy(
-                backend="sharded", num_workers=2, batch_size=32, cache=True
-            ),
-            **base,
-        )
-        legacy, legacy_stats = self._run(
-            legacy_cfg, trained_cluster_model, cluster_naturalness,
-            operational_cluster_data,
-        )
-        modern, modern_stats = self._run(
-            policy_cfg, trained_cluster_model, cluster_naturalness,
-            operational_cluster_data,
-        )
-        assert _campaign_digest(legacy) == _campaign_digest(modern)
-        assert legacy_stats.as_dict() == modern_stats.as_dict()
-
-    @pytest.mark.parametrize("backend,workers", [("batched", 1), ("sharded", 2)])
-    def test_attack_equivalence(
-        self, backend, workers, trained_cluster_model, operational_cluster_data
-    ):
-        from repro.attacks import RandomFuzz
-
-        x = operational_cluster_data.x[:20]
-        y = operational_cluster_data.y[:20]
-        legacy_attack = _legacy(
-            RandomFuzz, epsilon=0.1, batch_size=16, engine=backend,
-            num_workers=workers,
-        )
-        policy_attack = RandomFuzz(
-            epsilon=0.1,
-            policy=ExecutionPolicy(
-                backend=backend, num_workers=workers, batch_size=16
-            ),
-        )
-        legacy = legacy_attack.run(trained_cluster_model, x, y, rng=4)
-        modern = policy_attack.run(trained_cluster_model, x, y, rng=4)
-        np.testing.assert_array_equal(legacy.adversarial_x, modern.adversarial_x)
-        np.testing.assert_array_equal(legacy.success, modern.success)
-        np.testing.assert_array_equal(legacy.queries_per_seed, modern.queries_per_seed)
-        assert legacy.queries == modern.queries
-
-    @pytest.mark.parametrize("backend,workers", [("batched", 1), ("sharded", 2)])
-    def test_assessor_equivalence(
-        self,
-        backend,
-        workers,
-        trained_cluster_model,
-        cluster_profile,
-        clusters_dataset,
-        operational_cluster_data,
-    ):
-        partition = build_partition_for_dataset(
-            clusters_dataset.x, scheme="grid", bins_per_dim=4
-        )
-        legacy_assessor = _legacy(
-            ReliabilityAssessor, partition, cluster_profile,
-            engine=backend, num_workers=workers, batch_size=64, rng=5,
-        )
-        policy_assessor = ReliabilityAssessor(
-            partition,
-            cluster_profile,
-            policy=ExecutionPolicy(backend=backend, num_workers=workers, batch_size=64),
-            rng=5,
-        )
-        legacy = legacy_assessor.assess(
-            trained_cluster_model, operational_cluster_data, rng=5
-        )
-        modern = policy_assessor.assess(
-            trained_cluster_model, operational_cluster_data, rng=5
-        )
-        assert legacy.to_dict() == modern.to_dict()
-
-    def test_workflow_equivalence(
-        self,
-        cluster_profile,
-        clusters_split,
-        cluster_naturalness,
-        trained_cluster_model,
-        operational_cluster_data,
-    ):
-        from repro.core import OperationalTestingLoop, WorkflowConfig
-        from repro.reliability import StoppingRule
-
-        def run(workflow_config):
-            loop = OperationalTestingLoop(
-                profile=cluster_profile,
-                train_data=clusters_split[0],
-                naturalness=cluster_naturalness,
-                fuzzer_config=FuzzerConfig(epsilon=0.1, queries_per_seed=8),
-                stopping_rule=StoppingRule(target_pmi=1e-6, max_iterations=1),
-                workflow_config=workflow_config,
-                rng=21,
-            )
-            _, report = loop.run(trained_cluster_model, operational_cluster_data)
-            return report, loop.last_estimate, loop.query_stats
-
-        legacy = run(
-            _legacy(
-                WorkflowConfig,
-                test_budget_per_iteration=80,
-                seeds_per_iteration=5,
-                engine="sharded",
-                num_workers=2,
-            )
-        )
-        modern = run(
-            WorkflowConfig(
-                test_budget_per_iteration=80,
-                seeds_per_iteration=5,
-                policy=ExecutionPolicy(
-                    backend="sharded", num_workers=2, cache=True
-                ),
-            )
-        )
-        legacy_report, legacy_estimate, legacy_stats = legacy
-        modern_report, modern_estimate, modern_stats = modern
-        assert [it.__dict__ for it in legacy_report.iterations] == [
-            it.__dict__ for it in modern_report.iterations
-        ]
-        assert legacy_estimate.to_dict() == modern_estimate.to_dict()
-        assert legacy_stats.as_dict() == modern_stats.as_dict()
+        with pytest.raises(ReliabilityError, match="ExecutionPolicy"):
+            ReliabilityAssessor(scenario.partition, scenario.profile, policy="batched")
+        # positional arguments that once reached a knob now land on policy
+        with pytest.raises(ReliabilityError, match="ExecutionPolicy"):
+            CellRobustnessEvaluator(scenario.partition, 10, None, True, 64)
+        with pytest.raises(ConfigurationError, match="ExecutionPolicy"):
+            scenario.query_engine("sharded")
 
 
 # --------------------------------------------------------------------------- #
 # Scenario.query_engine: typed cache parameter + policy routing
 # --------------------------------------------------------------------------- #
 class TestScenarioQueryEngine:
-    @pytest.fixture()
-    def scenario(
-        self,
-        clusters_split,
-        trained_cluster_model,
-        cluster_profile,
-        cluster_naturalness,
-        operational_cluster_data,
-        clusters_dataset,
-    ):
-        train, test = clusters_split
-        return Scenario(
-            name="fixture-clusters",
-            train_data=train,
-            test_data=test,
-            operational_data=operational_cluster_data,
-            model=trained_cluster_model,
-            profile=cluster_profile,
-            naturalness=cluster_naturalness,
-            partition=build_partition_for_dataset(
-                clusters_dataset.x, scheme="grid", bins_per_dim=4
-            ),
-            operational_priors=np.array([0.55, 0.25, 0.15, 0.05]),
-        )
-
     def test_policy_selects_backend(self, scenario):
         engine = scenario.query_engine(policy=ExecutionPolicy(batch_size=9))
         assert isinstance(engine, SequentialBackend)
@@ -601,11 +321,6 @@ class TestScenarioQueryEngine:
             scenario.query_engine(cache=True)
         with pytest.raises(ConfigurationError, match="CacheBackend"):
             scenario.query_engine(cache=False)
-
-    def test_legacy_knobs_warn_and_route(self, scenario):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            engine = scenario.query_engine(engine="batched", batch_size=5)
-        assert engine.batch_size == 5
 
 
 # --------------------------------------------------------------------------- #
@@ -669,7 +384,10 @@ class TestCampaignSpec:
             CampaignSpec.from_dict(self._spec(fuzzer={"num_workers": 2}))
         with pytest.raises(ConfigurationError, match="policy"):
             CampaignSpec.from_dict(self._spec(workflow={"cache_dir": "/tmp/x"}))
-        # the deprecated execution alias is rejected too; the non-deprecated
+        # derived from ExecutionPolicy's fields, so newer ones are covered too
+        with pytest.raises(ConfigurationError, match="'policy' section"):
+            CampaignSpec.from_dict(self._spec(workflow={"transport": "threads"}))
+        # the retired execution alias is pointed at the policy section; the
         # control-flow values stay allowed
         with pytest.raises(ConfigurationError, match="backend='sharded'"):
             CampaignSpec.from_dict(self._spec(fuzzer={"execution": "sharded"}))
