@@ -2,45 +2,34 @@
 
 Runs the same fixed-seed campaign through the sequential reference fuzzer
 ("before") and the batched population engine ("after"), plus the vectorised
-black-box attacks, and — since the sharded engine landed — a per-worker,
-per-transport scaling section on a medium (glyph-digit) scenario plus an
-IPC-overhead probe (a no-op model, so the timing isolates shard transport
-cost), a ``faults`` section (chaos overhead and bit-identity under worker
-kills, see ``bench_faults.py``), a ``telemetry_overhead`` section
-(observability costs <3% and never perturbs results, see
-``bench_telemetry.py``) and a ``lint_performance`` section (a warm
+black-box attacks, a ``telemetry_overhead`` section (observability costs
+<3% and never perturbs results, in-process and on the thread-pool backend,
+see ``bench_telemetry.py``) and a ``lint_performance`` section (a warm
 incremental ``repro lint`` beats cold by >=3x with identical findings, see
 ``bench_lint.py``), and writes ``BENCH_fuzzer.json`` at the repository
 root so the throughput trajectory is tracked across PRs.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_fuzzer_snapshot.py \
-        [output.json] [--workers 1 2 4]
+    PYTHONPATH=src python benchmarks/bench_fuzzer_snapshot.py [output.json]
 
 Deliberately small (tens of seconds end to end) so it can run in CI; the
-wall-clock numbers are indicative (the scaling rows record ``cpu_count`` so
-single-core CI runs read as what they are), while the model-call counts and
-the sharded-vs-population equivalence fingerprints are exact and
-machine-independent.
+wall-clock numbers are indicative, while the model-call counts are exact
+and machine-independent.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 # the snapshot is both executed directly and loaded via runpy (CI validates
 # the committed file that way), and only the former puts benchmarks/ on the
 # module search path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_faults import faults_section, validate_faults_section  # noqa: E402
 from bench_lint import (  # noqa: E402
     lint_performance_section,
     validate_lint_performance_section,
@@ -48,59 +37,13 @@ from bench_lint import (  # noqa: E402
 from bench_telemetry import telemetry_section, validate_telemetry_section  # noqa: E402
 
 from repro.attacks import BoundaryNudge, GaussianNoise, RandomFuzz
-from repro.engine.parallel import ShardedQueryEngine
-from repro.evaluation import make_clusters_scenario, make_glyph_scenario
+from repro.evaluation import make_clusters_scenario
 from repro.fuzzing import FuzzerConfig, OperationalFuzzer
-from repro.runtime import ExecutionPolicy
 
 SEED = 2021
 NUM_SEEDS = 40
 BUDGET = 1200
 QUERIES_PER_SEED = 30
-
-#: Medium-scenario settings for the per-worker scaling section: image-like
-#: inputs with KDE + autoencoder naturalness, so each physical call carries
-#: real compute for the workers to shard.
-SCALING_NUM_SEEDS = 32
-SCALING_BUDGET = 700
-SCALING_QUERIES_PER_SEED = 25
-SCALING_BULK_ROWS = 2048  # halved when the bulk list went per-transport
-SCALING_BATCH_SIZE = 512
-
-#: Transports benchmarked per multi-worker row.  A single worker always runs
-#: in-process (the engine shortcuts the pool), so worker_count 1 gets one row.
-SCALING_TRANSPORTS = ("pickle", "shm", "threads")
-
-#: IPC-probe settings: a no-op model makes the shard round-trip cost the
-#: whole measurement, and 4 MiB request blocks are the regime the zero-copy
-#: transport exists for.
-PROBE_ROWS = 8192
-PROBE_FEATURES = 256
-PROBE_BATCH_SIZE = 2048
-PROBE_WORKERS = 2
-PROBE_REPEATS = 5
-
-
-class _NoOpProbeModel:
-    """Picklable classifier whose calls cost (almost) nothing.
-
-    With compute removed, the wall-time of a sharded dispatch is the shard
-    transport itself: serialise/copy the request block out, move the response
-    back, plus pool bookkeeping.  That is exactly the quantity the pickle vs
-    shm probe compares.
-    """
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(len(x), dtype=np.int64)
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        probs = np.empty((len(x), 2), dtype=np.float64)
-        probs[:, 0] = 0.5
-        probs[:, 1] = 0.5
-        return probs
-
-    def loss_input_gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.zeros_like(x)
 
 
 def _fuzz_once(scenario, execution: str) -> dict:
@@ -156,277 +99,25 @@ def _attacks_once(scenario) -> dict:
     return out
 
 
-def _scaling_campaign(
-    scenario, backend: str, num_workers: int, transport: str = "auto"
-) -> dict:
-    config = FuzzerConfig(
-        epsilon=0.1,
-        queries_per_seed=SCALING_QUERIES_PER_SEED,
-        naturalness_threshold=0.3,
-        policy=ExecutionPolicy(
-            backend=backend,
-            num_workers=num_workers,
-            transport=transport,
-            batch_size=SCALING_BATCH_SIZE,
-            cache=True,
-        ),
-    )
-    fuzzer = OperationalFuzzer(
-        naturalness=scenario.naturalness,
-        config=config,
-        natural_pool=scenario.operational_data.x,
-    )
-    seeds = scenario.operational_data.x[:SCALING_NUM_SEEDS]
-    labels = scenario.operational_data.y[:SCALING_NUM_SEEDS]
-    start = time.perf_counter()
-    campaign = fuzzer.fuzz(scenario.model, seeds, labels, budget=SCALING_BUDGET, rng=SEED)
-    elapsed = time.perf_counter() - start
-    return {
-        "wall_time_s": round(elapsed, 4),
-        "queries": campaign.total_queries,
-        "aes_found": len(campaign.adversarial_examples),
-        "per_seed_queries": [r.queries for r in campaign.per_seed],
-    }
-
-
-def _scaling_bulk(scenario, num_workers: int, transport: str = "auto") -> dict:
-    """Sharded throughput on one big naturalness + predict_proba workload."""
-    rng = np.random.default_rng(SEED)
-    pool = scenario.operational_data.x
-    picks = rng.integers(0, len(pool), size=SCALING_BULK_ROWS)
-    bulk = np.clip(pool[picks] + rng.normal(0.0, 0.01, size=pool[picks].shape), 0.0, 1.0)
-    with scenario.query_engine(
-        policy=ExecutionPolicy(
-            backend="sharded",
-            num_workers=num_workers,
-            transport=transport,
-            batch_size=SCALING_BATCH_SIZE,
-        )
-    ) as engine:
-        # warm every worker outside the timed window: pools spawn (and
-        # unpickle their replica) lazily at their first submit, so the
-        # warm-up must span at least num_workers shards — one-time setup
-        # cost is not the steady-state scaling this row tracks
-        engine.predict(bulk[: SCALING_BATCH_SIZE * num_workers])
-        start = time.perf_counter()
-        naturalness = engine.score_naturalness(bulk)
-        probs = engine.predict_proba(bulk)
-        elapsed = time.perf_counter() - start
-    return {
-        "rows": int(SCALING_BULK_ROWS),
-        "wall_time_s": round(elapsed, 4),
-        "rows_per_s": round(2 * SCALING_BULK_ROWS / max(elapsed, 1e-9), 1),
-        "checksum": round(float(naturalness.sum() + probs.sum()), 6),
-    }
-
-
-def _scaling_section(worker_counts) -> dict:
-    """Per-worker, per-transport scaling rows on the medium scenario.
-
-    The population baseline is the single-process lock-step engine; every
-    sharded row records whether its campaign reproduced the baseline
-    bit-identically (detections and per-seed query counts) — wall-clock may
-    move with worker count and transport, results must not.
-
-    Campaign wall-times are end-to-end: each campaign builds its own engine,
-    so multi-worker rows include the one-time pool spawn + replica pickling
-    a real campaign pays (the bulk rows, by contrast, measure steady-state
-    throughput on pre-warmed workers).  A single worker always runs
-    in-process — the engine shortcuts the pool — so worker count 1 gets one
-    row; multi-worker counts get one campaign row per transport.
-    """
-    scenario = make_glyph_scenario(
-        num_samples=900, image_size=12, num_classes=10, epochs=10, rng=SEED
-    )
-    baseline = _scaling_campaign(scenario, "batched", 1)
-    rows = []
-    for workers in worker_counts:
-        transports = ("in-process",) if workers == 1 else SCALING_TRANSPORTS
-        for transport in transports:
-            campaign = _scaling_campaign(
-                scenario,
-                "sharded",
-                workers,
-                transport="auto" if transport == "in-process" else transport,
-            )
-            rows.append(
-                {
-                    "num_workers": int(workers),
-                    "transport": transport,
-                    "campaign": {
-                        key: value
-                        for key, value in campaign.items()
-                        if key != "per_seed_queries"
-                    },
-                    "identical_to_population": (
-                        campaign["aes_found"] == baseline["aes_found"]
-                        and campaign["queries"] == baseline["queries"]
-                        and campaign["per_seed_queries"] == baseline["per_seed_queries"]
-                    ),
-                    "campaign_speedup_vs_1worker": None,  # filled below
-                }
-            )
-    if rows:
-        # the baseline is the 1-worker row (fall back to the smallest worker
-        # count benchmarked), regardless of the order --workers was given in
-        baseline_row = min(rows, key=lambda row: (row["num_workers"] != 1, row["num_workers"]))
-        reference = baseline_row["campaign"]["wall_time_s"]
-        for row in rows:
-            row["campaign_speedup_vs_1worker"] = round(
-                reference / max(row["campaign"]["wall_time_s"], 1e-9), 2
-            )
-    # steady-state bulk throughput: pickle vs shm per multi-worker count
-    # (threads excluded to bound runtime; the campaign rows cover it)
-    bulk_rows = []
-    for workers in worker_counts:
-        transports = ("in-process",) if workers == 1 else ("pickle", "shm")
-        for transport in transports:
-            bulk = _scaling_bulk(
-                scenario,
-                workers,
-                transport="auto" if transport == "in-process" else transport,
-            )
-            bulk_rows.append(
-                {"num_workers": int(workers), "transport": transport, **bulk}
-            )
-    baseline.pop("per_seed_queries")
-    cpu_count = os.cpu_count()
-    return {
-        "scenario": "glyph-digits-medium",
-        "cpu_count": cpu_count,
-        "note": (
-            "wall-time scaling requires idle cores; on a single-CPU host "
-            "multi-worker rows measure IPC overhead, not parallelism — "
-            "results stay bit-identical either way"
-        )
-        if cpu_count == 1
-        else "results are bit-identical across worker counts and transports; "
-        "wall-time varies",
-        "config": {
-            "num_seeds": SCALING_NUM_SEEDS,
-            "budget": SCALING_BUDGET,
-            "queries_per_seed": SCALING_QUERIES_PER_SEED,
-            "batch_size": SCALING_BATCH_SIZE,
-            "bulk_rows": SCALING_BULK_ROWS,
-        },
-        "population_baseline": baseline,
-        "workers": rows,
-        "bulk": bulk_rows,
-    }
-
-
-def _ipc_overhead_section() -> dict:
-    """Per-shard transport overhead, isolated with a no-op model.
-
-    Each dispatch moves ``PROBE_ROWS`` float64 rows of ``PROBE_FEATURES``
-    features through the worker pool in ``PROBE_BATCH_SIZE``-row shards
-    (4 MiB request blocks).  The model does no work, so the best-of-N
-    wall-time is the transport itself: under pickle every block is
-    serialised and squeezed through the pool's pipe; under shm the block is
-    memcpy'd into a preallocated ring and only a ~100-byte envelope crosses
-    the pipe.  This is why the shm advantage holds even on a single-core
-    host, where parallel-speedup numbers are meaningless.
-    """
-    rng = np.random.default_rng(SEED)
-    x = rng.random((PROBE_ROWS, PROBE_FEATURES), dtype=np.float64)
-    num_shards = -(-PROBE_ROWS // PROBE_BATCH_SIZE)
-    rows = []
-    for transport in ("pickle", "shm"):
-        engine = ShardedQueryEngine(
-            _NoOpProbeModel(),
-            num_workers=PROBE_WORKERS,
-            batch_size=PROBE_BATCH_SIZE,
-            transport=transport,
-        )
-        try:
-            engine.predict_proba(x)  # spawn pool + allocate rings untimed
-            best = min(
-                _timed(engine.predict_proba, x) for _ in range(PROBE_REPEATS)
-            )
-        finally:
-            engine.close()
-        rows.append(
-            {
-                "transport": transport,
-                "best_dispatch_s": round(best, 5),
-                "per_shard_ms": round(best / num_shards * 1e3, 3),
-            }
-        )
-    by_transport = {row["transport"]: row for row in rows}
-    return {
-        "rows": int(PROBE_ROWS),
-        "features": int(PROBE_FEATURES),
-        "batch_size": int(PROBE_BATCH_SIZE),
-        "num_workers": int(PROBE_WORKERS),
-        "num_shards": int(num_shards),
-        "block_bytes": int(PROBE_BATCH_SIZE * PROBE_FEATURES * 8),
-        "repeats": int(PROBE_REPEATS),
-        "probe": rows,
-        "shm_vs_pickle": round(
-            by_transport["shm"]["per_shard_ms"]
-            / max(by_transport["pickle"]["per_shard_ms"], 1e-9),
-            3,
-        ),
-    }
-
-
-def _timed(func, *args) -> float:
-    start = time.perf_counter()
-    func(*args)
-    return time.perf_counter() - start
-
-
 def _validate_snapshot(path: Path) -> None:
-    """Re-read the written snapshot: it must stay parseable and complete.
-
-    Every per-transport scaling row must have reproduced the population
-    baseline bit-identically, the shm rows must be present and parseable,
-    and the IPC probe must show shm moving shards cheaper than pickle —
-    that last property is transport overhead, not parallelism, so it holds
-    on a single-core CI host too.
-    """
+    """Re-read the written snapshot: it must stay parseable and complete,
+    and its telemetry and lint sections must still meet their gates."""
     snapshot = json.loads(path.read_text())
     for key in (
         "benchmark",
         "config",
         "fuzzer",
         "attacks_batched",
-        "scaling",
-        "ipc_overhead",
-        "faults",
         "telemetry_overhead",
         "lint_performance",
     ):
         if key not in snapshot:
             raise AssertionError(f"snapshot is missing the {key!r} section")
-    transports_seen = set()
-    for row in snapshot["scaling"]["workers"]:
-        transports_seen.add(row["transport"])
-        if not row["identical_to_population"]:
-            raise AssertionError(
-                f"sharded campaign at num_workers={row['num_workers']} "
-                f"transport={row['transport']} diverged from the population "
-                "baseline"
-            )
-    if any(int(row["num_workers"]) > 1 for row in snapshot["scaling"]["workers"]):
-        missing = set(SCALING_TRANSPORTS) - transports_seen
-        if missing:
-            raise AssertionError(
-                f"scaling section is missing transport rows for {sorted(missing)}"
-            )
-    probe = {row["transport"]: row for row in snapshot["ipc_overhead"]["probe"]}
-    if probe["shm"]["per_shard_ms"] >= probe["pickle"]["per_shard_ms"]:
-        raise AssertionError(
-            "shm transport did not beat pickle on per-shard IPC overhead "
-            f"({probe['shm']['per_shard_ms']}ms >= "
-            f"{probe['pickle']['per_shard_ms']}ms)"
-        )
-    validate_faults_section(snapshot["faults"])
     validate_telemetry_section(snapshot["telemetry_overhead"])
     validate_lint_performance_section(snapshot["lint_performance"])
 
 
-def main(output: str = "BENCH_fuzzer.json", worker_counts=(1, 2, 4)) -> dict:
+def main(output: str = "BENCH_fuzzer.json") -> dict:
     scenario = make_clusters_scenario(rng=SEED)
     before = _fuzz_once(scenario, "sequential")
     after = _fuzz_once(scenario, "population")
@@ -449,9 +140,6 @@ def main(output: str = "BENCH_fuzzer.json", worker_counts=(1, 2, 4)) -> dict:
             ),
         },
         "attacks_batched": _attacks_once(scenario),
-        "scaling": _scaling_section(worker_counts),
-        "ipc_overhead": _ipc_overhead_section(),
-        "faults": faults_section(),
         "telemetry_overhead": telemetry_section(),
         "lint_performance": lint_performance_section(),
     }
@@ -466,12 +154,5 @@ def main(output: str = "BENCH_fuzzer.json", worker_counts=(1, 2, 4)) -> dict:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("output", nargs="?", default="BENCH_fuzzer.json")
-    parser.add_argument(
-        "--workers",
-        nargs="+",
-        type=int,
-        default=[1, 2, 4],
-        help="worker counts for the sharded scaling rows",
-    )
     args = parser.parse_args()
-    main(args.output, worker_counts=args.workers)
+    main(args.output)

@@ -1,8 +1,8 @@
 """Telemetry overhead benchmark: observability must be close to free.
 
-Runs the PR 8 bulk workload (one big naturalness + ``predict_proba`` sweep
+Runs a bulk workload (one big naturalness + ``predict_proba`` sweep
 on the medium glyph scenario) with telemetry off and on, in-process and on
-the two-worker shm-sharded backend, and records the wall-time ratio and the
+the two-thread sharded backend, and records the wall-time ratio and the
 result checksums.  Each arm takes the **minimum of several repeats**, and
 measurement rounds **alternate the arm order** (off→on, on→off, …) keeping
 per-arm minima — the overhead bound is a property of the instrumentation,
@@ -78,9 +78,9 @@ def _sweep(engine, bulk) -> tuple:
 def _measure(engine, bulk) -> dict:
     """min-of-REPEATS wall time and checksum for one telemetry state.
 
-    The first (untimed) sweep warms the engine in its *current* telemetry
-    state — pool spawn, replica unpickling and the telemetry-rearm pool
-    swap are one-time costs, not the steady-state overhead this measures.
+    The first (untimed) sweep warms the engine — pool start and replica
+    unpickling are one-time costs, not the steady-state overhead this
+    measures.
     """
     _sweep(engine, bulk)
     times, checksums = [], set()
@@ -142,12 +142,11 @@ def telemetry_section() -> dict:
             ExecutionPolicy(backend="batched", batch_size=BATCH_SIZE),
         ),
         _row(
-            "sharded-2-shm",
+            "sharded-2-threads",
             scenario,
             ExecutionPolicy(
                 backend="sharded",
                 num_workers=NUM_WORKERS,
-                transport="shm",
                 batch_size=BATCH_SIZE,
             ),
         ),
@@ -181,11 +180,11 @@ def validate_telemetry_section(section: dict) -> None:
                 "the instrumentation is not reaching the session"
             )
         if row["mode"] != "in-process" and row["spans_recorded"] <= 0:
-            # sharded rows must show dispatch/shard spans crossing the
-            # process boundary; the in-process bulk sweep is metrics-only
+            # sharded rows must show dispatch/shard spans from the pool
+            # threads; the in-process bulk sweep is metrics-only
             raise AssertionError(
                 f"the telemetry-on {row['mode']} arm recorded no spans — "
-                "worker spans are not crossing the process boundary"
+                "pool-thread spans are not reaching the session"
             )
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures for the benchmark/experiment harness.
 
-Every benchmark regenerates one experiment from EXPERIMENTS.md.  Scenario
+Every benchmark regenerates one of the paper's experiments.  Scenario
 construction (data generation + model training + scorer fitting) is
 session-scoped so that the timed portion of each benchmark is the experiment
 itself, and the whole suite stays affordable on a laptop.

@@ -100,8 +100,8 @@ def main() -> None:
     # object.  Here: a durable query cache (warm across runs and shareable
     # across hosts via a common directory) plus campaign snapshots every 2
     # population rounds, so a killed run resumes bit-identically.  Swapping
-    # `backend="sharded", num_workers=4` later changes the hardware usage,
-    # never the results.
+    # in `backend="sharded", num_workers=4` runs the model on a thread pool
+    # of replicas with bit-identical results.
     with tempfile.TemporaryDirectory() as store_dir:
         store = Path(store_dir)
         fuzz_config = FuzzerConfig(
@@ -161,9 +161,9 @@ def main() -> None:
     #   python -m repro resume run-0001       # after an interruption
     #
     # Add `--telemetry` (or `ExecutionPolicy(telemetry=True)`) and the run
-    # also stores trace.jsonl + metrics.json — spans from sharded workers
-    # included, merged across the process boundary — with zero overhead when
-    # off and <3% when on, bit-identical results either way:
+    # also stores trace.jsonl + metrics.json — spans from the sharded
+    # backend's pool threads included, on worker lanes — with zero overhead
+    # when off and <3% when on, bit-identical results either way:
     #   python -m repro run --spec examples/campaign.json --telemetry
     #   python -m repro trace run-0002                   # per-worker timeline
     #   python -m repro trace run-0002 --chrome t.json   # open in Perfetto

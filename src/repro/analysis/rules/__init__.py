@@ -16,19 +16,16 @@ REP004    lock-discipline   attributes mutated under a ``self._lock`` block are
 REP005    dict-round-trip   ``to_dict``/``from_dict`` pairs agree on their key
                             set (serialization cannot drift silently)
 REP006    timeout-discipline no unbounded cross-process waits (bare
-                            ``future.result()``/``queue.get()``) or raw
-                            executor dispatch outside ``repro.faults``
-REP007    shm-lifecycle     no ``SharedMemory`` creation without paired
-                            ``unlink()``/``close()`` cleanup (leaked segments
-                            outlive the process)
+                            ``future.result()``/``queue.get()``) or
+                            unjustified raw executor dispatch
 REP008    clock-discipline  no wall-clock reads (``time.time()``/
                             ``datetime.now()``/…) outside ``repro.telemetry``;
                             durations/deadlines stay monotonic
 ========  ================  ====================================================
 
-REP001, REP002 and REP004–REP008 are per-file rules (one module at a time;
-REP003 is retired and its id is not reused); REP009–REP011 are whole-program
-rules run over the cross-module
+REP001, REP002, REP004–REP006 and REP008 are per-file rules (one module at a
+time; REP003 and REP007 are retired and their ids are not reused);
+REP009–REP011 are whole-program rules run over the cross-module
 :class:`~repro.analysis.program.graph.ProgramGraph`:
 
 ========  ================  ====================================================
@@ -54,7 +51,6 @@ from .lockorder import LockOrderingRule
 from .locks import LockDisciplineRule
 from .rng import RngDisciplineRule
 from .roundtrip import DictRoundTripRule
-from .shm import ShmLifecycleRule
 from .timeouts import TimeoutDisciplineRule
 
 __all__ = [
@@ -63,7 +59,6 @@ __all__ = [
     "LockDisciplineRule",
     "DictRoundTripRule",
     "TimeoutDisciplineRule",
-    "ShmLifecycleRule",
     "ClockDisciplineRule",
     "LockOrderingRule",
     "FunnelEscapeRule",

@@ -1,13 +1,10 @@
 """REP008 — clock discipline: wall-clock reads live in ``repro.telemetry``.
 
-The execution funnel's determinism and the fault layer's deadline math both
-depend on which clock a duration comes from.  ``time.time()`` is a wall
-clock: NTP slews it, DST and manual adjustments step it, and a single
-wall-clock delta used as a heartbeat age or timeout can mis-classify a
-healthy worker as hung (or hide a genuinely hung one).  The PR 9 audit
-found exactly this hazard class around ``faults/heartbeat.py``: heartbeat
-stamps and deadline comparisons must share one monotonic timebase or the
-supervision story silently degrades.
+Span durations, latency histograms and any deadline depend on which clock
+a duration comes from.  ``time.time()`` is a wall clock: NTP slews it, DST
+and manual adjustments step it, and a single wall-clock delta used as a
+duration or timeout can be negative, or silently far off.  Start stamps and
+the comparisons made against them must share one monotonic timebase.
 
 The rule therefore funnels every clock read through
 :mod:`repro.telemetry.clock` — ``clock.monotonic()`` for durations and

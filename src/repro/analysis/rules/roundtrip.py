@@ -102,7 +102,7 @@ def _consumed_keys(fn: ast.FunctionDef, fields: Set[str]) -> Optional[Set[str]]:
 @register_rule
 class DictRoundTripRule(Rule):
     """``to_dict``/``from_dict`` pairs are the serialization boundary for
-    checkpoints, shard transport and telemetry artifacts; when their key sets
+    checkpoints, run-registry records and telemetry artifacts; when their key sets
     drift apart a field is silently dropped on write or rejected on read —
     usually discovered days later when an old artifact no longer loads.
 

@@ -1,15 +1,13 @@
-"""REP006 — timeout discipline: no unbounded waits outside the fault layer.
+"""REP006 — timeout discipline: no unbounded waits on worker processes.
 
-The fault-tolerance story (``repro.faults``) rests on every cross-process
-wait having a deadline: the supervisor gathers futures with
-``result(timeout=...)`` and compares worker heartbeats against the retry
-policy's ``shard_timeout_s``, which is how a SIGKILLed or hung worker is
-*noticed* instead of hanging the campaign forever.  One bare
-``future.result()`` added anywhere else quietly reintroduces the infinite
-wait the supervisor exists to eliminate — it works in every test where
-nothing dies, which is exactly why only a static rule catches it.
+A process-pool worker that hangs mid-task never resolves its future, so a
+bare ``future.result()`` on it waits forever — it works in every test where
+nothing hangs, which is exactly why only a static rule catches it.  The
+one process pool in the tree is the lint parse pool
+(:mod:`repro.analysis.program.build`), which bounds every wait with
+``POOL_TIMEOUT_S``; this rule keeps it, and any pool added later, that way.
 
-Three shapes are flagged outside ``repro/faults/``:
+Three shapes are flagged:
 
 * ``<anything>.result()`` with neither a positional timeout nor a
   ``timeout=`` keyword — an unbounded wait on a future;
@@ -17,9 +15,8 @@ Three shapes are flagged outside ``repro/faults/``:
   (receivers with a ``queue``/``mailbox`` token; plain ``dict.get`` never
   matches);
 * ``<pool-ish>.submit(...)`` — raw dispatch onto an executor whose future
-  then needs hand-rolled deadline bookkeeping.  Route the work through
-  :class:`repro.faults.ShardSupervisor` (which owns the deadline), or
-  justify the site with ``# repro: allow[timeout-discipline]``.
+  then needs its own deadline.  Bound every wait on it and justify the site
+  with ``# repro: allow[timeout-discipline]``.
 """
 
 from __future__ import annotations
@@ -28,9 +25,6 @@ import ast
 from typing import List, Optional
 
 from ..walker import ModuleContext, Rule, register_rule
-
-#: The layer that owns deadlines — its waits are the supervised ones.
-EXEMPT_PATH_PART = "repro/faults/"
 
 #: Receiver-name tokens marking a blocking-queue read.
 QUEUE_TOKENS = ("queue", "mailbox")
@@ -44,7 +38,7 @@ def _receiver_tokens(node: ast.AST) -> List[str]:
 
     Unlike :func:`.common.dotted_name` this tolerates subscripts, so
     ``pools[worker].submit`` still yields ``["pools"]`` — an executor
-    hiding in a container is the same unsupervised dispatch.
+    hiding in a container is the same raw dispatch.
     """
     parts: List[str] = []
     cursor = node
@@ -72,19 +66,17 @@ def _matches(tokens: List[str], markers: tuple) -> bool:
 @register_rule
 class TimeoutDisciplineRule(Rule):
     """A bare ``future.result()`` or ``queue.get()`` waits forever on a
-    worker that died mid-task, turning one crashed process into a hung
-    campaign; raw executor dispatch outside ``repro.faults`` likewise opts
-    out of the supervision (retry, replan, crash-containment) the repo
-    guarantees.  Every cross-process wait must be bounded.
+    worker that hung mid-task, turning one stuck process into a hung run;
+    raw executor dispatch hands out futures that need the same bound.
+    Every wait on another process must be bounded.
 
     Example::
 
-        payload = result_queue.get()        # hangs forever on worker death
+        payload = result_queue.get()        # hangs forever on a hung worker
 
     Fix::
 
-        payload = result_queue.get(timeout=HEARTBEAT_S)   # bounded wait
-        # dispatch through repro.faults supervision instead of a raw pool
+        payload = result_queue.get(timeout=POOL_TIMEOUT_S)   # bounded wait
     """
 
     rule_id = "REP006"
@@ -92,11 +84,8 @@ class TimeoutDisciplineRule(Rule):
     severity = "error"
     description = (
         "unbounded cross-process wait (bare future.result()/queue.get()) or "
-        "raw executor dispatch outside the supervised repro.faults layer"
+        "raw executor dispatch"
     )
-
-    def applies_to(self, path: str) -> bool:
-        return EXEMPT_PATH_PART not in path
 
     def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> None:
         func = node.func
@@ -109,9 +98,8 @@ class TimeoutDisciplineRule(Rule):
                 self,
                 node,
                 "bare .result() waits forever if the worker died or hung",
-                hint="pass a timeout (or gather through "
-                "repro.faults.ShardSupervisor); justify a genuinely bounded "
-                "wait with # repro: allow[timeout-discipline]",
+                hint="pass a timeout; justify a genuinely bounded wait with "
+                "# repro: allow[timeout-discipline]",
             )
             return
         tokens = _receiver_tokens(func.value)
@@ -133,9 +121,10 @@ class TimeoutDisciplineRule(Rule):
                 self,
                 node,
                 "raw executor submit: the returned future needs its own "
-                "deadline/heartbeat bookkeeping to survive worker loss",
-                hint="dispatch through repro.faults.ShardSupervisor.execute, "
-                "or justify with # repro: allow[timeout-discipline]",
+                "deadline to survive a hung worker",
+                hint="bound every wait on the future (result(timeout=...), "
+                "as_completed(..., timeout=...)) and justify the site with "
+                "# repro: allow[timeout-discipline]",
             )
 
 

@@ -11,8 +11,8 @@ matrices are generated up front and serviced by a handful of chunked
 the reported per-seed query counts remain exactly what the trial-by-trial
 loop would have charged (a seed stops being billed at its first hit when the
 attack early-stops).  Each attack's :class:`~repro.runtime.ExecutionPolicy`
-selects the execution backend for those physical calls (the replicated
-``"sharded"`` backend fans chunks out across worker processes with
+selects the execution backend for those physical calls (the
+``"sharded"`` backend fans chunks out across a thread pool with
 bit-identical results).
 """
 

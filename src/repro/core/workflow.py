@@ -34,7 +34,6 @@ from ..data.dataset import Dataset
 from ..data.partition import Partition, build_partition_for_dataset
 from ..engine.batching import QueryStats
 from ..exceptions import CheckpointMismatchError, ConfigurationError
-from ..faults.supervision import DegradeEvent, on_degrade
 from ..fuzzing.fuzzer import FuzzerConfig, OperationalFuzzer
 from ..runtime.policy import ExecutionPolicy, policy_or_default
 from ..store.checkpoint import Checkpointer, campaign_fingerprint, read_checkpoint
@@ -252,48 +251,33 @@ class OperationalTestingLoop:
             total_test_cases = 0
             start_iteration = 0
 
-        # when the sharded engine exhausts its worker pool mid-iteration it
-        # degrades to in-process execution; this listener writes a final
-        # checkpoint of the last *completed* iteration first, so nothing is
-        # lost even if the host is about to follow its workers down.  The
-        # snapshot is value-copied at each iteration boundary: the live
-        # report/AE/stats objects mutate mid-iteration, and a checkpoint
-        # must describe a consistent iteration boundary to resume from.
-        last_snapshot: Optional[Tuple[int, dict]] = None
-
-        def _degrade_checkpoint(event: DegradeEvent) -> None:
-            if checkpointer is not None and last_snapshot is not None:
-                checkpointer.save(last_snapshot[0], last_snapshot[1])
-
-        with on_degrade(_degrade_checkpoint):
-            for iteration in range(start_iteration, self.stopping_rule.max_iterations):
-                with telemetry.span(f"iteration-{iteration}", "app",
-                                    iteration=iteration):
-                    iteration_report, current, estimate_after = self._run_iteration(
-                        iteration, current, operational_data, estimate_before
-                    )
-                total_test_cases += iteration_report.test_cases_used
-                report.append(iteration_report)
-                self.last_estimate = estimate_after
-                if checkpointer is not None:
-                    snapshot = {
-                        "next_iteration": iteration + 1,
-                        "rng_state": self._rng.bit_generator.state,
-                        "model_weights": copy.deepcopy(current.get_weights()),
-                        "detected_aes": list(self.detected_aes),
-                        "query_stats": dataclasses.replace(self.query_stats),
-                        "report": copy.deepcopy(report),
-                        "operational_data": operational_data,
-                        "estimate_before": estimate_after,
-                        "total_test_cases": total_test_cases,
-                    }
-                    last_snapshot = (iteration + 1, snapshot)
-                    checkpointer.save_if_due(iteration + 1, lambda: snapshot)
-                if self.stopping_rule.should_stop(
-                    estimate_after, iteration, total_test_cases
-                ):
-                    break
-                estimate_before = estimate_after
+        for iteration in range(start_iteration, self.stopping_rule.max_iterations):
+            with telemetry.span(f"iteration-{iteration}", "app",
+                                iteration=iteration):
+                iteration_report, current, estimate_after = self._run_iteration(
+                    iteration, current, operational_data, estimate_before
+                )
+            total_test_cases += iteration_report.test_cases_used
+            report.append(iteration_report)
+            self.last_estimate = estimate_after
+            if checkpointer is not None:
+                # built only when due, and written (pickled) at once
+                checkpointer.save_if_due(iteration + 1, lambda: {
+                    "next_iteration": iteration + 1,
+                    "rng_state": self._rng.bit_generator.state,
+                    "model_weights": current.get_weights(),
+                    "detected_aes": list(self.detected_aes),
+                    "query_stats": self.query_stats,
+                    "report": report,
+                    "operational_data": operational_data,
+                    "estimate_before": estimate_after,
+                    "total_test_cases": total_test_cases,
+                })
+            if self.stopping_rule.should_stop(
+                estimate_after, iteration, total_test_cases
+            ):
+                break
+            estimate_before = estimate_after
         return current, report
 
     def _run_iteration(

@@ -12,12 +12,8 @@ queries:
 * :mod:`repro.engine.population` — :class:`PopulationFuzzEngine`, the
   lock-step population loop behind the batched operational fuzzer.
 * :mod:`repro.engine.parallel` — :class:`ShardedQueryEngine`, the
-  multi-worker execution backend that shards physical chunks across a pool
-  of pickled model replicas with bit-identical results.
-* :mod:`repro.engine.transport` — how shard row blocks travel to the
-  workers: the pickle wire, zero-copy shared-memory ring buffers, or an
-  in-process thread pool (``transport="pickle" | "shm" | "threads"``,
-  default ``"auto"`` by block size).  Transport never changes results.
+  thread-pool execution backend that spreads physical chunks across
+  per-thread pickled model replicas with bit-identical results.
 
 Subsystems select and construct engines through the runtime API
 (:class:`repro.runtime.ExecutionPolicy` and the registered
@@ -34,7 +30,7 @@ from .batching import (
     QueryStats,
     as_query_engine,
 )
-from .parallel import Shard, ShardedQueryEngine, plan_shards
+from .parallel import ShardedQueryEngine
 from .population import (
     MemberOutcome,
     PopulationFuzzEngine,
@@ -42,7 +38,6 @@ from .population import (
     fitness_from_probs,
     pick_operator,
 )
-from .transport import SHM_MIN_BLOCK_BYTES, TRANSPORTS, validate_transport
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -51,15 +46,10 @@ __all__ = [
     "QueryCache",
     "QueryStats",
     "as_query_engine",
-    "Shard",
     "ShardedQueryEngine",
-    "plan_shards",
     "MemberOutcome",
     "PopulationFuzzEngine",
     "SeedTask",
     "fitness_from_probs",
     "pick_operator",
-    "TRANSPORTS",
-    "SHM_MIN_BLOCK_BYTES",
-    "validate_transport",
 ]

@@ -31,7 +31,7 @@ from typing import Dict, Iterator, Mapping, Optional, Protocol, Tuple, runtime_c
 import numpy as np
 
 from .. import telemetry
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, DataError
 from ..naturalness.metrics import NaturalnessScorer
 from ..telemetry import clock
 from ..types import Classifier
@@ -58,12 +58,6 @@ class QueryStats:
         Same split for ``loss_input_gradient`` traffic.
     naturalness_rows, naturalness_calls:
         Same split for naturalness scoring traffic.
-    shard_retries, worker_respawns, degraded_shards:
-        Fault counters from supervised sharded execution: shards re-planned
-        after a worker died or hung, worker slots respawned, and shards
-        served by the in-process degradation fallback.  All zero on a clean
-        run; they describe *how* results were obtained, never *what* was
-        computed — see :data:`FAULT_COUNTER_FIELDS`.
     cache_corrupt_records:
         Corrupt records the persistent query cache skipped (CRC mismatch).
     """
@@ -75,9 +69,6 @@ class QueryStats:
     gradient_calls: int = 0
     naturalness_rows: int = 0
     naturalness_calls: int = 0
-    shard_retries: int = 0
-    worker_respawns: int = 0
-    degraded_shards: int = 0
     cache_corrupt_records: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -119,16 +110,23 @@ class QueryStats:
 _COUNTER_FIELDS = tuple(field.name for field in dataclasses.fields(QueryStats))
 
 
-#: The :class:`QueryStats` fields that describe supervision events rather
-#: than query traffic.  Equivalence suites compare stats *modulo* these:
-#: a campaign that survived worker deaths matches the clean run on every
-#: other counter.
-FAULT_COUNTER_FIELDS = (
-    "shard_retries",
-    "worker_respawns",
-    "degraded_shards",
-    "cache_corrupt_records",
-)
+def finite_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` itself, or :class:`DataError` naming its first non-finite row.
+
+    Every query entry point calls this right after converting its input to
+    floats, before the cache or the model sees a row.  A NaN or infinite
+    coordinate is not a question the model can answer: ``ReLU`` maps NaN to
+    0, so such a row would get finite probabilities from the biases alone,
+    be cached, and could be reported as an adversarial example.
+    """
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1))[0])
+        raise DataError(
+            f"query row {bad} has a non-finite value (NaN or inf); "
+            "the engine only accepts finite inputs"
+        )
+    return x
 
 
 @runtime_checkable
@@ -140,8 +138,9 @@ class CacheBackend(Protocol):
     the in-memory :class:`QueryCache` below, the durable
     :class:`repro.store.PersistentQueryCache`, or a custom distributed
     backend.  Implementations must be *exact*: a hit returns precisely the
-    array that was stored (results stay bit-identical with any backend, only
-    the number of physical model calls changes).
+    array that was stored.  Toggling the cache can still move the last bit
+    of a float: a hit shrinks the batch of misses the model sees, and the
+    model's output may depend on the number of rows in a call.
     """
 
     def get(self, row: np.ndarray) -> Optional[np.ndarray]:
@@ -278,7 +277,7 @@ class BatchedQueryEngine:
     # ------------------------------------------------------------------ #
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for every row, served in chunks via the cache."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = finite_rows(np.atleast_2d(np.asarray(x, dtype=float)))
         n = len(x)
         self._absorb(QueryStats(rows_queried=n))
         if n == 0:
@@ -314,7 +313,7 @@ class BatchedQueryEngine:
         ``np.sign`` of the result, for which the scaling is irrelevant, and
         chunking therefore preserves behaviour exactly.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = finite_rows(np.atleast_2d(np.asarray(x, dtype=float)))
         y = np.atleast_1d(np.asarray(y, dtype=int))
         n = len(x)
         self._absorb(QueryStats(gradient_rows=n))
@@ -335,7 +334,7 @@ class BatchedQueryEngine:
         """Chunked naturalness scores for every row."""
         if self.naturalness is None:
             raise ConfigurationError("engine was built without a naturalness scorer")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = finite_rows(np.atleast_2d(np.asarray(x, dtype=float)))
         n = len(x)
         self._absorb(QueryStats(naturalness_rows=n))
         if n == 0:
@@ -355,7 +354,7 @@ class BatchedQueryEngine:
         """Release execution resources.
 
         A no-op for the in-process engine; the sharded backend overrides it
-        to shut down its worker pool.  Stats (and the cache) stay readable
+        to shut down its thread pool.  Stats (and the cache) stay readable
         after closing.
         """
 
@@ -372,8 +371,8 @@ class BatchedQueryEngine:
         """Merge a stats delta into the counters.
 
         The single funnel for every counter mutation: the sharded backend
-        overrides it with a locked variant so merges stay race-free under
-        concurrent shard completion.
+        overrides it with a locked variant so merges stay race-free when
+        several threads share one engine.
         """
         self.stats.merge(delta)
 
@@ -419,11 +418,11 @@ def as_query_engine(
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "FAULT_COUNTER_FIELDS",
     "QueryStats",
     "CacheBackend",
     "QueryCache",
     "row_cache_key",
+    "finite_rows",
     "BatchedQueryEngine",
     "as_query_engine",
 ]

@@ -67,16 +67,6 @@ def campaign_to_rows(report: CampaignReport) -> List[Dict[str, object]]:
     return rows
 
 
-#: The PR 7 supervision counters a chaos campaign accumulates; ``show``
-#: renders them as their own section so a degraded run is obvious at a glance.
-FAULT_COUNTERS = (
-    "shard_retries",
-    "worker_respawns",
-    "degraded_shards",
-    "cache_corrupt_records",
-)
-
-
 def run_summary_rows(runs: Sequence["StoredRun"]) -> List[Dict[str, object]]:
     """One ``python -m repro ls`` row per stored run."""
     rows: List[Dict[str, object]] = []
@@ -102,7 +92,9 @@ def run_summary_documents(runs: Sequence["StoredRun"]) -> List[Dict[str, object]
     """Machine-readable run summaries (``python -m repro ls --json``).
 
     Unlike :func:`run_summary_rows` (display-shaped), these documents keep
-    exact values and include lifecycle timestamps and fault counters.
+    exact values and include lifecycle timestamps.  They read only the
+    manifest and the report, so one run with an unreadable ``stats.json``
+    (e.g. written by an older format) cannot stop the registry listing.
     """
     documents: List[Dict[str, object]] = []
     for run in runs:
@@ -121,11 +113,6 @@ def run_summary_documents(runs: Sequence["StoredRun"]) -> List[Dict[str, object]
             doc["total_aes"] = report.total_aes
             doc["final_pmi"] = report.final_pmi
             doc["target_met"] = report.target_met
-        stats = run.load_stats()
-        if stats is not None:
-            doc["fault_counters"] = {
-                name: getattr(stats, name) for name in FAULT_COUNTERS
-            }
         documents.append(doc)
     return documents
 
@@ -156,12 +143,8 @@ def render_stored_run(run: "StoredRun") -> str:
         lines.append(f"config: {settings}")
     stats = run.load_stats()
     if stats is not None:
-        stats_row = stats.to_dict()
-        fault_row = {name: stats_row.pop(name) for name in FAULT_COUNTERS}
         lines.append("")
-        lines.append(format_table([stats_row], title="engine stats"))
-        lines.append("")
-        lines.append(format_table([fault_row], title="fault counters"))
+        lines.append(format_table([stats.to_dict()], title="engine stats"))
     if run.has_report():
         report = run.load_report()
         lines.append("")
@@ -200,7 +183,6 @@ def summarize_series(name: str, xs: Sequence[float], ys: Sequence[float]) -> str
 
 
 __all__ = [
-    "FAULT_COUNTERS",
     "format_table",
     "campaign_to_rows",
     "run_summary_rows",

@@ -79,9 +79,5 @@ class CheckpointMismatchError(CheckpointError, ConfigurationError):
         )
 
 
-class FaultToleranceError(ReproError):
-    """Supervised execution exhausted its retry budget with ``on_exhaustion=fail``."""
-
-
 class ConvergenceError(ReproError):
     """An iterative procedure failed to converge within its iteration limit."""

@@ -1,41 +1,11 @@
-"""Fault-tolerant execution: supervision, retry policy, fault injection.
+"""Fault injection: deterministic cache corruption for recovery tests.
 
-The dependability layer under the execution funnel.  The sharded engine's
-pool dispatch runs under a :class:`ShardSupervisor` (per-shard deadlines,
-shared worker heartbeats, deterministic re-planning of lost shards,
-bounded respawns); the knobs travel as a frozen, JSON-serializable
-:class:`RetryPolicy` on :class:`repro.runtime.ExecutionPolicy`; and a
-seeded :class:`FaultPlan` injects worker kills, shard delays and cache
-corruption deterministically for chaos tests and benchmarks.
-
-Everything here preserves the repo's bit-identity contract: supervision
-decides *where and when* a shard runs, never *what* it computes, so a
-campaign that survived worker deaths — or degraded all the way to
-in-process execution — matches the clean run exactly (modulo the fault
-counters on :class:`repro.engine.QueryStats`).
+A seeded :class:`FaultPlan` names cache segments to damage, and
+:func:`corrupt_cache_segments` flips real bytes in them — the harness the
+per-record CRC recovery of :class:`repro.store.PersistentQueryCache` is
+tested against.  It lives as long as the persistent cache does.
 """
 
-from .heartbeat import WorkerHeartbeat
-from .injection import FaultPlan, WorkerRuntime, corrupt_cache_segments
-from .retry import ON_EXHAUSTION, RetryPolicy
-from .supervision import (
-    DegradeEvent,
-    ShardSupervisor,
-    on_degrade,
-    reassign_worker,
-    replan,
-)
+from .injection import FaultPlan, corrupt_cache_segments
 
-__all__ = [
-    "ON_EXHAUSTION",
-    "DegradeEvent",
-    "FaultPlan",
-    "RetryPolicy",
-    "ShardSupervisor",
-    "WorkerHeartbeat",
-    "WorkerRuntime",
-    "corrupt_cache_segments",
-    "on_degrade",
-    "reassign_worker",
-    "replan",
-]
+__all__ = ["FaultPlan", "corrupt_cache_segments"]

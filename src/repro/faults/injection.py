@@ -1,38 +1,22 @@
-"""Deterministic fault injection for chaos tests and benchmarks.
+"""Deterministic cache corruption for recovery tests.
 
-A :class:`FaultPlan` describes, ahead of time and reproducibly, the faults a
-campaign should suffer: *kill worker k after it has serviced n shards*
-(a real ``SIGKILL``, not a mock), *delay shard m by t seconds* (exercises
-the hung-worker path), and *corrupt cache segment s* (exercises the
-per-record CRC path in :class:`repro.store.PersistentQueryCache`).  The
-plan is JSON-serializable and carried on
-:class:`repro.runtime.ExecutionPolicy`, so a chaos campaign is recorded in
-``run.json`` exactly like a clean one — there is no wall-clock or RNG
-nondeterminism anywhere in the harness; corruption byte positions derive
-from the plan's ``seed`` alone.
-
-Worker-side, the pool initializer installs a :class:`WorkerRuntime` that
-stamps the shared heartbeat and applies kill/delay actions as shards
-arrive.  Coordinator-side, :func:`corrupt_cache_segments` applies the cache
-actions to a cache directory.  A process killed by its own plan dies
-*before* computing the shard, so the shard is lost in flight and must be
-re-planned by the supervisor — exactly the failure mode a real OOM-kill
-produces.
+A :class:`FaultPlan` describes, ahead of time and reproducibly, which cache
+segments to corrupt and by how many bytes; :func:`corrupt_cache_segments`
+applies it to a cache directory.  Byte positions derive from the plan's
+``seed`` alone, so the same plan always does the same damage — which is
+what lets the CRC-recovery tests of :class:`repro.store.PersistentQueryCache`
+assert exactly which records survive.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..telemetry import clock
 
 
 def _pairs(value: object, name: str, kinds: Tuple[type, ...]) -> Tuple[tuple, ...]:
@@ -55,20 +39,10 @@ def _pairs(value: object, name: str, kinds: Tuple[type, ...]) -> Tuple[tuple, ..
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A reproducible schedule of injected faults.
+    """A reproducible schedule of cache corruption.
 
     Attributes
     ----------
-    kills:
-        ``(worker, after_shards)`` pairs: worker slot ``worker`` SIGKILLs
-        its own process when asked to run its ``after_shards + 1``-th shard
-        (``after_shards=0`` dies on first contact).  A respawned slot gets a
-        fresh runtime, so the same spec fires again — killing every slot
-        with a tight respawn budget drives the engine into degradation.
-    delays:
-        ``(shard_index, seconds)`` pairs: whichever worker receives logical
-        shard ``shard_index`` sleeps first.  With a delay longer than the
-        retry policy's ``shard_timeout_s`` this simulates a hung worker.
     corrupt_segments:
         ``(segment_ordinal, num_bytes)`` pairs for
         :func:`corrupt_cache_segments`: flip ``num_bytes`` bytes in the
@@ -77,25 +51,15 @@ class FaultPlan:
         Drives the corruption byte positions (and nothing else).
     """
 
-    kills: Tuple[Tuple[int, int], ...] = ()
-    delays: Tuple[Tuple[int, float], ...] = ()
     corrupt_segments: Tuple[Tuple[int, int], ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kills", _pairs(self.kills, "kills", (int, int)))
-        object.__setattr__(self, "delays", _pairs(self.delays, "delays", (int, float)))
         object.__setattr__(
             self,
             "corrupt_segments",
             _pairs(self.corrupt_segments, "corrupt_segments", (int, int)),
         )
-        for worker, after in self.kills:
-            if worker < 0 or after < 0:
-                raise ConfigurationError("kills entries must be non-negative")
-        for shard, seconds in self.delays:
-            if shard < 0 or seconds < 0:
-                raise ConfigurationError("delays entries must be non-negative")
         for segment, num_bytes in self.corrupt_segments:
             if segment < 0 or num_bytes <= 0:
                 raise ConfigurationError(
@@ -104,8 +68,6 @@ class FaultPlan:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "kills": [list(pair) for pair in self.kills],
-            "delays": [list(pair) for pair in self.delays],
             "corrupt_segments": [list(pair) for pair in self.corrupt_segments],
             "seed": self.seed,
         }
@@ -121,44 +83,6 @@ class FaultPlan:
         if "seed" in kwargs:
             kwargs["seed"] = int(kwargs["seed"])  # type: ignore[arg-type]
         return cls(**kwargs)  # type: ignore[arg-type]
-
-
-class WorkerRuntime:
-    """Worker-process-side heartbeat + fault-injection hooks.
-
-    One instance lives per worker process (installed by the pool
-    initializer); :meth:`on_shard` runs at the top of every shard task.
-    """
-
-    def __init__(
-        self,
-        worker_index: int,
-        heartbeat: Optional[Sequence[float]],
-        plan: Optional[FaultPlan],
-    ) -> None:
-        self.worker_index = worker_index
-        self.heartbeat = heartbeat
-        self.plan = plan
-        self.serviced = 0
-
-    def on_shard(self, shard_index: int) -> None:
-        plan = self.plan
-        if plan is not None:
-            for worker, after_shards in plan.kills:
-                if worker == self.worker_index and self.serviced >= after_shards:
-                    # a real SIGKILL: the future never completes, the pool
-                    # breaks, and the supervisor must notice and re-plan —
-                    # exactly what an OOM-kill or segfault looks like
-                    os.kill(os.getpid(), signal.SIGKILL)
-        if self.heartbeat is not None:
-            # monotonic via the telemetry clock: wall-clock steps must never
-            # perturb heartbeat freshness (REP008)
-            self.heartbeat[self.worker_index] = clock.monotonic()
-        if plan is not None:
-            for shard, seconds in plan.delays:
-                if shard == shard_index and seconds > 0:
-                    time.sleep(seconds)
-        self.serviced += 1
 
 
 def corrupt_cache_segments(plan: FaultPlan, cache_dir: object) -> int:
@@ -190,4 +114,4 @@ def corrupt_cache_segments(plan: FaultPlan, cache_dir: object) -> int:
     return touched
 
 
-__all__ = ["FaultPlan", "WorkerRuntime", "corrupt_cache_segments"]
+__all__ = ["FaultPlan", "corrupt_cache_segments"]

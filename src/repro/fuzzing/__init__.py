@@ -1,7 +1,6 @@
 """Naturalness-guided fuzzing for operational adversarial examples (RQ3)."""
 
 from .fuzzer import (
-    DEFAULT_FUZZER_POLICY,
     EXECUTION_MODES,
     FuzzCampaignResult,
     FuzzerConfig,
@@ -21,7 +20,6 @@ from .mutations import (
 
 __all__ = [
     "BatchMutationContext",
-    "DEFAULT_FUZZER_POLICY",
     "EXECUTION_MODES",
     "FuzzCampaignResult",
     "FuzzerConfig",

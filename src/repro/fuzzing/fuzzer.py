@@ -31,10 +31,10 @@ Control flow and execution substrate are separate axes:
   truth for the per-seed semantics).
 * ``FuzzerConfig.policy`` (an :class:`repro.runtime.ExecutionPolicy`) picks
   the *execution substrate*: the registered model backend (in-process
-  ``"batched"`` or replicated multi-worker ``"sharded"``), batching,
-  caching — including a durable cross-process cache via ``cache_dir`` — and
-  the checkpoint cadence.  Campaign results are bit-identical across
-  policies by construction.
+  ``"batched"`` or the thread-pool ``"sharded"``), batching, caching —
+  including a durable cross-process cache via ``cache_dir`` — and the
+  checkpoint cadence.  Campaign results are bit-identical across backends
+  at equal ``batch_size`` and ``cache`` by construction.
 
 Both control flows draw each seed's randomness from a private generator
 spawned from the campaign RNG (the policy's ``rng_spawning`` rule), so a
@@ -73,11 +73,6 @@ from .mutations import MutationContext, MutationOperator, default_operators
 #: the batched lock-step default and the sequential reference loop.  The
 #: execution backend lives on the :class:`~repro.runtime.ExecutionPolicy`.
 EXECUTION_MODES = ("population", "sequential")
-
-#: The fuzzer's default execution surface: in-process backend with the
-#: memoizing query cache on (the fuzzer re-visits rows constantly, so the
-#: cache is the historical default here — unlike the attacks/assessor).
-DEFAULT_FUZZER_POLICY = ExecutionPolicy(cache=True)
 
 
 @dataclass
@@ -119,8 +114,9 @@ class FuzzerConfig:
     policy:
         The campaign's :class:`~repro.runtime.ExecutionPolicy` (backend,
         workers, batching, caching, checkpoint cadence).  Defaults to
-        :data:`DEFAULT_FUZZER_POLICY` (in-process, query cache on).
-        Campaign results are bit-identical across policies.
+        ``ExecutionPolicy()`` (in-process, no query cache), like every other
+        subsystem.  Campaign results are bit-identical across backends at
+        equal ``batch_size`` and ``cache``.
     """
 
     epsilon: float = 0.1
@@ -161,7 +157,7 @@ class FuzzerConfig:
                 f"execution must be one of {EXECUTION_MODES}, got {self.execution!r}"
             )
         self.policy = policy_or_default(
-            self.policy, DEFAULT_FUZZER_POLICY, "FuzzerConfig", FuzzingError
+            self.policy, ExecutionPolicy(), "FuzzerConfig", FuzzingError
         )
 
 
@@ -636,7 +632,6 @@ class OperationalFuzzer:
 
 __all__ = [
     "EXECUTION_MODES",
-    "DEFAULT_FUZZER_POLICY",
     "FuzzerConfig",
     "OperationalFuzzer",
     "FuzzCampaignResult",

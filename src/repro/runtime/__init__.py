@@ -12,7 +12,7 @@ campaigns execute (the *what* stays with each subsystem's own config):
   formerly implicit ``predict`` / ``predict_proba`` / ``loss_input_gradient``
   contract made explicit) and the open backend registry with the two
   shipping implementations: the in-process :class:`SequentialBackend` and
-  the multi-worker :class:`ReplicatedBackend`.
+  the thread-pool :class:`ReplicatedBackend`.
 * :mod:`repro.runtime.spec` — :class:`CampaignSpec`, the declarative
   JSON/TOML campaign description consumed by ``python -m repro run --spec``
   and recorded verbatim in the run registry.
@@ -23,9 +23,6 @@ results are bit-identical across policies by construction — only the
 physical execution differs.
 """
 
-# re-exported because they are ExecutionPolicy fields: callers configuring a
-# policy should not need a second import root for its retry/faults values
-from ..faults import FaultPlan, RetryPolicy
 from .backends import (
     ModelBackend,
     ReplicatedBackend,
@@ -48,7 +45,5 @@ __all__ = [
     "unregister_backend",
     "RNG_SPAWN_POLICIES",
     "ExecutionPolicy",
-    "RetryPolicy",
-    "FaultPlan",
     "CampaignSpec",
 ]

@@ -4,8 +4,8 @@ Every subsystem of the reproduction ultimately talks to the model under test
 through three methods — ``predict``, ``predict_proba`` and
 ``loss_input_gradient``.  Until this module that interface was *implicit*:
 the engines satisfied it by construction and the only way to add a new
-execution substrate (async dispatch, a remote service, thread pools) was to
-grow another ``engine="..."`` string and thread it through sixteen configs.
+execution substrate (async dispatch, a remote service) was to grow another
+``engine="..."`` string and thread it through sixteen configs.
 
 :class:`ModelBackend` makes the interface explicit, and the registry below
 makes the set of execution substrates open: a backend is registered under a
@@ -14,9 +14,9 @@ and ``policy.build_engine(model, ...)`` constructs it.  Two backends ship:
 
 * :class:`SequentialBackend` (``"batched"``) — in-process execution; every
   physical chunk runs on the coordinator (the PR 2 batching chassis).
-* :class:`ReplicatedBackend` (``"sharded"``) — the PR 3 pickled-replica
-  machinery; physical chunks fan out across worker processes holding exact
-  model replicas, with bit-identical results by construction.
+* :class:`ReplicatedBackend` (``"sharded"``) — physical chunks fan out
+  across a thread pool whose threads hold exact pickled model replicas,
+  with bit-identical results by construction.
 
 A third-party backend plugs in with::
 
@@ -48,7 +48,7 @@ class ModelBackend(Protocol):
 
     This is the formerly implicit contract between the testing machinery and
     whatever answers its queries: the raw model, the in-process engine, the
-    replicated multi-worker engine, or any future substrate.  Implementations
+    thread-pool engine, or any future substrate.  Implementations
     must be *exact* — two backends given the same model and the same inputs
     return bit-identical arrays, so campaign results never depend on the
     execution substrate.
@@ -126,8 +126,7 @@ def resolve_backend(name: str) -> type:
 @register_backend("batched")
 class SequentialBackend(BatchedQueryEngine):
     """In-process backend: physical chunks execute sequentially on the
-    coordinator.  The default — fastest for small per-row work, no pickling,
-    no worker processes."""
+    calling thread.  The default — no pickling, no pool."""
 
     @classmethod
     def from_policy(cls, model, naturalness, policy, cache) -> "SequentialBackend":
@@ -142,10 +141,10 @@ class SequentialBackend(BatchedQueryEngine):
 
 @register_backend("sharded")
 class ReplicatedBackend(ShardedQueryEngine):
-    """Replicated multi-worker backend: physical chunks fan out across
-    ``policy.num_workers`` processes holding exact pickled replicas of the
-    model (and naturalness scorer).  Bit-identical to the in-process backend
-    by construction — see :mod:`repro.engine.parallel`."""
+    """Replicated backend: physical chunks fan out across
+    ``policy.num_workers`` threads, each holding an exact pickled replica of
+    the model (and naturalness scorer).  Bit-identical to the in-process
+    backend by construction — see :mod:`repro.engine.parallel`."""
 
     @classmethod
     def from_policy(cls, model, naturalness, policy, cache) -> "ReplicatedBackend":
@@ -156,10 +155,6 @@ class ReplicatedBackend(ShardedQueryEngine):
             cache=cache,
             cache_max_entries=policy.cache_max_entries,
             num_workers=policy.num_workers,
-            start_method=policy.start_method,
-            transport=policy.transport,
-            retry=policy.retry,
-            faults=policy.faults,
         )
 
 

@@ -1,18 +1,18 @@
 """``ExecutionPolicy`` — the whole execution surface in one object.
 
 :class:`ExecutionPolicy` is one frozen, serializable dataclass that says
-*how* a campaign executes — backend, workers, transport, batching, caching,
-checkpoint cadence — accepted by every subsystem as its single ``policy``
+*how* a campaign executes — backend, workers, batching, caching, checkpoint
+cadence — accepted by every subsystem as its single ``policy``
 parameter (checked by :func:`policy_or_default`) and recorded verbatim in
 campaign specs (:mod:`repro.runtime.spec`).
 
-What the policy deliberately does **not** contain is anything that changes a
-campaign's logical results.  Backends are bit-identical by construction, the
-cache is exact, and RNG spawning is part of the campaign semantics pinned by
-the equivalence suites — so two runs of the same campaign under different
-policies produce identical detections, per-seed query counts and reliability
-estimates; only the physical execution (model calls, processes, durability)
-differs.
+The policy decides what execution costs, not what it computes.  Backends
+are bit-identical at equal ``batch_size`` and ``cache``, and a cache hit
+returns the stored bits.  Changing ``batch_size`` or ``cache`` itself can
+move the last bit of a float — a model's output may depend on the rows per
+call, and hits shrink the batch of misses — while queries, rejections and
+detections stay equal.  RNG spawning is part of the campaign semantics the
+equivalence suites pin.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Union
 
 from ..config import RngLike, spawn_rngs
 from ..engine.batching import DEFAULT_BATCH_SIZE, BatchedQueryEngine, as_query_engine
-from ..engine.transport import validate_transport
 from ..exceptions import ConfigurationError
-from ..faults.injection import FaultPlan
-from ..faults.retry import RetryPolicy
 from .backends import resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -52,23 +49,17 @@ class ExecutionPolicy:
     backend:
         Registered execution backend name (see
         :func:`repro.runtime.available_backends`).  Shipping backends:
-        ``"batched"`` (in-process) and ``"sharded"`` (replicated worker
-        processes).
+        ``"batched"`` (in-process) and ``"sharded"`` (a thread pool of
+        per-thread model replicas).
     num_workers:
-        Worker processes for replicated backends; ``1`` stays in-process.
-    transport:
-        How replicated backends move row blocks to their workers:
-        ``"pickle"`` (per-task pickling), ``"shm"`` (zero-copy
-        shared-memory ring buffers), ``"threads"`` (in-process thread pool
-        with per-thread replicas) or ``"auto"`` (default: pickle vs shm per
-        logical call by block size).  Ignored by in-process backends.
-        Transport never changes logical results — see
-        :mod:`repro.engine.transport`.
+        Pool threads for the sharded backend; ``1`` stays in-process.
     batch_size:
         Maximum rows per physical model call.
     cache:
-        Memoize ``predict_proba`` results by exact row content.  Results are
-        bit-identical either way; only physical model calls shrink.
+        Memoize ``predict_proba`` results by exact row content.  A hit
+        returns the stored bits; since hits shrink the batches the model
+        sees, toggling the cache can move the last bit of a float (see the
+        module docstring).
     cache_max_entries:
         Capacity of the in-memory cache (ignored when ``cache_dir`` is set —
         the persistent cache is append-only).
@@ -81,21 +72,6 @@ class ExecutionPolicy:
         fuzzer, iterations for the testing loop).  0 disables.
     rng_spawning:
         RNG spawning policy; see :data:`RNG_SPAWN_POLICIES`.
-    start_method:
-        Optional :mod:`multiprocessing` start method for process-pool
-        backends (platform default when ``None``).
-    retry:
-        Optional :class:`repro.faults.RetryPolicy` for supervised execution
-        (heartbeat deadline, respawn/retry budgets, degrade-vs-fail on
-        exhaustion).  ``None`` means the backend's defaults.  Mappings (from
-        a spec file) are coerced.  Like every policy field this never
-        changes logical results — supervision moves shards, it does not
-        change what they compute.
-    faults:
-        Optional :class:`repro.faults.FaultPlan` injecting deterministic
-        faults (worker kills, shard delays, cache corruption) — the chaos
-        hook.  Recorded verbatim in specs/run.json like everything else, so
-        even a chaos campaign is reproducible from its stored spec.
     telemetry:
         Record structured spans + metrics (:mod:`repro.telemetry`) for the
         campaign and persist ``trace.jsonl`` / ``metrics.json`` in the run
@@ -106,23 +82,18 @@ class ExecutionPolicy:
 
     backend: str = "batched"
     num_workers: int = 1
-    transport: str = "auto"
     batch_size: int = DEFAULT_BATCH_SIZE
     cache: bool = False
     cache_max_entries: int = 65536
     cache_dir: Optional[str] = None
     checkpoint_every: int = 0
     rng_spawning: str = "per-seed"
-    start_method: Optional[str] = None
-    retry: Optional[RetryPolicy] = None
-    faults: Optional[FaultPlan] = None
     telemetry: bool = False
 
     def __post_init__(self) -> None:
         resolve_backend(self.backend)  # fails loudly on unknown names
         if self.num_workers <= 0:
             raise ConfigurationError("num_workers must be positive")
-        validate_transport(self.transport)
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
         if not isinstance(self.cache, bool):
@@ -142,24 +113,9 @@ class ExecutionPolicy:
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             # keep the policy JSON-serializable (pathlib.Path coerced here)
             object.__setattr__(self, "cache_dir", str(self.cache_dir))
-        # coerce spec-file mappings into the frozen fault-tolerance objects
-        if isinstance(self.retry, Mapping):
-            object.__setattr__(self, "retry", RetryPolicy.from_dict(self.retry))
-        elif self.retry is not None and not isinstance(self.retry, RetryPolicy):
-            raise ConfigurationError(
-                f"retry must be a RetryPolicy, a mapping or None, "
-                f"got {type(self.retry).__name__}"
-            )
         if not isinstance(self.telemetry, bool):
             raise ConfigurationError(
                 f"telemetry must be a bool, got {type(self.telemetry).__name__}"
-            )
-        if isinstance(self.faults, Mapping):
-            object.__setattr__(self, "faults", FaultPlan.from_dict(self.faults))
-        elif self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise ConfigurationError(
-                f"faults must be a FaultPlan, a mapping or None, "
-                f"got {type(self.faults).__name__}"
             )
 
     # ------------------------------------------------------------------ #
@@ -229,7 +185,7 @@ class ExecutionPolicy:
         The single engine-construction funnel.  A ``model`` that already
         *is* an engine is passed through unchanged (its configuration wins,
         so nested subsystems share one set of counters, one cache and one
-        worker pool); ``cache`` overrides the policy's cache spec with a
+        thread pool); ``cache`` overrides the policy's cache spec with a
         concrete :class:`repro.engine.CacheBackend` instance.
         """
         if isinstance(model, BatchedQueryEngine):
@@ -247,7 +203,7 @@ class ExecutionPolicy:
         *,
         cache: Optional[object] = None,
     ) -> Iterator[BatchedQueryEngine]:
-        """Build an engine for one campaign and release its workers afterwards.
+        """Build an engine for one campaign and release its pool afterwards.
 
         Engines the caller already owns (``model`` is itself an engine) are
         passed through *without* being closed — their lifecycle belongs to

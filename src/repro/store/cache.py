@@ -32,10 +32,13 @@ on-disk layout —
   at open time, appends its own segments, and can pick up concurrent
   writers' entries with :meth:`refresh`.
 
-Results are bit-identical with or without the cache — only
-``QueryStats.model_calls`` changes — which is exactly the property the
-cache-backend equivalence suite in ``tests/test_store.py`` and
-``tests/test_property_based.py`` pins.
+A hit returns exactly the bits that were stored, and a disk-backed engine
+matches an in-memory-cached one bit for bit — the property the
+cache-backend equivalence suites in ``tests/test_store.py`` and
+``tests/test_property_based.py`` pin.  Turning a cache on or off is a
+different matter: hits shrink the batches of misses the model sees, and a
+model's output can depend on the number of rows in a call, so the last bit
+of a float may move (queries, rejections and detections stay equal).
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ The service surface over the campaign store:
 ``ls``
     List registered runs (``--json`` for machine-readable output).
 ``show``
-    Render one stored run (campaign spec, stats, iteration table,
-    estimates, fault counters, telemetry summary).
+    Render one stored run (campaign spec, engine stats, iteration table,
+    estimates, telemetry summary).
 ``trace``
     Render the shard/worker timeline of a telemetry-enabled run from its
     stored ``trace.jsonl`` (``--chrome`` exports a Perfetto-loadable
@@ -78,23 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", default=None,
                      choices=("sequential", "population", "sharded"),
                      help="execution for the whole loop (sharded selects the "
-                          "replicated multi-worker backend)")
+                          "thread-pool backend)")
     run.add_argument("--workers", type=int, default=1,
-                     help="worker processes for --engine sharded")
+                     help="pool threads for --engine sharded")
     run.add_argument("--cache-dir", default=None,
                      help="durable query-cache directory (warm across runs/hosts)")
     run.add_argument("--checkpoint-every", type=int, default=1,
                      help="iterations between checkpoints (0 disables)")
-    run.add_argument("--max-attempts", type=int, default=None,
-                     help="supervised executions per shard before the engine "
-                          "degrades (or fails); sharded engine only")
-    run.add_argument("--shard-timeout", type=float, default=None,
-                     help="seconds of heartbeat silence before a worker "
-                          "counts as hung; sharded engine only")
-    run.add_argument("--on-exhaustion", default=None,
-                     choices=("degrade", "fail"),
-                     help="retry-budget exhaustion: degrade to in-process "
-                          "execution (default) or fail the campaign")
     run.add_argument("--telemetry", action="store_true",
                      help="record spans + metrics; stores trace.jsonl and "
                           "metrics.json next to the run (see `trace`)")
@@ -135,7 +125,6 @@ def _spec_from_flags(args: argparse.Namespace) -> dict:
     The flags are translated straight into the policy/section layout, so
     the stored run looks exactly like one launched from a spec file.
     """
-    from ..faults.retry import RetryPolicy
     from ..runtime.policy import ExecutionPolicy
 
     scenario: dict = {"name": args.scenario}
@@ -146,22 +135,12 @@ def _spec_from_flags(args: argparse.Namespace) -> dict:
     fuzzer: dict = {"queries_per_seed": int(args.queries_per_seed)}
     if args.engine == "sequential":
         fuzzer["execution"] = "sequential"
-    retry_overrides = {
-        key: value
-        for key, value in (
-            ("max_attempts", args.max_attempts),
-            ("shard_timeout_s", args.shard_timeout),
-            ("on_exhaustion", args.on_exhaustion),
-        )
-        if value is not None
-    }
     policy = ExecutionPolicy(
         backend="sharded" if args.engine == "sharded" else "batched",
         num_workers=int(args.workers),
         cache=True,
         cache_dir=args.cache_dir,
         checkpoint_every=int(args.checkpoint_every),
-        retry=RetryPolicy(**retry_overrides) if retry_overrides else None,
     )
     return {
         "name": args.name,

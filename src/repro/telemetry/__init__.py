@@ -10,16 +10,16 @@ Usage, coordinator side::
     if sess is not None:
         registry.save_telemetry(run_id, sess)
 
-Instrumentation sites (engine, transport, faults, store) call
+Instrumentation sites (engine, store, workflow) call
 ``telemetry.span/event/count/gauge/observe`` unconditionally — when no
 session is active every call is a no-op, which is what keeps the
 disabled path free and the enabled path under the 3% overhead budget
 pinned by ``benchmarks/bench_telemetry.py``.
 
-Process-pool workers are armed by the pool initializer and ship their
-spans back piggybacked on shard results; see :mod:`repro.telemetry.runtime`.
-Telemetry never touches RNG state and never reorders work, so enabling
-it is bit-identity-neutral (pinned by the equivalence suite).
+The sharded engine's pool threads record into the same session, on worker
+lanes; see :mod:`repro.telemetry.runtime`.  Telemetry never touches RNG
+state and never reorders work, so enabling it is bit-identity-neutral
+(pinned by the equivalence suite).
 """
 
 from .clock import anchor, monotonic, wall
@@ -33,28 +33,22 @@ from .export import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .runtime import (
-    MAX_CLOCK_SKEW_S,
     TelemetrySession,
     active,
-    arm_process_worker,
     count,
-    drain_worker_payload,
     enabled,
     event,
     gauge,
-    ingest_worker_payload,
     observe,
     record_span,
     session,
     span,
-    worker_armed,
 )
 from .spans import DEFAULT_CAPACITY, Span, TraceCollector
 
 __all__ = [
     "Counter",
     "DEFAULT_CAPACITY",
-    "MAX_CLOCK_SKEW_S",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -63,14 +57,11 @@ __all__ = [
     "TraceCollector",
     "active",
     "anchor",
-    "arm_process_worker",
     "chrome_trace_events",
     "count",
-    "drain_worker_payload",
     "enabled",
     "event",
     "gauge",
-    "ingest_worker_payload",
     "metrics_document",
     "monotonic",
     "observe",
@@ -80,7 +71,6 @@ __all__ = [
     "session",
     "span",
     "wall",
-    "worker_armed",
     "write_chrome_trace",
     "write_trace",
 ]

@@ -1,10 +1,9 @@
 """Single home for clock reads.
 
 Every timestamp in repro flows through this module.  ``monotonic()`` is
-the only clock allowed in span, deadline, and heartbeat arithmetic:
-``CLOCK_MONOTONIC`` is system-wide on Linux, so readings taken in a
-worker process are directly comparable to readings taken in the
-coordinator, and the clock never steps backwards under NTP adjustments.
+the only clock allowed in span and deadline arithmetic: it never steps
+backwards under NTP adjustments, and readings taken on any thread are
+directly comparable.
 ``wall()`` exists solely to anchor a monotonic trace to calendar time in
 exported artifacts.
 

@@ -1,12 +1,11 @@
 """Counters, gauges, and log-bucketed histograms.
 
 The registry is get-or-create by name so instrumentation sites never
-need to pre-declare their metrics, and ``to_dict`` / ``merge`` give the
-JSON artifact shape and the worker→coordinator aggregation path.
+need to pre-declare their metrics, ``to_dict`` gives the JSON artifact
+shape and ``merge`` folds one registry into another.
 
-All updates are lock-guarded: the sharded engine touches metrics from
-future-completion threads, and process workers keep a private registry
-that is merged into the coordinator's when shard payloads are harvested.
+All updates are lock-guarded: the sharded engine's pool threads and the
+calling thread record into one registry concurrently.
 """
 
 from __future__ import annotations

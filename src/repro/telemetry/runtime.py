@@ -11,15 +11,6 @@ Scoping: the active session lives in a :class:`contextvars.ContextVar`
 (so nested sessions restore correctly) with a module-global mirror that
 lets pool threads — which do not inherit the submitting thread's context
 — reach the coordinator's session.
-
-Cross-process path: process-pool workers are armed by the pool
-initializer (:func:`arm_process_worker`), record spans into a private
-local collector, and every shard task drains that collector into a
-compact wire payload (:func:`drain_worker_payload`) that rides back to
-the coordinator on the existing shard result / supervision harvest.
-:func:`ingest_worker_payload` merges it into the live session,
-correcting for monotonic-epoch skew when the worker's paired
-(monotonic, wall) anchor disagrees with the coordinator's.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ from typing import Optional
 
 from . import clock
 from .metrics import MetricsRegistry
-from .spans import DEFAULT_CAPACITY, WORKER, Span, TraceCollector
+from .spans import DEFAULT_CAPACITY, Span, TraceCollector
 
 __all__ = [
     "TelemetrySession",
@@ -42,21 +33,8 @@ __all__ = [
     "count",
     "gauge",
     "observe",
-    "arm_process_worker",
-    "worker_armed",
-    "drain_worker_payload",
-    "ingest_worker_payload",
     "record_span",
 ]
-
-# Beyond this, the worker's monotonic clock does not share the
-# coordinator's epoch (per-process monotonic platform, or a container
-# boundary) and span starts are re-anchored via the wall-clock pair.
-# Below it, the delta is scheduling noise and correcting would jitter
-# spans that already share an epoch.
-MAX_CLOCK_SKEW_S = 0.5
-
-WORKER_CAPACITY = 8192
 
 
 class TelemetrySession:
@@ -73,11 +51,6 @@ _ACTIVE: contextvars.ContextVar = contextvars.ContextVar(
 )
 _GLOBAL: Optional[TelemetrySession] = None
 
-# Set only inside armed process-pool workers.
-_WORKER_INDEX: Optional[int] = None
-_WORKER_SPANS: Optional[TraceCollector] = None
-_WORKER_METRICS: Optional[MetricsRegistry] = None
-
 
 def active() -> Optional[TelemetrySession]:
     """The session visible from this thread (context first, then global)."""
@@ -88,7 +61,7 @@ def active() -> Optional[TelemetrySession]:
 
 
 def enabled() -> bool:
-    return _WORKER_SPANS is not None or active() is not None
+    return active() is not None
 
 
 @contextmanager
@@ -169,19 +142,6 @@ def _record(
     duration_s: float,
     attrs: Optional[dict],
 ) -> None:
-    if _WORKER_SPANS is not None:
-        _WORKER_SPANS.record(
-            Span(
-                name=name,
-                category=category,
-                start_s=start_s,
-                duration_s=duration_s,
-                proc=WORKER,
-                worker=_WORKER_INDEX if _WORKER_INDEX is not None else -1,
-                attrs=attrs,
-            )
-        )
-        return
     sess = active()
     if sess is not None:
         sess.spans.record(
@@ -197,14 +157,14 @@ def _record(
 
 def span(name: str, category: str = "app", **attrs):
     """A context manager timing the enclosed block; no-op when disabled."""
-    if _WORKER_SPANS is None and active() is None:
+    if active() is None:
         return _NULL_SPAN
     return _SpanHandle(name, category, attrs or None)
 
 
 def event(name: str, category: str = "event", **attrs) -> None:
     """A zero-duration span marking a point in time."""
-    if _WORKER_SPANS is None and active() is None:
+    if active() is None:
         return
     _record(name, category, clock.monotonic(), 0.0, attrs or None)
 
@@ -220,10 +180,10 @@ def record_span(
 ) -> None:
     """Record a span with explicit timing directly into the active session.
 
-    For callers that already hold their own clock readings (the supervisor's
-    dispatch→complete round trips) or need a non-default lane (thread-pool
-    workers share the coordinator's address space but render on worker
-    lanes).  No-op without an active session.
+    For callers that already hold their own clock readings (the sharded
+    engine's per-chunk timings) or need a non-default lane (pool threads
+    share the coordinator's session but render on worker lanes).  No-op
+    without an active session.
     """
     sess = active()
     if sess is not None:
@@ -241,8 +201,6 @@ def record_span(
 
 
 def _registry() -> Optional[MetricsRegistry]:
-    if _WORKER_METRICS is not None:
-        return _WORKER_METRICS
     sess = active()
     return sess.metrics if sess is not None else None
 
@@ -263,77 +221,3 @@ def observe(name: str, value: float) -> None:
     reg = _registry()
     if reg is not None:
         reg.histogram(name).observe(value)
-
-
-# -- process-worker side -------------------------------------------------
-
-
-def arm_process_worker(worker_index: int, enabled: bool) -> None:
-    """Initialize telemetry inside a pool worker process.
-
-    Always clears any coordinator session inherited through ``fork`` —
-    a forked child must never write into the parent's (copied) ring —
-    then, when enabled, installs a private worker-lane collector.
-    Thread-pool workers never call this: they share the coordinator's
-    address space and record into the live session directly.
-    """
-    global _GLOBAL, _WORKER_INDEX, _WORKER_SPANS, _WORKER_METRICS
-    _GLOBAL = None
-    _ACTIVE.set(None)
-    if enabled:
-        _WORKER_INDEX = worker_index
-        _WORKER_SPANS = TraceCollector(WORKER_CAPACITY)
-        _WORKER_METRICS = MetricsRegistry()
-    else:
-        _WORKER_INDEX = None
-        _WORKER_SPANS = None
-        _WORKER_METRICS = None
-
-
-def worker_armed() -> bool:
-    return _WORKER_SPANS is not None
-
-
-def drain_worker_payload() -> Optional[tuple]:
-    """Drain this worker's spans/metrics into a compact wire payload.
-
-    Returns ``None`` when the worker is not armed (the shard result then
-    stays a plain 2-tuple, preserving the telemetry-off wire format).
-    Called at the end of every shard task so a worker killed mid-shard
-    loses at most that shard's spans.
-    """
-    global _WORKER_METRICS
-    if _WORKER_SPANS is None or _WORKER_METRICS is None:
-        return None
-    wire = [s.to_wire() for s in _WORKER_SPANS.drain()]
-    metrics = _WORKER_METRICS.to_dict()
-    if metrics:
-        _WORKER_METRICS = MetricsRegistry()
-    return (wire, metrics, clock.anchor())
-
-
-# -- coordinator-side ingest --------------------------------------------
-
-
-def ingest_worker_payload(payload: Optional[tuple]) -> None:
-    """Merge a worker payload into the active session, aligning clocks.
-
-    On Linux both processes read the same system-wide CLOCK_MONOTONIC,
-    so the offset is ~0 and spans merge untouched.  When the anchors
-    disagree by more than :data:`MAX_CLOCK_SKEW_S` the worker's spans
-    are translated onto the coordinator's monotonic timeline using the
-    wall-clock pair as the common reference.
-    """
-    sess = active()
-    if sess is None or payload is None:
-        return
-    wire_spans, metrics, (anchor_mono, anchor_wall) = payload
-    offset = (anchor_wall - anchor_mono) - (
-        sess.anchor_wall - sess.anchor_monotonic
-    )
-    if abs(offset) <= MAX_CLOCK_SKEW_S:
-        offset = 0.0
-    for wire in wire_spans:
-        sess.spans.record(Span.from_wire(wire).shifted(offset))
-    if metrics:
-        sess.metrics.merge(metrics)

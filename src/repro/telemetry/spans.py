@@ -1,8 +1,8 @@
 """Span records and the preallocated ring-buffer collector.
 
 A :class:`Span` is a closed interval on the monotonic timeline with a
-name, a category (``engine``, ``shard``, ``store``, ``fault``, ...), the
-process lane it ran on (coordinator or a numbered worker) and a small
+name, a category (``engine``, ``shard``, ``store``, ``app``, ...), the
+lane it ran on (coordinator or a numbered worker thread) and a small
 free-form attribute dict.  Spans are immutable once recorded.
 
 :class:`TraceCollector` is the sink: a fixed-capacity preallocated list
@@ -51,7 +51,7 @@ class Span:
         return self.proc
 
     def shifted(self, offset_s: float) -> "Span":
-        """A copy translated along the timeline (skew correction)."""
+        """A copy translated along the timeline (trace rebasing)."""
         if offset_s == 0.0:
             return self
         return replace(self, start_s=self.start_s + offset_s)
@@ -70,37 +70,12 @@ class Span:
             record["attrs"] = self.attrs
         return record
 
-    def to_wire(self) -> tuple:
-        """Compact picklable tuple for the worker→coordinator path."""
-        return (
-            self.name,
-            self.category,
-            self.start_s,
-            self.duration_s,
-            self.proc,
-            self.worker,
-            self.attrs,
-        )
-
-    @classmethod
-    def from_wire(cls, wire: tuple) -> "Span":
-        name, category, start_s, duration_s, proc, worker, attrs = wire
-        return cls(
-            name=name,
-            category=category,
-            start_s=start_s,
-            duration_s=duration_s,
-            proc=proc,
-            worker=worker,
-            attrs=attrs,
-        )
-
 
 class TraceCollector:
     """Fixed-capacity span sink backed by a preallocated ring.
 
-    ``record`` is O(1) and lock-guarded (the sharded engine completes
-    futures on multiple threads).  When full, the oldest span is
+    ``record`` is O(1) and lock-guarded (the sharded engine's pool threads
+    record concurrently).  When full, the oldest span is
     overwritten and ``dropped`` is incremented.
     """
 

@@ -53,11 +53,12 @@ def dedent(snippet: str) -> str:
 # registry / framework
 # --------------------------------------------------------------------------- #
 class TestFramework:
-    def test_seven_per_file_rules_registered(self):
-        # REP003 (legacy-knob) is retired; ids are never renumbered because
-        # baselines, SARIF fingerprints and pragmas key on them
+    def test_six_per_file_rules_registered(self):
+        # REP003 (legacy-knob) and REP007 (shm-lifecycle) are retired; ids
+        # are never renumbered because baselines, SARIF fingerprints and
+        # pragmas key on them
         assert sorted(registered_rules()) == [
-            "REP001", "REP002", "REP004", "REP005", "REP006", "REP007", "REP008",
+            "REP001", "REP002", "REP004", "REP005", "REP006", "REP008",
         ]
 
     def test_three_program_rules_registered(self):
@@ -413,118 +414,10 @@ class TestTimeoutDiscipline:
     def test_pool_submit_flagged_even_via_subscript(self):
         findings = analyze_source("fut = pools[worker].submit(fn, arg)\n", APP_PATH)
         assert [f.rule for f in findings] == ["REP006"]
-        assert "ShardSupervisor" in findings[0].hint
+        assert "allow[timeout-discipline]" in findings[0].hint
 
     def test_non_pool_submit_clean(self):
         assert analyze_source("form.submit()\n", APP_PATH) == []
-
-    def test_faults_layer_exempt(self):
-        source = "value = future.result()\n"
-        assert analyze_source(source, "src/repro/faults/supervision.py") == []
-
-
-# --------------------------------------------------------------------------- #
-# REP007 — shm-lifecycle
-# --------------------------------------------------------------------------- #
-class TestShmLifecycleRule:
-    def test_bare_creation_flagged(self):
-        findings = analyze_source(
-            "segment = SharedMemory(create=True, size=1024)\n", APP_PATH
-        )
-        assert [(f.rule, f.name) for f in findings] == [("REP007", "shm-lifecycle")]
-        assert "outlives the process" in findings[0].message
-
-    def test_attribute_call_flagged(self):
-        source = dedent(
-            """
-            def open_ring(name):
-                return shared_memory.SharedMemory(name=name)
-            """
-        )
-        findings = analyze_source(source, APP_PATH)
-        assert [f.rule for f in findings] == ["REP007"]
-
-    def test_context_manager_clean(self):
-        source = dedent(
-            """
-            def use(name):
-                with SharedMemory(name=name) as segment:
-                    return bytes(segment.buf[:4])
-            """
-        )
-        assert analyze_source(source, APP_PATH) == []
-
-    def test_try_finally_cleanup_clean(self):
-        source = dedent(
-            """
-            def roundtrip(data):
-                segment = SharedMemory(create=True, size=len(data))
-                try:
-                    segment.buf[: len(data)] = data
-                    return bytes(segment.buf[: len(data)])
-                finally:
-                    segment.close()
-                    segment.unlink()
-            """
-        )
-        assert analyze_source(source, APP_PATH) == []
-
-    def test_finally_without_cleanup_still_flagged(self):
-        source = dedent(
-            """
-            def leaky(data):
-                segment = SharedMemory(create=True, size=len(data))
-                try:
-                    return bytes(segment.buf[: len(data)])
-                finally:
-                    log.info("done")
-            """
-        )
-        findings = analyze_source(source, APP_PATH)
-        assert [f.rule for f in findings] == ["REP007"]
-
-    def test_creation_inside_finally_not_protected_by_it(self):
-        source = dedent(
-            """
-            def weird():
-                try:
-                    pass
-                finally:
-                    segment = SharedMemory(create=True, size=8)
-                    segment.close()
-            """
-        )
-        findings = analyze_source(source, APP_PATH)
-        assert [f.rule for f in findings] == ["REP007"]
-
-    def test_cleanup_in_enclosing_scope_does_not_bless_nested_function(self):
-        # the creation's cleanup must live in the *same* function scope
-        source = dedent(
-            """
-            def outer():
-                try:
-                    def inner():
-                        return SharedMemory(create=True, size=8)
-                    return inner()
-                finally:
-                    cleanup.close()
-            """
-        )
-        findings = analyze_source(source, APP_PATH)
-        assert [f.rule for f in findings] == ["REP007"]
-
-    def test_pragma_documents_ownership_transfer(self):
-        source = dedent(
-            """
-            def attach(name):
-                # close happens on cache eviction — repro: allow[shm-lifecycle]
-                return SharedMemory(name=name)  # repro: allow[shm-lifecycle]
-            """
-        )
-        assert analyze_source(source, APP_PATH) == []
-
-    def test_unrelated_constructors_clean(self):
-        assert analyze_source("pool = SharedPool(create=True)\n", APP_PATH) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -776,11 +669,12 @@ class TestCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "REP001", "REP002", "REP004", "REP005", "REP006", "REP007",
+            "REP001", "REP002", "REP004", "REP005", "REP006",
             "REP008", "REP009", "REP010", "REP011",
         ):
             assert rule_id in out
         assert "REP003" not in out
+        assert "REP007" not in out
 
     def test_conflicting_baseline_flags_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -829,7 +723,6 @@ class TestSelfScan:
                 """
             ),
             "REP006": "value = future.result()\n",
-            "REP007": "shm = SharedMemory(create=True, size=8)\n",
             "REP008": "stamp = time.time()\n",
             "REP009": dedent(
                 """

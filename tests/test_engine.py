@@ -6,9 +6,10 @@ import pytest
 from repro.engine import (
     BatchedQueryEngine,
     QueryCache,
+    ShardedQueryEngine,
     as_query_engine,
 )
-from repro.exceptions import ConfigurationError, FuzzingError
+from repro.exceptions import ConfigurationError, DataError, FuzzingError
 from repro.fuzzing import FuzzerConfig, OperationalFuzzer
 from repro.runtime import ExecutionPolicy
 
@@ -129,6 +130,50 @@ class TestBatchedQueryEngine:
             BatchedQueryEngine(trained_cluster_model, batch_size=0)
         with pytest.raises(ConfigurationError):
             QueryCache(max_entries=0)
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite row fails loudly before the cache or the model."""
+
+    @pytest.mark.parametrize("engine_cls", [BatchedQueryEngine, ShardedQueryEngine])
+    def test_every_probe_rejects_a_nan_row(
+        self, engine_cls, trained_cluster_model, cluster_naturalness, engine_inputs
+    ):
+        x, y = engine_inputs
+        x = x[:6].copy()
+        x[3, 1] = np.nan
+        with engine_cls(
+            trained_cluster_model,
+            naturalness=cluster_naturalness,
+            batch_size=4,
+            cache=True,
+        ) as engine:
+            with pytest.raises(DataError, match="row 3"):
+                engine.predict_proba(x)
+            with pytest.raises(DataError, match="row 3"):
+                engine.loss_input_gradient(x, y[:6])
+            x[3, 1] = np.inf
+            with pytest.raises(DataError, match="row 3"):
+                engine.score_naturalness(x)
+            assert len(engine.cache) == 0
+            stats = engine.stats
+            assert stats.model_calls == stats.gradient_calls == 0
+            assert stats.naturalness_calls == 0
+
+    def test_fuzzer_rejects_an_all_nan_seed(
+        self, trained_cluster_model, cluster_naturalness, operational_cluster_data
+    ):
+        # ReLU maps NaN to 0, so the model alone would classify this seed
+        # from its biases, and the fuzzer would report it as an AE
+        engine = BatchedQueryEngine(
+            trained_cluster_model, naturalness=cluster_naturalness, cache=True
+        )
+        fuzzer = _make_fuzzer(cluster_naturalness, None, "population")
+        seed = np.full((1, operational_cluster_data.x.shape[1]), np.nan)
+        with pytest.raises(DataError, match="row 0"):
+            fuzzer.fuzz(engine, seed, np.array([2]), rng=0)
+        assert len(engine.cache) == 0
+        assert engine.stats.model_calls == 0
 
 
 def _make_fuzzer(cluster_naturalness, pool, execution, **overrides):

@@ -1,183 +1,22 @@
-"""Fault-tolerant execution: retry policy, injection, supervision, chaos.
+"""Fault injection: the cache-corruption harness and what it exercises.
 
-Fast tier: RetryPolicy/FaultPlan serialization and validation, supervisor
-unit behaviour against scripted failures (dead pools, hung workers,
-exhaustion), engine-level bit-identity under real SIGKILLs on the shared
-cluster fixtures, per-record cache CRC recovery, the workflow's
-degrade-time checkpoint, and the CLI's exit-2 fingerprint diagnosis.
-
-Slow tier (``pytest -m slow``): the chaos scenario matrix — for each
-scenario of the differential suite, a campaign that loses a worker to a
-real SIGKILL (and one that loses *all* workers and degrades) must match
-the clean run bit-identically: per-seed queries, detections, adversarial
-examples and reliability estimates.
+``FaultPlan`` serialization and validation, per-record CRC recovery in the
+persistent query cache under real byte flips, and the CLI's exit-2
+fingerprint diagnosis when a checkpoint does not match its run.
 """
 
 import pickle
 import warnings
-from concurrent.futures import BrokenExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from repro.core import OperationalTestingLoop, WorkflowConfig
-from repro.engine import (
-    BatchedQueryEngine,
-    QueryStats,
-    ShardedQueryEngine,
-    plan_shards,
-)
-from repro.engine.batching import FAULT_COUNTER_FIELDS
-from repro.evaluation import make_scenario
-from repro.exceptions import ConfigurationError, FaultToleranceError
-from repro.faults import (
-    DegradeEvent,
-    FaultPlan,
-    RetryPolicy,
-    ShardSupervisor,
-    corrupt_cache_segments,
-    on_degrade,
-)
-from repro.faults.supervision import _notify_degrade
-from repro.fuzzing import FuzzerConfig, OperationalFuzzer
-from repro.reliability import ReliabilityAssessor, StoppingRule
-from repro.retraining import RetrainingConfig
-from repro.runtime import ExecutionPolicy
-from repro.store import PersistentQueryCache, read_checkpoint
+from repro.engine import BatchedQueryEngine
+from repro.exceptions import ConfigurationError
+from repro.faults import FaultPlan, corrupt_cache_segments
+from repro.store import PersistentQueryCache
 from repro.store.cache import _HEADER
 from repro.store.cli import main as cli_main
-
-SCENARIO_MATRIX = ["two-moons", "gaussian-clusters", "glyph-digits"]
-
-#: Reduced scenario sizes so the chaos matrix stays minutes, not hours.
-SCENARIO_OVERRIDES = {
-    "two-moons": dict(num_samples=600, epochs=12),
-    "gaussian-clusters": dict(num_samples=600, epochs=12),
-    "glyph-digits": dict(num_samples=500, image_size=10, epochs=8),
-}
-
-#: Kill every worker slot at first contact; with a zero respawn budget the
-#: engine must degrade to in-process execution.
-KILL_ALL = FaultPlan(kills=((0, 0), (1, 0)))
-NO_RETRY = RetryPolicy(max_attempts=1, max_respawns=0, backoff_base_s=0.0)
-
-
-@lru_cache(maxsize=None)
-def _scenario(name):
-    return make_scenario(name, rng=2021, **SCENARIO_OVERRIDES[name])
-
-
-def _sharded_policy(**overrides):
-    # batch_size 8: campaign dispatches span several shards, so both worker
-    # slots actually receive work and the injected kills really fire
-    defaults = dict(backend="sharded", num_workers=2, cache=True, batch_size=8)
-    defaults.update(overrides)
-    return ExecutionPolicy(**defaults)
-
-
-def _fuzz(scenario, policy, *, n_seeds=16, rng=2021):
-    fuzzer = OperationalFuzzer(
-        naturalness=scenario.naturalness,
-        config=FuzzerConfig(
-            epsilon=0.12,
-            queries_per_seed=20,
-            naturalness_threshold=0.3,
-            execution="population",
-            policy=policy,
-        ),
-        natural_pool=scenario.operational_data.x,
-    )
-    return fuzzer.fuzz(
-        scenario.model,
-        scenario.operational_data.x[:n_seeds],
-        scenario.operational_data.y[:n_seeds],
-        rng=rng,
-    )
-
-
-def _assert_campaigns_identical(reference, candidate):
-    """Per-seed queries, detections and AEs must be bit-identical."""
-    assert len(reference.per_seed) == len(candidate.per_seed)
-    for ref, cand in zip(reference.per_seed, candidate.per_seed):
-        assert ref.seed_index == cand.seed_index
-        assert ref.queries == cand.queries
-        assert ref.best_fitness == cand.best_fitness
-        assert (ref.adversarial_example is None) == (cand.adversarial_example is None)
-        if ref.adversarial_example is not None:
-            np.testing.assert_array_equal(
-                ref.adversarial_example.perturbed,
-                cand.adversarial_example.perturbed,
-            )
-            assert (
-                ref.adversarial_example.predicted_label
-                == cand.adversarial_example.predicted_label
-            )
-    assert reference.total_queries == candidate.total_queries
-    assert reference.detection_rate == candidate.detection_rate
-
-
-# --------------------------------------------------------------------------- #
-# RetryPolicy
-# --------------------------------------------------------------------------- #
-class TestRetryPolicy:
-    def test_round_trip_through_dict(self):
-        policy = RetryPolicy(
-            max_attempts=3,
-            max_respawns=1,
-            backoff_base_s=0.1,
-            backoff_ceiling_s=2.0,
-            shard_timeout_s=30.0,
-            on_exhaustion="fail",
-        )
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown RetryPolicy"):
-            RetryPolicy.from_dict({"max_attempts": 2, "jitter": 0.1})
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            dict(max_attempts=0),
-            dict(max_respawns=-1),
-            dict(backoff_base_s=-0.1),
-            dict(shard_timeout_s=0),
-            dict(on_exhaustion="panic"),
-        ],
-    )
-    def test_invalid_values_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(**bad)
-
-    def test_backoff_is_exponential_with_ceiling(self):
-        policy = RetryPolicy(backoff_base_s=0.1, backoff_ceiling_s=0.35)
-        assert policy.backoff_delay(1) == pytest.approx(0.1)
-        assert policy.backoff_delay(2) == pytest.approx(0.2)
-        assert policy.backoff_delay(3) == pytest.approx(0.35)  # ceiling
-        assert policy.backoff_delay(10) == pytest.approx(0.35)
-        with pytest.raises(ConfigurationError):
-            policy.backoff_delay(0)
-
-    def test_execution_policy_coerces_mapping_and_serializes(self):
-        policy = ExecutionPolicy(
-            backend="sharded",
-            num_workers=2,
-            retry={"max_attempts": 4},
-            faults={"kills": [[0, 1]], "seed": 9},
-        )
-        assert policy.retry == RetryPolicy(max_attempts=4)
-        assert policy.faults == FaultPlan(kills=((0, 1),), seed=9)
-        rebuilt = ExecutionPolicy.from_dict(policy.to_dict())
-        assert rebuilt.retry == policy.retry
-        assert rebuilt.faults == policy.faults
-
-    def test_execution_policy_rejects_non_policy_values(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(retry="twice")
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(faults=42)
 
 
 # --------------------------------------------------------------------------- #
@@ -185,11 +24,8 @@ class TestRetryPolicy:
 # --------------------------------------------------------------------------- #
 class TestFaultPlan:
     def test_round_trip_and_normalisation(self):
-        plan = FaultPlan(
-            kills=[[1, 2]], delays=[(0, 0.5)], corrupt_segments=[[0, 16]], seed=3
-        )
-        assert plan.kills == ((1, 2),)
-        assert plan.delays == ((0, 0.5),)
+        plan = FaultPlan(corrupt_segments=[[0, 16]], seed=3)
+        assert plan.corrupt_segments == ((0, 16),)
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
     def test_unknown_keys_rejected(self):
@@ -199,264 +35,15 @@ class TestFaultPlan:
     @pytest.mark.parametrize(
         "bad",
         [
-            dict(kills=((-1, 0),)),
-            dict(delays=((0, -1.0),)),
+            dict(corrupt_segments=((-1, 4),)),
+            dict(corrupt_segments=((0, -3),)),
             dict(corrupt_segments=((0, 0),)),
-            dict(kills=((1,),)),
+            dict(corrupt_segments=((1,),)),
         ],
     )
     def test_invalid_entries_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             FaultPlan(**bad)
-
-    def test_plan_is_picklable_for_pool_initargs(self):
-        plan = FaultPlan(kills=((0, 1),), delays=((2, 0.1),))
-        assert pickle.loads(pickle.dumps(plan)) == plan
-
-
-# --------------------------------------------------------------------------- #
-# supervisor units (scripted failures, no real processes)
-# --------------------------------------------------------------------------- #
-class _StubHeartbeat:
-    """Coordinator-settable heartbeat ages for supervisor unit tests."""
-
-    def __init__(self, num_workers, age=0.0):
-        self.ages = [age] * num_workers
-        self.resets = []
-
-    def age(self, worker):
-        return self.ages[worker]
-
-    def reset(self, worker):
-        self.ages[worker] = 0.0
-        self.resets.append(worker)
-
-
-class _DoneFuture:
-    def __init__(self, shard):
-        self._value = np.full(shard.stop - shard.start, float(shard.index))
-
-    def result(self, timeout=None):
-        return self._value, QueryStats(model_calls=1)
-
-
-class _NeverFuture:
-    def result(self, timeout=None):
-        raise FutureTimeoutError()
-
-
-class _Harness:
-    """One supervisor over scripted worker behaviour."""
-
-    def __init__(self, retry, num_workers=2, broken=(), hung=()):
-        self.total = QueryStats()
-        self.respawn_calls = []
-        self.broken = set(broken)  # workers whose pool breaks at submit once
-        self.hung = set(hung)  # workers whose futures never complete
-        self.heartbeat = _StubHeartbeat(num_workers)
-        self.supervisor = ShardSupervisor(
-            retry=retry,
-            num_workers=num_workers,
-            heartbeat=self.heartbeat,
-            respawn_worker=self._respawn,
-            absorb=self.total.merge,
-            poll_interval=0.01,
-        )
-
-    def _respawn(self, worker, rebuild):
-        self.respawn_calls.append((worker, rebuild))
-        if rebuild:
-            self.broken.discard(worker)
-            self.hung.discard(worker)
-
-    def submit(self, worker, shard):
-        if worker in self.broken:
-            raise BrokenExecutor()
-        if worker in self.hung:
-            return _NeverFuture()
-        return _DoneFuture(shard)
-
-    def run_local(self, shard):
-        return (
-            np.full(shard.stop - shard.start, float(shard.index)),
-            QueryStats(model_calls=1),
-        )
-
-    def execute(self, shards):
-        return self.supervisor.execute(shards, self.submit, self.run_local)
-
-
-class TestShardSupervisorUnits:
-    def test_clean_run_gathers_in_shard_order(self):
-        harness = _Harness(RetryPolicy())
-        shards = plan_shards(10, 3, 2)
-        pieces = harness.execute(shards)
-        assert [piece[0] for piece in pieces] == [0.0, 1.0, 2.0, 3.0]
-        assert harness.total.model_calls == len(shards)
-        assert all(
-            getattr(harness.total, field) == 0 for field in FAULT_COUNTER_FIELDS
-        )
-
-    def test_broken_pool_at_submit_respawns_and_replans(self):
-        harness = _Harness(RetryPolicy(backoff_base_s=0.0), broken={1})
-        shards = plan_shards(12, 3, 2)
-        pieces = harness.execute(shards)
-        assert [piece[0] for piece in pieces] == [0.0, 1.0, 2.0, 3.0]
-        assert harness.respawn_calls == [(1, True)]
-        assert harness.heartbeat.resets == [1]
-        assert harness.total.worker_respawns == 1
-        assert not harness.supervisor.degraded
-
-    def test_stale_heartbeat_buries_hung_worker_and_retries_elsewhere(self):
-        retry = RetryPolicy(
-            max_attempts=2, max_respawns=0, backoff_base_s=0.0, shard_timeout_s=0.02
-        )
-        harness = _Harness(retry, hung={0})
-        harness.heartbeat.ages[0] = 10.0  # stale: way past shard_timeout_s
-        shards = plan_shards(8, 2, 2)
-        pieces = harness.execute(shards)
-        assert [piece[0] for piece in pieces] == [0.0, 1.0, 2.0, 3.0]
-        # respawn budget is 0: the slot is buried, not rebuilt
-        assert harness.respawn_calls == [(0, False)]
-        assert harness.supervisor.alive_workers() == [1]
-        assert harness.total.shard_retries >= 1
-        assert not harness.supervisor.degraded
-
-    def test_exhaustion_fail_raises_fault_tolerance_error(self):
-        retry = RetryPolicy(
-            max_attempts=1, max_respawns=0, backoff_base_s=0.0, on_exhaustion="fail"
-        )
-        harness = _Harness(retry, broken={0, 1})
-        with pytest.raises(FaultToleranceError, match="on_exhaustion=fail"):
-            harness.execute(plan_shards(6, 2, 2))
-
-    def test_exhaustion_degrades_notifies_once_and_sticks(self):
-        retry = RetryPolicy(max_attempts=1, max_respawns=0, backoff_base_s=0.0)
-        harness = _Harness(retry, broken={0, 1})
-        events = []
-        with on_degrade(events.append):
-            first = harness.execute(plan_shards(6, 2, 2))
-            second = harness.execute(plan_shards(4, 2, 2))
-        assert [piece[0] for piece in first] == [0.0, 1.0, 2.0]
-        assert [piece[0] for piece in second] == [0.0, 1.0]
-        assert harness.supervisor.degraded
-        assert len(events) == 1  # notified exactly once, then sticky
-        assert isinstance(events[0], DegradeEvent) and events[0].reason
-        assert harness.total.degraded_shards == 5
-        assert harness.total.model_calls == 5
-
-
-# --------------------------------------------------------------------------- #
-# engine-level fault tolerance (real worker processes, real SIGKILLs)
-# --------------------------------------------------------------------------- #
-class TestShardedEngineFaultTolerance:
-    @pytest.fixture()
-    def clean_reference(self, trained_cluster_model, operational_cluster_data):
-        engine = BatchedQueryEngine(trained_cluster_model, batch_size=6)
-        x = operational_cluster_data.x[:32]
-        return x, engine.predict_proba(x), engine.stats
-
-    def test_one_worker_sigkill_is_bit_identical(
-        self, trained_cluster_model, clean_reference
-    ):
-        x, expected, clean_stats = clean_reference
-        engine = ShardedQueryEngine(
-            trained_cluster_model,
-            batch_size=6,
-            num_workers=2,
-            retry=RetryPolicy(backoff_base_s=0.0),
-            faults=FaultPlan(kills=((1, 1),)),
-        )
-        try:
-            np.testing.assert_array_equal(engine.predict_proba(x), expected)
-            assert engine.stats.worker_respawns >= 1
-            assert engine.stats.shard_retries >= 1
-            # non-fault counters are exactly the clean run's: lost
-            # executions never contribute accounting
-            for field, value in clean_stats.as_dict().items():
-                if field not in FAULT_COUNTER_FIELDS:
-                    assert getattr(engine.stats, field) == value, field
-        finally:
-            engine.close()
-
-    def test_all_workers_killed_degrades_bit_identical(
-        self, trained_cluster_model, clean_reference
-    ):
-        x, expected, _ = clean_reference
-        engine = ShardedQueryEngine(
-            trained_cluster_model,
-            batch_size=6,
-            num_workers=2,
-            retry=NO_RETRY,
-            faults=KILL_ALL,
-        )
-        try:
-            events = []
-            with on_degrade(events.append):
-                np.testing.assert_array_equal(engine.predict_proba(x), expected)
-                # degradation is sticky: later dispatches stay in-process
-                np.testing.assert_array_equal(engine.predict_proba(x), expected)
-            assert len(events) == 1
-            assert engine.stats.degraded_shards > 0
-        finally:
-            engine.close()
-
-    def test_on_exhaustion_fail_raises_at_engine_level(self, trained_cluster_model):
-        engine = ShardedQueryEngine(
-            trained_cluster_model,
-            batch_size=6,
-            num_workers=2,
-            retry=RetryPolicy(
-                max_attempts=1, max_respawns=0, backoff_base_s=0.0,
-                on_exhaustion="fail",
-            ),
-            faults=KILL_ALL,
-        )
-        try:
-            with pytest.raises(FaultToleranceError):
-                engine.predict_proba(np.zeros((24, 2)))
-        finally:
-            engine.close()
-
-    def test_hung_worker_detected_and_recovered(
-        self, trained_cluster_model, clean_reference
-    ):
-        x, expected, _ = clean_reference
-        # shard 0 sleeps past the heartbeat deadline wherever it runs, so
-        # both attempts look hung; the supervisor must kill, retry, exhaust
-        # and finally degrade — still bit-identical
-        engine = ShardedQueryEngine(
-            trained_cluster_model,
-            batch_size=6,
-            num_workers=2,
-            retry=RetryPolicy(
-                max_attempts=2, max_respawns=1, backoff_base_s=0.0,
-                shard_timeout_s=0.25,
-            ),
-            faults=FaultPlan(delays=((0, 1.0),)),
-        )
-        try:
-            np.testing.assert_array_equal(engine.predict_proba(x), expected)
-            assert engine.stats.worker_respawns >= 1
-        finally:
-            engine.close()
-
-    def test_retry_and_faults_flow_from_execution_policy(self, trained_cluster_model):
-        policy = _sharded_policy(
-            retry=RetryPolicy(max_attempts=5), faults=FaultPlan(seed=11)
-        )
-        engine = policy.build_engine(trained_cluster_model)
-        try:
-            assert engine.retry == RetryPolicy(max_attempts=5)
-            assert engine.faults == FaultPlan(seed=11)
-        finally:
-            engine.close()
-
-    def test_invalid_retry_and_faults_rejected(self, trained_cluster_model):
-        with pytest.raises(ConfigurationError):
-            ShardedQueryEngine(trained_cluster_model, num_workers=2, retry="never")
-        with pytest.raises(ConfigurationError):
-            ShardedQueryEngine(trained_cluster_model, num_workers=2, faults=[1, 2])
 
 
 # --------------------------------------------------------------------------- #
@@ -554,120 +141,6 @@ class TestCacheCorruptionRecovery:
 
 
 # --------------------------------------------------------------------------- #
-# workflow: degrade-time checkpoint and end-to-end degradation
-# --------------------------------------------------------------------------- #
-class _DegradeProbeRule(StoppingRule):
-    """Fires a degrade event during iteration 1 and records what it saw.
-
-    Carries no extra dataclass fields, so the campaign fingerprint matches a
-    plain StoppingRule with the same knobs.
-    """
-
-    probe = {}
-
-    def should_stop(self, estimate, iteration, test_cases_used):
-        if iteration == 1 and not self.probe.get("fired"):
-            path = self.probe["checkpoint"]
-            self.probe["existed_before"] = path.exists()
-            _notify_degrade(DegradeEvent(reason="probe"))
-            self.probe["existed_after"] = path.exists()
-            self.probe["fired"] = True
-        return super().should_stop(estimate, iteration, test_cases_used)
-
-
-class TestWorkflowDegradation:
-    def _loop(self, profile, train, naturalness, rule, policy):
-        return OperationalTestingLoop(
-            profile=profile,
-            train_data=train,
-            naturalness=naturalness,
-            fuzzer_config=FuzzerConfig(epsilon=0.1, queries_per_seed=8),
-            retraining_config=RetrainingConfig(epochs=2),
-            stopping_rule=rule,
-            workflow_config=WorkflowConfig(
-                test_budget_per_iteration=100,
-                seeds_per_iteration=6,
-                policy=policy,
-            ),
-            rng=21,
-        )
-
-    def test_degrade_event_writes_checkpoint_of_last_completed_iteration(
-        self,
-        tmp_path,
-        cluster_profile,
-        clusters_split,
-        cluster_naturalness,
-        trained_cluster_model,
-        operational_cluster_data,
-    ):
-        train, _ = clusters_split
-        checkpoint = tmp_path / "loop.ckpt"
-        # cadence 100: the periodic path never saves inside 3 iterations, so
-        # any checkpoint on disk was written by the degrade listener
-        rule = _DegradeProbeRule(target_pmi=1e-6, max_iterations=3)
-        _DegradeProbeRule.probe = {"checkpoint": checkpoint}
-        loop = self._loop(
-            cluster_profile,
-            train,
-            cluster_naturalness,
-            rule,
-            ExecutionPolicy(cache=True, checkpoint_every=100),
-        )
-        loop.run(
-            trained_cluster_model,
-            operational_cluster_data,
-            checkpoint_path=str(checkpoint),
-        )
-        probe = _DegradeProbeRule.probe
-        assert probe["fired"]
-        assert not probe["existed_before"]
-        assert probe["existed_after"]
-        # the snapshot describes the last *completed* iteration boundary
-        payload = read_checkpoint(str(checkpoint))
-        assert payload["next_iteration"] == 2
-        assert payload["report"].num_iterations == 2
-
-    def test_all_workers_killed_campaign_degrades_and_matches_clean(
-        self,
-        cluster_profile,
-        clusters_split,
-        cluster_naturalness,
-        trained_cluster_model,
-        operational_cluster_data,
-    ):
-        train, _ = clusters_split
-        rule = StoppingRule(target_pmi=1e-6, max_iterations=2)
-        results = {}
-        for label, policy in (
-            ("clean", _sharded_policy()),
-            ("chaos", _sharded_policy(retry=NO_RETRY, faults=KILL_ALL)),
-        ):
-            loop = self._loop(
-                cluster_profile, train, cluster_naturalness, rule, policy
-            )
-            _, report = loop.run(trained_cluster_model, operational_cluster_data)
-            results[label] = (loop, report)
-        clean_loop, clean_report = results["clean"]
-        chaos_loop, chaos_report = results["chaos"]
-        assert chaos_loop.query_stats.degraded_shards > 0
-        assert clean_loop.query_stats.degraded_shards == 0
-        assert chaos_report.final_pmi == clean_report.final_pmi
-        assert chaos_report.total_aes == clean_report.total_aes
-        assert len(chaos_loop.detected_aes) == len(clean_loop.detected_aes)
-        for clean_ae, chaos_ae in zip(
-            clean_loop.detected_aes, chaos_loop.detected_aes
-        ):
-            np.testing.assert_array_equal(
-                clean_ae.perturbed, chaos_ae.perturbed
-            )
-        for field in ("model_calls", "rows_queried", "cache_hits"):
-            assert getattr(chaos_loop.query_stats, field) == getattr(
-                clean_loop.query_stats, field
-            ), field
-
-
-# --------------------------------------------------------------------------- #
 # CLI: resume fingerprint mismatch exits 2 with a one-line diagnosis
 # --------------------------------------------------------------------------- #
 class TestResumeFingerprintDiagnosis:
@@ -702,81 +175,3 @@ class TestResumeFingerprintDiagnosis:
         assert err.count("\n") == 1  # one-line diagnosis
         assert str(checkpoint) in err
         assert "deadbeef" in err and expected in err
-
-    def test_retry_flags_recorded_verbatim_in_spec(self, tmp_path, capsys):
-        import json
-
-        runs_dir = tmp_path / "runs"
-        argv = self._tiny_run_argv(runs_dir) + [
-            "--engine", "sharded", "--workers", "2",
-            "--max-attempts", "3", "--shard-timeout", "45",
-            "--on-exhaustion", "fail",
-        ]
-        assert cli_main(argv) == 0
-        record = json.loads((runs_dir / "run-0001" / "run.json").read_text())
-        retry = record["config"]["spec"]["policy"]["retry"]
-        assert RetryPolicy.from_dict(retry) == RetryPolicy(
-            max_attempts=3, shard_timeout_s=45.0, on_exhaustion="fail"
-        )
-
-
-# --------------------------------------------------------------------------- #
-# chaos scenario matrix (slow tier)
-# --------------------------------------------------------------------------- #
-@pytest.mark.slow
-@pytest.mark.parametrize("scenario_name", SCENARIO_MATRIX)
-class TestChaosScenarioMatrix:
-    """Real SIGKILLs on every scenario of the differential suite.
-
-    A campaign that loses one worker mid-flight — or every worker, forcing
-    degradation to in-process execution — must reproduce the clean sharded
-    campaign bit-identically: detections, per-seed query counts and
-    reliability estimates.
-    """
-
-    @pytest.fixture()
-    def scenario(self, scenario_name):
-        return _scenario(scenario_name)
-
-    def test_one_worker_sigkill_campaign_bit_identical(self, scenario):
-        clean = _fuzz(scenario, _sharded_policy())
-        chaos_policy = _sharded_policy(
-            retry=RetryPolicy(backoff_base_s=0.0),
-            faults=FaultPlan(kills=((1, 1),)),
-        )
-        chaos = _fuzz(scenario, chaos_policy)
-        _assert_campaigns_identical(clean, chaos)
-
-    def test_all_workers_killed_degrades_and_matches(self, scenario):
-        clean = _fuzz(scenario, _sharded_policy())
-        chaos = _fuzz(
-            scenario, _sharded_policy(retry=NO_RETRY, faults=KILL_ALL)
-        )
-        _assert_campaigns_identical(clean, chaos)
-
-    def test_reliability_estimates_identical_under_faults(self, scenario):
-        estimates = {}
-        for label, policy in (
-            ("clean", _sharded_policy()),
-            (
-                "chaos",
-                _sharded_policy(
-                    retry=RetryPolicy(backoff_base_s=0.0),
-                    faults=FaultPlan(kills=((0, 2),)),
-                ),
-            ),
-        ):
-            assessor = ReliabilityAssessor(
-                partition=scenario.partition,
-                profile=scenario.profile,
-                policy=policy,
-                rng=99,
-            )
-            estimates[label] = assessor.assess(
-                scenario.model, scenario.operational_data, rng=99
-            )
-        clean, chaos = estimates["clean"], estimates["chaos"]
-        assert clean.pmi == chaos.pmi
-        assert clean.pmi_upper == chaos.pmi_upper
-        assert clean.pmi_lower == chaos.pmi_lower
-        assert clean.queries == chaos.queries

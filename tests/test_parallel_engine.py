@@ -1,14 +1,15 @@
-"""Sharded multi-worker engine: bit-identity, accounting and lifecycle.
+"""Sharded thread-pool engine: bit-identity, accounting and lifecycle.
 
-Fast tier: shard planning, engine-level bit-identity against the in-process
-batched engine, campaign equivalence on the shared cluster fixtures, the
-race-hammer regression for concurrent stats merging, and lifecycle checks.
+Fast tier: engine-level bit-identity against the in-process batched engine,
+campaign equivalence on the shared cluster fixtures, the race-hammer
+regression for concurrent stats merging, and lifecycle checks.
 
 Slow tier (``pytest -m slow``): the scenario-matrix differential suite —
 sequential vs population vs sharded campaigns (and batched vs sharded
 reliability estimates) pinned bit-identical on the two-moons,
 gaussian-clusters and glyph-digits scenarios from
-:mod:`repro.evaluation.scenarios`.
+:mod:`repro.evaluation.scenarios`, plus what toggling the query cache
+keeps equal.
 """
 
 import threading
@@ -17,25 +18,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.engine import (
-    SHM_MIN_BLOCK_BYTES,
-    BatchedQueryEngine,
-    QueryStats,
-    ShardedQueryEngine,
-    plan_shards,
-)
-from repro.engine.transport import ShmRing, resolve_auto_transport
+from repro.engine import BatchedQueryEngine, QueryStats, ShardedQueryEngine
 from repro.evaluation import make_scenario
 from repro.exceptions import ConfigurationError
-from repro.faults import FaultPlan, RetryPolicy
 from repro.fuzzing import FuzzerConfig, OperationalFuzzer
 from repro.reliability import ReliabilityAssessor
 from repro.runtime import ExecutionPolicy
 
 SCENARIO_MATRIX = ["two-moons", "gaussian-clusters", "glyph-digits"]
-
-#: Every explicit shard transport (``auto`` resolves to one of the first two).
-TRANSPORT_MATRIX = ["pickle", "shm", "threads"]
 
 #: Reduced scenario sizes so the slow tier stays minutes, not hours.
 SCENARIO_OVERRIDES = {
@@ -95,13 +85,15 @@ def _assert_campaigns_equivalent(reference, candidate, exact=True):
     assert reference.detection_rate == candidate.detection_rate
 
 
-def _fuzzer(naturalness, pool, mode, transport="auto", **overrides):
+def _fuzzer(naturalness, pool, mode, **overrides):
     """Fuzzer for one point of the equivalence matrix.
 
     ``mode`` is the historical triple: ``"sequential"``/``"population"``
     select the control flow on the in-process backend, ``"sharded"`` selects
-    population control flow on the replicated two-worker backend
-    (``transport`` picks its wire: pickle, shm, threads or auto).
+    population control flow on the two-thread sharded backend.  All three
+    run with the query cache on: backends are bit-identical at equal
+    ``cache`` (a hit shrinks the batch the model sees, which can move the
+    last bit of a float).
     """
     defaults = dict(
         epsilon=0.12,
@@ -111,43 +103,14 @@ def _fuzzer(naturalness, pool, mode, transport="auto", **overrides):
     if mode == "sharded":
         defaults.update(
             execution="population",
-            policy=ExecutionPolicy(
-                backend="sharded", num_workers=2, cache=True, transport=transport
-            ),
+            policy=ExecutionPolicy(backend="sharded", num_workers=2, cache=True),
         )
     else:
-        defaults.update(execution=mode)
+        defaults.update(execution=mode, policy=ExecutionPolicy(cache=True))
     defaults.update(overrides)
     return OperationalFuzzer(
         naturalness=naturalness, config=FuzzerConfig(**defaults), natural_pool=pool
     )
-
-
-# --------------------------------------------------------------------------- #
-# shard planning
-# --------------------------------------------------------------------------- #
-class TestShardPlanning:
-    def test_shards_cover_rows_in_order(self):
-        shards = plan_shards(23, 5, 3)
-        assert [(s.start, s.stop) for s in shards] == [
-            (0, 5), (5, 10), (10, 15), (15, 20), (20, 23),
-        ]
-        assert [s.index for s in shards] == list(range(5))
-
-    def test_worker_assignment_is_round_robin(self):
-        shards = plan_shards(100, 10, 4)
-        assert [s.worker for s in shards] == [i % 4 for i in range(10)]
-
-    def test_plans_are_deterministic(self):
-        assert plan_shards(57, 8, 3) == plan_shards(57, 8, 3)
-
-    def test_invalid_plans_rejected(self):
-        with pytest.raises(ConfigurationError):
-            plan_shards(10, 0, 2)
-        with pytest.raises(ConfigurationError):
-            plan_shards(10, 4, 0)
-        with pytest.raises(ConfigurationError):
-            plan_shards(-1, 4, 2)
 
 
 # --------------------------------------------------------------------------- #
@@ -199,7 +162,7 @@ class TestShardedEngineBitIdentity:
         np.testing.assert_array_equal(
             engine.predict(x), trained_cluster_model.predict(x)
         )
-        assert engine._pools is None  # no pool was ever spawned
+        assert engine._pool is None  # no pool was ever spawned
         engine.close()
 
     def test_shared_cache_answers_across_workers(
@@ -263,11 +226,11 @@ class TestShardedCampaignEquivalence:
             assert campaign.total_queries <= budget
             campaign.validate_budget(budget)
 
-    def test_invalid_num_workers_rejected(self):
+    def test_invalid_num_workers_rejected(self, trained_cluster_model):
         with pytest.raises(ConfigurationError):
             FuzzerConfig(policy=ExecutionPolicy(num_workers=0))
         with pytest.raises(ConfigurationError):
-            plan_shards(4, 2, -1)
+            ShardedQueryEngine(trained_cluster_model, num_workers=-1)
 
 
 # --------------------------------------------------------------------------- #
@@ -384,9 +347,6 @@ class TestConcurrentMergeSafety:
             "gradient_calls": 4,
             "naturalness_rows": 7,
             "naturalness_calls": 1,
-            "shard_retries": 0,
-            "worker_respawns": 0,
-            "degraded_shards": 0,
             "cache_corrupt_records": 0,
         }
 
@@ -399,14 +359,14 @@ class TestEngineConstruction:
         policy = ExecutionPolicy(backend="sharded", num_workers=2)
         with policy.session(trained_cluster_model) as engine:
             engine.predict(np.zeros((3, 2)))
-            assert engine._pools is not None
-        assert engine._pools is None  # closed on exit
+            assert engine._pool is not None
+        assert engine._pool is None  # closed on exit
         owned = ShardedQueryEngine(trained_cluster_model, num_workers=2)
         try:
             owned.predict(np.zeros((3, 2)))
             with policy.session(owned) as passed_through:
                 assert passed_through is owned
-            assert owned._pools is not None  # caller-owned engines survive
+            assert owned._pool is not None  # caller-owned engines survive
         finally:
             owned.close()
 
@@ -440,248 +400,6 @@ class TestEngineConstruction:
         # a closed engine lazily rebuilds its pool from a fresh snapshot
         engine.predict(x)
         engine.close()
-
-
-# --------------------------------------------------------------------------- #
-# shard transports: bit-identity, auto resolution, ring lifecycle
-# --------------------------------------------------------------------------- #
-class TestTransportBitIdentity:
-    @pytest.mark.parametrize("transport", TRANSPORT_MATRIX)
-    def test_engine_calls_bit_identical(
-        self,
-        transport,
-        trained_cluster_model,
-        cluster_naturalness,
-        operational_cluster_data,
-    ):
-        batched = BatchedQueryEngine(
-            trained_cluster_model, naturalness=cluster_naturalness, batch_size=6
-        )
-        x = operational_cluster_data.x[:32]
-        y = operational_cluster_data.y[:32]
-        with ShardedQueryEngine(
-            trained_cluster_model,
-            naturalness=cluster_naturalness,
-            batch_size=6,
-            num_workers=2,
-            transport=transport,
-        ) as sharded:
-            np.testing.assert_array_equal(
-                sharded.predict_proba(x), batched.predict_proba(x)
-            )
-            np.testing.assert_array_equal(
-                sharded.loss_input_gradient(x, y), batched.loss_input_gradient(x, y)
-            )
-            np.testing.assert_array_equal(
-                sharded.score_naturalness(x), batched.score_naturalness(x)
-            )
-            assert sharded.stats.as_dict() == batched.stats.as_dict()
-
-    @pytest.mark.parametrize("transport", TRANSPORT_MATRIX)
-    def test_campaigns_bit_identical_across_transports(
-        self,
-        transport,
-        trained_cluster_model,
-        cluster_naturalness,
-        operational_cluster_data,
-    ):
-        data = operational_cluster_data
-        population = _fuzzer(cluster_naturalness, data.x, "population").fuzz(
-            trained_cluster_model, data.x[:14], data.y[:14], rng=0
-        )
-        sharded = _fuzzer(
-            cluster_naturalness, data.x, "sharded", transport=transport
-        ).fuzz(trained_cluster_model, data.x[:14], data.y[:14], rng=0)
-        _assert_campaigns_equivalent(population, sharded)
-
-    def test_auto_resolves_by_block_size(self):
-        assert resolve_auto_transport(SHM_MIN_BLOCK_BYTES) == "shm"
-        assert resolve_auto_transport(SHM_MIN_BLOCK_BYTES - 1) == "pickle"
-
-    def test_engine_auto_picks_per_call(self, trained_cluster_model):
-        # small blocks stay on the pickle wire, big blocks go zero-copy —
-        # the same engine resolves per logical call
-        with ShardedQueryEngine(
-            trained_cluster_model, batch_size=8192, num_workers=2
-        ) as engine:
-            assert engine._call_transport((np.zeros((10, 2)),)) == "pickle"
-            assert engine._call_transport((np.zeros((8192, 2)),)) == "shm"
-
-    def test_invalid_transport_rejected(self, trained_cluster_model):
-        with pytest.raises(ConfigurationError):
-            ShardedQueryEngine(trained_cluster_model, transport="carrier-pigeon")
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(transport="carrier-pigeon")
-
-    def test_transport_round_trips_through_policy(self):
-        policy = ExecutionPolicy(backend="sharded", num_workers=2, transport="shm")
-        assert policy.to_dict()["transport"] == "shm"
-        assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
-
-    def test_threads_with_kill_plan_rejected(self, trained_cluster_model):
-        # a thread cannot be SIGKILLed in isolation: kill-injection chaos
-        # requires process workers
-        with pytest.raises(ConfigurationError):
-            ShardedQueryEngine(
-                trained_cluster_model,
-                num_workers=2,
-                transport="threads",
-                faults=FaultPlan(kills=((0, 1),)),
-            )
-
-    def test_shm_rows_hit_coordinator_cache(
-        self, trained_cluster_model, operational_cluster_data
-    ):
-        # cache lookups happen before dispatch, so rows arriving via shared
-        # memory populate — and are answered by — the same coordinator cache
-        with ShardedQueryEngine(
-            trained_cluster_model,
-            batch_size=4,
-            num_workers=2,
-            cache=True,
-            transport="shm",
-        ) as engine:
-            x = operational_cluster_data.x[:16]
-            first = engine.predict_proba(x)
-            physical = engine.stats.model_calls
-            second = engine.predict_proba(x)
-            np.testing.assert_array_equal(first, second)
-            assert engine.stats.model_calls == physical
-            assert engine.stats.cache_hits == len(x)
-
-    def test_oversized_response_inlines_then_grows_rings(
-        self, trained_cluster_model, operational_cluster_data
-    ):
-        # the cluster model answers more probability columns than it has
-        # feature columns, so the first shm dispatch overflows its response
-        # slots (sized from the request block) and falls back to inline
-        # results — bit-identical — while recording the needed size; the
-        # next dispatch grows the rings and stays zero-copy
-        x = operational_cluster_data.x[:24]
-        reference = BatchedQueryEngine(
-            trained_cluster_model, batch_size=6
-        ).predict_proba(x)
-        with ShardedQueryEngine(
-            trained_cluster_model, batch_size=6, num_workers=2, transport="shm"
-        ) as engine:
-            np.testing.assert_array_equal(engine.predict_proba(x), reference)
-            hint = engine._response_bytes_hint
-            assert hint > 0
-            np.testing.assert_array_equal(engine.predict_proba(x), reference)
-            assert all(
-                pair.response.slot_bytes >= hint
-                for pair in engine._rings[: engine.num_workers]
-            )
-
-
-class TestShmLifecycle:
-    def test_close_unlinks_segments(
-        self, trained_cluster_model, operational_cluster_data
-    ):
-        engine = ShardedQueryEngine(
-            trained_cluster_model, batch_size=4, num_workers=2, transport="shm"
-        )
-        engine.predict_proba(operational_cluster_data.x[:16])
-        names = [
-            ring.name
-            for pair in engine._rings
-            for ring in (pair.request, pair.response)
-        ]
-        assert len(names) == 4
-        engine.close()
-        from multiprocessing import shared_memory
-
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name).close()
-
-    def test_respawned_worker_reattaches_to_segments(
-        self, trained_cluster_model, operational_cluster_data
-    ):
-        # kill worker 1 at its second shard: the supervisor respawns it and
-        # the fresh process must reattach to the same rings by name
-        x = operational_cluster_data.x[:64]
-        reference = BatchedQueryEngine(
-            trained_cluster_model, batch_size=4
-        ).predict_proba(x)
-        with ShardedQueryEngine(
-            trained_cluster_model,
-            batch_size=4,
-            num_workers=2,
-            transport="shm",
-            retry=RetryPolicy(shard_timeout_s=1.0),
-            faults=FaultPlan(kills=((1, 2),)),
-        ) as engine:
-            np.testing.assert_array_equal(engine.predict_proba(x), reference)
-            assert engine.stats.worker_respawns >= 1
-
-    def test_exhaustion_degrade_unlinks_segments(
-        self, trained_cluster_model, operational_cluster_data
-    ):
-        # both workers die beyond the respawn budget: the engine degrades to
-        # in-process execution and must not keep holding shared memory
-        x = operational_cluster_data.x[:64]
-        reference = BatchedQueryEngine(
-            trained_cluster_model, batch_size=4
-        ).predict_proba(x)
-        kills = tuple((worker, hit) for worker in (0, 1) for hit in range(1, 7))
-        with ShardedQueryEngine(
-            trained_cluster_model,
-            batch_size=4,
-            num_workers=2,
-            transport="shm",
-            retry=RetryPolicy(
-                shard_timeout_s=0.5, max_respawns=1, on_exhaustion="degrade"
-            ),
-            faults=FaultPlan(kills=kills),
-        ) as engine:
-            np.testing.assert_array_equal(engine.predict_proba(x), reference)
-            assert engine._supervisor.degraded
-            assert all(
-                pair.request.shm is None and pair.response.shm is None
-                for pair in engine._rings
-            )
-            # the degraded engine keeps answering (in-process) bit-identically
-            np.testing.assert_array_equal(engine.predict_proba(x), reference)
-
-    def test_ring_slot_reuse_survives_concurrent_hammering(self):
-        """Distinct slots written/read concurrently never tear.
-
-        The transport's safety argument is per-slot exclusivity (a slot has
-        one writer, then one reader, ordered by submit/harvest); this hammers
-        many slots from many threads at once and checks every read returns
-        exactly what that slot's writer wrote.
-        """
-        ring = ShmRing()
-        try:
-            threads, iterations, rows = 6, 200, 16
-            ring.ensure(slots=threads, slot_bytes=rows * 8 * 8)
-            failures = []
-            barrier = threading.Barrier(threads)
-
-            def hammer(slot):
-                rng = np.random.default_rng(slot)
-                barrier.wait()
-                for _ in range(iterations):
-                    block = rng.random((rows, 8))
-                    entries = ring.write(slot, [block])
-                    offset, shape, dtype = entries[0]
-                    back = ring.read_copy(offset, shape, dtype)
-                    if not np.array_equal(back, block):
-                        failures.append(slot)
-                        return
-
-            workers = [
-                threading.Thread(target=hammer, args=(slot,))
-                for slot in range(threads)
-            ]
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join()
-            assert not failures
-        finally:
-            ring.release()
 
 
 # --------------------------------------------------------------------------- #
@@ -764,70 +482,39 @@ class TestScenarioMatrixEquivalence:
                 )
                 assert sharded.stats.as_dict() == batched.stats.as_dict()
 
+    def test_cache_toggle_keeps_discrete_outcomes(self, scenario):
+        """What holds when the query cache is switched off.
 
-@pytest.mark.slow
-@pytest.mark.parametrize("transport", TRANSPORT_MATRIX)
-@pytest.mark.parametrize("scenario_name", SCENARIO_MATRIX)
-class TestScenarioTransportMatrix:
-    """The scenario matrix must pass unchanged under every shard transport.
-
-    The transport knob only changes how row blocks reach the workers — the
-    pickle wire, shared-memory rings or an in-process thread pool — so for
-    every scenario and every transport, campaigns, reliability estimates and
-    raw engine calls must stay bit-identical to the population baseline.
-    """
-
-    @pytest.fixture()
-    def scenario(self, scenario_name):
-        return _scenario(scenario_name)
-
-    def test_campaigns_bit_identical(self, scenario, transport):
-        seeds = scenario.operational_data.x[:16]
-        labels = scenario.operational_data.y[:16]
-        population = _fuzzer(
-            scenario.naturalness, scenario.operational_data.x, "population"
-        ).fuzz(scenario.model, seeds, labels, rng=2021)
-        sharded = _fuzzer(
-            scenario.naturalness,
-            scenario.operational_data.x,
-            "sharded",
-            transport=transport,
-        ).fuzz(scenario.model, seeds, labels, rng=2021)
-        _assert_campaigns_equivalent(population, sharded)
-
-    def test_reliability_estimates_identical(self, scenario, transport):
-        estimates = {}
-        for policy in (
-            ExecutionPolicy(backend="batched"),
-            ExecutionPolicy(backend="sharded", num_workers=2, transport=transport),
-        ):
-            assessor = ReliabilityAssessor(
-                partition=scenario.partition,
-                profile=scenario.profile,
-                policy=policy,
-                rng=99,
+        A hit shrinks the batch of misses the model sees, and the model's
+        output may depend on the number of rows in a call, so fitness can
+        move in the last bits — but queries, rejections and detections
+        stay equal.
+        """
+        seeds = scenario.operational_data.x[:20]
+        labels = scenario.operational_data.y[:20]
+        campaigns = {}
+        for cache in (True, False):
+            fuzzer = _fuzzer(
+                scenario.naturalness,
+                scenario.operational_data.x,
+                "population",
+                policy=ExecutionPolicy(cache=cache),
             )
-            estimates[policy.backend] = assessor.assess(
-                scenario.model, scenario.operational_data, rng=99
+            campaigns[cache] = fuzzer.fuzz(
+                scenario.model, seeds, labels, budget=240, rng=7
             )
-        batched, sharded = estimates["batched"], estimates["sharded"]
-        assert batched.pmi == sharded.pmi
-        assert batched.pmi_upper == sharded.pmi_upper
-        assert batched.pmi_lower == sharded.pmi_lower
-        assert batched.cells_evaluated == sharded.cells_evaluated
-        assert batched.queries == sharded.queries
-
-    def test_engine_bitwise_on_scenario_inputs(self, scenario, transport):
-        x = scenario.operational_data.x[:48]
-        policy = ExecutionPolicy(
-            backend="sharded", num_workers=2, batch_size=16, transport=transport
-        )
-        with scenario.query_engine(policy=policy) as sharded:
-            with scenario.query_engine(policy=ExecutionPolicy(batch_size=16)) as batched:
-                np.testing.assert_array_equal(
-                    sharded.predict_proba(x), batched.predict_proba(x)
-                )
-                np.testing.assert_array_equal(
-                    sharded.score_naturalness(x), batched.score_naturalness(x)
-                )
-                assert sharded.stats.as_dict() == batched.stats.as_dict()
+        cached, uncached = campaigns[True], campaigns[False]
+        assert len(cached.per_seed) == len(uncached.per_seed)
+        for on, off in zip(cached.per_seed, uncached.per_seed):
+            assert on.seed_index == off.seed_index
+            assert on.queries == off.queries
+            assert (
+                on.candidates_rejected_by_naturalness
+                == off.candidates_rejected_by_naturalness
+            )
+            assert (on.adversarial_example is None) == (
+                off.adversarial_example is None
+            )
+            assert on.best_fitness == pytest.approx(off.best_fitness, rel=1e-12)
+        assert cached.total_queries == uncached.total_queries
+        assert cached.detection_rate == uncached.detection_rate

@@ -10,10 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.config import clip01, ensure_rng
 from repro.data import Dataset, GridPartition
-from repro.engine import BatchedQueryEngine, QueryStats, plan_shards
-from repro.engine.transport import ShmRing, request_block_bytes
-from repro.exceptions import ConfigurationError
-from repro.faults import reassign_worker, replan
+from repro.engine import BatchedQueryEngine, QueryStats
+from repro.engine.batching import _iter_chunks
 from repro.fuzzing import FuzzerConfig, OperationalFuzzer
 from repro.store import PersistentQueryCache
 from repro.nn.losses import SoftmaxCrossEntropy
@@ -227,80 +225,23 @@ class TestEngineShardingProperties:
     @given(
         st.integers(min_value=0, max_value=500),
         st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_shards_partition_rows_exactly(self, n, batch_size, num_workers):
-        shards = plan_shards(n, batch_size, num_workers)
-        assert [s.index for s in shards] == list(range(len(shards)))
+    def test_shards_partition_rows_exactly(self, n, batch_size):
+        """The chunks both backends compute on cover every row, in order."""
         covered = 0
-        for shard in shards:
-            assert shard.start == covered
-            assert shard.stop - shard.start <= batch_size
-            assert shard.worker == shard.index % num_workers
-            covered = shard.stop
+        for start, stop in _iter_chunks(n, batch_size):
+            assert start == covered
+            assert 0 < stop - start <= batch_size
+            covered = stop
         assert covered == n
-
-    @given(
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=8),
-        st.sets(st.integers(min_value=0, max_value=7)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_replan_preserves_partition_and_targets_survivors(
-        self, n, batch_size, num_workers, dead
-    ):
-        """Supervised re-planning never changes what a shard computes.
-
-        The partition (boundaries, indices, order) of a re-planned shard
-        list is byte-for-byte the original's; only orphaned shards move,
-        and only onto surviving workers — the invariants the bit-identity
-        contract of :mod:`repro.faults.supervision` rests on.
-        """
-        shards = plan_shards(n, batch_size, num_workers)
-        alive = [w for w in range(num_workers) if w not in dead]
-        if not alive:
-            if shards:
-                with pytest.raises(ConfigurationError):
-                    replan(shards, alive)
-            return
-        replanned = replan(shards, alive)
-        assert [(s.index, s.start, s.stop) for s in replanned] == [
-            (s.index, s.start, s.stop) for s in shards
-        ]
-        for original, moved in zip(shards, replanned):
-            assert moved.worker in alive
-            if original.worker in alive:
-                assert moved is original  # survivors keep their assignment
-            else:
-                assert moved.worker == reassign_worker(original.index, alive)
-        # pure in its inputs: the same failure yields the same plan
-        assert replan(shards, alive) == replanned
-
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.sets(st.integers(min_value=0, max_value=63), min_size=1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_reassign_worker_deterministic_and_alive(self, shard_index, alive):
-        worker = reassign_worker(shard_index, sorted(alive))
-        assert worker in alive
-        # order- and duplicate-insensitive in the survivor set
-        shuffled = list(alive) + list(alive)
-        assert reassign_worker(shard_index, shuffled) == worker
-        with pytest.raises(ConfigurationError):
-            reassign_worker(shard_index, [])
 
     @given(
         st.integers(min_value=1, max_value=40),
         st.integers(min_value=1, max_value=16),
-        st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=25, deadline=None)
-    def test_merged_shard_stats_equal_single_process_stats(
-        self, n, batch_size, num_workers
-    ):
+    def test_merged_shard_stats_equal_single_process_stats(self, n, batch_size):
         """Chunk-by-chunk deltas merged shard-wise == one in-process engine."""
         model = _AffineToyModel()
         rng = np.random.default_rng(n * 131 + batch_size)
@@ -311,7 +252,7 @@ class TestEngineShardingProperties:
         single.predict_proba(x)
         single.loss_input_gradient(x, y)
 
-        shards = plan_shards(n, batch_size, num_workers)
+        shards = list(_iter_chunks(n, batch_size))
         merged = QueryStats(rows_queried=n, gradient_rows=n)
         for _ in shards:
             merged.merge(QueryStats(model_calls=1))
@@ -319,98 +260,6 @@ class TestEngineShardingProperties:
             merged.merge(QueryStats(gradient_calls=1))
         assert merged.as_dict() == single.stats.as_dict()
 
-
-# --------------------------------------------------------------------------- #
-# shared-memory ring transport
-# --------------------------------------------------------------------------- #
-class TestShmRingProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=12),
-                st.integers(min_value=1, max_value=6),
-                st.sampled_from(["<f8", "<f4", "<i8"]),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-        st.integers(min_value=0, max_value=2_000_000_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_write_read_roundtrip_is_bit_exact(self, specs, seed):
-        """Any block packed into a slot is read back bit-identically.
-
-        Mixed shapes and dtypes in one slot — the gradient path stages
-        ``(x, y)`` with different dtypes — and the envelope entry table must
-        describe exactly what was written.
-        """
-        rng = np.random.default_rng(seed)
-        blocks = [
-            (rng.random((rows, cols)) * 100).astype(np.dtype(dtype))
-            for rows, cols, dtype in specs
-        ]
-        ring = ShmRing()
-        try:
-            ring.ensure(slots=1, slot_bytes=request_block_bytes(blocks, max(
-                block.shape[0] for block in blocks
-            )) or 1)
-            entries = ring.write(0, blocks)
-            assert len(entries) == len(blocks)
-            for block, (offset, shape, dtype) in zip(blocks, entries):
-                assert shape == block.shape
-                assert np.dtype(dtype) == block.dtype
-                np.testing.assert_array_equal(
-                    ring.read_copy(offset, shape, dtype), block
-                )
-        finally:
-            ring.release()
-
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=24),
-        st.integers(min_value=0, max_value=2_000_000_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_slot_reuse_never_leaks_between_slots(self, slots, writes, seed):
-        """Rewriting slots in any order never corrupts other slots' blocks.
-
-        The transport reuses slots ring-style across dispatches; whatever
-        interleaving of writes occurs, each slot's latest block must read
-        back exactly, untouched by every other slot's traffic.
-        """
-        rng = np.random.default_rng(seed)
-        ring = ShmRing()
-        try:
-            ring.ensure(slots=slots, slot_bytes=8 * 4 * 8)
-            latest = {}
-            for target in writes:
-                slot = target % slots
-                block = rng.random((rng.integers(1, 9), 4))
-                (offset, shape, dtype), = ring.write(slot, [block])
-                latest[slot] = (block, offset, shape, dtype)
-                for block_, offset_, shape_, dtype_ in latest.values():
-                    np.testing.assert_array_equal(
-                        ring.read_copy(offset_, shape_, dtype_), block_
-                    )
-        finally:
-            ring.release()
-
-    @given(
-        st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_grow_only_capacity(self, slots, slot_bytes):
-        ring = ShmRing()
-        try:
-            ring.ensure(slots, slot_bytes)
-            first = (ring.slots, ring.slot_bytes)
-            ring.ensure(1, 1)  # shrinking requests never shrink the ring
-            assert (ring.slots, ring.slot_bytes) == first
-            ring.ensure(slots + 3, slot_bytes)
-            assert ring.slots >= slots + 3
-        finally:
-            ring.release()
 
     @given(
         st.lists(

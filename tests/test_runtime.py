@@ -24,7 +24,7 @@ from repro.exceptions import (
     FuzzingError,
     ReliabilityError,
 )
-from repro.fuzzing import DEFAULT_FUZZER_POLICY, FuzzerConfig
+from repro.fuzzing import FuzzerConfig
 from repro.reliability import ReliabilityAssessor
 from repro.runtime import (
     CampaignSpec,
@@ -46,7 +46,6 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy(
             backend="sharded",
             num_workers=3,
-            transport="shm",
             batch_size=128,
             cache=True,
             cache_max_entries=99,
@@ -76,6 +75,16 @@ class TestExecutionPolicy:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown ExecutionPolicy"):
             ExecutionPolicy.from_dict({"backend": "batched", "warp_factor": 9})
+        # fields of the retired process pool: a stored policy naming one
+        # fails at load, and the error names the key
+        for key, value in (
+            ("transport", "auto"),
+            ("start_method", None),
+            ("retry", None),
+            ("faults", None),
+        ):
+            with pytest.raises(ConfigurationError, match=f"'{key}'"):
+                ExecutionPolicy.from_dict({"backend": "sharded", key: value})
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown execution backend"):
@@ -85,7 +94,7 @@ class TestExecutionPolicy:
         "kwargs",
         [
             {"num_workers": 0},
-            {"transport": "carrier-pigeon"},
+            {"telemetry": "yes"},
             {"batch_size": 0},
             {"cache_max_entries": 0},
             {"checkpoint_every": -1},
@@ -141,14 +150,14 @@ class TestBackendRegistry:
         policy = ExecutionPolicy(backend="sharded", num_workers=2)
         with policy.session(trained_cluster_model) as engine:
             engine.predict(np.zeros((3, 2)))
-            assert engine._pools is not None
-        assert engine._pools is None
+            assert engine._pool is not None
+        assert engine._pool is None
         owned = policy.build_engine(trained_cluster_model)
         try:
             owned.predict(np.zeros((3, 2)))
             with policy.session(owned) as passed_through:
                 assert passed_through is owned
-            assert owned._pools is not None
+            assert owned._pool is not None
         finally:
             owned.close()
 
@@ -236,8 +245,9 @@ class TestLegacyKnobShims:
 
     def test_fuzzer_default_policy(self):
         cfg = FuzzerConfig()
-        assert cfg.policy == DEFAULT_FUZZER_POLICY
-        assert cfg.policy.cache is True  # the fuzzer's historical default
+        # the same default as every other subsystem: in-process, no cache
+        assert cfg.policy == ExecutionPolicy()
+        assert cfg.policy.cache is False
 
     def test_workflow_policy_drives_cadence_and_assessor(
         self, cluster_profile, clusters_split, cluster_naturalness
@@ -247,7 +257,6 @@ class TestLegacyKnobShims:
         policy = ExecutionPolicy(
             backend="sharded",
             num_workers=2,
-            transport="threads",
             cache=True,
             checkpoint_every=3,
             telemetry=True,
@@ -261,10 +270,10 @@ class TestLegacyKnobShims:
             rng=0,
         )
         assert loop.config.checkpoint_cadence == 3
-        # every workflow-policy field reaches the fuzzer (transport and
-        # telemetry included); only the fuzzer's own cadence stays its own
+        # every workflow-policy field reaches the fuzzer (telemetry
+        # included); only the fuzzer's own cadence stays its own
         assert loop.fuzzer_config.policy == policy.replace(checkpoint_every=5)
-        assert loop.fuzzer_config.policy.transport == "threads"
+        assert loop.fuzzer_config.policy.telemetry is True
         assert loop.assessor.policy == policy.replace(checkpoint_every=0)
 
     def test_workflow_policy_config_copies_warning_free(self):
@@ -378,6 +387,18 @@ class TestCampaignSpec:
             CampaignSpec.from_dict(self._spec(fuzzer={"queries_per_sseed": 5}))
         with pytest.raises(ConfigurationError, match="unknown key"):
             CampaignSpec.from_dict(self._spec(workflow={"budget": 40}))
+        # specs naming a field of the retired process pool fail at load, in
+        # the policy section and in any other, naming the key
+        for key, value in (
+            ("transport", "auto"),
+            ("start_method", None),
+            ("retry", None),
+            ("faults", None),
+        ):
+            with pytest.raises(ConfigurationError, match=f"'{key}'"):
+                CampaignSpec.from_dict(self._spec(policy={key: value}))
+            with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+                CampaignSpec.from_dict(self._spec(workflow={key: value}))
 
     def test_legacy_knobs_in_sections_rejected(self):
         with pytest.raises(ConfigurationError, match="policy"):
@@ -386,7 +407,7 @@ class TestCampaignSpec:
             CampaignSpec.from_dict(self._spec(workflow={"cache_dir": "/tmp/x"}))
         # derived from ExecutionPolicy's fields, so newer ones are covered too
         with pytest.raises(ConfigurationError, match="'policy' section"):
-            CampaignSpec.from_dict(self._spec(workflow={"transport": "threads"}))
+            CampaignSpec.from_dict(self._spec(workflow={"telemetry": True}))
         # the retired execution alias is pointed at the policy section; the
         # control-flow values stay allowed
         with pytest.raises(ConfigurationError, match="backend='sharded'"):

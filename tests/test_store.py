@@ -860,6 +860,24 @@ class TestCli:
         assert cli_main(["--runs-dir", runs_dir, "resume", "run-0001"]) == 1
         assert "no checkpoint" in capsys.readouterr().err
 
+    def test_stats_with_retired_counters_fail_show_but_not_ls(
+        self, tmp_path, capsys
+    ):
+        # a stats.json written before the fault counters were removed
+        runs_dir = str(tmp_path / "runs")
+        run = RunRegistry(runs_dir).create("old", {})
+        stats = dict(QueryStats(rows_queried=3, model_calls=1).to_dict())
+        stats["shard_retries"] = 0
+        (run.path / "stats.json").write_text(json.dumps(stats))
+        capsys.readouterr()
+        # show fails loudly, naming the unknown field ...
+        assert cli_main(["--runs-dir", runs_dir, "show", run.run_id]) == 1
+        assert "shard_retries" in capsys.readouterr().err
+        # ... while the registry listing does not read stats.json at all
+        assert cli_main(["--runs-dir", runs_dir, "ls", "--json"]) == 0
+        (listed,) = json.loads(capsys.readouterr().out)
+        assert listed["run_id"] == run.run_id
+
     def test_unbuildable_campaign_marks_run_failed(self, tmp_path, capsys):
         runs_dir = str(tmp_path / "runs")
         args = ["--runs-dir", runs_dir] + self.RUN_ARGS[:]

@@ -1,14 +1,13 @@
-"""Tests for ``repro.telemetry`` — spans, metrics, cross-process merge.
+"""Tests for ``repro.telemetry`` — spans, metrics, artifacts.
 
 Fast tier: the ring-buffer collector, the metrics registry, the no-op
-guarantee when no session is active, the worker-payload wire path (including
-monotonic-skew correction), trace/metrics artifacts and their renderers,
-engine integration (telemetry on vs off must be bit-identical — the
-observability layer can never perturb results), span survival across a real
-worker SIGKILL, and the registry/CLI surface (``trace``, ``ls --json``).
+guarantee when no session is active, trace/metrics artifacts and their
+renderers, engine integration (telemetry on vs off must be bit-identical —
+the observability layer can never perturb results; pool-thread spans land
+on worker lanes), and the registry/CLI surface (``trace``, ``ls --json``).
 
 Slow tier (``pytest -m slow``): the on/off bit-identity matrix across
-batched/sharded execution and every shard transport (pickle, shm, threads).
+batched and sharded execution.
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ import pytest
 from repro import telemetry
 from repro.engine import BatchedQueryEngine, ShardedQueryEngine
 from repro.exceptions import StoreError
-from repro.faults import FaultPlan, RetryPolicy
 from repro.store import RunRegistry
 from repro.store.cli import main as cli_main
 from repro.telemetry import (
-    MAX_CLOCK_SKEW_S,
     Counter,
     Gauge,
     Histogram,
@@ -58,10 +55,6 @@ class TestSpan:
         t = s.shifted(1.5)
         assert (t.start_s, t.duration_s) == (3.5, 0.25)
         assert s.shifted(0.0) is s  # no-copy fast path
-
-    def test_wire_round_trip(self):
-        s = Span("a", "app", 2.0, 0.25, proc="worker", worker=1, attrs={"k": 1})
-        assert Span.from_wire(s.to_wire()) == s
 
     def test_to_dict_omits_empty_attrs(self):
         assert "attrs" not in Span("a", "app", 0.0, 0.0).to_dict()
@@ -218,85 +211,6 @@ class TestSessionApi:
 
 
 # --------------------------------------------------------------------------- #
-# worker payload wire path
-# --------------------------------------------------------------------------- #
-class TestWorkerPayload:
-    @pytest.fixture(autouse=True)
-    def _disarm(self):
-        yield
-        telemetry.arm_process_worker(0, enabled=False)
-
-    def test_unarmed_drain_returns_none(self):
-        assert telemetry.drain_worker_payload() is None
-        assert not telemetry.worker_armed()
-
-    def test_armed_worker_records_on_worker_lane(self):
-        telemetry.arm_process_worker(1, enabled=True)
-        assert telemetry.worker_armed()
-        with telemetry.span("shard-0", "shard"):
-            pass
-        telemetry.count("w.count")
-        wire, metrics, (mono, wall) = telemetry.drain_worker_payload()
-        assert len(wire) == 1
-        assert Span.from_wire(wire[0]).lane == "worker-1"
-        assert metrics["w.count"]["value"] == 1.0
-        assert mono > 0 and wall > 0
-        # drain resets: a second drain carries nothing
-        wire2, metrics2, _ = telemetry.drain_worker_payload()
-        assert wire2 == [] and metrics2 == {}
-
-    def test_arming_clears_inherited_session(self):
-        # a forked child must never write into the parent's copied ring
-        with telemetry.session():
-            telemetry.arm_process_worker(0, enabled=False)
-            assert telemetry.active() is None
-            assert not telemetry.enabled()
-
-    def test_ingest_merges_spans_and_metrics(self):
-        telemetry.arm_process_worker(2, enabled=True)
-        with telemetry.span("shard-5", "shard"):
-            pass
-        telemetry.count("engine.rows", 8)
-        payload = telemetry.drain_worker_payload()
-        telemetry.arm_process_worker(0, enabled=False)
-        with telemetry.session() as sess:
-            telemetry.ingest_worker_payload(payload)
-            telemetry.ingest_worker_payload(None)  # telemetry-off worker
-        assert [s.lane for s in sess.spans.snapshot()] == ["worker-2"]
-        assert sess.metrics.to_dict()["engine.rows"]["value"] == 8.0
-
-    def test_skew_beyond_threshold_is_corrected(self):
-        with telemetry.session() as sess:
-            # a worker whose monotonic epoch lags the coordinator's by 100s:
-            # same wall clock, monotonic anchor 100s smaller
-            skew = 100.0
-            wire = [
-                Span(
-                    "shard-0",
-                    "shard",
-                    start_s=sess.anchor_monotonic - skew,
-                    duration_s=0.1,
-                    proc="worker",
-                    worker=0,
-                ).to_wire()
-            ]
-            anchor = (sess.anchor_monotonic - skew, sess.anchor_wall)
-            telemetry.ingest_worker_payload((wire, {}, anchor))
-        (span,) = sess.spans.snapshot()
-        assert span.start_s == pytest.approx(sess.anchor_monotonic, abs=1e-6)
-
-    def test_skew_below_threshold_left_alone(self):
-        with telemetry.session() as sess:
-            jitter = MAX_CLOCK_SKEW_S / 2
-            start = sess.anchor_monotonic + 1.0
-            wire = [Span("s", "shard", start, 0.1, "worker", 0).to_wire()]
-            anchor = (sess.anchor_monotonic - jitter, sess.anchor_wall)
-            telemetry.ingest_worker_payload((wire, {}, anchor))
-        (span,) = sess.spans.snapshot()
-        assert span.start_s == start
-
-
-# --------------------------------------------------------------------------- #
 # artifacts + renderers
 # --------------------------------------------------------------------------- #
 def _session_with_spans() -> TelemetrySession:
@@ -375,7 +289,7 @@ class TestArtifacts:
 
 
 # --------------------------------------------------------------------------- #
-# engine integration: bit-identity and cross-process merge
+# engine integration: bit-identity and worker lanes
 # --------------------------------------------------------------------------- #
 class TestEngineIntegration:
     def test_batched_engine_metrics(
@@ -391,35 +305,12 @@ class TestEngineIntegration:
         assert metrics["engine.model_calls"]["value"] == 3.0  # ceil(20/8)
         assert metrics["engine.chunk_latency_s"]["count"] == 3
 
-    def test_sharded_engine_merges_worker_spans(
-        self, trained_cluster_model, operational_cluster_data
-    ):
-        x = operational_cluster_data.x[:32]
-        with ShardedQueryEngine(
-            trained_cluster_model, batch_size=4, num_workers=2
-        ) as engine:
-            off = engine.predict_proba(x)
-            with telemetry.session() as sess:
-                on = engine.predict_proba(x)
-        # the observability layer can never perturb results
-        np.testing.assert_array_equal(on, off)
-        spans = sess.spans.snapshot()
-        lanes = {s.lane for s in spans}
-        # worker spans crossed the process boundary and merged
-        assert {"coordinator", "worker-0", "worker-1"} <= lanes
-        cats = {s.category for s in spans}
-        assert {"engine", "dispatch", "shard"} <= cats
-        metrics = sess.metrics.to_dict()
-        assert metrics["engine.rows"]["value"] == 32.0
-        assert metrics["transport.dispatch.pickle"]["value"] >= 1.0
-
     def test_sharded_threads_records_worker_lanes(
         self, trained_cluster_model, operational_cluster_data
     ):
         x = operational_cluster_data.x[:16]
         with ShardedQueryEngine(
-            trained_cluster_model, batch_size=4, num_workers=2,
-            transport="threads",
+            trained_cluster_model, batch_size=4, num_workers=2
         ) as engine:
             off = engine.predict_proba(x)
             with telemetry.session() as sess:
@@ -429,39 +320,6 @@ class TestEngineIntegration:
             s.lane for s in sess.spans.snapshot() if s.category == "shard"
         }
         assert shard_lanes and all(l.startswith("worker-") for l in shard_lanes)
-
-    def test_spans_survive_worker_sigkill(
-        self, trained_cluster_model, operational_cluster_data
-    ):
-        # a worker SIGKILLed mid-campaign loses at most its in-flight shard's
-        # spans; the harvest path never hangs and the merge never corrupts
-        x = operational_cluster_data.x[:32]
-        with ShardedQueryEngine(
-            trained_cluster_model, batch_size=6, num_workers=2
-        ) as clean:
-            expected = clean.predict_proba(x)
-        engine = ShardedQueryEngine(
-            trained_cluster_model,
-            batch_size=6,
-            num_workers=2,
-            retry=RetryPolicy(backoff_base_s=0.0),
-            faults=FaultPlan(kills=((1, 1),)),
-        )
-        try:
-            with telemetry.session() as sess:
-                np.testing.assert_array_equal(engine.predict_proba(x), expected)
-            assert engine.stats.worker_respawns >= 1
-        finally:
-            engine.close()
-        spans = sess.spans.snapshot()
-        # the death was observed and recorded as a fault event...
-        down = [s for s in spans if s.name == "fault.worker_down"]
-        assert down and down[0].category == "fault"
-        # ...surviving workers' spans still merged across the boundary
-        assert any(s.proc == "worker" for s in spans)
-        metrics = sess.metrics.to_dict()
-        assert metrics["faults.worker_respawns"]["value"] >= 1.0
-        assert metrics["faults.shard_retries"]["value"] >= 1.0
 
 
 # --------------------------------------------------------------------------- #
@@ -524,17 +382,16 @@ class TestRegistryAndCli:
         assert cli_main(base + ["trace", "run-0001", "--json"]) == 0
         raw = json.loads(capsys.readouterr().out)
         assert len(raw["spans"]) == header["spans"]
-        # show surfaces fault counters and the telemetry summary
+        # show surfaces the engine stats and the telemetry summary
         assert cli_main(base + ["show", "run-0001"]) == 0
         shown = capsys.readouterr().out
-        assert "fault counters" in shown
+        assert "engine stats" in shown and "cache_corrupt_records" in shown
         assert "telemetry:" in shown
         # ls --json is machine-readable and flags telemetry
         assert cli_main(base + ["ls", "--json"]) == 0
         listing = json.loads(capsys.readouterr().out)
         assert listing[0]["run_id"] == "run-0001"
         assert listing[0]["has_telemetry"] is True
-        assert listing[0]["fault_counters"]["worker_respawns"] == 0
 
     def test_trace_without_artifact_errors(self, tmp_path, capsys):
         registry = RunRegistry(tmp_path / "runs")
@@ -549,9 +406,8 @@ class TestRegistryAndCli:
 # --------------------------------------------------------------------------- #
 @pytest.mark.slow
 class TestBitIdentityMatrix:
-    @pytest.mark.parametrize("transport", ["pickle", "shm", "threads"])
-    def test_sharded_transports(
-        self, transport, trained_cluster_model, cluster_naturalness,
+    def test_sharded(
+        self, trained_cluster_model, cluster_naturalness,
         operational_cluster_data,
     ):
         x = operational_cluster_data.x[:48]
@@ -563,7 +419,6 @@ class TestBitIdentityMatrix:
                 naturalness=cluster_naturalness,
                 batch_size=5,
                 num_workers=2,
-                transport=transport,
             ) as engine:
                 with telemetry.session(enabled=enabled):
                     results[label] = (
