@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, DataError
 
 #: Type accepted everywhere a random source is needed.
 RngLike = Union[None, int, np.random.Generator]
@@ -86,6 +86,25 @@ DEFAULTS = GlobalConfig()
 def clip01(x: np.ndarray) -> np.ndarray:
     """Clip an array into the canonical ``[0, 1]`` input domain."""
     return np.clip(x, 0.0, 1.0)
+
+
+def finite_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` itself, or :class:`DataError` naming its first non-finite row.
+
+    The query engines call this on every input before the cache or the
+    model sees a row, and the operational profiles before a density.  A NaN
+    or infinite coordinate is not a question either can answer: ``ReLU``
+    maps NaN to 0, so the model would classify such a row from its biases
+    alone, and a NaN density passes every ``density < floor`` rejection.
+    """
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1))[0])
+        raise DataError(
+            f"input row {bad} has a non-finite value (NaN or inf); "
+            "only finite inputs are accepted"
+        )
+    return x
 
 
 #: Environment variable overriding where ``python -m repro`` keeps its runs.

@@ -250,12 +250,16 @@ class OperationalTestingLoop:
             self.last_estimate = estimate_before
             total_test_cases = 0
             start_iteration = 0
+        # the scale of the fuzzer's OP-density weights: fixed by the
+        # operational data and the profile, so one evaluation serves every
+        # iteration
+        mean_density = max(float(self.profile.density(operational_data.x).mean()), 1e-12)
 
         for iteration in range(start_iteration, self.stopping_rule.max_iterations):
             with telemetry.span(f"iteration-{iteration}", "app",
                                 iteration=iteration):
                 iteration_report, current, estimate_after = self._run_iteration(
-                    iteration, current, operational_data, estimate_before
+                    iteration, current, operational_data, estimate_before, mean_density
                 )
             total_test_cases += iteration_report.test_cases_used
             report.append(iteration_report)
@@ -286,6 +290,7 @@ class OperationalTestingLoop:
         model: Sequential,
         operational_data: Dataset,
         estimate_before: ReliabilityEstimate,
+        mean_density: float,
     ) -> Tuple[IterationReport, Sequential, ReliabilityEstimate]:
         # ---- step 2: seed sampling -------------------------------------- #
         num_seeds = min(self.config.seeds_per_iteration, len(operational_data))
@@ -298,7 +303,6 @@ class OperationalTestingLoop:
             natural_pool=operational_data.x,
         )
         densities = self.profile.density(selection.x)
-        mean_density = max(float(self.profile.density(operational_data.x).mean()), 1e-12)
         campaign = fuzzer.fuzz(
             model,
             selection.x,

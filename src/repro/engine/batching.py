@@ -31,7 +31,8 @@ from typing import Dict, Iterator, Mapping, Optional, Protocol, Tuple, runtime_c
 import numpy as np
 
 from .. import telemetry
-from ..exceptions import ConfigurationError, DataError
+from ..config import finite_rows
+from ..exceptions import ConfigurationError
 from ..naturalness.metrics import NaturalnessScorer
 from ..telemetry import clock
 from ..types import Classifier
@@ -108,25 +109,6 @@ class QueryStats:
 #: Every :class:`QueryStats` counter, in declaration order — the one list
 #: ``as_dict`` and ``merge`` loop over (read once here, not per merge).
 _COUNTER_FIELDS = tuple(field.name for field in dataclasses.fields(QueryStats))
-
-
-def finite_rows(x: np.ndarray) -> np.ndarray:
-    """``x`` itself, or :class:`DataError` naming its first non-finite row.
-
-    Every query entry point calls this right after converting its input to
-    floats, before the cache or the model sees a row.  A NaN or infinite
-    coordinate is not a question the model can answer: ``ReLU`` maps NaN to
-    0, so such a row would get finite probabilities from the biases alone,
-    be cached, and could be reported as an adversarial example.
-    """
-    finite = np.isfinite(x)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1))[0])
-        raise DataError(
-            f"query row {bad} has a non-finite value (NaN or inf); "
-            "the engine only accepts finite inputs"
-        )
-    return x
 
 
 @runtime_checkable
@@ -422,7 +404,6 @@ __all__ = [
     "CacheBackend",
     "QueryCache",
     "row_cache_key",
-    "finite_rows",
     "BatchedQueryEngine",
     "as_query_engine",
 ]

@@ -43,6 +43,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
+from ..config import finite_rows
 from ..exceptions import ConfigurationError
 from ..naturalness.metrics import NaturalnessScorer
 from ..telemetry import clock
@@ -52,7 +53,6 @@ from .batching import (
     BatchedQueryEngine,
     QueryStats,
     _iter_chunks,
-    finite_rows,
 )
 
 

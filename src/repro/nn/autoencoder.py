@@ -5,7 +5,8 @@ local operational profile inside a cell.  One standard proxy is the
 reconstruction error of an autoencoder trained on natural (operational) data:
 inputs close to the data manifold reconstruct well, off-manifold perturbations
 reconstruct poorly.  :class:`repro.naturalness.autoencoder` wraps this class
-into a scorer; here we only provide the model and its training loop.
+into a scorer; here we only provide the model, trained by
+:class:`repro.nn.trainer.Trainer` with its own inputs as regression targets.
 """
 
 from __future__ import annotations
@@ -92,18 +93,12 @@ class DenseAutoencoder:
                 f"expected training data of shape (n, {self.input_dim}), got {x.shape}"
             )
         cfg = self.config
-        n = len(x)
-        batch_size = min(cfg.batch_size, n)
-        optimizer = Adam(learning_rate=cfg.learning_rate)
-        for _ in range(cfg.epochs):
-            order = self._rng.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                batch = x[idx]
-                logits = self.network.forward(batch, training=True)
-                self.network.loss.forward(logits, batch)
-                self.network.backward(self.network.loss.backward())
-                optimizer.step(self.network.layers)
+        trainer = Trainer(
+            Adam(cfg.learning_rate),
+            TrainerConfig(epochs=cfg.epochs, batch_size=cfg.batch_size),
+            rng=self._rng,
+        )
+        trainer.fit(self.network, x, x)
         self._fitted = True
         return self
 

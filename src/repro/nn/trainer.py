@@ -88,7 +88,9 @@ class Trainer:
         network:
             The model to train (modified in place).
         x, y:
-            Training inputs and integer labels.
+            Training inputs and their targets: integer labels (1-D), or
+            regression targets shaped like the network output (2-D or more,
+            e.g. an autoencoder's inputs), for which no accuracy is recorded.
         sample_weight:
             Optional non-negative per-sample weights; the loss normalises them
             to mean one inside each batch.
@@ -98,7 +100,8 @@ class Trainer:
             Called as ``epoch_callback(epoch_index, history)`` after each epoch.
         """
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=int)
+        regression = np.ndim(y) >= 2
+        y = np.asarray(y, dtype=float if regression else int)
         if x.ndim != 2:
             raise DataError(f"training inputs must be 2-D, got shape {x.shape}")
         if len(x) != len(y):
@@ -128,22 +131,27 @@ class Trainer:
                 epoch_losses.append(loss_value)
 
             train_loss = float(np.mean(epoch_losses))
-            train_acc = accuracy(y, network.predict(x))
             history.train_loss.append(train_loss)
-            history.train_accuracy.append(train_acc)
+            if not regression:
+                history.train_accuracy.append(accuracy(y, network.predict(x)))
 
             if has_validation:
                 val_loss = network.compute_loss(x_val, y_val)
-                val_acc = accuracy(np.asarray(y_val, dtype=int), network.predict(x_val))
                 history.val_loss.append(val_loss)
-                history.val_accuracy.append(val_acc)
+                if not regression:
+                    history.val_accuracy.append(
+                        accuracy(np.asarray(y_val, dtype=int), network.predict(x_val))
+                    )
             else:
                 val_loss = train_loss
 
             if self.config.verbose:  # pragma: no cover - console output only
+                accuracy_note = (
+                    "" if regression else f" acc={history.train_accuracy[-1]:.4f}"
+                )
                 print(
                     f"epoch {epoch + 1}/{self.config.epochs} "
-                    f"loss={train_loss:.4f} acc={train_acc:.4f}"
+                    f"loss={train_loss:.4f}{accuracy_note}"
                 )
 
             if epoch_callback is not None:

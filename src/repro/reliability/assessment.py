@@ -212,15 +212,7 @@ class ReliabilityAssessor:
         weights = self._cell_probs
         point = self.bayes.posterior_means(table)
         upper = self.bayes.posterior_upper_bounds(table, self.confidence)
-        lower_model = BayesianCellModel(prior=self.bayes.prior)
-        lower = np.array(
-            [
-                lower_model.posterior_for(ev.trials, ev.failures, cid).lower_bound(self.confidence)
-                if (ev := table.cells.get(cid)) is not None
-                else 0.0
-                for cid in range(self.partition.num_cells)
-            ]
-        )
+        lower = self.bayes.posterior_lower_bounds(table, self.confidence)
         pmi = float(np.dot(weights, point))
         pmi_upper = float(np.dot(weights, upper))
         pmi_lower = float(np.dot(weights, lower))

@@ -40,6 +40,35 @@ class BetaPrior:
         return self.alpha / (self.alpha + self.beta)
 
 
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:
+        raise ReliabilityError("confidence must be in (0, 1)")
+
+
+def _upper_bounds(alpha, beta, confidence: float) -> np.ndarray:
+    """Upper credible bounds of ``Beta(alpha, beta)`` posteriors, elementwise.
+
+    One ``ppf`` call over arrays gives the same bits as one call per cell.
+    """
+    _check_confidence(confidence)
+    return stats.beta.ppf(confidence, alpha, beta)
+
+
+def _lower_bounds(alpha, beta, confidence: float) -> np.ndarray:
+    """Lower credible bounds of ``Beta(alpha, beta)`` posteriors, elementwise.
+
+    For ``confidence`` within float noise of 0.5 the two one-sided quantiles
+    coincide; ``ppf`` is not strictly monotone at machine precision there,
+    so the result is capped at the upper bound to keep ``lower <= upper``
+    always true.
+    """
+    _check_confidence(confidence)
+    lower = stats.beta.ppf(1.0 - confidence, alpha, beta)
+    if 0.5 <= confidence <= 0.5 + 1e-9:
+        lower = np.minimum(lower, stats.beta.ppf(confidence, alpha, beta))
+    return lower
+
+
 @dataclass
 class CellPosterior:
     """Beta posterior over one cell's unastuteness."""
@@ -54,24 +83,14 @@ class CellPosterior:
 
     def upper_bound(self, confidence: float = 0.95) -> float:
         """Upper credible bound at the given one-sided confidence level."""
-        if not 0.0 < confidence < 1.0:
-            raise ReliabilityError("confidence must be in (0, 1)")
-        return float(stats.beta.ppf(confidence, self.alpha, self.beta))
+        return float(_upper_bounds(self.alpha, self.beta, confidence))
 
     def lower_bound(self, confidence: float = 0.95) -> float:
         """Lower credible bound at the given one-sided confidence level.
 
-        For ``confidence`` within float noise of 0.5 the two one-sided
-        quantiles coincide; ``ppf`` is not strictly monotone at machine
-        precision there, so the result is capped at the upper bound to keep
-        ``lower <= upper`` always true.
+        Never above :meth:`upper_bound`, also at ``confidence`` near 0.5.
         """
-        if not 0.0 < confidence < 1.0:
-            raise ReliabilityError("confidence must be in (0, 1)")
-        lower = float(stats.beta.ppf(1.0 - confidence, self.alpha, self.beta))
-        if 0.5 <= confidence <= 0.5 + 1e-9:
-            lower = min(lower, float(stats.beta.ppf(confidence, self.alpha, self.beta)))
-        return lower
+        return float(_lower_bounds(self.alpha, self.beta, confidence))
 
 
 class BayesianCellModel:
@@ -111,20 +130,44 @@ class BayesianCellModel:
         """Conservative (upper credible bound) unastuteness for every cell."""
         return self._vector(table, bound=confidence)
 
+    def posterior_lower_bounds(
+        self, table: CellEvidenceTable, confidence: float = 0.95
+    ) -> np.ndarray:
+        """Lower credible bound for every cell; 0 for a cell with no evidence."""
+        cell_ids, alpha, beta = self._evidence_posteriors(table)
+        values = np.zeros(table.partition.num_cells)
+        values[cell_ids] = _lower_bounds(alpha, beta, confidence)
+        return values
+
+    def _evidence_posteriors(
+        self, table: CellEvidenceTable
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell ids of the table's evidence and their posterior Beta parameters."""
+        evidence = np.array(
+            [(cell_id, ev.trials, ev.failures) for cell_id, ev in table.cells.items()],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        cell_ids, trials, failures = evidence.T
+        if np.any((trials < 0) | (failures < 0) | (failures > trials)):
+            raise ReliabilityError("invalid evidence: need 0 <= failures <= trials")
+        alpha = self.prior.alpha + failures.astype(float)
+        beta = self.prior.beta + (trials - failures).astype(float)
+        return cell_ids, alpha, beta
+
     def _vector(self, table: CellEvidenceTable, bound: float | None) -> np.ndarray:
         num_cells = table.partition.num_cells
         if self.unexplored_pessimistic:
-            default_posterior = CellPosterior(-1, self.prior.alpha, self.prior.beta)
+            default_alpha, default_beta = self.prior.alpha, self.prior.beta
         else:
-            default_posterior = CellPosterior(-1, 1e-3, 1e3)
-        default_value = (
-            default_posterior.mean if bound is None else default_posterior.upper_bound(bound)
-        )
-        values = np.full(num_cells, default_value, dtype=float)
-        for cell_id, evidence in table.cells.items():
-            posterior = self.posterior_for(evidence.trials, evidence.failures, cell_id)
-            values[cell_id] = posterior.mean if bound is None else posterior.upper_bound(bound)
-        return values
+            default_alpha, default_beta = 1e-3, 1e3
+        alpha = np.full(num_cells, default_alpha, dtype=float)
+        beta = np.full(num_cells, default_beta, dtype=float)
+        cell_ids, evidence_alpha, evidence_beta = self._evidence_posteriors(table)
+        alpha[cell_ids] = evidence_alpha
+        beta[cell_ids] = evidence_beta
+        if bound is None:
+            return alpha / (alpha + beta)
+        return _upper_bounds(alpha, beta, bound)
 
 
 __all__ = ["BetaPrior", "CellPosterior", "BayesianCellModel"]

@@ -143,7 +143,48 @@ class TestSerialization:
         np.testing.assert_allclose(model.predict_logits(x), other.predict_logits(x))
 
 
+def reference_autoencoder_fit(autoencoder, x):
+    """The autoencoder's own training loop, before ``Trainer.fit`` ran it."""
+    cfg = autoencoder.config
+    network = autoencoder.network
+    n = len(x)
+    batch_size = min(cfg.batch_size, n)
+    optimizer = Adam(learning_rate=cfg.learning_rate)
+    for _ in range(cfg.epochs):
+        order = autoencoder._rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = x[order[start : start + batch_size]]
+            network.loss.forward(network.forward(batch, training=True), batch)
+            network.backward(network.loss.backward())
+            optimizer.step(network.layers)
+    autoencoder._fitted = True
+
+
 class TestAutoencoder:
+    @pytest.mark.parametrize(
+        "n, d, config",
+        [
+            (10, 4, AutoencoderConfig(hidden_sizes=(8,), latent_dim=2, epochs=4)),
+            (100, 6, AutoencoderConfig(hidden_sizes=(8,), latent_dim=2, epochs=4)),
+            (96, 6, AutoencoderConfig(hidden_sizes=(8, 4), latent_dim=2, epochs=3, batch_size=32)),
+            # the shape of the glyph scenario's naturalness autoencoder
+            (562, 144, AutoencoderConfig(hidden_sizes=(64,), latent_dim=16, epochs=5)),
+        ],
+        ids=["n<batch", "n%batch!=0", "n%batch==0", "glyph"],
+    )
+    def test_trainer_fit_matches_reference_loop_bitwise(self, n, d, config):
+        x = np.random.default_rng(n).random((n, d))
+        fitted = DenseAutoencoder(d, config, rng=7).fit(x)
+        reference = DenseAutoencoder(d, config, rng=7)
+        reference_autoencoder_fit(reference, x)
+        for got, want in zip(fitted.network.get_weights(), reference.network.get_weights()):
+            assert got.keys() == want.keys()
+            for name in got:
+                np.testing.assert_array_equal(got[name], want[name])
+        np.testing.assert_array_equal(
+            fitted.reconstruction_error(x), reference.reconstruction_error(x)
+        )
+
     def test_fit_reduces_reconstruction_error(self):
         data = make_gaussian_clusters(300, num_classes=3, cluster_std=0.05, rng=0)
         config = AutoencoderConfig(hidden_sizes=(16,), latent_dim=2, epochs=30)

@@ -6,6 +6,9 @@ import pytest
 from repro.data import make_gaussian_clusters
 from repro.exceptions import ConfigurationError, DataError
 from repro.nn import Adam, SGD, Trainer, TrainerConfig, accuracy, build_mlp_classifier
+from repro.nn.layers import Dense, ReLU
+from repro.nn.losses import MeanSquaredError
+from repro.nn.network import Sequential
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +97,21 @@ class TestFit:
             model, train.x, train.y, epoch_callback=lambda e, h: calls.append(e)
         )
         assert calls == [0, 1, 2]
+
+    def test_regression_targets_record_no_accuracy(self, toy_data):
+        # targets shaped like the output are regression targets: kept as
+        # floats, with a loss history and no accuracy
+        train, test = toy_data
+        network = Sequential(
+            [Dense(2, 8, rng=0), ReLU(), Dense(8, 2, rng=1)], loss=MeanSquaredError()
+        )
+        history = Trainer(Adam(0.01), TrainerConfig(epochs=4), rng=0).fit(
+            network, train.x, train.x, x_val=test.x, y_val=test.x
+        )
+        assert history.num_epochs == len(history.val_loss) == 4
+        assert history.train_accuracy == [] and history.val_accuracy == []
+        assert history.train_loss[-1] < history.train_loss[0]
+        assert network.is_trained
 
     def test_shuffle_off_is_deterministic(self, toy_data):
         train, _ = toy_data

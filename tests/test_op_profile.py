@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import GridPartition, make_gaussian_clusters
-from repro.exceptions import ProfileError, ShapeError
+from repro.exceptions import DataError, ProfileError, ShapeError
+from repro.naturalness import DensityNaturalness
 from repro.op import (
     CellProfile,
     EmpiricalProfile,
@@ -137,6 +140,126 @@ class TestEmpiricalProfile:
             EmpiricalProfile(np.zeros((3, 2)), weights=np.array([1.0, 1.0]))
         with pytest.raises(ProfileError):
             EmpiricalProfile(np.zeros((3, 2)), bandwidth=-1.0)
+
+
+def broadcast_density(profile, x):
+    """The KDE with exact per-row squared distances, by broadcasting.
+
+    The reference for :meth:`EmpiricalProfile.density`, which expands the
+    distances into one matrix product per block; this form has no cross-row
+    rounding, at the cost of a (block, pool, features) temporary.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    h2 = profile.bandwidth**2
+    log_norm = -0.5 * profile.num_features * np.log(2 * np.pi * h2)
+    densities = np.zeros(len(x))
+    block = 256
+    for start in range(0, len(x), block):
+        chunk = x[start : start + block]
+        sq_dist = np.sum((chunk[:, None, :] - profile.samples[None, :, :]) ** 2, axis=2)
+        log_kernel = log_norm - 0.5 * sq_dist / h2
+        max_log = log_kernel.max(axis=1, keepdims=True)
+        weighted = profile.weights[None, :] * np.exp(log_kernel - max_log)
+        densities[start : start + block] = np.exp(max_log[:, 0]) * weighted.sum(axis=1)
+    return densities
+
+
+#: The Scott-bandwidth tolerance; the measured worst case is under 1e-12 (d = 144).
+SCOTT_RTOL = 1e-10
+
+
+def expansion_rtol(profile, x):
+    """Per-row tolerance of the distance expansion at the profile's bandwidth.
+
+    ``||x||^2 + ||s||^2 - 2 x.s`` loses about ``eps (||x||^2 + ||s||^2)`` to
+    cancellation, and the kernel divides that by ``2 h^2``; 16 covers the
+    rounding of the dot product (measured: 4.3e-10 against a bound of
+    3.5e-9 at d = 144, h = 0.01).
+    """
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    pool_max = np.einsum("ij,ij->i", profile.samples, profile.samples).max()
+    return 16 * np.finfo(float).eps * (sq_norms + pool_max) / profile.bandwidth**2
+
+
+def assert_density_close(actual, expected, rtol):
+    # subnormal densities carry too few bits for a relative comparison
+    tiny = np.finfo(float).tiny
+    np.testing.assert_array_equal(actual == 0, expected == 0)
+    assert np.all(np.abs(actual - expected) <= rtol * np.abs(expected) + tiny)
+
+
+@st.composite
+def kde_cases(draw):
+    """A weighted pool and query rows on it, near it, around it and far off."""
+    d = draw(st.sampled_from([2, 16, 144]))
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pool = rng.random((n, d))
+    if n > 1 and draw(st.booleans()):
+        pool[-1] = pool[0]  # a duplicated pool row
+    weights = rng.random(n) + 0.01 if draw(st.booleans()) else None
+    bandwidth = draw(st.one_of(st.none(), st.sampled_from([0.01, 0.05, 0.3, 1.0])))
+    offset = draw(st.floats(min_value=1.0, max_value=50.0))
+    picks = rng.integers(0, n, size=4)
+    x = np.concatenate(
+        [
+            pool[picks[:2]],  # distance exactly 0
+            pool[picks[2:]] + rng.normal(0.0, 1e-3, size=(2, d)),
+            rng.random((3, d)),  # uniform noise
+            rng.random((2, d)) + offset,  # off the manifold
+        ]
+    )
+    profile = EmpiricalProfile(pool, weights=weights, bandwidth=bandwidth)
+    return profile, x, bandwidth is None
+
+
+class TestEmpiricalDensityExpansion:
+    @given(kde_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_broadcast_reference(self, case):
+        profile, x, scott = case
+        rtol = SCOTT_RTOL if scott else expansion_rtol(profile, x)
+        assert_density_close(profile.density(x), broadcast_density(profile, x), rtol)
+
+    @pytest.mark.parametrize("bandwidth", [None, 0.05])
+    def test_row_alone_agrees_with_its_block(self, bandwidth):
+        # the contract the expansion changes: one row's density may move in
+        # its last bits with the rows sharing its call, within the tolerance
+        rng = np.random.default_rng(3)
+        profile = EmpiricalProfile(rng.random((600, 144)), bandwidth=bandwidth)
+        block = np.concatenate(
+            [profile.samples[:128], profile.samples[128:256] + rng.normal(0, 0.01, (128, 144))]
+        )
+        together = profile.density(block)
+        alone = np.concatenate([profile.density(row) for row in block])
+        rtol = SCOTT_RTOL if bandwidth is None else expansion_rtol(profile, block)
+        assert_density_close(alone, together, rtol)
+        np.testing.assert_array_equal(profile.density(block), together)
+
+
+class TestNonFiniteRows:
+    """A NaN or infinite row is an error, not a NaN density."""
+
+    @pytest.fixture(params=["gaussian-mixture", "empirical", "cell"])
+    def profile(self, request, gmm_profile):
+        if request.param == "gaussian-mixture":
+            return gmm_profile
+        if request.param == "empirical":
+            return EmpiricalProfile(np.random.default_rng(0).random((20, 2)))
+        return CellProfile(GridPartition(2, bins_per_dim=2), np.full(4, 0.25))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_density_names_the_row(self, profile, bad):
+        x = np.full((5, 2), 0.5)
+        x[2, 1] = bad
+        with pytest.raises(DataError, match="row 2"):
+            profile.density(x)
+
+    def test_naturalness_score_raises(self, profile):
+        # a NaN score passes the fuzzer's `naturalness < floor` rejection
+        scorer = DensityNaturalness(profile=profile).fit(np.full((4, 2), 0.5))
+        with pytest.raises(DataError, match="row 0"):
+            scorer.score(np.array([[np.nan, 0.5]]))
 
 
 class TestCellProfile:

@@ -9,6 +9,7 @@ from repro.reliability import (
     BayesianCellModel,
     BetaPrior,
     CellEvidence,
+    CellPosterior,
     CellEvidenceTable,
     CellRobustnessEvaluator,
     ReliabilityAssessor,
@@ -145,6 +146,71 @@ class TestBayesianCellModel:
         assert np.all(model.posterior_means(table) < 0.01)
 
 
+def random_evidence_table(num_cells: int) -> CellEvidenceTable:
+    """Evidence on two thirds of a partition's cells, zero-trial cells included."""
+    rng = np.random.default_rng(0)
+    partition = GridPartition(2, bins_per_dim=int(np.sqrt(num_cells)))
+    table = CellEvidenceTable(partition=partition)
+    for cell_id in rng.permutation(partition.num_cells)[: 2 * partition.num_cells // 3]:
+        trials = int(rng.integers(0, 60))
+        failures = int(rng.integers(0, trials + 1))
+        table.add(CellEvidence(int(cell_id), label=0, trials=trials, failures=failures))
+    return table
+
+
+class TestArrayBounds:
+    """The one-call array bounds equal the per-cell scalar bounds, bit for bit."""
+
+    # one ulp above 0.5, ppf(1 - c) exceeds ppf(c) on many cells; the
+    # lower bound's clamp must keep lower <= upper there
+    @pytest.mark.parametrize(
+        "confidence", [0.5, np.nextafter(0.5, 1.0), 0.5 + 1e-10, 0.9, 0.95]
+    )
+    @pytest.mark.parametrize("pessimistic", [True, False])
+    def test_equal_to_per_cell_posteriors(self, confidence, pessimistic):
+        table = random_evidence_table(900)
+        model = BayesianCellModel(BetaPrior(1.0, 9.0), unexplored_pessimistic=pessimistic)
+        unexplored = (
+            CellPosterior(-1, 1.0, 9.0) if pessimistic else CellPosterior(-1, 1e-3, 1e3)
+        )
+        posteriors = [
+            model.posterior_for(ev.trials, ev.failures, cid)
+            if (ev := table.cells.get(cid)) is not None
+            else None
+            for cid in range(table.partition.num_cells)
+        ]
+        expected_means = [(p or unexplored).mean for p in posteriors]
+        expected_upper = [(p or unexplored).upper_bound(confidence) for p in posteriors]
+        expected_lower = [0.0 if p is None else p.lower_bound(confidence) for p in posteriors]
+        upper = model.posterior_upper_bounds(table, confidence)
+        lower = model.posterior_lower_bounds(table, confidence)
+        np.testing.assert_array_equal(model.posterior_means(table), expected_means)
+        np.testing.assert_array_equal(upper, expected_upper)
+        np.testing.assert_array_equal(lower, expected_lower)
+        assert np.all(lower <= upper)
+
+    def test_failures_above_trials_raise(self):
+        table = CellEvidenceTable(partition=GridPartition(2, bins_per_dim=2))
+        table.add(CellEvidence(cell_id=1, label=0, trials=2, failures=3))
+        model = BayesianCellModel()
+        for vector in (
+            model.posterior_means,
+            model.posterior_upper_bounds,
+            model.posterior_lower_bounds,
+        ):
+            with pytest.raises(ReliabilityError, match="failures <= trials"):
+                vector(table)
+
+    def test_confidence_outside_unit_interval_raises(self):
+        table = random_evidence_table(16)
+        model = BayesianCellModel()
+        for confidence in (0.0, 1.0):
+            with pytest.raises(ReliabilityError, match="confidence"):
+                model.posterior_upper_bounds(table, confidence)
+            with pytest.raises(ReliabilityError, match="confidence"):
+                model.posterior_lower_bounds(table, confidence)
+
+
 class TestReliabilityAssessor:
     @pytest.fixture()
     def assessor(self, cluster_profile):
@@ -179,6 +245,30 @@ class TestReliabilityAssessor:
             np.dot(assessor.cell_probabilities, assessor.bayes.posterior_means(table))
         )
         assert estimate.pmi == pytest.approx(manual)
+
+    def test_pmi_bounds_equal_per_cell_reference(
+        self, assessor, trained_cluster_model, operational_cluster_data
+    ):
+        table = assessor.evaluator.evaluate(
+            trained_cluster_model, operational_cluster_data, rng=0
+        )
+        estimate = assessor.assess_from_evidence(table)
+        posteriors = {
+            cid: assessor.bayes.posterior_for(ev.trials, ev.failures, cid)
+            for cid, ev in table.cells.items()
+        }
+        prior = CellPosterior(-1, assessor.bayes.prior.alpha, assessor.bayes.prior.beta)
+        upper = [
+            posteriors.get(cid, prior).upper_bound(assessor.confidence)
+            for cid in range(assessor.partition.num_cells)
+        ]
+        lower = [
+            posteriors[cid].lower_bound(assessor.confidence) if cid in posteriors else 0.0
+            for cid in range(assessor.partition.num_cells)
+        ]
+        weights = assessor.cell_probabilities
+        assert estimate.pmi_upper == float(np.dot(weights, upper))
+        assert estimate.pmi_lower == float(np.dot(weights, lower))
 
     def test_bad_model_scores_worse(self, assessor, trained_cluster_model, operational_cluster_data):
         from repro.nn import build_mlp_classifier
