@@ -9,8 +9,8 @@ minute:
 4. retrain on what was found, and
 5. assess the delivered reliability before and after,
 6. (bonus) one ExecutionPolicy drives the runtime: checkpoint a campaign,
-   "kill" it, and resume it bit-identically over a warm persistent query
-   cache — then scale the same campaign with a policy switch, not a rewrite.
+   "kill" it, and resume it bit-identically — then scale the same campaign
+   with a policy switch, not a rewrite.
 
 Run with:  python examples/quickstart.py
 """
@@ -97,29 +97,21 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # An ExecutionPolicy captures the entire execution surface — backend,
     # workers, batching, caching, checkpoint cadence — in one serializable
-    # object.  Here: a durable query cache (warm across runs and shareable
-    # across hosts via a common directory) plus campaign snapshots every 2
-    # population rounds, so a killed run resumes bit-identically.  Swapping
-    # in `backend="sharded", num_workers=4` runs the model on a thread pool
-    # of replicas with bit-identical results.
+    # object.  Here: campaign snapshots every 2 population rounds, so a
+    # killed run resumes bit-identically.  Swapping in
+    # `backend="sharded", num_workers=4` runs the model on a thread pool of
+    # replicas with bit-identical results.
     with tempfile.TemporaryDirectory() as store_dir:
-        store = Path(store_dir)
         fuzz_config = FuzzerConfig(
-            queries_per_seed=25,
-            policy=ExecutionPolicy(
-                cache=True,
-                cache_dir=str(store / "cache"),
-                checkpoint_every=2,
-            ),
+            queries_per_seed=25, policy=ExecutionPolicy(checkpoint_every=2)
         )
         seeds_x, seeds_y = operational_data.x[:12], operational_data.y[:12]
-        checkpoint = store / "campaign.ckpt"
+        checkpoint = Path(store_dir) / "campaign.ckpt"
 
         fuzzer = OperationalFuzzer(naturalness, config=fuzz_config, natural_pool=operational_data.x)
         first = fuzzer.fuzz(
             model, seeds_x, seeds_y, budget=300, rng=SEED, checkpoint_path=str(checkpoint)
         )
-        cold_calls = fuzzer.last_query_stats.model_calls
 
         # pretend the campaign above was killed right after its last
         # checkpoint: resume it and it replays the tail to the same result
@@ -138,18 +130,6 @@ def main() -> None:
             f"resumed campaign matches the uninterrupted one: {same} "
             f"({len(resumed.adversarial_examples)} AEs, "
             f"{resumed.total_queries} queries either way)"
-        )
-
-        # a brand-new process pointing at the same cache directory starts
-        # warm: identical logical results, strictly fewer physical calls
-        warm_fuzzer = OperationalFuzzer(
-            naturalness, config=fuzz_config, natural_pool=operational_data.x
-        )
-        warm_fuzzer.fuzz(model, seeds_x, seeds_y, budget=300, rng=SEED)
-        warm_calls = warm_fuzzer.last_query_stats.model_calls
-        print(
-            f"physical model calls — cold campaign: {cold_calls}, same campaign "
-            f"over the warm persistent cache: {warm_calls}"
         )
     # For whole testing-loop campaigns the same policy drives everything
     # (`WorkflowConfig(policy=...)`), and a campaign is one declarative

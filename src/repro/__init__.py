@@ -19,8 +19,8 @@ substrate it depends on:
 * :mod:`repro.reliability` — cell-based reliability assessment (RQ5).
 * :mod:`repro.core` — detection methods, comparison harness and the full loop.
 * :mod:`repro.evaluation` — experiment scenarios and reporting.
-* :mod:`repro.store` — persistent campaign store (durable query cache,
-  checkpoint/resume, run registry + ``python -m repro`` CLI).
+* :mod:`repro.store` — campaign store (checkpoint/resume, run registry +
+  ``python -m repro`` CLI).
 * :mod:`repro.runtime` — the runtime API: :class:`ExecutionPolicy`, the
   :class:`ModelBackend` registry and declarative :class:`CampaignSpec` files.
 """

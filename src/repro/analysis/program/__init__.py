@@ -2,7 +2,7 @@
 
 The per-file rules (REP001–REP008) see one module at a time; the invariants
 the codebase now lives by are cross-module: lock acquisition spans
-``engine.parallel`` → ``store.cache`` → ``telemetry.metrics``, model
+``engine.parallel`` and ``telemetry``, model
 objects flow through ``ExecutionPolicy.build_engine()`` across package
 boundaries, and bit-identity depends on iteration-order discipline wherever
 results merge.  This package parses the tree once into per-module

@@ -12,8 +12,8 @@ questions the whole-program rules ask:
   guess (:meth:`ProgramGraph.resolve` returns ``None`` and records why).
 * **call resolution** — which function does a call site reach?  Handles
   module-level functions, imported symbols, ``self.method()``, ``cls.method``,
-  methods on typed instance attributes (``self._cache.refresh()`` via the
-  ``self._cache = PersistentQueryCache(...)`` constructor assignment),
+  methods on typed instance attributes (``self.bayes.posterior_lower_bounds()``
+  via the ``self.bayes = BayesianCellModel(...)`` constructor assignment),
   constructor calls (``ClassName(...)`` → ``ClassName.__init__``) and local
   callback aliases (``cb = self._emit; cb(...)``).
 * **fixpoints** — which functions (transitively) return model-typed values,

@@ -1,13 +1,14 @@
 """REP009 — lock ordering: the cross-module lock graph must be acyclic.
 
-The concurrency surface spans packages that take each other's locks: the
-sharded engine's stats/cache lock (``engine.parallel``) is held while the
-persistent query cache it guards (``store.cache``) records metrics, which
-takes the telemetry registry's locks (``repro.telemetry``).  Each class is
-individually lock-correct (REP004 enforces that), but deadlock is a
-*global* property: thread 1 holds lock A and wants B while thread 2 holds
-B and wants A — each side locally blameless.  This rule builds the whole-program lock-acquisition graph —
-an edge A→B wherever code acquires B while holding A, either by nesting
+The concurrency surface spans packages whose locks one thread can take
+in turn: the sharded engine's stats/cache lock (``engine.parallel``) and
+the telemetry collector's and metric registry's locks
+(``repro.telemetry``), which pool threads and the calling thread take
+concurrently.  Each class is individually lock-correct (REP004 enforces
+that), but deadlock is a *global* property: thread 1 holds lock A and
+wants B while thread 2 holds B and wants A — each side locally blameless.
+This rule builds the whole-program lock-acquisition graph — an edge A→B
+wherever code acquires B while holding A, either by nesting
 ``with`` blocks or by calling (transitively, through the resolved call
 graph) a function that takes B — and flags every edge participating in a
 cycle, plus re-acquisition of a non-reentrant ``Lock`` the thread already

@@ -25,7 +25,6 @@ Subsystems select and construct engines through the runtime API
 from .batching import (
     DEFAULT_BATCH_SIZE,
     BatchedQueryEngine,
-    CacheBackend,
     QueryCache,
     QueryStats,
     as_query_engine,
@@ -42,7 +41,6 @@ from .population import (
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "BatchedQueryEngine",
-    "CacheBackend",
     "QueryCache",
     "QueryStats",
     "as_query_engine",

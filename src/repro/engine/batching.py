@@ -10,9 +10,11 @@ funnel that turns many small logical queries into few large physical ones:
 
 * callers hand over whole matrices of candidates; the engine slices them into
   ``batch_size`` chunks so memory stays bounded while BLAS runs at full tilt;
-* an optional memoizing cache (hash-of-row → probabilities) answers repeated
+* an optional memoizing cache (row bytes → probabilities) answers repeated
   rows without touching the model — results are exact because the key is the
-  raw row bytes, not a lossy digest;
+  raw row bytes, not a lossy digest.  The cache belongs to the engine and
+  dies with it; every campaign step builds a fresh engine, so a cache never
+  outlives the model weights it was filled from;
 * :class:`QueryStats` counts *logical* rows separately from *physical* model
   invocations, which is exactly the evidence needed to verify the "≥10×
   fewer model calls at equal query budgets" property of the batched paths.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -59,8 +61,6 @@ class QueryStats:
         Same split for ``loss_input_gradient`` traffic.
     naturalness_rows, naturalness_calls:
         Same split for naturalness scoring traffic.
-    cache_corrupt_records:
-        Corrupt records the persistent query cache skipped (CRC mismatch).
     """
 
     rows_queried: int = 0
@@ -70,7 +70,6 @@ class QueryStats:
     gradient_calls: int = 0
     naturalness_rows: int = 0
     naturalness_calls: int = 0
-    cache_corrupt_records: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in _COUNTER_FIELDS}
@@ -111,46 +110,13 @@ class QueryStats:
 _COUNTER_FIELDS = tuple(field.name for field in dataclasses.fields(QueryStats))
 
 
-@runtime_checkable
-class CacheBackend(Protocol):
-    """Protocol a query-cache implementation must satisfy.
-
-    The engine only ever performs per-row gets and puts plus bulk clears, so
-    any object with these four methods can serve as the memoization layer —
-    the in-memory :class:`QueryCache` below, the durable
-    :class:`repro.store.PersistentQueryCache`, or a custom distributed
-    backend.  Implementations must be *exact*: a hit returns precisely the
-    array that was stored.  Toggling the cache can still move the last bit
-    of a float: a hit shrinks the batch of misses the model sees, and the
-    model's output may depend on the number of rows in a call.
-    """
-
-    def get(self, row: np.ndarray) -> Optional[np.ndarray]:
-        """Return the cached value for ``row`` or ``None`` on a miss."""
-        ...
-
-    def put(self, row: np.ndarray, value: np.ndarray) -> None:
-        """Store ``value`` under ``row``."""
-        ...
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        ...
-
-    def __len__(self) -> int:
-        """Number of stored entries."""
-        ...
-
-
 def row_cache_key(row: np.ndarray) -> bytes:
     """The exact-content cache key of one input row.
 
     Raw ``tobytes()`` alone is ambiguous: two rows with identical bytes but
     different dtype or width (``float32`` vs ``float64``, a (4,) row vs a
     (2, 2) block) would collide and serve each other's probabilities.  The
-    key therefore tags the payload with dtype and shape.  Shared by
-    :class:`QueryCache` and :class:`repro.store.PersistentQueryCache` so the
-    two cache layers can never disagree on row identity.
+    key therefore tags the payload with dtype and shape.
     """
     row = np.ascontiguousarray(row)
     header = f"{row.dtype.str}:{row.shape}:".encode("ascii")
@@ -165,7 +131,10 @@ class QueryCache:
     model produced the first time — no approximation is introduced anywhere.
     Eviction is insertion-ordered (FIFO), which is cheap and good enough for
     the fuzzing workloads where repeats cluster in time (re-sampled seeds,
-    re-visited currents).
+    re-visited currents).  A hit returns the stored bits, but toggling the
+    cache can still move the last bit of a float: a hit shrinks the batch of
+    misses the model sees, and the model's output may depend on the number
+    of rows in a call.
     """
 
     def __init__(self, max_entries: int = 65536) -> None:
@@ -189,9 +158,6 @@ class QueryCache:
             store.pop(next(iter(store)))
         store[key] = value
 
-    def clear(self) -> None:
-        self._store.clear()
-
 
 def _iter_chunks(n: int, batch_size: int) -> Iterator[Tuple[int, int]]:
     """Yield ``(start, stop)`` slices covering ``range(n)`` in chunks."""
@@ -213,13 +179,11 @@ class BatchedQueryEngine:
         overhead; the default (4096) is a good laptop setting — see the
         engine section of the README for tuning guidance.
     cache:
-        ``True`` (default in-memory cache), ``False``/``None`` (no cache),
-        or a pre-built :class:`CacheBackend` instance — e.g. a
-        :class:`QueryCache` shared between engines, or a
-        :class:`repro.store.PersistentQueryCache` whose entries survive the
-        process and can be shared across hosts via a common directory.
+        ``True`` memoizes ``predict_proba`` in a :class:`QueryCache` that
+        this engine builds for itself; ``False`` (default) disables it.
+        Anything else raises :class:`ConfigurationError`.
     cache_max_entries:
-        Capacity of the default cache when ``cache=True``.
+        Capacity of the cache when ``cache=True``.
     """
 
     def __init__(
@@ -227,32 +191,22 @@ class BatchedQueryEngine:
         model: Classifier,
         naturalness: Optional[NaturalnessScorer] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        cache: object = False,
+        cache: bool = False,
         cache_max_entries: int = 65536,
     ) -> None:
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
+        if not isinstance(cache, bool):
+            raise ConfigurationError(
+                f"cache must be a bool, got {type(cache).__name__}"
+            )
         self.model = model
         self.naturalness = naturalness
         self.batch_size = int(batch_size)
-        if isinstance(cache, bool) or cache is None:
-            self.cache: Optional[CacheBackend] = (
-                QueryCache(max_entries=cache_max_entries) if cache else None
-            )
-        elif isinstance(cache, CacheBackend):
-            self.cache = cache
-        else:
-            raise ConfigurationError(
-                "cache must be a bool, None or a CacheBackend "
-                f"(get/put/clear/__len__), got {type(cache).__name__}"
-            )
+        self.cache: Optional[QueryCache] = (
+            QueryCache(max_entries=cache_max_entries) if cache else None
+        )
         self.stats = QueryStats()
-        # a durable cache may have skipped CRC-corrupt records while loading
-        # its index; surface that in the engine counters so it reaches the
-        # campaign's stats.json
-        corrupt = int(getattr(self.cache, "corrupt_records", 0) or 0)
-        if corrupt:
-            self.stats.merge(QueryStats(cache_corrupt_records=corrupt))
 
     # ------------------------------------------------------------------ #
     # Classifier protocol (chunked + cached)
@@ -377,7 +331,7 @@ def as_query_engine(
     model: Classifier,
     naturalness: Optional[NaturalnessScorer] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    cache: object = False,
+    cache: bool = False,
     cache_max_entries: int = 65536,
 ) -> BatchedQueryEngine:
     """Wrap ``model`` in a :class:`BatchedQueryEngine` unless it already is one.
@@ -401,7 +355,6 @@ def as_query_engine(
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "QueryStats",
-    "CacheBackend",
     "QueryCache",
     "row_cache_key",
     "BatchedQueryEngine",

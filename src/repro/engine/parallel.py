@@ -163,10 +163,6 @@ class _LockedCache:
         with self._lock:
             self._inner.put(row, value)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._inner.clear()
-
 
 # --------------------------------------------------------------------------- #
 # the sharded engine
@@ -201,7 +197,7 @@ class ShardedQueryEngine(BatchedQueryEngine):
         model: Classifier,
         naturalness: Optional[NaturalnessScorer] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        cache: object = False,
+        cache: bool = False,
         cache_max_entries: int = 65536,
         num_workers: int = 2,
     ) -> None:

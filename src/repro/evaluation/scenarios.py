@@ -47,38 +47,22 @@ class Scenario:
     partition: Partition
     operational_priors: np.ndarray
 
-    def query_engine(
-        self,
-        policy: Optional["ExecutionPolicy"] = None,
-        cache: Optional["CacheBackend"] = None,
-    ):
+    def query_engine(self, policy: Optional["ExecutionPolicy"] = None):
         """Build a query engine over the scenario's model and scorer.
 
         ``policy`` (an :class:`~repro.runtime.ExecutionPolicy`) selects the
-        execution backend — results are bit-identical across policies.
-        ``cache`` is either ``None`` or a concrete
-        :class:`~repro.engine.CacheBackend` instance, which overrides the
-        policy's cache spec (enable the default in-memory cache with
-        ``policy=ExecutionPolicy(cache=True)``).  Callers own the returned
-        engine and should :meth:`~repro.engine.BatchedQueryEngine.close` it
-        (or use it as a context manager) when a multi-worker backend was
-        requested.
+        execution backend and the engine's in-memory cache
+        (``policy=ExecutionPolicy(cache=True)``) — results are bit-identical
+        across backends.  Callers own the returned engine and should
+        :meth:`~repro.engine.BatchedQueryEngine.close` it (or use it as a
+        context manager) when a multi-worker backend was requested.
         """
-        from ..engine.batching import CacheBackend
         from ..runtime.policy import ExecutionPolicy, policy_or_default
 
         resolved = policy_or_default(
             policy, ExecutionPolicy(), "Scenario.query_engine"
         )
-        if cache is not None and not isinstance(cache, CacheBackend):
-            raise ConfigurationError(
-                "cache must be None or a CacheBackend instance "
-                "(get/put/clear/__len__); enable the default in-memory cache "
-                f"via policy=ExecutionPolicy(cache=True), got {cache!r}"
-            )
-        return resolved.build_engine(
-            self.model, naturalness=self.naturalness, cache=cache
-        )
+        return resolved.build_engine(self.model, naturalness=self.naturalness)
 
 
 def _train_model(

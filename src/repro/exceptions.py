@@ -54,7 +54,7 @@ class BudgetExhaustedError(ReproError):
 
 
 class StoreError(ReproError):
-    """The persistent campaign store (cache, checkpoints, registry) failed."""
+    """The campaign store (checkpoints, registry) failed."""
 
 
 class CheckpointError(StoreError):

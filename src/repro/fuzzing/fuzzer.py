@@ -31,10 +31,10 @@ Control flow and execution substrate are separate axes:
   truth for the per-seed semantics).
 * ``FuzzerConfig.policy`` (an :class:`repro.runtime.ExecutionPolicy`) picks
   the *execution substrate*: the registered model backend (in-process
-  ``"batched"`` or the thread-pool ``"sharded"``), batching, caching —
-  including a durable cross-process cache via ``cache_dir`` — and the
-  checkpoint cadence.  Campaign results are bit-identical across backends
-  at equal ``batch_size`` and ``cache`` by construction.
+  ``"batched"`` or the thread-pool ``"sharded"``), batching, the engine's
+  in-memory cache and the checkpoint cadence.  Campaign results are
+  bit-identical across backends at equal ``batch_size`` and ``cache`` by
+  construction.
 
 Both control flows draw each seed's randomness from a private generator
 spawned from the campaign RNG (the policy's ``rng_spawning`` rule), so a

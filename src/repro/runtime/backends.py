@@ -23,7 +23,7 @@ A third-party backend plugs in with::
     @register_backend("my-async")
     class AsyncBackend(BatchedQueryEngine):
         @classmethod
-        def from_policy(cls, model, naturalness, policy, cache):
+        def from_policy(cls, model, naturalness, policy):
             ...
 
 after which ``ExecutionPolicy(backend="my-async")`` selects it everywhere —
@@ -75,11 +75,12 @@ _BACKENDS: Dict[str, type] = {}
 def register_backend(name: str):
     """Class decorator registering an execution backend under ``name``.
 
-    The class must provide a ``from_policy(model, naturalness, policy,
-    cache)`` classmethod returning a ready :class:`BatchedQueryEngine`
-    (sub)instance.  Names are unique; re-registering an existing name is an
-    error (call :func:`unregister_backend` first if a plug-in really means
-    to shadow a shipped backend).
+    The class must provide a ``from_policy(model, naturalness, policy)``
+    classmethod returning a ready :class:`BatchedQueryEngine` (sub)instance
+    configured from the policy's fields, ``cache`` included.  Names are
+    unique; re-registering an existing name is an error (call
+    :func:`unregister_backend` first if a plug-in really means to shadow a
+    shipped backend).
     """
     if not name or not isinstance(name, str):
         raise ConfigurationError("backend name must be a non-empty string")
@@ -88,7 +89,7 @@ def register_backend(name: str):
         if not callable(getattr(cls, "from_policy", None)):
             raise ConfigurationError(
                 f"backend {cls.__name__} must define a from_policy(model, "
-                "naturalness, policy, cache) classmethod"
+                "naturalness, policy) classmethod"
             )
         if name in _BACKENDS:
             raise ConfigurationError(
@@ -129,12 +130,12 @@ class SequentialBackend(BatchedQueryEngine):
     calling thread.  The default — no pickling, no pool."""
 
     @classmethod
-    def from_policy(cls, model, naturalness, policy, cache) -> "SequentialBackend":
+    def from_policy(cls, model, naturalness, policy) -> "SequentialBackend":
         return cls(
             model,
             naturalness=naturalness,
             batch_size=policy.batch_size,
-            cache=cache,
+            cache=policy.cache,
             cache_max_entries=policy.cache_max_entries,
         )
 
@@ -147,12 +148,12 @@ class ReplicatedBackend(ShardedQueryEngine):
     backend by construction — see :mod:`repro.engine.parallel`."""
 
     @classmethod
-    def from_policy(cls, model, naturalness, policy, cache) -> "ReplicatedBackend":
+    def from_policy(cls, model, naturalness, policy) -> "ReplicatedBackend":
         return cls(
             model,
             naturalness=naturalness,
             batch_size=policy.batch_size,
-            cache=cache,
+            cache=policy.cache,
             cache_max_entries=policy.cache_max_entries,
             num_workers=policy.num_workers,
         )

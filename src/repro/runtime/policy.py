@@ -61,12 +61,8 @@ class ExecutionPolicy:
         sees, toggling the cache can move the last bit of a float (see the
         module docstring).
     cache_max_entries:
-        Capacity of the in-memory cache (ignored when ``cache_dir`` is set —
-        the persistent cache is append-only).
-    cache_dir:
-        Directory of a durable :class:`repro.store.PersistentQueryCache`.
-        When set (and ``cache`` is true) the memoizing cache survives the
-        process and can be shared across hosts via a common directory.
+        Capacity of the in-memory cache.  Each engine builds its own cache,
+        which dies with the engine.
     checkpoint_every:
         Campaign-checkpoint cadence (population rounds / seeds for the
         fuzzer, iterations for the testing loop).  0 disables.
@@ -85,7 +81,6 @@ class ExecutionPolicy:
     batch_size: int = DEFAULT_BATCH_SIZE
     cache: bool = False
     cache_max_entries: int = 65536
-    cache_dir: Optional[str] = None
     checkpoint_every: int = 0
     rng_spawning: str = "per-seed"
     telemetry: bool = False
@@ -98,8 +93,7 @@ class ExecutionPolicy:
             raise ConfigurationError("batch_size must be positive")
         if not isinstance(self.cache, bool):
             raise ConfigurationError(
-                "cache must be a bool (hand CacheBackend instances to "
-                "build_engine(cache=...), not to the policy)"
+                f"cache must be a bool, got {type(self.cache).__name__}"
             )
         if self.cache_max_entries <= 0:
             raise ConfigurationError("cache_max_entries must be positive")
@@ -110,9 +104,6 @@ class ExecutionPolicy:
                 f"rng_spawning must be one of {RNG_SPAWN_POLICIES}, "
                 f"got {self.rng_spawning!r}"
             )
-        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
-            # keep the policy JSON-serializable (pathlib.Path coerced here)
-            object.__setattr__(self, "cache_dir", str(self.cache_dir))
         if not isinstance(self.telemetry, bool):
             raise ConfigurationError(
                 f"telemetry must be a bool, got {type(self.telemetry).__name__}"
@@ -159,49 +150,24 @@ class ExecutionPolicy:
     # ------------------------------------------------------------------ #
     # the factory: the policy builds its own execution machinery
     # ------------------------------------------------------------------ #
-    def build_cache(self) -> object:
-        """The engine-level cache argument this policy describes.
-
-        ``False`` (no cache), ``True`` (default in-memory cache) or a
-        :class:`repro.store.PersistentQueryCache` rooted at ``cache_dir``.
-        """
-        if not self.cache:
-            return False
-        if self.cache_dir is not None:
-            from ..store.cache import PersistentQueryCache  # avoid an import cycle
-
-            return PersistentQueryCache(self.cache_dir)
-        return True
-
     def build_engine(
-        self,
-        model: "ModelBackend",
-        naturalness: Optional[object] = None,
-        *,
-        cache: Optional[object] = None,
+        self, model: "ModelBackend", naturalness: Optional[object] = None
     ) -> BatchedQueryEngine:
         """Build the query engine this policy describes over ``model``.
 
         The single engine-construction funnel.  A ``model`` that already
         *is* an engine is passed through unchanged (its configuration wins,
         so nested subsystems share one set of counters, one cache and one
-        thread pool); ``cache`` overrides the policy's cache spec with a
-        concrete :class:`repro.engine.CacheBackend` instance.
+        thread pool).  A new engine builds its own in-memory cache when
+        ``cache`` is set; the cache dies with the engine.
         """
         if isinstance(model, BatchedQueryEngine):
             return as_query_engine(model, naturalness=naturalness)
-        backend = resolve_backend(self.backend)
-        return backend.from_policy(
-            model, naturalness, self, self.build_cache() if cache is None else cache
-        )
+        return resolve_backend(self.backend).from_policy(model, naturalness, self)
 
     @contextmanager
     def session(
-        self,
-        model: "ModelBackend",
-        naturalness: Optional[object] = None,
-        *,
-        cache: Optional[object] = None,
+        self, model: "ModelBackend", naturalness: Optional[object] = None
     ) -> Iterator[BatchedQueryEngine]:
         """Build an engine for one campaign and release its pool afterwards.
 
@@ -209,7 +175,7 @@ class ExecutionPolicy:
         passed through *without* being closed — their lifecycle belongs to
         the caller.
         """
-        engine = self.build_engine(model, naturalness, cache=cache)
+        engine = self.build_engine(model, naturalness)
         created = engine is not model
         try:
             yield engine

@@ -22,7 +22,7 @@ it **verbatim** in the run registry (``run.json``'s ``config.spec``), and
 run's spec — so a stored run is reproducible from its spec alone.
 
 Section keys are validated against the target configuration objects, and
-execution settings (``num_workers``, ``cache_dir``, ... — any
+execution settings (``num_workers``, ``cache``, ... — any
 :class:`ExecutionPolicy` field) are rejected outside the ``policy`` section:
 in a spec the execution surface lives there, nowhere else.
 """

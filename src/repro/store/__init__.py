@@ -1,12 +1,8 @@
-"""Persistent campaign store: the durability layer behind the query engine.
+"""Campaign store: checkpoints and the run registry.
 
-PRs 2–3 made model queries batched and sharded; this package makes campaigns
-*durable*.  Three clients share one design (chunked, content-addressed,
-append-only files behind a small API — the HSDS model):
+The query engine makes model traffic batched; this package makes campaigns
+*durable*:
 
-* :mod:`repro.store.cache` — :class:`PersistentQueryCache`, a durable
-  :class:`repro.engine.CacheBackend`: warm query caches survive the process
-  and can be shared across hosts via a common directory.
 * :mod:`repro.store.checkpoint` — atomic campaign checkpoints (per-seed RNG
   streams, budgets, stall counters, ``QueryStats``) so an interrupted
   campaign resumes bit-identical to an uninterrupted one.
@@ -20,7 +16,6 @@ The CLI surface over the registry lives in :mod:`repro.store.cli`
 workflow and scenario packages.
 """
 
-from .cache import DEFAULT_MAX_SEGMENT_BYTES, PersistentQueryCache
 from .checkpoint import (
     Checkpointer,
     campaign_fingerprint,
@@ -30,8 +25,6 @@ from .checkpoint import (
 from .registry import RUN_STATUSES, RunRegistry, StoredRun
 
 __all__ = [
-    "DEFAULT_MAX_SEGMENT_BYTES",
-    "PersistentQueryCache",
     "Checkpointer",
     "campaign_fingerprint",
     "read_checkpoint",

@@ -81,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "thread-pool backend)")
     run.add_argument("--workers", type=int, default=1,
                      help="pool threads for --engine sharded")
-    run.add_argument("--cache-dir", default=None,
-                     help="durable query-cache directory (warm across runs/hosts)")
     run.add_argument("--checkpoint-every", type=int, default=1,
                      help="iterations between checkpoints (0 disables)")
     run.add_argument("--telemetry", action="store_true",
@@ -139,7 +137,6 @@ def _spec_from_flags(args: argparse.Namespace) -> dict:
         backend="sharded" if args.engine == "sharded" else "batched",
         num_workers=int(args.workers),
         cache=True,
-        cache_dir=args.cache_dir,
         checkpoint_every=int(args.checkpoint_every),
     )
     return {

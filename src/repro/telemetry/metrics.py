@@ -1,8 +1,8 @@
 """Counters, gauges, and log-bucketed histograms.
 
 The registry is get-or-create by name so instrumentation sites never
-need to pre-declare their metrics, ``to_dict`` gives the JSON artifact
-shape and ``merge`` folds one registry into another.
+need to pre-declare their metrics, and ``to_dict`` gives the JSON artifact
+shape.
 
 All updates are lock-guarded: the sharded engine's pool threads and the
 calling thread record into one registry concurrently.
@@ -16,8 +16,8 @@ from typing import Dict, Optional, Sequence
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 # Geometric buckets from 1µs up to ~1074s (ratio 4): wide enough to hold
-# both sub-millisecond IPC latencies and multi-minute campaign phases in
-# one fixed shape, which keeps histogram merge a pointwise add.
+# both sub-millisecond chunk latencies and multi-minute campaign phases in
+# one fixed shape.
 DEFAULT_BOUNDS = tuple(1e-6 * (4.0**i) for i in range(16))
 
 
@@ -40,10 +40,6 @@ class Counter:
         with self._lock:
             return {"type": self.kind, "value": self.value}
 
-    def merge(self, payload: dict) -> None:
-        with self._lock:
-            self.value += float(payload["value"])
-
 
 class Gauge:
     """Last-observed value."""
@@ -61,12 +57,6 @@ class Gauge:
     def to_dict(self) -> dict:
         with self._lock:
             return {"type": self.kind, "value": self.value}
-
-    def merge(self, payload: dict) -> None:
-        # Gauges are point-in-time; on merge the incoming (worker-side,
-        # more recent) reading wins.
-        with self._lock:
-            self.value = float(payload["value"])
 
 
 class Histogram:
@@ -122,21 +112,6 @@ class Histogram:
                 "counts": list(self.counts),
             }
 
-    def merge(self, payload: dict) -> None:
-        if list(payload["bounds"]) != list(self.bounds):
-            raise ValueError("cannot merge histograms with different bounds")
-        with self._lock:
-            self.count += int(payload["count"])
-            self.sum += float(payload["sum"])
-            self.counts = [a + b for a, b in zip(self.counts, payload["counts"])]
-            if payload["min"] is not None and payload["min"] < self.min:
-                self.min = payload["min"]
-            if payload["max"] is not None and payload["max"] > self.max:
-                self.max = payload["max"]
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
 
 class MetricsRegistry:
     """Get-or-create metric store keyed by dotted name."""
@@ -179,17 +154,3 @@ class MetricsRegistry:
         with self._lock:
             items = sorted(self._metrics.items())
         return {name: metric.to_dict() for name, metric in items}
-
-    def merge(self, payload: dict) -> None:
-        """Fold a ``to_dict`` snapshot (e.g. a worker's) into this registry."""
-        for name, entry in payload.items():
-            kind = entry["type"]
-            if kind == "histogram":
-                metric = self.histogram(name, entry["bounds"])
-            elif kind == "gauge":
-                metric = self.gauge(name)
-            elif kind == "counter":
-                metric = self.counter(name)
-            else:
-                raise ValueError(f"unknown metric type {kind!r} for {name!r}")
-            metric.merge(entry)

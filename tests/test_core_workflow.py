@@ -8,6 +8,7 @@ from repro.exceptions import ConfigurationError
 from repro.fuzzing import FuzzerConfig
 from repro.reliability import StoppingRule
 from repro.retraining import RetrainingConfig
+from repro.runtime import ExecutionPolicy
 from repro.types import CampaignReport
 
 
@@ -118,3 +119,63 @@ class TestOperationalTestingLoop:
         _, report = loop.run(trained_cluster_model, operational_cluster_data)
         assert len(loop.detected_aes) >= before
         assert len(loop.detected_aes) - before == report.total_aes
+
+
+class TestCacheAcrossRetraining:
+    """The loop retrains the model between assessments, so a query cache
+    must never serve the retrained model its predecessor's predictions:
+    with the cache on, the loop computes exactly what it computes with the
+    cache off."""
+
+    def _run(self, policy, profile, train, naturalness, model, data):
+        loop = OperationalTestingLoop(
+            profile=profile,
+            train_data=train,
+            naturalness=naturalness,
+            fuzzer_config=FuzzerConfig(epsilon=0.1, queries_per_seed=15),
+            retraining_config=RetrainingConfig(epochs=4),
+            # unreachable target: every iteration runs and retrains
+            stopping_rule=StoppingRule(target_pmi=1e-9, max_iterations=3),
+            workflow_config=WorkflowConfig(
+                test_budget_per_iteration=250, seeds_per_iteration=15, policy=policy
+            ),
+            rng=0,
+        )
+        _, report = loop.run(model, data)
+        return loop, report
+
+    def test_cache_on_and_off_compute_the_same(
+        self,
+        cluster_profile,
+        clusters_split,
+        cluster_naturalness,
+        trained_cluster_model,
+        operational_cluster_data,
+    ):
+        args = (
+            cluster_profile,
+            clusters_split[0],
+            cluster_naturalness,
+            trained_cluster_model,
+            operational_cluster_data,
+        )
+        cached_loop, cached = self._run(ExecutionPolicy(cache=True), *args)
+        plain_loop, plain = self._run(ExecutionPolicy(), *args)
+        assert cached_loop.query_stats.cache_hits > 0  # the cache was used
+        assert plain_loop.query_stats.cache_hits == 0
+        assert cached.num_iterations == plain.num_iterations == 3
+        assert plain.iterations[0].aes_detected > 0  # the model is retrained
+        for with_cache, without in zip(cached.iterations, plain.iterations):
+            assert with_cache.test_cases_used == without.test_cases_used
+            assert with_cache.aes_detected == without.aes_detected
+            assert with_cache.pmi_before == without.pmi_before
+            assert with_cache.pmi_after == without.pmi_after
+            assert (
+                with_cache.notes["pmi_upper_after"]
+                == without.notes["pmi_upper_after"]
+            )
+        assert cached_loop.last_estimate.to_dict() == plain_loop.last_estimate.to_dict()
+        assert len(cached_loop.detected_aes) == len(plain_loop.detected_aes)
+        for with_cache, without in zip(cached_loop.detected_aes, plain_loop.detected_aes):
+            np.testing.assert_array_equal(with_cache.seed, without.seed)
+            np.testing.assert_array_equal(with_cache.perturbed, without.perturbed)

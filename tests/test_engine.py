@@ -131,6 +131,15 @@ class TestBatchedQueryEngine:
         with pytest.raises(ConfigurationError):
             QueryCache(max_entries=0)
 
+    def test_engine_rejects_non_bool_cache(self, trained_cluster_model):
+        # the engine builds its own cache from a bool and accepts no cache
+        # object, not even a QueryCache
+        for cache in (object(), QueryCache(), None):
+            with pytest.raises(ConfigurationError, match="cache must be a bool"):
+                BatchedQueryEngine(trained_cluster_model, cache=cache)
+            with pytest.raises(ConfigurationError, match="cache must be a bool"):
+                as_query_engine(trained_cluster_model, cache=cache)
+
 
 class TestNonFiniteInputs:
     """A NaN or infinite row fails loudly before the cache or the model."""

@@ -347,7 +347,6 @@ class TestConcurrentMergeSafety:
             "gradient_calls": 4,
             "naturalness_rows": 7,
             "naturalness_calls": 1,
-            "cache_corrupt_records": 0,
         }
 
 

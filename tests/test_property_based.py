@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from repro.data import Dataset, GridPartition
 from repro.engine import BatchedQueryEngine, QueryStats
 from repro.engine.batching import _iter_chunks
 from repro.fuzzing import FuzzerConfig, OperationalFuzzer
-from repro.store import PersistentQueryCache
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy, confusion_matrix, prediction_margin
 from repro.op import hellinger_distance, js_divergence, kl_divergence, total_variation
@@ -349,70 +346,6 @@ class TestEngineShardingProperties:
         assert campaign.total_queries <= budget
         assert campaign.total_queries == sum(r.queries for r in campaign.per_seed)
         campaign.validate_budget(budget)  # must not raise
-
-
-# --------------------------------------------------------------------------- #
-# persistent cache backend: disk-backed results bit-identical, fewer calls
-# --------------------------------------------------------------------------- #
-class TestPersistentCacheBackendProperties:
-    @given(
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=0, max_value=2**31 - 2),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_disk_backend_bit_identical_and_fewer_physical_calls(
-        self, n, batch_size, seed
-    ):
-        """Any row matrix: disk-backed == in-memory == uncached, bit for bit,
-        and a second engine over the same directory pays strictly fewer
-        physical model calls (zero) for the same logical answers."""
-        model = _AffineToyModel()
-        rng = np.random.default_rng(seed)
-        x = rng.random((n, 3))
-        with tempfile.TemporaryDirectory() as directory:
-            uncached = BatchedQueryEngine(model, batch_size=batch_size)
-            in_memory = BatchedQueryEngine(model, batch_size=batch_size, cache=True)
-            cold = BatchedQueryEngine(
-                model, batch_size=batch_size, cache=PersistentQueryCache(directory)
-            )
-            expected = uncached.predict_proba(x)
-            np.testing.assert_array_equal(in_memory.predict_proba(x), expected)
-            np.testing.assert_array_equal(cold.predict_proba(x), expected)
-            assert cold.stats.model_calls == uncached.stats.model_calls
-
-            warm = BatchedQueryEngine(
-                model, batch_size=batch_size, cache=PersistentQueryCache(directory)
-            )
-            np.testing.assert_array_equal(warm.predict_proba(x), expected)
-            assert warm.stats.model_calls < max(cold.stats.model_calls, 1)
-            assert warm.stats.model_calls == 0
-            assert warm.stats.cache_hits == len(x)
-
-    @given(
-        st.integers(min_value=1, max_value=25),
-        st.integers(min_value=0, max_value=2**31 - 2),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_reopened_store_serves_duplicates_and_permutations(self, n, seed):
-        """Entries survive reopen and answer any multiplicity/order of the
-        original rows with the exact first-computed values."""
-        model = _AffineToyModel()
-        rng = np.random.default_rng(seed)
-        base = rng.random((n, 3))
-        with tempfile.TemporaryDirectory() as directory:
-            first_engine = BatchedQueryEngine(
-                model, cache=PersistentQueryCache(directory)
-            )
-            first = first_engine.predict_proba(base)
-            picks = rng.integers(0, n, size=2 * n)
-            reopened = BatchedQueryEngine(
-                model, cache=PersistentQueryCache(directory)
-            )
-            np.testing.assert_array_equal(
-                reopened.predict_proba(base[picks]), first[picks]
-            )
-            assert reopened.stats.model_calls == 0
 
 
 # --------------------------------------------------------------------------- #

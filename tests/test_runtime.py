@@ -49,7 +49,6 @@ class TestExecutionPolicy:
             batch_size=128,
             cache=True,
             cache_max_entries=99,
-            cache_dir="/tmp/some-cache",
             checkpoint_every=2,
         )
         assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
@@ -75,13 +74,15 @@ class TestExecutionPolicy:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown ExecutionPolicy"):
             ExecutionPolicy.from_dict({"backend": "batched", "warp_factor": 9})
-        # fields of the retired process pool: a stored policy naming one
-        # fails at load, and the error names the key
+        # fields of the retired process pool and of the retired durable
+        # cache: a stored policy naming one fails at load, and the error
+        # names the key
         for key, value in (
             ("transport", "auto"),
             ("start_method", None),
             ("retry", None),
             ("faults", None),
+            ("cache_dir", None),
         ):
             with pytest.raises(ConfigurationError, match=f"'{key}'"):
                 ExecutionPolicy.from_dict({"backend": "sharded", key: value})
@@ -111,11 +112,6 @@ class TestExecutionPolicy:
         assert policy.replace(num_workers=4).num_workers == 4
         with pytest.raises(ConfigurationError):
             policy.replace(backend="quantum")
-
-    def test_cache_dir_coerced_to_str(self, tmp_path):
-        policy = ExecutionPolicy(cache=True, cache_dir=tmp_path)
-        assert policy.cache_dir == str(tmp_path)
-        assert json.loads(json.dumps(policy.to_dict()))["cache_dir"] == str(tmp_path)
 
 
 # --------------------------------------------------------------------------- #
@@ -161,16 +157,6 @@ class TestBackendRegistry:
         finally:
             owned.close()
 
-    def test_policy_cache_spec_builds_caches(self, tmp_path):
-        from repro.store import PersistentQueryCache
-
-        assert ExecutionPolicy().build_cache() is False
-        assert ExecutionPolicy(cache=True).build_cache() is True
-        durable = ExecutionPolicy(cache=True, cache_dir=str(tmp_path)).build_cache()
-        assert isinstance(durable, PersistentQueryCache)
-        # cache_dir without cache=True stays off (cache is the master switch)
-        assert ExecutionPolicy(cache=False, cache_dir=str(tmp_path)).build_cache() is False
-
     def test_custom_backend_plugs_in(self, trained_cluster_model):
         calls = []
 
@@ -179,10 +165,10 @@ class TestBackendRegistry:
             @register_backend("recording")
             class RecordingBackend(BatchedQueryEngine):
                 @classmethod
-                def from_policy(cls, model, naturalness, policy, cache):
+                def from_policy(cls, model, naturalness, policy):
                     calls.append(policy.backend)
                     return cls(model, naturalness=naturalness,
-                               batch_size=policy.batch_size, cache=cache)
+                               batch_size=policy.batch_size, cache=policy.cache)
 
             policy = ExecutionPolicy(backend="recording", batch_size=7)
             engine = policy.build_engine(trained_cluster_model)
@@ -200,7 +186,7 @@ class TestBackendRegistry:
             @register_backend("batched")
             class Shadow(BatchedQueryEngine):
                 @classmethod
-                def from_policy(cls, model, naturalness, policy, cache):
+                def from_policy(cls, model, naturalness, policy):
                     raise AssertionError("never built")
 
     def test_backend_requires_factory(self):
@@ -309,7 +295,7 @@ class TestLegacyKnobShims:
 
 
 # --------------------------------------------------------------------------- #
-# Scenario.query_engine: typed cache parameter + policy routing
+# Scenario.query_engine: policy routing
 # --------------------------------------------------------------------------- #
 class TestScenarioQueryEngine:
     def test_policy_selects_backend(self, scenario):
@@ -318,18 +304,15 @@ class TestScenarioQueryEngine:
         assert engine.batch_size == 9
         assert engine.naturalness is scenario.naturalness
 
-    def test_cache_accepts_backend_instance(self, scenario):
-        cache = QueryCache(max_entries=16)
-        engine = scenario.query_engine(cache=cache)
-        x = scenario.operational_data.x[:4]
-        engine.predict_proba(x)
-        assert len(cache) == 4  # the handed-in backend is the live cache
-
-    def test_cache_rejects_bools(self, scenario):
-        with pytest.raises(ConfigurationError, match="CacheBackend"):
-            scenario.query_engine(cache=True)
-        with pytest.raises(ConfigurationError, match="CacheBackend"):
-            scenario.query_engine(cache=False)
+    def test_policy_cache_is_per_engine(self, scenario):
+        assert scenario.query_engine().cache is None
+        policy = ExecutionPolicy(cache=True, cache_max_entries=16)
+        first, second = scenario.query_engine(policy), scenario.query_engine(policy)
+        assert isinstance(first.cache, QueryCache)
+        assert first.cache.max_entries == 16
+        first.predict_proba(scenario.operational_data.x[:4])
+        assert len(first.cache) == 4
+        assert len(second.cache) == 0  # each engine owns a fresh cache
 
 
 # --------------------------------------------------------------------------- #
@@ -387,13 +370,15 @@ class TestCampaignSpec:
             CampaignSpec.from_dict(self._spec(fuzzer={"queries_per_sseed": 5}))
         with pytest.raises(ConfigurationError, match="unknown key"):
             CampaignSpec.from_dict(self._spec(workflow={"budget": 40}))
-        # specs naming a field of the retired process pool fail at load, in
-        # the policy section and in any other, naming the key
+        # specs naming a field of the retired process pool or of the retired
+        # durable cache fail at load, in the policy section and in any
+        # other, naming the key
         for key, value in (
             ("transport", "auto"),
             ("start_method", None),
             ("retry", None),
             ("faults", None),
+            ("cache_dir", None),
         ):
             with pytest.raises(ConfigurationError, match=f"'{key}'"):
                 CampaignSpec.from_dict(self._spec(policy={key: value}))
@@ -404,7 +389,7 @@ class TestCampaignSpec:
         with pytest.raises(ConfigurationError, match="policy"):
             CampaignSpec.from_dict(self._spec(fuzzer={"num_workers": 2}))
         with pytest.raises(ConfigurationError, match="policy"):
-            CampaignSpec.from_dict(self._spec(workflow={"cache_dir": "/tmp/x"}))
+            CampaignSpec.from_dict(self._spec(workflow={"cache_max_entries": 16}))
         # derived from ExecutionPolicy's fields, so newer ones are covered too
         with pytest.raises(ConfigurationError, match="'policy' section"):
             CampaignSpec.from_dict(self._spec(workflow={"telemetry": True}))

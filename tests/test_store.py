@@ -1,4 +1,4 @@
-"""Tests for repro.store: durable cache, checkpoint/resume, registry + CLI."""
+"""Tests for repro.store: checkpoint/resume, registry + CLI."""
 
 import json
 import pickle
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import OperationalTestingLoop, WorkflowConfig
-from repro.engine import BatchedQueryEngine, CacheBackend, QueryCache, QueryStats
+from repro.engine import QueryStats
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
@@ -21,7 +21,6 @@ from repro.retraining import RetrainingConfig
 from repro.runtime import ExecutionPolicy
 from repro.store import (
     Checkpointer,
-    PersistentQueryCache,
     RunRegistry,
     campaign_fingerprint,
     read_checkpoint,
@@ -85,153 +84,6 @@ def _campaign_summary(campaign):
         )
         for r in campaign.per_seed
     ]
-
-
-# --------------------------------------------------------------------------- #
-# persistent query cache
-# --------------------------------------------------------------------------- #
-class TestPersistentQueryCache:
-    def test_satisfies_cache_backend_protocol(self, tmp_path):
-        assert isinstance(PersistentQueryCache(tmp_path), CacheBackend)
-        assert isinstance(QueryCache(), CacheBackend)
-
-    def test_put_get_roundtrip_is_exact(self, tmp_path):
-        cache = PersistentQueryCache(tmp_path)
-        row = np.random.default_rng(0).random(7)
-        value = np.random.default_rng(1).random(4)
-        assert cache.get(row) is None
-        cache.put(row, value)
-        np.testing.assert_array_equal(cache.get(row), value)
-        assert len(cache) == 1
-
-    def test_content_addressing_dedupes_identical_rows(self, tmp_path):
-        cache = PersistentQueryCache(tmp_path)
-        row = np.ones(3)
-        cache.put(row, np.zeros(2))
-        cache.put(row.copy(), np.zeros(2))
-        assert len(cache) == 1
-
-    def test_keys_tag_dtype_and_shape(self, tmp_path):
-        # regression: rows with identical bytes but different dtype/shape
-        # must be distinct entries — and the durable cache must agree with
-        # the in-memory QueryCache on row identity (shared row_cache_key)
-        cache = PersistentQueryCache(tmp_path)
-        row64 = np.array([1.0, 2.0])
-        row32 = np.frombuffer(row64.tobytes(), dtype=np.float32)
-        assert row64.tobytes() == row32.tobytes()  # the collision precondition
-        cache.put(row64, np.array([0.25]))
-        assert cache.get(row32) is None  # different dtype: a miss, not a hit
-        cache.put(row32, np.array([0.75]))
-        assert len(cache) == 2
-        np.testing.assert_array_equal(cache.get(row64), [0.25])
-        np.testing.assert_array_equal(cache.get(row32), [0.75])
-        cache.put(np.zeros(4), np.array([1.0]))
-        assert cache.get(np.zeros((2, 2))) is None  # shape is part of the key
-
-    def test_entries_survive_reopen(self, tmp_path):
-        rng = np.random.default_rng(2)
-        rows = rng.random((5, 3))
-        with PersistentQueryCache(tmp_path) as cache:
-            for i, row in enumerate(rows):
-                cache.put(row, np.full(2, float(i)))
-        reopened = PersistentQueryCache(tmp_path)
-        assert len(reopened) == 5
-        for i, row in enumerate(rows):
-            np.testing.assert_array_equal(reopened.get(row), np.full(2, float(i)))
-
-    def test_segment_rotation_keeps_entries_readable(self, tmp_path):
-        cache = PersistentQueryCache(tmp_path, max_segment_bytes=128)
-        rows = np.random.default_rng(3).random((10, 4))
-        for i, row in enumerate(rows):
-            cache.put(row, np.full(3, float(i)))
-        cache.close()
-        segments = list((tmp_path / "segments").glob("seg-*.bin"))
-        assert len(segments) > 1  # tiny threshold must have rotated
-        reopened = PersistentQueryCache(tmp_path)
-        assert len(reopened) == 10
-        for i, row in enumerate(rows):
-            np.testing.assert_array_equal(reopened.get(row), np.full(3, float(i)))
-
-    def test_torn_tail_record_is_ignored(self, tmp_path):
-        with PersistentQueryCache(tmp_path) as cache:
-            cache.put(np.arange(3.0), np.arange(2.0))
-            segment = cache._own_segment
-        # simulate a writer killed mid-append: a partial record at the tail
-        with open(segment, "ab") as handle:
-            handle.write(b"RPC1\x10\x00\x00\x00\x10\x00\x00\x00partial")
-        reopened = PersistentQueryCache(tmp_path)
-        assert len(reopened) == 1
-        np.testing.assert_array_equal(reopened.get(np.arange(3.0)), np.arange(2.0))
-
-    def test_refresh_picks_up_other_writers(self, tmp_path):
-        reader = PersistentQueryCache(tmp_path)
-        writer = PersistentQueryCache(tmp_path)  # simulates another process
-        writer.put(np.arange(4.0), np.arange(2.0))
-        assert reader.get(np.arange(4.0)) is None  # not seen yet
-        assert reader.refresh() == 1
-        np.testing.assert_array_equal(reader.get(np.arange(4.0)), np.arange(2.0))
-
-    def test_clear_removes_durable_entries(self, tmp_path):
-        cache = PersistentQueryCache(tmp_path)
-        cache.put(np.arange(3.0), np.arange(2.0))
-        cache.clear()
-        assert len(cache) == 0
-        assert len(PersistentQueryCache(tmp_path)) == 0
-
-    def test_rejects_bad_segment_size(self, tmp_path):
-        with pytest.raises(StoreError):
-            PersistentQueryCache(tmp_path, max_segment_bytes=0)
-
-    def test_engine_rejects_non_backend_cache(self, trained_cluster_model):
-        with pytest.raises(ConfigurationError):
-            BatchedQueryEngine(trained_cluster_model, cache=object())
-
-
-class TestDiskBackedEngineEquivalence:
-    def test_disk_cache_bit_identical_and_fewer_calls(
-        self, tmp_path, trained_cluster_model, operational_cluster_data
-    ):
-        x = operational_cluster_data.x[:64]
-        plain = BatchedQueryEngine(trained_cluster_model, batch_size=16)
-        cold = BatchedQueryEngine(
-            trained_cluster_model,
-            batch_size=16,
-            cache=PersistentQueryCache(tmp_path),
-        )
-        np.testing.assert_array_equal(cold.predict_proba(x), plain.predict_proba(x))
-        assert cold.stats.model_calls == plain.stats.model_calls
-        # a second engine over the same directory simulates a second process
-        # reusing the persistent cache: strictly fewer physical calls,
-        # bit-identical logical results
-        warm = BatchedQueryEngine(
-            trained_cluster_model,
-            batch_size=16,
-            cache=PersistentQueryCache(tmp_path),
-        )
-        np.testing.assert_array_equal(warm.predict_proba(x), plain.predict_proba(x))
-        assert warm.stats.model_calls < cold.stats.model_calls
-        assert warm.stats.model_calls == 0
-        assert warm.stats.cache_hits == len(x)
-
-    def test_warm_campaign_identical_with_fewer_physical_calls(
-        self, tmp_path, trained_cluster_model, cluster_naturalness, operational_cluster_data
-    ):
-        data = operational_cluster_data
-        cfg = FuzzerConfig(
-            epsilon=0.12,
-            queries_per_seed=8,
-            naturalness_threshold=0.3,
-            policy=ExecutionPolicy(cache=True, cache_dir=str(tmp_path / "cache")),
-        )
-        first_fuzzer = OperationalFuzzer(cluster_naturalness, config=cfg, natural_pool=data.x)
-        first = first_fuzzer.fuzz(trained_cluster_model, data.x[:6], data.y[:6], rng=3)
-        second_fuzzer = OperationalFuzzer(cluster_naturalness, config=cfg, natural_pool=data.x)
-        second = second_fuzzer.fuzz(trained_cluster_model, data.x[:6], data.y[:6], rng=3)
-        assert _campaign_summary(first) == _campaign_summary(second)
-        assert (
-            second_fuzzer.last_query_stats.model_calls
-            < first_fuzzer.last_query_stats.model_calls
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -799,16 +651,15 @@ class TestCli:
 
     def test_run_show_ls_gc_roundtrip(self, tmp_path, capsys):
         runs_dir = str(tmp_path / "runs")
-        cache_dir = str(tmp_path / "cache")
         base = ["--runs-dir", runs_dir]
-        assert cli_main(base + self.RUN_ARGS + ["--cache-dir", cache_dir]) == 0
-        # second run over the same persistent cache: strictly fewer physical
-        # model calls, identical logical outcome
-        assert cli_main(base + self.RUN_ARGS + ["--cache-dir", cache_dir]) == 0
+        assert cli_main(base + self.RUN_ARGS) == 0
+        # the same campaign again: every engine builds a fresh cache, so the
+        # second run computes exactly what the first did
+        assert cli_main(base + self.RUN_ARGS) == 0
         registry = RunRegistry(runs_dir)
         first, second = registry.runs()
         assert first.status == second.status == "completed"
-        assert second.load_stats().model_calls < first.load_stats().model_calls
+        assert first.load_stats() == second.load_stats()
         assert _detection_digest(first) == _detection_digest(second)
         assert (
             first.load_estimates()["final"].to_dict()
@@ -860,19 +711,21 @@ class TestCli:
         assert cli_main(["--runs-dir", runs_dir, "resume", "run-0001"]) == 1
         assert "no checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("retired", ["shard_retries", "cache_corrupt_records"])
     def test_stats_with_retired_counters_fail_show_but_not_ls(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, retired
     ):
-        # a stats.json written before the fault counters were removed
+        # a stats.json written before a counter was removed: the process
+        # pool's fault counters, or the persistent cache's corrupt records
         runs_dir = str(tmp_path / "runs")
         run = RunRegistry(runs_dir).create("old", {})
         stats = dict(QueryStats(rows_queried=3, model_calls=1).to_dict())
-        stats["shard_retries"] = 0
+        stats[retired] = 0
         (run.path / "stats.json").write_text(json.dumps(stats))
         capsys.readouterr()
         # show fails loudly, naming the unknown field ...
         assert cli_main(["--runs-dir", runs_dir, "show", run.run_id]) == 1
-        assert "shard_retries" in capsys.readouterr().err
+        assert retired in capsys.readouterr().err
         # ... while the registry listing does not read stats.json at all
         assert cli_main(["--runs-dir", runs_dir, "ls", "--json"]) == 0
         (listed,) = json.loads(capsys.readouterr().out)
@@ -889,6 +742,43 @@ class TestCli:
         registry = RunRegistry(runs_dir)
         assert registry.get("run-0001").status == "failed"
         assert registry.gc(status="failed") == ["run-0001"]
+
+
+# --------------------------------------------------------------------------- #
+# CLI: resume fingerprint mismatch exits 2 with a one-line diagnosis
+# --------------------------------------------------------------------------- #
+class TestResumeFingerprintDiagnosis:
+    def _tiny_run_argv(self, runs_dir):
+        return [
+            "--runs-dir", str(runs_dir), "run",
+            "--scenario", "two-moons", "--samples", "80", "--epochs", "4",
+            "--iterations", "1", "--budget", "40",
+            "--seeds-per-iteration", "3", "--queries-per-seed", "5",
+        ]
+
+    def test_mismatched_checkpoint_exits_two(self, tmp_path, capsys):
+        runs_dir = tmp_path / "runs"
+        assert cli_main(self._tiny_run_argv(runs_dir)) == 0
+        checkpoint = runs_dir / "run-0001" / "checkpoint.pkl"
+        assert checkpoint.exists()
+        # put the run back into a resumable state with a foreign checkpoint
+        registry_file = runs_dir / "run-0001" / "run.json"
+        import json
+
+        record = json.loads(registry_file.read_text())
+        record["status"] = "failed"
+        registry_file.write_text(json.dumps(record))
+        data = pickle.loads(checkpoint.read_bytes())
+        expected = data["payload"]["fingerprint"]
+        data["payload"]["fingerprint"] = "deadbeef"
+        checkpoint.write_bytes(pickle.dumps(data))
+
+        capsys.readouterr()
+        assert cli_main(["--runs-dir", str(runs_dir), "resume", "run-0001"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # one-line diagnosis
+        assert str(checkpoint) in err
+        assert "deadbeef" in err and expected in err
 
 
 def _detection_digest(run):
