@@ -3,11 +3,11 @@
 Runs the same fixed-seed campaign through the sequential reference fuzzer
 ("before") and the batched population engine ("after"), plus the vectorised
 black-box attacks, a ``telemetry_overhead`` section (observability costs
-<3% and never perturbs results, in-process and on the thread-pool backend,
-see ``bench_telemetry.py``) and a ``lint_performance`` section (a warm
-incremental ``repro lint`` beats cold by >=3x with identical findings, see
-``bench_lint.py``), and writes ``BENCH_fuzzer.json`` at the repository
-root so the throughput trajectory is tracked across PRs.
+<3% and never perturbs results, see ``bench_telemetry.py``) and a
+``lint_performance`` section (a warm incremental ``repro lint`` beats cold
+by >=3x with identical findings, see ``bench_lint.py``), and writes
+``BENCH_fuzzer.json`` at the repository root so the throughput trajectory
+is tracked across PRs.
 
 Usage::
 

@@ -1,9 +1,9 @@
 """Telemetry overhead benchmark: observability must be close to free.
 
 Runs a bulk workload (one big naturalness + ``predict_proba`` sweep
-on the medium glyph scenario) with telemetry off and on, in-process and on
-the two-thread sharded backend, and records the wall-time ratio and the
-result checksums.  Each arm takes the **minimum of the sweeps repeated for
+on the medium glyph scenario) with telemetry off and on through the
+in-process query engine, and records the wall-time ratio and the result
+checksums.  Each arm takes the **minimum of the sweeps repeated for
 a fixed time**, and measurement rounds **alternate the arm order** (off→on,
 on→off, …) keeping per-arm minima — the overhead bound is a property of the
 instrumentation, so neither scheduling noise nor monotonic thermal drift
@@ -38,7 +38,6 @@ from repro.runtime import ExecutionPolicy
 SEED = 2021
 BULK_ROWS = 2048
 BATCH_SIZE = 256
-NUM_WORKERS = 2
 #: Minimum over repeats on both arms: the bound is about instrumentation
 #: cost, not scheduler jitter, and min is the standard noise-robust
 #: statistic for it.  Each arm of a round repeats the sweep for at least
@@ -83,8 +82,8 @@ def _measure(engine, bulk) -> dict:
     """Fastest sweep of ARM_SECONDS of repeats, and the checksum, for one
     telemetry state.
 
-    The first (untimed) sweep warms the engine — pool start and replica
-    unpickling are one-time costs, not the steady-state overhead this
+    The first (untimed) sweep warms the engine — lazy imports and
+    allocator pools are one-time costs, not the steady-state overhead this
     measures.
     """
     _sweep(engine, bulk)
@@ -102,26 +101,26 @@ def _row(mode: str, scenario, policy: ExecutionPolicy) -> dict:
     off_s = on_s = float("inf")
     rounds = 0
     repeats = []
-    with scenario.query_engine(policy=policy) as engine:
+    engine = scenario.query_engine(policy=policy)
 
-        def measure_on():
-            with telemetry.session() as sess:
-                on = _measure(engine, bulk)
-            return on, sess
+    def measure_on():
+        with telemetry.session() as sess:
+            on = _measure(engine, bulk)
+        return on, sess
 
-        for rounds in range(1, MAX_ROUNDS + 1):
-            if rounds % 2:
-                off = _measure(engine, bulk)
-                on, sess = measure_on()
-            else:
-                on, sess = measure_on()
-                off = _measure(engine, bulk)
-            checksum_identical = off["checksum"] == on["checksum"]
-            repeats += [off["repeats"], on["repeats"]]
-            off_s = min(off_s, off["wall_time_s"])
-            on_s = min(on_s, on["wall_time_s"])
-            if rounds >= MIN_ROUNDS and on_s / max(off_s, 1e-9) < COMFORT_RATIO:
-                break
+    for rounds in range(1, MAX_ROUNDS + 1):
+        if rounds % 2:
+            off = _measure(engine, bulk)
+            on, sess = measure_on()
+        else:
+            on, sess = measure_on()
+            off = _measure(engine, bulk)
+        checksum_identical = off["checksum"] == on["checksum"]
+        repeats += [off["repeats"], on["repeats"]]
+        off_s = min(off_s, off["wall_time_s"])
+        on_s = min(on_s, on["wall_time_s"])
+        if rounds >= MIN_ROUNDS and on_s / max(off_s, 1e-9) < COMFORT_RATIO:
+            break
     ratio = on_s / max(off_s, 1e-9)
     return {
         "mode": mode,
@@ -143,22 +142,7 @@ def telemetry_section() -> dict:
     scenario = make_glyph_scenario(
         num_samples=900, image_size=12, num_classes=10, epochs=10, rng=SEED
     )
-    rows = [
-        _row(
-            "in-process",
-            scenario,
-            ExecutionPolicy(backend="batched", batch_size=BATCH_SIZE),
-        ),
-        _row(
-            "sharded-2-threads",
-            scenario,
-            ExecutionPolicy(
-                backend="sharded",
-                num_workers=NUM_WORKERS,
-                batch_size=BATCH_SIZE,
-            ),
-        ),
-    ]
+    rows = [_row("in-process", scenario, ExecutionPolicy(batch_size=BATCH_SIZE))]
     return {
         "description": "bulk naturalness+predict sweep, telemetry on vs off "
         f"(min of {ARM_SECONDS:g} s of repeats per arm and round)",
@@ -186,13 +170,6 @@ def validate_telemetry_section(section: dict) -> None:
             raise AssertionError(
                 f"the telemetry-on {row['mode']} arm recorded no metrics — "
                 "the instrumentation is not reaching the session"
-            )
-        if row["mode"] != "in-process" and row["spans_recorded"] <= 0:
-            # sharded rows must show dispatch/shard spans from the pool
-            # threads; the in-process bulk sweep is metrics-only
-            raise AssertionError(
-                f"the telemetry-on {row['mode']} arm recorded no spans — "
-                "pool-thread spans are not reaching the session"
             )
 
 

@@ -95,12 +95,10 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 6. the runtime API: one ExecutionPolicy drives the whole campaign
     # ------------------------------------------------------------------ #
-    # An ExecutionPolicy captures the entire execution surface — backend,
-    # workers, batching, caching, checkpoint cadence — in one serializable
-    # object.  Here: campaign snapshots every 2 population rounds, so a
-    # killed run resumes bit-identically.  Swapping in
-    # `backend="sharded", num_workers=4` runs the model on a thread pool of
-    # replicas with bit-identical results.
+    # An ExecutionPolicy captures the entire execution surface — batching,
+    # caching, checkpoint cadence, telemetry — in one serializable object.
+    # Here: campaign snapshots every 2 population rounds, so a killed run
+    # resumes bit-identically.
     with tempfile.TemporaryDirectory() as store_dir:
         fuzz_config = FuzzerConfig(
             queries_per_seed=25, policy=ExecutionPolicy(checkpoint_every=2)
@@ -141,11 +139,11 @@ def main() -> None:
     #   python -m repro resume run-0001       # after an interruption
     #
     # Add `--telemetry` (or `ExecutionPolicy(telemetry=True)`) and the run
-    # also stores trace.jsonl + metrics.json — spans from the sharded
-    # backend's pool threads included, on worker lanes — with zero overhead
-    # when off and <3% when on, bit-identical results either way:
+    # also stores trace.jsonl + metrics.json — one span per loop iteration
+    # plus the engine's counters — with zero overhead when off and <3% when
+    # on, bit-identical results either way:
     #   python -m repro run --spec examples/campaign.json --telemetry
-    #   python -m repro trace run-0002                   # per-worker timeline
+    #   python -m repro trace run-0002                   # timeline
     #   python -m repro trace run-0002 --chrome t.json   # open in Perfetto
 
 

@@ -21,8 +21,8 @@ substrate it depends on:
 * :mod:`repro.evaluation` — experiment scenarios and reporting.
 * :mod:`repro.store` — campaign store (checkpoint/resume, run registry +
   ``python -m repro`` CLI).
-* :mod:`repro.runtime` — the runtime API: :class:`ExecutionPolicy`, the
-  :class:`ModelBackend` registry and declarative :class:`CampaignSpec` files.
+* :mod:`repro.runtime` — the runtime API: :class:`ExecutionPolicy` and
+  declarative :class:`CampaignSpec` files.
 """
 
 from . import (

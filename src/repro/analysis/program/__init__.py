@@ -1,8 +1,8 @@
 """``repro.analysis.program`` — whole-program analysis for the linter.
 
 The per-file rules (REP001–REP008) see one module at a time; the invariants
-the codebase now lives by are cross-module: lock acquisition spans
-``engine.parallel`` and ``telemetry``, model
+the codebase now lives by are cross-module: lock acquisition spans the
+``telemetry`` modules, model
 objects flow through ``ExecutionPolicy.build_engine()`` across package
 boundaries, and bit-identity depends on iteration-order discipline wherever
 results merge.  This package parses the tree once into per-module

@@ -169,7 +169,7 @@ class ModuleFacts:
     """Everything the program rules need to know about one module."""
 
     path: str
-    module: str  # absolute dotted module name ("repro.engine.parallel")
+    module: str  # absolute dotted module name ("repro.engine.batching")
     content_hash: str
     imports: List[ImportFact] = field(default_factory=list)
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)

@@ -8,7 +8,7 @@ depends on:
 id        slug              contract
 ========  ================  ====================================================
 REP001    engine-funnel     all model traffic flows through
-                            ``ExecutionPolicy.build_engine()`` → ``ModelBackend``
+                            ``ExecutionPolicy.build_engine()``
 REP002    rng-discipline    no global-state NumPy RNG; every stochastic call
                             takes a seeded ``Generator``
 REP004    lock-discipline   attributes mutated under a ``self._lock`` block are

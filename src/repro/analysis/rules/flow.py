@@ -203,9 +203,8 @@ class FunnelEscapeRule(ProgramRule):
                             f"{sink.receiver_call}(), which returns a raw "
                             "model — unbatched, uncached, invisible to "
                             "QueryStats",
-                            hint="route through ExecutionPolicy.build_engine()"
-                            "/session(), or justify with "
-                            "# repro: allow[funnel-escape]",
+                            hint="route through ExecutionPolicy.build_engine(), "
+                            "or justify with # repro: allow[funnel-escape]",
                         )
                     )
                 continue

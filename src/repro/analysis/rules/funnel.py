@@ -1,8 +1,8 @@
 """REP001 — all model traffic flows through the execution-policy funnel.
 
 The architecture note in ROADMAP.md makes one promise every scaling feature
-relies on: model queries go through ``ExecutionPolicy.build_engine()`` into a
-registered ``ModelBackend``, so they are batched, cached, sharded and counted
+relies on: model queries go through ``ExecutionPolicy.build_engine()`` into
+the query engine, so they are batched, cached, non-finite-checked and counted
 in ``QueryStats``.  A bare ``model.predict(...)`` somewhere deep in a
 subsystem silently bypasses all four — it still *works*, which is exactly why
 only a static rule catches it before the call site gets hot.
@@ -11,11 +11,12 @@ Two patterns are flagged outside the engine/runtime/nn layers:
 
 * **query traffic** — ``predict`` / ``predict_proba`` / ``loss_input_gradient``
   / ``forward`` called on a receiver that is not engine-named (``engine``,
-  ``query_engine``, ...).  Route it through ``policy.build_engine()`` /
-  ``policy.session()`` instead, or pragma-justify genuinely whitebox access.
+  ``query_engine``, ...).  Route it through ``policy.build_engine()``
+  instead, or pragma-justify genuinely whitebox access.
 * **training traffic** — a model-named value handed to a ``.fit(...)`` call.
-  Training mutates weights outside the funnel (sharded replicas snapshot the
-  model), so every training site must be explicit and justified.
+  Training mutates weights outside the funnel (an engine's cache was filled
+  from the old weights), so every training site must be explicit and
+  justified.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ MODELISH_NAMES = ("model", "network", "classifier")
 
 @register_rule
 class EngineFunnelRule(Rule):
-    """Every model query outside the funnel is unbatched, uncached, unsharded
+    """Every model query outside the funnel is unbatched, uncached, unchecked
     and invisible to ``QueryStats`` — the four properties every scaling
     feature (and the paper's query-budget accounting) relies on.  The call
     still returns the right answer, which is exactly why only a static rule
@@ -88,7 +89,7 @@ class EngineFunnelRule(Rule):
                 node,
                 f"direct model query {receiver}.{func.attr}(...) bypasses the "
                 "engine funnel (unbatched, uncached, invisible to QueryStats)",
-                hint="route through ExecutionPolicy.build_engine()/session(), "
+                hint="route through ExecutionPolicy.build_engine(), "
                 "or justify whitebox access with # repro: allow[engine-funnel]",
             )
             return

@@ -1,12 +1,11 @@
 """REP009 — lock ordering: the cross-module lock graph must be acyclic.
 
-The concurrency surface spans packages whose locks one thread can take
-in turn: the sharded engine's stats/cache lock (``engine.parallel``) and
-the telemetry collector's and metric registry's locks
-(``repro.telemetry``), which pool threads and the calling thread take
-concurrently.  Each class is individually lock-correct (REP004 enforces
-that), but deadlock is a *global* property: thread 1 holds lock A and
-wants B while thread 2 holds B and wants A — each side locally blameless.
+The concurrency surface is the set of locks one thread can take in turn:
+today the telemetry collector's and metric classes' locks
+(``repro.telemetry``).  Each class is individually lock-correct (REP004
+enforces that), but deadlock is a *global* property: thread 1 holds lock A
+and wants B while thread 2 holds B and wants A — each side locally
+blameless.
 This rule builds the whole-program lock-acquisition graph — an edge A→B
 wherever code acquires B while holding A, either by nesting
 ``with`` blocks or by calling (transitively, through the resolved call
@@ -14,8 +13,8 @@ graph) a function that takes B — and flags every edge participating in a
 cycle, plus re-acquisition of a non-reentrant ``Lock`` the thread already
 holds (self-deadlock).
 
-Lock identity is name-based and class-scoped (``repro.engine.parallel.
-ShardedQueryEngine._lock``): two instances of one class share an id, which
+Lock identity is name-based and class-scoped (``repro.telemetry.spans.
+TraceCollector._lock``): two instances of one class share an id, which
 is the standard lock-ordering abstraction — if instance A can call into
 instance B of the same class under its own lock, the order violation is
 real on some interleaving.

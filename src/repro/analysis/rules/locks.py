@@ -1,9 +1,9 @@
 """REP004 — lock discipline: guarded state is guarded everywhere.
 
-The ``ShardedQueryEngine._absorb`` merge is the canonical instance: per-shard
-``QueryStats`` deltas merge into shared counters under ``self._lock``, and the
-equivalence suites only hold because *every* mutation of that state takes the
-same lock.  The race class this rule targets is the subtle one-step regression:
+The telemetry ``TraceCollector`` is the canonical instance: its ring, cursor
+and span count change together under ``self._lock``, and a snapshot is only
+consistent because *every* access to that state takes the same lock.  The
+race class this rule targets is the subtle one-step regression:
 a new method reads or mutates an attribute that the rest of the class only
 ever touches inside ``with self._lock:`` — correct today because today's
 callers are single-threaded, silently racy the day they are not.

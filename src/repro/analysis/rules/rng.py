@@ -1,6 +1,6 @@
 """REP002 — RNG discipline: no global state, no unseeded generators.
 
-Bit-identical campaigns across execution backends rest on one discipline
+Bit-identical campaigns across execution policies rest on one discipline
 (see ``repro.config``): every stochastic component takes an explicit seeded
 ``numpy.random.Generator`` (spawned per seed by the campaign policy), and the
 legacy global-state API (``np.random.seed`` / ``np.random.rand`` / ...) is

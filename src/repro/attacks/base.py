@@ -66,11 +66,10 @@ class AttackResult:
 class Attack:
     """Base class for adversarial attacks (debug-testing test-case generators).
 
-    ``policy`` (an :class:`~repro.runtime.ExecutionPolicy`) selects the
-    execution backend for attacks that funnel their queries through an
-    engine (the black-box attacks); the white-box gradient attacks query the
-    model directly and ignore it.  Results are bit-identical across
-    policies.
+    ``policy`` (an :class:`~repro.runtime.ExecutionPolicy`) sets batching
+    and caching for attacks that funnel their queries through an engine
+    (the black-box attacks); the white-box gradient attacks query the model
+    directly and ignore it.
     """
 
     #: Human readable name used in reports.
@@ -99,14 +98,6 @@ class Attack:
     # ------------------------------------------------------------------ #
     # shared helpers
     # ------------------------------------------------------------------ #
-    def _engine_session(self, model: Classifier):
-        """Query-engine session honouring the attack's execution policy.
-
-        The returned context manager closes engines it created and passes
-        pre-built engines through untouched.
-        """
-        return self.policy.session(model)
-
     @staticmethod
     def _validate_batch(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.atleast_2d(np.asarray(x, dtype=float))

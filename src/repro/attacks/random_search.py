@@ -11,9 +11,7 @@ matrices are generated up front and serviced by a handful of chunked
 the reported per-seed query counts remain exactly what the trial-by-trial
 loop would have charged (a seed stops being billed at its first hit when the
 attack early-stops).  Each attack's :class:`~repro.runtime.ExecutionPolicy`
-selects the execution backend for those physical calls (the
-``"sharded"`` backend fans chunks out across a thread pool with
-bit-identical results).
+sets the batch size and cache of the engine serving those physical calls.
 """
 
 from __future__ import annotations
@@ -41,8 +39,7 @@ class RandomFuzz(Attack):
     early_stop:
         Stop billing a seed as soon as a misclassification is found.
     policy:
-        Execution policy for the physical calls (backend, batching, workers
-        — results are bit-identical across policies).
+        Execution policy for the physical calls (batching and caching).
     """
 
     name = "random-fuzz"
@@ -160,8 +157,8 @@ class BoundaryNudge(Attack):
     ) -> AttackResult:
         x, y = self._validate_batch(x, y)
         generator = ensure_rng(rng)
-        with self._engine_session(model) as engine:
-            return self._run_with_engine(engine, x, y, generator)
+        engine = self.policy.build_engine(model)
+        return self._run_with_engine(engine, x, y, generator)
 
     def _run_with_engine(
         self,
@@ -249,8 +246,8 @@ def _run_trial_matrix_attack(
     seed is billed one query per trial until its first hit when
     ``early_stop`` is set, or for every trial otherwise).
     """
-    with attack._engine_session(model) as engine:
-        return _trial_matrix_with_engine(engine, x, y, num_trials, draw_noise, attack, early_stop)
+    engine = attack.policy.build_engine(model)
+    return _trial_matrix_with_engine(engine, x, y, num_trials, draw_noise, attack, early_stop)
 
 
 def _trial_matrix_with_engine(

@@ -278,9 +278,9 @@ class OperationalTestingBaseline(DetectionMethod):
         generator = ensure_rng(rng)
         size = min(budget, len(operational_data))
         policy = self.policy if self.policy is not None else ExecutionPolicy()
-        with policy.session(model) as engine:
-            selection = UniformSeedSampler().select(operational_data, engine, size, rng=generator)
-            predictions = engine.predict(selection.x)
+        engine = policy.build_engine(model)
+        selection = UniformSeedSampler().select(operational_data, engine, size, rng=generator)
+        predictions = engine.predict(selection.x)
         densities = _normalised_density(self.profile, selection.x, operational_data.x)
         adversarial: List[AdversarialExample] = []
         failures = np.flatnonzero(predictions != selection.y)

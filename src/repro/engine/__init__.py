@@ -11,15 +11,10 @@ queries:
   from physical model calls.
 * :mod:`repro.engine.population` — :class:`PopulationFuzzEngine`, the
   lock-step population loop behind the batched operational fuzzer.
-* :mod:`repro.engine.parallel` — :class:`ShardedQueryEngine`, the
-  thread-pool execution backend that spreads physical chunks across
-  per-thread pickled model replicas with bit-identical results.
 
-Subsystems select and construct engines through the runtime API
-(:class:`repro.runtime.ExecutionPolicy` and the registered
-:class:`repro.runtime.ModelBackend` implementations); future scaling work
-(async dispatch, remote substrates) plugs in behind
-:func:`repro.runtime.register_backend` without touching the subsystems.
+Subsystems build their engine through the runtime API
+(:meth:`repro.runtime.ExecutionPolicy.build_engine`), which sets its batch
+size and cache from the campaign's policy.
 """
 
 from .batching import (
@@ -29,7 +24,6 @@ from .batching import (
     QueryStats,
     as_query_engine,
 )
-from .parallel import ShardedQueryEngine
 from .population import (
     MemberOutcome,
     PopulationFuzzEngine,
@@ -44,7 +38,6 @@ __all__ = [
     "QueryCache",
     "QueryStats",
     "as_query_engine",
-    "ShardedQueryEngine",
     "MemberOutcome",
     "PopulationFuzzEngine",
     "SeedTask",

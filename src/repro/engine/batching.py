@@ -94,11 +94,10 @@ class QueryStats:
         return cls(**{key: int(value) for key, value in data.items()})
 
     def merge(self, other: "QueryStats") -> "QueryStats":
-        """Add another set of counters (e.g. one shard's) into this one.
+        """Add another set of counters into this one, field by field.
 
-        The merge itself is plain integer addition; callers that merge from
-        concurrently completing shards must serialise calls (the sharded
-        engine holds a lock around every merge).
+        Used to continue an interrupted campaign's accounting from its
+        checkpoint, and to total the counters of several campaigns.
         """
         for name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -215,7 +214,7 @@ class BatchedQueryEngine:
         """Class probabilities for every row, served in chunks via the cache."""
         x = finite_rows(np.atleast_2d(np.asarray(x, dtype=float)))
         n = len(x)
-        self._absorb(QueryStats(rows_queried=n))
+        self.stats.rows_queried += n
         if n == 0:
             return np.zeros((0, 0))
 
@@ -225,7 +224,7 @@ class BatchedQueryEngine:
 
         cached = [self.cache.get(row) for row in x]
         miss = np.flatnonzero([value is None for value in cached])
-        self._absorb(QueryStats(cache_hits=n - len(miss)))
+        self.stats.cache_hits += n - len(miss)
         telemetry.count("engine.cache_hits", n - len(miss))
         telemetry.count("engine.cache_misses", len(miss))
         if len(miss) == 0:
@@ -237,8 +236,13 @@ class BatchedQueryEngine:
         return np.stack(cached)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predicted labels (argmax of :meth:`predict_proba`, so cache-aware)."""
+        """Predicted labels (argmax of :meth:`predict_proba`, so cache-aware).
+
+        An empty batch yields an empty label array without a model call.
+        """
         probs = self.predict_proba(x)
+        if len(probs) == 0:
+            return np.zeros(0, dtype=int)
         return probs.argmax(axis=1)
 
     def loss_input_gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,14 +256,14 @@ class BatchedQueryEngine:
         x = finite_rows(np.atleast_2d(np.asarray(x, dtype=float)))
         y = np.atleast_1d(np.asarray(y, dtype=int))
         n = len(x)
-        self._absorb(QueryStats(gradient_rows=n))
+        self.stats.gradient_rows += n
         if n == 0:
             return np.zeros_like(x)
         telemetry.count("engine.gradient_rows", n)
         pieces = []
         for start, stop in _iter_chunks(n, self.batch_size):
             pieces.append(self.model.loss_input_gradient(x[start:stop], y[start:stop]))
-            self._absorb(QueryStats(gradient_calls=1))
+            self.stats.gradient_calls += 1
             telemetry.count("engine.gradient_calls")
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
 
@@ -272,46 +276,20 @@ class BatchedQueryEngine:
             raise ConfigurationError("engine was built without a naturalness scorer")
         x = finite_rows(np.atleast_2d(np.asarray(x, dtype=float)))
         n = len(x)
-        self._absorb(QueryStats(naturalness_rows=n))
+        self.stats.naturalness_rows += n
         if n == 0:
             return np.zeros(0)
         telemetry.count("engine.naturalness_rows", n)
         pieces = []
         for start, stop in _iter_chunks(n, self.batch_size):
             pieces.append(np.asarray(self.naturalness.score(x[start:stop]), dtype=float))
-            self._absorb(QueryStats(naturalness_calls=1))
+            self.stats.naturalness_calls += 1
             telemetry.count("engine.naturalness_calls")
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release execution resources.
-
-        A no-op for the in-process engine; the sharded backend overrides it
-        to shut down its thread pool.  Stats (and the cache) stay readable
-        after closing.
-        """
-
-    def __enter__(self) -> "BatchedQueryEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _absorb(self, delta: QueryStats) -> None:
-        """Merge a stats delta into the counters.
-
-        The single funnel for every counter mutation: the sharded backend
-        overrides it with a locked variant so merges stay race-free when
-        several threads share one engine.
-        """
-        self.stats.merge(delta)
-
     def _predict_proba_chunked(self, x: np.ndarray) -> np.ndarray:
         pieces = []
         # one enabled check per logical call, not per chunk: when telemetry
@@ -320,7 +298,7 @@ class BatchedQueryEngine:
         for start, stop in _iter_chunks(len(x), self.batch_size):
             started = clock.monotonic() if timed else 0.0
             pieces.append(np.asarray(self.model.predict_proba(x[start:stop]), dtype=float))
-            self._absorb(QueryStats(model_calls=1))
+            self.stats.model_calls += 1
             if timed:
                 telemetry.observe("engine.chunk_latency_s", clock.monotonic() - started)
                 telemetry.count("engine.model_calls")

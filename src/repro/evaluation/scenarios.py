@@ -50,12 +50,9 @@ class Scenario:
     def query_engine(self, policy: Optional["ExecutionPolicy"] = None):
         """Build a query engine over the scenario's model and scorer.
 
-        ``policy`` (an :class:`~repro.runtime.ExecutionPolicy`) selects the
-        execution backend and the engine's in-memory cache
-        (``policy=ExecutionPolicy(cache=True)``) — results are bit-identical
-        across backends.  Callers own the returned engine and should
-        :meth:`~repro.engine.BatchedQueryEngine.close` it (or use it as a
-        context manager) when a multi-worker backend was requested.
+        ``policy`` (an :class:`~repro.runtime.ExecutionPolicy`) sets the
+        engine's batch size and in-memory cache
+        (``policy=ExecutionPolicy(cache=True)``).
         """
         from ..runtime.policy import ExecutionPolicy, policy_or_default
 

@@ -29,12 +29,9 @@ Control flow and execution substrate are separate axes:
   call service the whole population) or ``"sequential"`` (the reference
   one-seed-at-a-time loop, kept for equivalence testing and as the ground
   truth for the per-seed semantics).
-* ``FuzzerConfig.policy`` (an :class:`repro.runtime.ExecutionPolicy`) picks
-  the *execution substrate*: the registered model backend (in-process
-  ``"batched"`` or the thread-pool ``"sharded"``), batching, the engine's
-  in-memory cache and the checkpoint cadence.  Campaign results are
-  bit-identical across backends at equal ``batch_size`` and ``cache`` by
-  construction.
+* ``FuzzerConfig.policy`` (an :class:`repro.runtime.ExecutionPolicy`) sets
+  what execution costs: batching, the engine's in-memory cache and the
+  checkpoint cadence.  It never changes which queries a campaign makes.
 
 Both control flows draw each seed's randomness from a private generator
 spawned from the campaign RNG (the policy's ``rng_spawning`` rule), so a
@@ -70,8 +67,7 @@ from ..types import AdversarialExample, Classifier
 from .mutations import MutationContext, MutationOperator, default_operators
 
 #: Valid values of :attr:`FuzzerConfig.execution` — the *control flow* knob:
-#: the batched lock-step default and the sequential reference loop.  The
-#: execution backend lives on the :class:`~repro.runtime.ExecutionPolicy`.
+#: the batched lock-step default and the sequential reference loop.
 EXECUTION_MODES = ("population", "sequential")
 
 
@@ -112,11 +108,9 @@ class FuzzerConfig:
         Control flow: ``"population"`` (batched lock-step fuzzing, the fast
         default) or ``"sequential"`` (the reference per-seed loop).
     policy:
-        The campaign's :class:`~repro.runtime.ExecutionPolicy` (backend,
-        workers, batching, caching, checkpoint cadence).  Defaults to
-        ``ExecutionPolicy()`` (in-process, no query cache), like every other
-        subsystem.  Campaign results are bit-identical across backends at
-        equal ``batch_size`` and ``cache``.
+        The campaign's :class:`~repro.runtime.ExecutionPolicy` (batching,
+        caching, checkpoint cadence).  Defaults to ``ExecutionPolicy()``
+        (no query cache), like every other subsystem.
     """
 
     epsilon: float = 0.1
@@ -291,9 +285,8 @@ class OperationalFuzzer:
             *this* campaign — same seeds, labels and control-flow config,
             verified by fingerprint.  The campaign resumes from the snapshot
             and produces detections, per-seed query counts and fitness
-            trajectories bit-identical to an uninterrupted run.  Population
-            and sharded execution share one checkpoint format, so a campaign
-            may resume under either backend.
+            trajectories bit-identical to an uninterrupted run.  The
+            fingerprint leaves the execution policy out.
         """
         seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
         labels = np.atleast_1d(np.asarray(labels, dtype=int))
@@ -311,8 +304,8 @@ class OperationalFuzzer:
         # fingerprint everything that shapes the campaign's control flow:
         # the inputs (seeds, labels, densities, the natural pool feeding the
         # interpolation neighbours) and every config knob that changes what
-        # the campaign *does* — execution backend, batching and caching are
-        # deliberately excluded because they never change logical results
+        # the campaign *does* — batching and caching are deliberately
+        # excluded because they never change logical results
         fingerprint_arrays = [seeds, labels]
         if op_densities is not None:
             fingerprint_arrays.append(op_densities)
@@ -357,38 +350,36 @@ class OperationalFuzzer:
             max(1, int(round(cfg.queries_per_seed * energies[i])))
             for i in range(len(seeds))
         ]
-        with cfg.policy.session(model, naturalness=self.naturalness) as engine:
-            self.last_query_stats = engine.stats
-            if resume_state is not None:
-                # continue the interrupted campaign's accounting: counters
-                # restart from the snapshot, exactly as if never interrupted
-                engine.stats.merge(resume_state["stats"])
-            if cfg.execution == "sequential":
-                result = self._fuzz_sequential(
-                    engine,
-                    seeds,
-                    labels,
-                    op_densities,
-                    budget,
-                    nominal_budgets,
-                    rngs,
-                    checkpointer=checkpointer,
-                    resume_state=resume_state,
-                )
-            else:
-                # every backend (in-process or sharded) runs the same
-                # lock-step control flow; only the physical execution differs
-                result = self._fuzz_population(
-                    engine,
-                    seeds,
-                    labels,
-                    op_densities,
-                    budget,
-                    nominal_budgets,
-                    rngs,
-                    checkpointer=checkpointer,
-                    resume_state=resume_state,
-                )
+        engine = cfg.policy.build_engine(model, naturalness=self.naturalness)
+        self.last_query_stats = engine.stats
+        if resume_state is not None:
+            # continue the interrupted campaign's accounting: counters
+            # restart from the snapshot, exactly as if never interrupted
+            engine.stats.merge(resume_state["stats"])
+        if cfg.execution == "sequential":
+            result = self._fuzz_sequential(
+                engine,
+                seeds,
+                labels,
+                op_densities,
+                budget,
+                nominal_budgets,
+                rngs,
+                checkpointer=checkpointer,
+                resume_state=resume_state,
+            )
+        else:
+            result = self._fuzz_population(
+                engine,
+                seeds,
+                labels,
+                op_densities,
+                budget,
+                nominal_budgets,
+                rngs,
+                checkpointer=checkpointer,
+                resume_state=resume_state,
+            )
         result.validate_budget(budget)
         return result
 

@@ -87,8 +87,8 @@ class FrequencyProfileEstimator(ProfileEstimator):
             from ..runtime.policy import ExecutionPolicy
 
             policy = self.policy if self.policy is not None else ExecutionPolicy()
-            with policy.session(self.model) as engine:
-                labels = np.asarray(engine.predict(x), dtype=int)
+            engine = policy.build_engine(self.model)
+            labels = np.asarray(engine.predict(x), dtype=int)
         else:
             labels = np.asarray(labels, dtype=int)
             if labels.shape != (len(x),):

@@ -262,8 +262,8 @@ class ReliabilityAssessor:
         tree = cKDTree(reference.x)
         _, indices = tree.query(samples)
         labels = reference.y[indices]
-        with self.policy.session(model) as query_engine:
-            return accuracy(labels, np.asarray(query_engine.predict(samples)))
+        query_engine = self.policy.build_engine(model)
+        return accuracy(labels, np.asarray(query_engine.predict(samples)))
 
     def identify_weak_cells(
         self, table: CellEvidenceTable, top_k: int = 10

@@ -200,10 +200,10 @@ class CellRobustnessEvaluator:
             metas.append((int(cell_id), label, len(members), len(test_points)))
 
         if pending:
-            with self.policy.session(model) as query_engine:
-                predictions = np.asarray(
-                    query_engine.predict(np.concatenate(pending, axis=0))
-                )
+            query_engine = self.policy.build_engine(model)
+            predictions = np.asarray(
+                query_engine.predict(np.concatenate(pending, axis=0))
+            )
             offset = 0
             for cell_id, label, support, num_points in metas:
                 cell_predictions = predictions[offset : offset + num_points]

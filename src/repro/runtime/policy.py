@@ -1,13 +1,12 @@
 """``ExecutionPolicy`` — the whole execution surface in one object.
 
 :class:`ExecutionPolicy` is one frozen, serializable dataclass that says
-*how* a campaign executes — backend, workers, batching, caching, checkpoint
-cadence — accepted by every subsystem as its single ``policy``
+*how* a campaign executes — batching, caching, checkpoint cadence, RNG
+spawning, telemetry — accepted by every subsystem as its single ``policy``
 parameter (checked by :func:`policy_or_default`) and recorded verbatim in
 campaign specs (:mod:`repro.runtime.spec`).
 
-The policy decides what execution costs, not what it computes.  Backends
-are bit-identical at equal ``batch_size`` and ``cache``, and a cache hit
+The policy decides what execution costs, not what it computes.  A cache hit
 returns the stored bits.  Changing ``batch_size`` or ``cache`` itself can
 move the last bit of a float — a model's output may depend on the rows per
 call, and hits shrink the batch of misses — while queries, rejections and
@@ -19,40 +18,29 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional, Union
 
 from ..config import RngLike, spawn_rngs
 from ..engine.batching import DEFAULT_BATCH_SIZE, BatchedQueryEngine, as_query_engine
 from ..exceptions import ConfigurationError
-from .backends import resolve_backend
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .backends import ModelBackend
+from ..types import Classifier
 
 #: RNG spawning policies.  ``"per-seed"`` (the only shipping policy) gives
 #: every fuzzed seed a private child generator spawned from the campaign RNG,
 #: which is what makes campaigns independent of execution order — the
 #: property every equivalence suite pins.  Future policies (e.g. counter-based
-#: streams for remote backends) register here.
+#: streams for vectorised draws) register here.
 RNG_SPAWN_POLICIES = ("per-seed",)
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How a campaign executes: backend, parallelism, batching, caching.
+    """How a campaign executes: batching, caching, checkpoints, telemetry.
 
     Attributes
     ----------
-    backend:
-        Registered execution backend name (see
-        :func:`repro.runtime.available_backends`).  Shipping backends:
-        ``"batched"`` (in-process) and ``"sharded"`` (a thread pool of
-        per-thread model replicas).
-    num_workers:
-        Pool threads for the sharded backend; ``1`` stays in-process.
     batch_size:
         Maximum rows per physical model call.
     cache:
@@ -74,10 +62,11 @@ class ExecutionPolicy:
         registry.  Bit-identity-neutral (never touches RNG, never reorders
         work) and <3% wall time, both pinned by test and bench — so
         enabling it is always safe.
+
+    The three counts must be Python ``int`` (not ``bool``): a fractional
+    cadence or batch size would otherwise be truncated where it is used.
     """
 
-    backend: str = "batched"
-    num_workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
     cache: bool = False
     cache_max_entries: int = 65536
@@ -86,9 +75,10 @@ class ExecutionPolicy:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        resolve_backend(self.backend)  # fails loudly on unknown names
-        if self.num_workers <= 0:
-            raise ConfigurationError("num_workers must be positive")
+        for name in ("batch_size", "cache_max_entries", "checkpoint_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
         if not isinstance(self.cache, bool):
@@ -151,37 +141,24 @@ class ExecutionPolicy:
     # the factory: the policy builds its own execution machinery
     # ------------------------------------------------------------------ #
     def build_engine(
-        self, model: "ModelBackend", naturalness: Optional[object] = None
+        self, model: Classifier, naturalness: Optional[object] = None
     ) -> BatchedQueryEngine:
         """Build the query engine this policy describes over ``model``.
 
         The single engine-construction funnel.  A ``model`` that already
         *is* an engine is passed through unchanged (its configuration wins,
-        so nested subsystems share one set of counters, one cache and one
-        thread pool).  A new engine builds its own in-memory cache when
-        ``cache`` is set; the cache dies with the engine.
+        so nested subsystems share one set of counters and one cache; a
+        scorer-less engine gets ``naturalness``).  A new engine builds its
+        own in-memory cache when ``cache`` is set; the cache dies with the
+        engine.
         """
-        if isinstance(model, BatchedQueryEngine):
-            return as_query_engine(model, naturalness=naturalness)
-        return resolve_backend(self.backend).from_policy(model, naturalness, self)
-
-    @contextmanager
-    def session(
-        self, model: "ModelBackend", naturalness: Optional[object] = None
-    ) -> Iterator[BatchedQueryEngine]:
-        """Build an engine for one campaign and release its pool afterwards.
-
-        Engines the caller already owns (``model`` is itself an engine) are
-        passed through *without* being closed — their lifecycle belongs to
-        the caller.
-        """
-        engine = self.build_engine(model, naturalness)
-        created = engine is not model
-        try:
-            yield engine
-        finally:
-            if created:
-                engine.close()
+        return as_query_engine(
+            model,
+            naturalness,
+            batch_size=self.batch_size,
+            cache=self.cache,
+            cache_max_entries=self.cache_max_entries,
+        )
 
     def spawn_rngs(self, rng: RngLike, count: int) -> list:
         """Spawn per-seed generators according to the RNG spawning policy."""
@@ -221,7 +198,7 @@ def policy_or_default(
 
     Every subsystem takes its execution surface as one ``policy`` parameter
     and checks it here, at construction, where the caller can see the
-    mistake (a backend name string, a dict, a stray positional argument) —
+    mistake (a string, a dict, a stray positional argument) —
     not attributes deep into the campaign.  The rejection is raised as
     ``owner``'s own ``error`` class.
     """

@@ -13,7 +13,7 @@ files::
       "fuzzer":   {"queries_per_seed": 6},
       "workflow": {"test_budget_per_iteration": 80, "seeds_per_iteration": 4},
       "stopping": {"target_pmi": 0.02, "max_iterations": 1},
-      "policy":   {"backend": "batched", "cache": true, "checkpoint_every": 1}
+      "policy":   {"cache": true, "checkpoint_every": 1}
     }
 
 ``python -m repro run --spec campaign.json`` consumes such a file, records
@@ -22,7 +22,7 @@ it **verbatim** in the run registry (``run.json``'s ``config.spec``), and
 run's spec — so a stored run is reproducible from its spec alone.
 
 Section keys are validated against the target configuration objects, and
-execution settings (``num_workers``, ``cache``, ... — any
+execution settings (``batch_size``, ``cache``, ... — any
 :class:`ExecutionPolicy` field) are rejected outside the ``policy`` section:
 in a spec the execution surface lives there, nowhere else.
 """
@@ -86,13 +86,6 @@ def _validate_section(section: str, data: Mapping[str, object]) -> Dict[str, obj
         raise ConfigurationError(
             f"unknown key {key!r} in spec section {section!r}; "
             f"expected a subset of {sorted(allowed)}"
-        )
-    if section == "fuzzer" and data.get("execution") == "sharded":
-        # the backend is a policy setting: point the retired alias there
-        raise ConfigurationError(
-            "spec section 'fuzzer' must not use execution='sharded'; set "
-            "backend='sharded' in the 'policy' section (execution selects "
-            "only the 'population'/'sequential' control flow)"
         )
     return dict(data)
 

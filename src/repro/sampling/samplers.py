@@ -79,7 +79,7 @@ class SeedSampler:
             raise SamplingError("cannot sample seeds from an empty dataset")
 
     def _funnel(self, model: Classifier):
-        """Session over ``model`` via the sampler's execution policy.
+        """Query engine over ``model`` via the sampler's execution policy.
 
         Weight functions are leaf callables: they receive whatever classifier
         the sampler hands them.  Funnelling here means every auxiliary-weight
@@ -87,7 +87,7 @@ class SeedSampler:
         ``model`` that is already an engine passes through unchanged.
         """
         policy = getattr(self, "policy", None) or ExecutionPolicy()
-        return policy.session(model)
+        return policy.build_engine(model)
 
     @staticmethod
     def _draw(
@@ -196,8 +196,7 @@ class OperationalSeedSampler(SeedSampler):
 
         if self.failure_exponent > 0:
             labels = dataset.y if self.use_labels else None
-            with self._funnel(model) as engine:
-                failure = self.weight_function(engine, dataset.x, labels)
+            failure = self.weight_function(self._funnel(model), dataset.x, labels)
             failure = self.failure_floor + (1.0 - self.failure_floor) * failure
         else:
             failure = np.ones(len(dataset))
@@ -276,8 +275,7 @@ class CellStratifiedSeedSampler(SeedSampler):
             allocation[positive[int(np.argmin(occupied_mass[positive]))]] -= 1
 
         labels = dataset.y if self.use_labels else None
-        with self._funnel(model) as engine:
-            failure = self.weight_function(engine, dataset.x, labels)
+        failure = self.weight_function(self._funnel(model), dataset.x, labels)
         selected: List[int] = []
         for cell, count in zip(occupied_cells, allocation):
             if count <= 0:

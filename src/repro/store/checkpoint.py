@@ -13,7 +13,7 @@ fingerprint, so a checkpoint can never be silently replayed against a
 different campaign.  The pickled payload snapshots live mutable state
 (``numpy`` Generators round-trip their exact bit-generator state), which is
 what makes a resumed campaign bit-identical to an uninterrupted one — the
-property ``tests/test_store.py`` pins across execution backends.
+property ``tests/test_store.py`` pins.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ def campaign_fingerprint(*arrays: np.ndarray, extra: str = "") -> str:
     """Digest identifying a campaign by its inputs and control-flow knobs.
 
     Two campaigns with the same fingerprint replay the same logical work, so
-    a checkpoint of one may resume the other (this is what allows a campaign
-    checkpointed under ``execution="population"`` to resume under
-    ``"sharded"``: the control flow is shared, only physical execution
-    differs).
+    a checkpoint of one may resume the other.
     """
     h = blake2b(digest_size=16)
     for array in arrays:

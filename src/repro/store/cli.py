@@ -20,7 +20,7 @@ The service surface over the campaign store:
     Render one stored run (campaign spec, engine stats, iteration table,
     estimates, telemetry summary).
 ``trace``
-    Render the shard/worker timeline of a telemetry-enabled run from its
+    Render the timeline of a telemetry-enabled run from its
     stored ``trace.jsonl`` (``--chrome`` exports a Perfetto-loadable
     trace-event file, ``--json`` dumps the raw header + spans).
 ``gc``
@@ -76,11 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--queries-per-seed", type=int, default=20)
     run.add_argument("--target-pmi", type=float, default=0.02)
     run.add_argument("--engine", default=None,
-                     choices=("sequential", "population", "sharded"),
-                     help="execution for the whole loop (sharded selects the "
-                          "thread-pool backend)")
-    run.add_argument("--workers", type=int, default=1,
-                     help="pool threads for --engine sharded")
+                     choices=("sequential", "population"),
+                     help="the fuzzer's control flow for the whole loop")
     run.add_argument("--checkpoint-every", type=int, default=1,
                      help="iterations between checkpoints (0 disables)")
     run.add_argument("--telemetry", action="store_true",
@@ -98,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     show.add_argument("run_id", help="registry id, e.g. run-0001")
 
     trace = commands.add_parser(
-        "trace", help="render a stored run's shard/worker timeline"
+        "trace", help="render a stored run's timeline"
     )
     trace.add_argument("run_id", help="registry id, e.g. run-0001")
     trace.add_argument("--chrome", default=None, metavar="PATH",
@@ -133,12 +130,7 @@ def _spec_from_flags(args: argparse.Namespace) -> dict:
     fuzzer: dict = {"queries_per_seed": int(args.queries_per_seed)}
     if args.engine == "sequential":
         fuzzer["execution"] = "sequential"
-    policy = ExecutionPolicy(
-        backend="sharded" if args.engine == "sharded" else "batched",
-        num_workers=int(args.workers),
-        cache=True,
-        checkpoint_every=int(args.checkpoint_every),
-    )
+    policy = ExecutionPolicy(cache=True, checkpoint_every=int(args.checkpoint_every))
     return {
         "name": args.name,
         "seed": int(args.seed),

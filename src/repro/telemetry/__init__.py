@@ -1,6 +1,6 @@
 """Low-overhead structured tracing + metrics for the execution funnel.
 
-Usage, coordinator side::
+Usage::
 
     from repro import telemetry
 
@@ -16,10 +16,8 @@ session is active every call is a no-op, which is what keeps the
 disabled path free and the enabled path under the 3% overhead budget
 pinned by ``benchmarks/bench_telemetry.py``.
 
-The sharded engine's pool threads record into the same session, on worker
-lanes; see :mod:`repro.telemetry.runtime`.  Telemetry never touches RNG
-state and never reorders work, so enabling it is bit-identity-neutral
-(pinned by the equivalence suite).
+Telemetry never touches RNG state and never reorders work, so enabling
+it is bit-identity-neutral (pinned by the equivalence suite).
 """
 
 from .clock import anchor, monotonic, wall
@@ -40,7 +38,6 @@ from .runtime import (
     event,
     gauge,
     observe,
-    record_span,
     session,
     span,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "monotonic",
     "observe",
     "read_trace",
-    "record_span",
     "render_timeline",
     "session",
     "span",

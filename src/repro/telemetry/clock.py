@@ -35,8 +35,7 @@ def wall() -> float:
 def anchor() -> tuple[float, float]:
     """A paired ``(monotonic, wall)`` reading.
 
-    Shipped alongside worker span payloads so the coordinator can detect
-    (and correct) a monotonic-epoch mismatch on platforms where the
-    monotonic clock is per-process rather than system-wide.
+    A telemetry session takes one at activation: the monotonic half is the
+    trace origin, and the wall half lets exports recover calendar time.
     """
     return time.monotonic(), time.time()

@@ -11,14 +11,14 @@ calendar time; everything else stays on the monotonic timeline.
 
 Two renderers consume a loaded trace: :func:`chrome_trace_events` emits
 Chrome trace-event JSON (load the file in Perfetto / ``chrome://tracing``)
-and :func:`render_timeline` draws an ASCII per-lane occupancy chart for
+and :func:`render_timeline` draws an ASCII occupancy chart for
 ``python -m repro trace <run>``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, List, Optional, Tuple
+from typing import IO, List, Tuple
 
 from .runtime import TelemetrySession
 from .spans import Span
@@ -63,7 +63,9 @@ def write_trace(fp: IO[str], session: TelemetrySession) -> int:
 def read_trace(fp: IO[str]) -> Tuple[dict, List[Span]]:
     """Parse a ``trace.jsonl`` stream back into (header, spans).
 
-    Span ``start_s`` values are relative to the trace origin (t=0).
+    Span ``start_s`` values are relative to the trace origin (t=0).  Span
+    keys this reader does not use (such as the ``proc``/``worker`` lane of
+    older traces) are ignored.
     """
     header_line = fp.readline()
     if not header_line.strip():
@@ -84,8 +86,6 @@ def read_trace(fp: IO[str]) -> Tuple[dict, List[Span]]:
                 category=rec["cat"],
                 start_s=rec["start_s"],
                 duration_s=rec["dur_s"],
-                proc=rec["proc"],
-                worker=rec["worker"],
                 attrs=rec.get("attrs"),
             )
         )
@@ -106,11 +106,6 @@ def metrics_document(session: TelemetrySession) -> dict:
 # -- Chrome trace-event export ------------------------------------------
 
 
-def _tid(span: Span) -> int:
-    # tid 0 = coordinator lane; worker N renders as tid N+1.
-    return span.worker + 1 if span.proc == "worker" and span.worker >= 0 else 0
-
-
 def chrome_trace_events(header: dict, spans: List[Span]) -> List[dict]:
     """Chrome trace-event objects (``ph: X`` complete events, µs units)."""
     events: List[dict] = [
@@ -129,20 +124,7 @@ def chrome_trace_events(header: dict, spans: List[Span]) -> List[dict]:
             "args": {"name": "coordinator"},
         },
     ]
-    named = {0}
     for s in spans:
-        tid = _tid(s)
-        if tid not in named:
-            named.add(tid)
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {"name": s.lane},
-                }
-            )
         event = {
             "name": s.name,
             "cat": s.category,
@@ -150,7 +132,7 @@ def chrome_trace_events(header: dict, spans: List[Span]) -> List[dict]:
             "ts": s.start_s * 1e6,
             "dur": s.duration_s * 1e6,
             "pid": 1,
-            "tid": tid,
+            "tid": 0,
         }
         if s.attrs:
             event["args"] = s.attrs
@@ -203,13 +185,8 @@ def _occupancy_bar(spans: List[Span], end_s: float, width: int) -> str:
     return "".join(out)
 
 
-def render_timeline(
-    header: dict,
-    spans: List[Span],
-    width: int = 64,
-    max_shard_rows: int = 48,
-) -> str:
-    """Per-lane occupancy chart + category summary + shard table."""
+def render_timeline(header: dict, spans: List[Span], width: int = 64) -> str:
+    """Occupancy chart + category summary."""
     lines: List[str] = []
     if not spans:
         lines.append("trace is empty (0 spans)")
@@ -228,26 +205,14 @@ def render_timeline(
     )
     lines.append("")
 
-    # Lane occupancy: coordinator first, then workers in index order.
-    lanes = {}
-    for s in spans:
-        lanes.setdefault(s.lane, []).append(s)
-    lane_order = sorted(
-        lanes, key=lambda lane: (-1,) if lane == "coordinator" else (
-            0,
-            int(lane.rsplit("-", 1)[1]) if "-" in lane else 0,
-        )
+    # Occupancy of the one lane every span runs on.
+    lane = "coordinator"
+    busy = sum(s.duration_s for s in spans)
+    lines.append(
+        f"{lane} |{_occupancy_bar(spans, end_s, width)}| "
+        f"{len(spans)} spans, busy {_format_seconds(busy)}"
     )
-    label_w = max(len(lane) for lane in lane_order)
-    for lane in lane_order:
-        lane_spans = lanes[lane]
-        busy = sum(s.duration_s for s in lane_spans)
-        bar = _occupancy_bar(lane_spans, end_s, width)
-        lines.append(
-            f"{lane:<{label_w}} |{bar}| "
-            f"{len(lane_spans)} spans, busy {_format_seconds(busy)}"
-        )
-    lines.append(f"{'':<{label_w}}  0{'':<{width - 2}}{_format_seconds(end_s)}")
+    lines.append(f"{'':<{len(lane)}}  0{'':<{width - 2}}{_format_seconds(end_s)}")
     lines.append("")
 
     # Category summary.
@@ -259,21 +224,4 @@ def render_timeline(
     for cat in sorted(cats, key=lambda c: -cats[c][1]):
         count, total = cats[cat]
         lines.append(f"{cat:<12} {count:>6} {_format_seconds(total):>10}")
-
-    # Shard table: the dispatch→complete spans, in start order.
-    shard_spans = [s for s in spans if s.category == "shard"]
-    if shard_spans:
-        lines.append("")
-        lines.append(
-            f"{'shard span':<24} {'lane':<{label_w}} "
-            f"{'start':>10} {'duration':>10}"
-        )
-        for s in shard_spans[:max_shard_rows]:
-            lines.append(
-                f"{s.name:<24} {s.lane:<{label_w}} "
-                f"{_format_seconds(s.start_s):>10} "
-                f"{_format_seconds(s.duration_s):>10}"
-            )
-        if len(shard_spans) > max_shard_rows:
-            lines.append(f"… and {len(shard_spans) - max_shard_rows} more")
     return "\n".join(lines)

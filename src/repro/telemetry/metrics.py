@@ -4,8 +4,8 @@ The registry is get-or-create by name so instrumentation sites never
 need to pre-declare their metrics, and ``to_dict`` gives the JSON artifact
 shape.
 
-All updates are lock-guarded: the sharded engine's pool threads and the
-calling thread record into one registry concurrently.
+All updates are lock-guarded, so threads may record into one registry
+concurrently.
 """
 
 from __future__ import annotations

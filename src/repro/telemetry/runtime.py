@@ -7,10 +7,8 @@ attribute load and a falsy check per site.  That is the mechanism behind
 the <3% overhead guarantee — there is no per-site ``if policy.telemetry``
 plumbing anywhere in the funnel.
 
-Scoping: the active session lives in a :class:`contextvars.ContextVar`
-(so nested sessions restore correctly) with a module-global mirror that
-lets pool threads — which do not inherit the submitting thread's context
-— reach the coordinator's session.
+Scoping: the active session lives in a :class:`contextvars.ContextVar`,
+so nested sessions restore correctly.
 """
 
 from __future__ import annotations
@@ -33,12 +31,11 @@ __all__ = [
     "count",
     "gauge",
     "observe",
-    "record_span",
 ]
 
 
 class TelemetrySession:
-    """One campaign's worth of spans + metrics, coordinator side."""
+    """One campaign's worth of spans + metrics."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.spans = TraceCollector(capacity)
@@ -49,15 +46,11 @@ class TelemetrySession:
 _ACTIVE: contextvars.ContextVar = contextvars.ContextVar(
     "repro_telemetry_session", default=None
 )
-_GLOBAL: Optional[TelemetrySession] = None
 
 
 def active() -> Optional[TelemetrySession]:
-    """The session visible from this thread (context first, then global)."""
-    sess = _ACTIVE.get()
-    if sess is not None:
-        return sess
-    return _GLOBAL
+    """The session active in the current context, if any."""
+    return _ACTIVE.get()
 
 
 def enabled() -> bool:
@@ -72,19 +65,15 @@ def session(enabled: bool = True, capacity: int = DEFAULT_CAPACITY):
     site on the no-op path, so callers can write
     ``with telemetry.session(policy.telemetry) as sess:`` unconditionally.
     """
-    global _GLOBAL
     if not enabled:
         yield None
         return
     sess = TelemetrySession(capacity)
     token = _ACTIVE.set(sess)
-    prev_global = _GLOBAL
-    _GLOBAL = sess
     try:
         yield sess
     finally:
         _ACTIVE.reset(token)
-        _GLOBAL = prev_global
 
 
 class _SpanHandle:
@@ -167,37 +156,6 @@ def event(name: str, category: str = "event", **attrs) -> None:
     if active() is None:
         return
     _record(name, category, clock.monotonic(), 0.0, attrs or None)
-
-
-def record_span(
-    name: str,
-    category: str,
-    start_s: float,
-    duration_s: float,
-    proc: str = "coordinator",
-    worker: int = -1,
-    attrs: Optional[dict] = None,
-) -> None:
-    """Record a span with explicit timing directly into the active session.
-
-    For callers that already hold their own clock readings (the sharded
-    engine's per-chunk timings) or need a non-default lane (pool threads
-    share the coordinator's session but render on worker lanes).  No-op
-    without an active session.
-    """
-    sess = active()
-    if sess is not None:
-        sess.spans.record(
-            Span(
-                name=name,
-                category=category,
-                start_s=start_s,
-                duration_s=duration_s,
-                proc=proc,
-                worker=worker,
-                attrs=attrs,
-            )
-        )
 
 
 def _registry() -> Optional[MetricsRegistry]:

@@ -1,9 +1,8 @@
 """Span records and the preallocated ring-buffer collector.
 
 A :class:`Span` is a closed interval on the monotonic timeline with a
-name, a category (``engine``, ``shard``, ``store``, ``app``, ...), the
-lane it ran on (coordinator or a numbered worker thread) and a small
-free-form attribute dict.  Spans are immutable once recorded.
+name, a category (``app``, ``store``, ...) and a small free-form attribute
+dict.  Spans are immutable once recorded.
 
 :class:`TraceCollector` is the sink: a fixed-capacity preallocated list
 used as a ring, so recording a span is an index assignment and never
@@ -23,9 +22,6 @@ __all__ = ["Span", "TraceCollector", "DEFAULT_CAPACITY"]
 
 DEFAULT_CAPACITY = 65536
 
-COORDINATOR = "coordinator"
-WORKER = "worker"
-
 
 @dataclass(frozen=True)
 class Span:
@@ -35,20 +31,11 @@ class Span:
     category: str
     start_s: float
     duration_s: float
-    proc: str = COORDINATOR
-    worker: int = -1
     attrs: Optional[dict] = None
 
     @property
     def end_s(self) -> float:
         return self.start_s + self.duration_s
-
-    @property
-    def lane(self) -> str:
-        """Display lane: ``coordinator`` or ``worker-N``."""
-        if self.proc == WORKER and self.worker >= 0:
-            return f"worker-{self.worker}"
-        return self.proc
 
     def shifted(self, offset_s: float) -> "Span":
         """A copy translated along the timeline (trace rebasing)."""
@@ -63,8 +50,6 @@ class Span:
             "cat": self.category,
             "start_s": self.start_s,
             "dur_s": self.duration_s,
-            "proc": self.proc,
-            "worker": self.worker,
         }
         if self.attrs:
             record["attrs"] = self.attrs
@@ -74,8 +59,7 @@ class Span:
 class TraceCollector:
     """Fixed-capacity span sink backed by a preallocated ring.
 
-    ``record`` is O(1) and lock-guarded (the sharded engine's pool threads
-    record concurrently).  When full, the oldest span is
+    ``record`` is O(1) and lock-guarded.  When full, the oldest span is
     overwritten and ``dropped`` is incremented.
     """
 

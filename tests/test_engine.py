@@ -1,17 +1,36 @@
-"""Tests for the batched query engine and lock-step population fuzzing."""
+"""Tests for the batched query engine and lock-step population fuzzing.
+
+Slow tier (``pytest -m slow``): the scenario-matrix differential suite —
+sequential vs population campaigns on the two-moons, gaussian-clusters and
+glyph-digits scenarios from :mod:`repro.evaluation.scenarios`, plus what
+toggling the query cache keeps equal.
+"""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    BatchedQueryEngine,
-    QueryCache,
-    ShardedQueryEngine,
-    as_query_engine,
-)
+from repro.engine import BatchedQueryEngine, QueryCache, QueryStats, as_query_engine
+from repro.evaluation import make_scenario
 from repro.exceptions import ConfigurationError, DataError, FuzzingError
 from repro.fuzzing import FuzzerConfig, OperationalFuzzer
 from repro.runtime import ExecutionPolicy
+
+SCENARIO_MATRIX = ["two-moons", "gaussian-clusters", "glyph-digits"]
+
+#: Reduced scenario sizes so the slow tier stays minutes, not hours.
+SCENARIO_OVERRIDES = {
+    "two-moons": dict(num_samples=600, epochs=12),
+    "gaussian-clusters": dict(num_samples=600, epochs=12),
+    "glyph-digits": dict(num_samples=500, image_size=10, epochs=8),
+}
+
+
+@lru_cache(maxsize=None)
+def _scenario(name):
+    """Build (and memoise) one scenario of the differential matrix."""
+    return make_scenario(name, rng=2021, **SCENARIO_OVERRIDES[name])
 
 
 @pytest.fixture()
@@ -34,6 +53,14 @@ class TestBatchedQueryEngine:
         x, _ = engine_inputs
         engine = BatchedQueryEngine(trained_cluster_model, batch_size=7)
         np.testing.assert_array_equal(engine.predict(x), trained_cluster_model.predict(x))
+
+    def test_predict_of_an_empty_batch_is_empty(self, trained_cluster_model, engine_inputs):
+        # the model itself returns [] for a (0, d) batch; the engine must too
+        x, _ = engine_inputs
+        engine = BatchedQueryEngine(trained_cluster_model)
+        labels = engine.predict(np.zeros((0, x.shape[1])))
+        assert labels.shape == (0,)
+        assert engine.stats.model_calls == 0
 
     def test_chunked_gradient_sign_matches_direct(self, trained_cluster_model, engine_inputs):
         x, y = engine_inputs
@@ -141,33 +168,54 @@ class TestBatchedQueryEngine:
                 as_query_engine(trained_cluster_model, cache=cache)
 
 
+class TestQueryStats:
+    def test_query_stats_merge_is_componentwise_addition(self):
+        total = QueryStats()
+        parts = [
+            QueryStats(rows_queried=3, model_calls=1),
+            QueryStats(rows_queried=5, cache_hits=2, gradient_calls=4),
+            QueryStats(naturalness_rows=7, naturalness_calls=1, gradient_rows=2),
+        ]
+        for part in parts:
+            total.merge(part)
+        assert total.as_dict() == {
+            "rows_queried": 8,
+            "model_calls": 1,
+            "cache_hits": 2,
+            "gradient_rows": 2,
+            "gradient_calls": 4,
+            "naturalness_rows": 7,
+            "naturalness_calls": 1,
+        }
+
+
 class TestNonFiniteInputs:
     """A NaN or infinite row fails loudly before the cache or the model."""
 
-    @pytest.mark.parametrize("engine_cls", [BatchedQueryEngine, ShardedQueryEngine])
+    @pytest.mark.parametrize("engine_cls", [BatchedQueryEngine])
     def test_every_probe_rejects_a_nan_row(
         self, engine_cls, trained_cluster_model, cluster_naturalness, engine_inputs
     ):
         x, y = engine_inputs
         x = x[:6].copy()
         x[3, 1] = np.nan
-        with engine_cls(
+        engine = engine_cls(
             trained_cluster_model,
             naturalness=cluster_naturalness,
             batch_size=4,
             cache=True,
-        ) as engine:
-            with pytest.raises(DataError, match="row 3"):
-                engine.predict_proba(x)
-            with pytest.raises(DataError, match="row 3"):
-                engine.loss_input_gradient(x, y[:6])
-            x[3, 1] = np.inf
-            with pytest.raises(DataError, match="row 3"):
-                engine.score_naturalness(x)
-            assert len(engine.cache) == 0
-            stats = engine.stats
-            assert stats.model_calls == stats.gradient_calls == 0
-            assert stats.naturalness_calls == 0
+        )
+        with pytest.raises(DataError, match="row 3"):
+            engine.predict_proba(x)
+        with pytest.raises(DataError, match="row 3"):
+            engine.loss_input_gradient(x, y[:6])
+        x[3, 1] = np.inf
+        with pytest.raises(DataError, match="row 3"):
+            engine.score_naturalness(x)
+        assert len(engine.cache) == 0
+        stats = engine.stats
+        assert stats.model_calls == stats.gradient_calls == 0
+        assert stats.naturalness_calls == 0
 
     def test_fuzzer_rejects_an_all_nan_seed(
         self, trained_cluster_model, cluster_naturalness, operational_cluster_data
@@ -200,8 +248,72 @@ def _make_fuzzer(cluster_naturalness, pool, execution, **overrides):
     )
 
 
+def _fuzzer(naturalness, pool, mode, **overrides):
+    """Fuzzer for one point of the equivalence matrix: 20 queries per seed,
+    query cache on."""
+    overrides = {"queries_per_seed": 20, "policy": ExecutionPolicy(cache=True), **overrides}
+    return _make_fuzzer(naturalness, pool, mode, **overrides)
+
+
+def _assert_campaigns_equivalent(reference, candidate, exact=True):
+    """Per-seed queries, detections and AEs must match across control flows.
+
+    ``exact=True`` demands *bit-identical* floats.  ``exact=False`` is used
+    against the sequential reference, whose one-row model calls may differ
+    from the batched ones in the last ulp (BLAS kernel selection); discrete
+    outcomes (queries, detections, rejections) must still match exactly.
+    """
+    assert len(reference.per_seed) == len(candidate.per_seed)
+    for ref, cand in zip(reference.per_seed, candidate.per_seed):
+        assert ref.seed_index == cand.seed_index
+        assert ref.queries == cand.queries
+        assert (
+            ref.candidates_rejected_by_naturalness
+            == cand.candidates_rejected_by_naturalness
+        )
+        if exact:
+            assert ref.best_fitness == cand.best_fitness
+        else:
+            assert ref.best_fitness == pytest.approx(cand.best_fitness, rel=1e-9)
+        assert (ref.adversarial_example is None) == (cand.adversarial_example is None)
+        if ref.adversarial_example is not None:
+            if exact:
+                np.testing.assert_array_equal(
+                    ref.adversarial_example.perturbed,
+                    cand.adversarial_example.perturbed,
+                )
+            else:
+                np.testing.assert_allclose(
+                    ref.adversarial_example.perturbed,
+                    cand.adversarial_example.perturbed,
+                    rtol=1e-9,
+                    atol=1e-12,
+                )
+            assert (
+                ref.adversarial_example.predicted_label
+                == cand.adversarial_example.predicted_label
+            )
+            assert ref.adversarial_example.queries == cand.adversarial_example.queries
+    assert reference.total_queries == candidate.total_queries
+    assert reference.detection_rate == candidate.detection_rate
+
+
 class TestPopulationSequentialEquivalence:
     """The batched population path must match the sequential reference."""
+
+    def test_cached_population_matches_sequential(
+        self, trained_cluster_model, cluster_naturalness, operational_cluster_data
+    ):
+        data = operational_cluster_data
+        campaigns = {}
+        for mode in ("sequential", "population"):
+            fuzzer = _fuzzer(cluster_naturalness, data.x, mode)
+            campaigns[mode] = fuzzer.fuzz(
+                trained_cluster_model, data.x[:14], data.y[:14], rng=0
+            )
+        _assert_campaigns_equivalent(
+            campaigns["sequential"], campaigns["population"], exact=False
+        )
 
     def test_unbudgeted_campaigns_are_identical(
         self, trained_cluster_model, cluster_naturalness, operational_cluster_data
@@ -339,6 +451,18 @@ class TestBudgetInvariants:
         for result in campaign.per_seed:
             assert result.queries <= 2 * config.queries_per_seed  # max_energy bound
 
+    def test_cached_population_respects_budget_invariants(
+        self, trained_cluster_model, cluster_naturalness, operational_cluster_data
+    ):
+        data = operational_cluster_data
+        for budget in (1, 37, 10_000):
+            fuzzer = _fuzzer(cluster_naturalness, data.x, "population")
+            campaign = fuzzer.fuzz(
+                trained_cluster_model, data.x[:12], data.y[:12], budget=budget, rng=5
+            )
+            assert campaign.total_queries <= budget
+            campaign.validate_budget(budget)
+
     def test_validate_budget_flags_overspend(self):
         from repro.fuzzing import FuzzCampaignResult, SeedFuzzResult
 
@@ -386,3 +510,83 @@ class TestFuzzerConfigEngineKnobs:
         cached, uncached = campaigns[True], campaigns[False]
         assert cached.total_queries == uncached.total_queries
         assert len(cached.adversarial_examples) == len(uncached.adversarial_examples)
+
+
+# --------------------------------------------------------------------------- #
+# scenario-matrix differential suite (slow tier)
+# --------------------------------------------------------------------------- #
+@pytest.mark.slow
+@pytest.mark.parametrize("scenario_name", SCENARIO_MATRIX)
+class TestScenarioMatrixEquivalence:
+    """Whole campaigns agree across control flows on every scenario.
+
+    For each scenario: same seeds, same detections, same per-seed query
+    counts and ``validate_budget`` invariants across the sequential and
+    population engines, and equal discrete outcomes with the query cache on
+    and off.
+    """
+
+    @pytest.fixture()
+    def scenario(self, scenario_name):
+        return _scenario(scenario_name)
+
+    def test_population_matches_sequential(self, scenario):
+        seeds = scenario.operational_data.x[:16]
+        labels = scenario.operational_data.y[:16]
+        campaigns = {}
+        for mode in ("sequential", "population"):
+            fuzzer = _fuzzer(
+                scenario.naturalness, scenario.operational_data.x, mode
+            )
+            campaigns[mode] = fuzzer.fuzz(scenario.model, seeds, labels, rng=2021)
+        _assert_campaigns_equivalent(
+            campaigns["sequential"], campaigns["population"], exact=False
+        )
+
+    def test_budgeted_population_stays_within_budget(self, scenario):
+        seeds = scenario.operational_data.x[:20]
+        labels = scenario.operational_data.y[:20]
+        budget = 240
+        fuzzer = _fuzzer(
+            scenario.naturalness, scenario.operational_data.x, "population"
+        )
+        campaign = fuzzer.fuzz(scenario.model, seeds, labels, budget=budget, rng=7)
+        campaign.validate_budget(budget)
+        assert campaign.total_queries <= budget
+
+    def test_cache_toggle_keeps_discrete_outcomes(self, scenario):
+        """What holds when the query cache is switched off.
+
+        A hit shrinks the batch of misses the model sees, and the model's
+        output may depend on the number of rows in a call, so fitness can
+        move in the last bits — but queries, rejections and detections
+        stay equal.
+        """
+        seeds = scenario.operational_data.x[:20]
+        labels = scenario.operational_data.y[:20]
+        campaigns = {}
+        for cache in (True, False):
+            fuzzer = _fuzzer(
+                scenario.naturalness,
+                scenario.operational_data.x,
+                "population",
+                policy=ExecutionPolicy(cache=cache),
+            )
+            campaigns[cache] = fuzzer.fuzz(
+                scenario.model, seeds, labels, budget=240, rng=7
+            )
+        cached, uncached = campaigns[True], campaigns[False]
+        assert len(cached.per_seed) == len(uncached.per_seed)
+        for on, off in zip(cached.per_seed, uncached.per_seed):
+            assert on.seed_index == off.seed_index
+            assert on.queries == off.queries
+            assert (
+                on.candidates_rejected_by_naturalness
+                == off.candidates_rejected_by_naturalness
+            )
+            assert (on.adversarial_example is None) == (
+                off.adversarial_example is None
+            )
+            assert on.best_fitness == pytest.approx(off.best_fitness, rel=1e-12)
+        assert cached.total_queries == uncached.total_queries
+        assert cached.detection_rate == uncached.detection_rate

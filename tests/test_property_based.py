@@ -225,7 +225,7 @@ class TestEngineShardingProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_shards_partition_rows_exactly(self, n, batch_size):
-        """The chunks both backends compute on cover every row, in order."""
+        """The chunks the engine computes on cover every row, in order."""
         covered = 0
         for start, stop in _iter_chunks(n, batch_size):
             assert start == covered
@@ -239,7 +239,7 @@ class TestEngineShardingProperties:
     )
     @settings(max_examples=25, deadline=None)
     def test_merged_shard_stats_equal_single_process_stats(self, n, batch_size):
-        """Chunk-by-chunk deltas merged shard-wise == one in-process engine."""
+        """Chunk-by-chunk deltas merged one by one == the engine's counters."""
         model = _AffineToyModel()
         rng = np.random.default_rng(n * 131 + batch_size)
         x = rng.random((n, 3))
@@ -308,8 +308,7 @@ class TestEngineShardingProperties:
 
     @given(
         budget=st.integers(min_value=1, max_value=200),
-        execution=st.sampled_from(["population", "sequential", "sharded"]),
-        num_workers=st.integers(min_value=1, max_value=2),
+        execution=st.sampled_from(["population", "sequential"]),
     )
     @settings(max_examples=8, deadline=None)
     def test_total_queries_never_exceed_budget(
@@ -319,7 +318,6 @@ class TestEngineShardingProperties:
         operational_cluster_data,
         budget,
         execution,
-        num_workers,
     ):
         from repro.runtime import ExecutionPolicy
 
@@ -330,12 +328,8 @@ class TestEngineShardingProperties:
                 epsilon=0.12,
                 queries_per_seed=8,
                 naturalness_threshold=0.3,
-                execution="sequential" if execution == "sequential" else "population",
-                policy=ExecutionPolicy(
-                    backend="sharded" if execution == "sharded" else "batched",
-                    num_workers=num_workers if execution == "sharded" else 1,
-                    cache=True,
-                ),
+                execution=execution,
+                policy=ExecutionPolicy(cache=True),
                 stall_limit=4,
             ),
             natural_pool=data.x,

@@ -1,7 +1,9 @@
-"""Runtime API: ExecutionPolicy, the backend registry, CampaignSpec.
+"""Runtime API: ExecutionPolicy, the engine factory, CampaignSpec.
 
 * ``ExecutionPolicy`` / ``CampaignSpec`` serialize exactly (dict and file
-  round-trips) and reject unknown keys and unknown backend names.
+  round-trips) and reject unknown keys and ill-typed values.
+* ``ExecutionPolicy.build_engine`` builds the in-process query engine the
+  policy describes, or passes an existing engine through.
 * Every subsystem takes one ``policy`` parameter, type-checked at
   construction in the subsystem's own error class; a workflow policy
   reaches the fuzzer and the default assessor whole.
@@ -26,16 +28,8 @@ from repro.exceptions import (
 )
 from repro.fuzzing import FuzzerConfig
 from repro.reliability import ReliabilityAssessor
-from repro.runtime import (
-    CampaignSpec,
-    ExecutionPolicy,
-    ModelBackend,
-    ReplicatedBackend,
-    SequentialBackend,
-    available_backends,
-    register_backend,
-    unregister_backend,
-)
+from repro.runtime import CampaignSpec, ExecutionPolicy
+from repro.types import Classifier
 
 
 # --------------------------------------------------------------------------- #
@@ -44,8 +38,6 @@ from repro.runtime import (
 class TestExecutionPolicy:
     def test_dict_roundtrip_is_exact(self):
         policy = ExecutionPolicy(
-            backend="sharded",
-            num_workers=3,
             batch_size=128,
             cache=True,
             cache_max_entries=99,
@@ -65,136 +57,99 @@ class TestExecutionPolicy:
 
     def test_toml_file_loads(self, tmp_path):
         path = tmp_path / "policy.toml"
-        path.write_text('backend = "sharded"\nnum_workers = 2\ncache = true\n')
+        path.write_text('batch_size = 64\ncheckpoint_every = 2\ncache = true\n')
         policy = ExecutionPolicy.from_file(path)
-        assert policy.backend == "sharded"
-        assert policy.num_workers == 2
+        assert policy.batch_size == 64
+        assert policy.checkpoint_every == 2
         assert policy.cache is True
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown ExecutionPolicy"):
-            ExecutionPolicy.from_dict({"backend": "batched", "warp_factor": 9})
-        # fields of the retired process pool and of the retired durable
-        # cache: a stored policy naming one fails at load, and the error
-        # names the key
+            ExecutionPolicy.from_dict({"cache": True, "warp_factor": 9})
+        # fields of the retired process pool, of the retired durable cache
+        # and of the retired thread pool: a stored policy naming one fails
+        # at load, and the error names the key
         for key, value in (
             ("transport", "auto"),
             ("start_method", None),
             ("retry", None),
             ("faults", None),
             ("cache_dir", None),
+            ("backend", "batched"),
+            ("num_workers", 1),
         ):
             with pytest.raises(ConfigurationError, match=f"'{key}'"):
-                ExecutionPolicy.from_dict({"backend": "sharded", key: value})
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown execution backend"):
-            ExecutionPolicy(backend="quantum")
+                ExecutionPolicy.from_dict({"cache": True, key: value})
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"num_workers": 0},
             {"telemetry": "yes"},
             {"batch_size": 0},
             {"cache_max_entries": 0},
             {"checkpoint_every": -1},
             {"rng_spawning": "global"},
             {"cache": "yes"},
+            # counts must be Python ints, or they would be truncated where
+            # used (a cadence of 0.5 becomes 0 and breaks the checkpointer)
+            {"checkpoint_every": 0.5},
+            {"batch_size": 2.5},
+            {"batch_size": True},
+            {"cache_max_entries": 1.5},
+            {"batch_size": "8"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        (field,) = kwargs
+        with pytest.raises(ConfigurationError, match=field):
             ExecutionPolicy(**kwargs)
 
     def test_replace_validates(self):
         policy = ExecutionPolicy()
-        assert policy.replace(num_workers=4).num_workers == 4
+        assert policy.replace(batch_size=4).batch_size == 4
         with pytest.raises(ConfigurationError):
-            policy.replace(backend="quantum")
+            policy.replace(batch_size=0)
+        with pytest.raises(ConfigurationError, match="checkpoint_every"):
+            policy.replace(checkpoint_every=0.5)
 
 
 # --------------------------------------------------------------------------- #
-# the backend registry and the engine factory
+# the engine factory
 # --------------------------------------------------------------------------- #
 class TestBackendRegistry:
-    def test_shipping_backends_registered(self):
-        assert set(available_backends()) >= {"batched", "sharded"}
+    """``ExecutionPolicy.build_engine``: the one way to build a query engine."""
 
     def test_engines_and_models_satisfy_model_backend(self, trained_cluster_model):
-        assert isinstance(trained_cluster_model, ModelBackend)
+        assert isinstance(trained_cluster_model, Classifier)
         engine = BatchedQueryEngine(trained_cluster_model)
-        assert isinstance(engine, ModelBackend)
+        assert isinstance(engine, Classifier)
 
-    def test_build_engine_selects_backend(self, trained_cluster_model):
-        batched = ExecutionPolicy().build_engine(trained_cluster_model)
-        assert isinstance(batched, SequentialBackend)
-        sharded = ExecutionPolicy(backend="sharded", num_workers=2).build_engine(
-            trained_cluster_model
-        )
-        try:
-            assert isinstance(sharded, ReplicatedBackend)
-            assert sharded.num_workers == 2
-        finally:
-            sharded.close()
+    def test_build_engine_applies_the_policy(
+        self, trained_cluster_model, cluster_naturalness
+    ):
+        policy = ExecutionPolicy(batch_size=7, cache=True, cache_max_entries=16)
+        engine = policy.build_engine(trained_cluster_model, cluster_naturalness)
+        assert type(engine) is BatchedQueryEngine
+        assert engine.model is trained_cluster_model
+        assert engine.naturalness is cluster_naturalness
+        assert engine.batch_size == 7
+        assert engine.cache.max_entries == 16
+        assert ExecutionPolicy().build_engine(trained_cluster_model).cache is None
 
     def test_build_engine_passthrough_shares_engine(self, trained_cluster_model):
         owned = BatchedQueryEngine(trained_cluster_model, batch_size=3)
-        assert ExecutionPolicy(backend="sharded").build_engine(owned) is owned
+        assert ExecutionPolicy(batch_size=64).build_engine(owned) is owned
+        assert owned.batch_size == 3  # the engine's own configuration wins
 
-    def test_session_closes_created_engines_only(self, trained_cluster_model):
-        policy = ExecutionPolicy(backend="sharded", num_workers=2)
-        with policy.session(trained_cluster_model) as engine:
-            engine.predict(np.zeros((3, 2)))
-            assert engine._pool is not None
-        assert engine._pool is None
-        owned = policy.build_engine(trained_cluster_model)
-        try:
-            owned.predict(np.zeros((3, 2)))
-            with policy.session(owned) as passed_through:
-                assert passed_through is owned
-            assert owned._pool is not None
-        finally:
-            owned.close()
-
-    def test_custom_backend_plugs_in(self, trained_cluster_model):
-        calls = []
-
-        try:
-
-            @register_backend("recording")
-            class RecordingBackend(BatchedQueryEngine):
-                @classmethod
-                def from_policy(cls, model, naturalness, policy):
-                    calls.append(policy.backend)
-                    return cls(model, naturalness=naturalness,
-                               batch_size=policy.batch_size, cache=policy.cache)
-
-            policy = ExecutionPolicy(backend="recording", batch_size=7)
-            engine = policy.build_engine(trained_cluster_model)
-            assert isinstance(engine, RecordingBackend)
-            assert engine.batch_size == 7
-            assert calls == ["recording"]
-        finally:
-            unregister_backend("recording")
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(backend="recording")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-
-            @register_backend("batched")
-            class Shadow(BatchedQueryEngine):
-                @classmethod
-                def from_policy(cls, model, naturalness, policy):
-                    raise AssertionError("never built")
-
-    def test_backend_requires_factory(self):
-        with pytest.raises(ConfigurationError, match="from_policy"):
-
-            @register_backend("no-factory")
-            class Broken:
-                pass
+    def test_build_engine_attaches_scorer_on_passthrough(
+        self, trained_cluster_model, cluster_naturalness, operational_cluster_data
+    ):
+        engine = BatchedQueryEngine(trained_cluster_model, batch_size=4)
+        assert ExecutionPolicy().build_engine(engine, cluster_naturalness) is engine
+        x = operational_cluster_data.x[:12]
+        np.testing.assert_array_equal(
+            engine.score_naturalness(x), cluster_naturalness.score(x)
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -241,8 +196,7 @@ class TestLegacyKnobShims:
         from repro.core import OperationalTestingLoop, WorkflowConfig
 
         policy = ExecutionPolicy(
-            backend="sharded",
-            num_workers=2,
+            batch_size=64,
             cache=True,
             checkpoint_every=3,
             telemetry=True,
@@ -280,9 +234,9 @@ class TestLegacyKnobShims:
         from repro.reliability.cells import CellRobustnessEvaluator
 
         with pytest.raises(FuzzingError, match="ExecutionPolicy"):
-            FuzzerConfig(policy="sharded")
+            FuzzerConfig(policy="batched")
         with pytest.raises(ConfigurationError, match="ExecutionPolicy"):
-            WorkflowConfig(policy={"backend": "sharded"})
+            WorkflowConfig(policy={"cache": True})
         with pytest.raises(AttackError, match="ExecutionPolicy"):
             RandomFuzz(policy="batched")
         with pytest.raises(ReliabilityError, match="ExecutionPolicy"):
@@ -291,7 +245,7 @@ class TestLegacyKnobShims:
         with pytest.raises(ReliabilityError, match="ExecutionPolicy"):
             CellRobustnessEvaluator(scenario.partition, 10, None, True, 64)
         with pytest.raises(ConfigurationError, match="ExecutionPolicy"):
-            scenario.query_engine("sharded")
+            scenario.query_engine("batched")
 
 
 # --------------------------------------------------------------------------- #
@@ -300,7 +254,7 @@ class TestLegacyKnobShims:
 class TestScenarioQueryEngine:
     def test_policy_selects_backend(self, scenario):
         engine = scenario.query_engine(policy=ExecutionPolicy(batch_size=9))
-        assert isinstance(engine, SequentialBackend)
+        assert type(engine) is BatchedQueryEngine
         assert engine.batch_size == 9
         assert engine.naturalness is scenario.naturalness
 
@@ -352,7 +306,7 @@ class TestCampaignSpec:
                     '[scenario]',
                     'name = "two-moons"',
                     '[policy]',
-                    'backend = "batched"',
+                    'checkpoint_every = 2',
                     'cache = true',
                 )
             )
@@ -387,16 +341,13 @@ class TestCampaignSpec:
 
     def test_legacy_knobs_in_sections_rejected(self):
         with pytest.raises(ConfigurationError, match="policy"):
-            CampaignSpec.from_dict(self._spec(fuzzer={"num_workers": 2}))
+            CampaignSpec.from_dict(self._spec(fuzzer={"batch_size": 2}))
         with pytest.raises(ConfigurationError, match="policy"):
             CampaignSpec.from_dict(self._spec(workflow={"cache_max_entries": 16}))
         # derived from ExecutionPolicy's fields, so newer ones are covered too
         with pytest.raises(ConfigurationError, match="'policy' section"):
             CampaignSpec.from_dict(self._spec(workflow={"telemetry": True}))
-        # the retired execution alias is pointed at the policy section; the
-        # control-flow values stay allowed
-        with pytest.raises(ConfigurationError, match="backend='sharded'"):
-            CampaignSpec.from_dict(self._spec(fuzzer={"execution": "sharded"}))
+        # the control-flow values stay allowed
         spec = CampaignSpec.from_dict(self._spec(fuzzer={"execution": "sequential"}))
         assert spec.fuzzer["execution"] == "sequential"
 
@@ -405,12 +356,6 @@ class TestCampaignSpec:
             CampaignSpec.from_dict(self._spec(seed=None))
         with pytest.raises(ConfigurationError, match="seed"):
             CampaignSpec.from_dict(self._spec(seed="2021"))
-
-    def test_bad_backend_name_rejected(self):
-        payload = self._spec()
-        payload["policy"]["backend"] = "quantum"
-        with pytest.raises(ConfigurationError, match="unknown execution backend"):
-            CampaignSpec.from_dict(payload)
 
     def test_scenario_section_requires_name(self):
         with pytest.raises(ConfigurationError, match="scenario"):
@@ -434,7 +379,7 @@ class TestSpecCli:
         "fuzzer": {"queries_per_seed": 6},
         "workflow": {"test_budget_per_iteration": 60, "seeds_per_iteration": 4},
         "stopping": {"target_pmi": 0.02, "max_iterations": 1},
-        "policy": {"backend": "batched", "cache": True, "checkpoint_every": 1},
+        "policy": {"cache": True, "checkpoint_every": 1},
     }
 
     def test_spec_run_records_verbatim_and_relaunches(self, tmp_path, capsys):
@@ -478,12 +423,16 @@ class TestSpecCli:
         from repro.store.cli import main as cli_main
 
         runs_dir = str(tmp_path / "runs")
-        bad = dict(self.SPEC, fuzzer={"num_workers": 2})
         spec_path = tmp_path / "bad.json"
-        spec_path.write_text(json.dumps(bad))
-        assert cli_main(["--runs-dir", runs_dir, "run", "--spec", str(spec_path)]) == 1
-        assert "policy" in capsys.readouterr().err
-        assert RunRegistry(runs_dir).runs() == []
+        for bad, message in (
+            (dict(self.SPEC, fuzzer={"batch_size": 2}), "policy"),
+            (dict(self.SPEC, policy={"checkpoint_every": 0.5}), "checkpoint_every"),
+        ):
+            spec_path.write_text(json.dumps(bad))
+            argv = ["--runs-dir", runs_dir, "run", "--spec", str(spec_path)]
+            assert cli_main(argv) == 1
+            assert message in capsys.readouterr().err
+            assert RunRegistry(runs_dir).runs() == []
 
     def test_from_run_requires_stored_spec(self, tmp_path, capsys):
         from repro.store import RunRegistry

@@ -31,12 +31,7 @@ from repro.types import AdversarialExample, CampaignReport, IterationReport
 
 
 class _ExplodingModel:
-    """Wrapper that dies after a fixed number of physical predict calls.
-
-    Picklable (module level) so it can be shipped to sharded workers; each
-    replica then carries its own countdown, which is fine — the tests only
-    need *some* mid-campaign crash, not a deterministic one.
-    """
+    """Wrapper that dies after a fixed number of physical predict calls."""
 
     def __init__(self, inner, fail_after: int) -> None:
         self.inner = inner
@@ -273,31 +268,6 @@ class TestFuzzerCheckpointResume:
             res_fz.last_query_stats.rows_queried
             == base_fz.last_query_stats.rows_queried
         )
-
-    def test_population_checkpoint_resumes_under_sharded(
-        self,
-        tmp_path,
-        trained_cluster_model,
-        cluster_naturalness,
-        operational_cluster_data,
-        campaign_inputs,
-    ):
-        seeds, labels = campaign_inputs
-        baseline, resumed, _, _ = self._run_interrupted_then_resume(
-            tmp_path,
-            trained_cluster_model,
-            cluster_naturalness,
-            operational_cluster_data.x,
-            seeds,
-            labels,
-            self._config(),
-            self._config(
-                policy=ExecutionPolicy(
-                    backend="sharded", num_workers=2, cache=True, checkpoint_every=1
-                )
-            ),
-        )
-        assert _campaign_summary(baseline) == _campaign_summary(resumed)
 
     def test_sequential_resume_bit_identical(
         self,

@@ -3,11 +3,11 @@
 Fast tier: the ring-buffer collector, the metrics registry, the no-op
 guarantee when no session is active, trace/metrics artifacts and their
 renderers, engine integration (telemetry on vs off must be bit-identical —
-the observability layer can never perturb results; pool-thread spans land
-on worker lanes), and the registry/CLI surface (``trace``, ``ls --json``).
+the observability layer can never perturb results), and the registry/CLI
+surface (``trace``, ``ls --json``).
 
-Slow tier (``pytest -m slow``): the on/off bit-identity matrix across
-batched and sharded execution.
+Slow tier (``pytest -m slow``): on/off bit-identity of every engine probe
+and its counters.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.engine import BatchedQueryEngine, ShardedQueryEngine
+from repro.engine import BatchedQueryEngine
 from repro.exceptions import StoreError
 from repro.store import RunRegistry
 from repro.store.cli import main as cli_main
@@ -43,11 +43,8 @@ from repro.telemetry import (
 # --------------------------------------------------------------------------- #
 class TestSpan:
     def test_lane_and_end(self):
-        s = Span("shard-0", "shard", start_s=1.0, duration_s=0.5)
-        assert s.lane == "coordinator"
+        s = Span("iteration-0", "app", start_s=1.0, duration_s=0.5)
         assert s.end_s == 1.5
-        w = Span("shard-0", "shard", 1.0, 0.5, proc="worker", worker=3)
-        assert w.lane == "worker-3"
 
     def test_shifted_translates_start_only(self):
         s = Span("a", "app", 2.0, 0.25)
@@ -139,7 +136,6 @@ class TestSessionApi:
         telemetry.count("unit.count")
         telemetry.observe("unit.hist", 1.0)
         telemetry.gauge("unit.gauge", 1.0)
-        telemetry.record_span("unit", "app", 0.0, 1.0)
         assert telemetry.active() is None
         assert not telemetry.enabled()
 
@@ -181,13 +177,6 @@ class TestSessionApi:
         (span,) = sess.spans.snapshot()
         assert span.attrs["error"] == "RuntimeError"
 
-    def test_record_span_places_explicit_lane(self):
-        with telemetry.session() as sess:
-            telemetry.record_span("t", "shard", 1.0, 0.5, proc="worker", worker=2)
-        (span,) = sess.spans.snapshot()
-        assert span.lane == "worker-2"
-        assert (span.start_s, span.duration_s) == (1.0, 0.5)
-
 
 # --------------------------------------------------------------------------- #
 # artifacts + renderers
@@ -195,13 +184,10 @@ class TestSessionApi:
 def _session_with_spans() -> TelemetrySession:
     sess = TelemetrySession()
     base = sess.anchor_monotonic
-    sess.spans.record(Span("dispatch.predict", "engine", base + 0.01, 0.05))
+    sess.spans.record(Span("iteration-0", "app", base + 0.01, 0.05))
+    sess.spans.record(Span("checkpoint", "store", base + 0.02, 0.02))
     sess.spans.record(
-        Span("shard-0", "shard", base + 0.02, 0.02, proc="worker", worker=0)
-    )
-    sess.spans.record(
-        Span("shard-1", "shard", base + 0.02, 0.03, proc="worker", worker=1,
-             attrs={"rows": 16})
+        Span("assess", "app", base + 0.02, 0.03, attrs={"rows": 16})
     )
     sess.metrics.counter("engine.rows").inc(32)
     return sess
@@ -219,8 +205,16 @@ class TestArtifacts:
         assert header["dropped"] == 0
         # rebased: every start is relative to the session anchor
         assert min(s.start_s for s in spans) == pytest.approx(0.01)
-        assert {s.lane for s in spans} == {"coordinator", "worker-0", "worker-1"}
         assert spans[-1].attrs == {"rows": 16}
+        # older traces carry each span's proc/worker lane; they still load
+        buffer.seek(0)
+        header_line = buffer.readline()
+        old_line = json.dumps(
+            {"name": "shard-0", "cat": "shard", "start_s": 0.5, "dur_s": 0.25,
+             "proc": "worker", "worker": 1, "attrs": {"rows": 4}}
+        )
+        _, old_spans = read_trace(io.StringIO(header_line + old_line + "\n"))
+        assert old_spans == [Span("shard-0", "shard", 0.5, 0.25, attrs={"rows": 4})]
 
     def test_read_trace_rejects_garbage(self):
         with pytest.raises(ValueError, match="empty trace"):
@@ -246,11 +240,11 @@ class TestArtifacts:
         xs = [e for e in events if e["ph"] == "X"]
         metas = [e for e in events if e["ph"] == "M"]
         assert len(xs) == 3
-        # coordinator lane is tid 0, worker N renders as tid N+1
-        assert [e["tid"] for e in xs] == [0, 1, 2]
         assert all(e["ts"] >= 0 for e in xs)
+        # every span runs on one thread
+        assert {e["tid"] for e in events} == {0}
         named = {e["args"]["name"] for e in metas if e["name"] == "thread_name"}
-        assert named == {"coordinator", "worker-0", "worker-1"}
+        assert named == {"coordinator"}
 
     def test_render_timeline_contents(self):
         sess = _session_with_spans()
@@ -259,8 +253,7 @@ class TestArtifacts:
         buffer.seek(0)
         rendered = render_timeline(*read_trace(buffer))
         assert "coordinator" in rendered
-        assert "worker-0" in rendered and "worker-1" in rendered
-        assert "shard-1" in rendered
+        assert "store" in rendered  # the category summary
         assert "3 spans" in rendered
 
     def test_render_timeline_empty(self):
@@ -268,7 +261,7 @@ class TestArtifacts:
 
 
 # --------------------------------------------------------------------------- #
-# engine integration: bit-identity and worker lanes
+# engine integration: bit-identity and metrics
 # --------------------------------------------------------------------------- #
 class TestEngineIntegration:
     def test_batched_engine_metrics(
@@ -283,22 +276,6 @@ class TestEngineIntegration:
         assert metrics["engine.rows"]["value"] == 20.0
         assert metrics["engine.model_calls"]["value"] == 3.0  # ceil(20/8)
         assert metrics["engine.chunk_latency_s"]["count"] == 3
-
-    def test_sharded_threads_records_worker_lanes(
-        self, trained_cluster_model, operational_cluster_data
-    ):
-        x = operational_cluster_data.x[:16]
-        with ShardedQueryEngine(
-            trained_cluster_model, batch_size=4, num_workers=2
-        ) as engine:
-            off = engine.predict_proba(x)
-            with telemetry.session() as sess:
-                on = engine.predict_proba(x)
-        np.testing.assert_array_equal(on, off)
-        shard_lanes = {
-            s.lane for s in sess.spans.snapshot() if s.category == "shard"
-        }
-        assert shard_lanes and all(l.startswith("worker-") for l in shard_lanes)
 
 
 # --------------------------------------------------------------------------- #
@@ -381,43 +358,27 @@ class TestRegistryAndCli:
 
 
 # --------------------------------------------------------------------------- #
-# slow tier: on/off bit-identity across the execution matrix
+# slow tier: on/off bit-identity of every engine probe
 # --------------------------------------------------------------------------- #
 @pytest.mark.slow
 class TestBitIdentityMatrix:
-    def test_sharded(
-        self, trained_cluster_model, cluster_naturalness,
-        operational_cluster_data,
+    def test_batched(
+        self, trained_cluster_model, cluster_naturalness, operational_cluster_data
     ):
         x = operational_cluster_data.x[:48]
         y = operational_cluster_data.y[:48]
         results = {}
         for label, enabled in (("off", False), ("on", True)):
-            with ShardedQueryEngine(
-                trained_cluster_model,
-                naturalness=cluster_naturalness,
-                batch_size=5,
-                num_workers=2,
-            ) as engine:
-                with telemetry.session(enabled=enabled):
-                    results[label] = (
-                        engine.predict_proba(x),
-                        engine.loss_input_gradient(x, y),
-                        engine.score_naturalness(x),
-                        engine.stats.as_dict(),
-                    )
+            engine = BatchedQueryEngine(
+                trained_cluster_model, naturalness=cluster_naturalness, batch_size=5
+            )
+            with telemetry.session(enabled=enabled):
+                results[label] = (
+                    engine.predict_proba(x),
+                    engine.loss_input_gradient(x, y),
+                    engine.score_naturalness(x),
+                    engine.stats.as_dict(),
+                )
         for on, off in zip(results["on"][:3], results["off"][:3]):
             np.testing.assert_array_equal(on, off)
         assert results["on"][3] == results["off"][3]
-
-    def test_batched(
-        self, trained_cluster_model, cluster_naturalness, operational_cluster_data
-    ):
-        x = operational_cluster_data.x[:48]
-        engine = BatchedQueryEngine(
-            trained_cluster_model, naturalness=cluster_naturalness, batch_size=5
-        )
-        off = engine.predict_proba(x)
-        with telemetry.session():
-            on = engine.predict_proba(x)
-        np.testing.assert_array_equal(on, off)
