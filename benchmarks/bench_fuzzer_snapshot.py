@@ -2,10 +2,8 @@
 
 Runs the same fixed-seed campaign through the sequential reference fuzzer
 ("before") and the batched population engine ("after"), plus the vectorised
-black-box attacks, a ``telemetry_overhead`` section (observability costs
-<3% and never perturbs results, see ``bench_telemetry.py``) and a
-``lint_performance`` section (a warm incremental ``repro lint`` beats cold
-by >=3x with identical findings, see ``bench_lint.py``), and writes
+black-box attacks and a ``telemetry_overhead`` section (observability costs
+<3% and never perturbs results, see ``bench_telemetry.py``), and writes
 ``BENCH_fuzzer.json`` at the repository root so the throughput trajectory
 is tracked across PRs.
 
@@ -30,10 +28,6 @@ from pathlib import Path
 # the committed file that way), and only the former puts benchmarks/ on the
 # module search path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_lint import (  # noqa: E402
-    lint_performance_section,
-    validate_lint_performance_section,
-)
 from bench_telemetry import telemetry_section, validate_telemetry_section  # noqa: E402
 
 from repro.attacks import BoundaryNudge, GaussianNoise, RandomFuzz
@@ -101,7 +95,7 @@ def _attacks_once(scenario) -> dict:
 
 def _validate_snapshot(path: Path) -> None:
     """Re-read the written snapshot: it must stay parseable and complete,
-    and its telemetry and lint sections must still meet their gates."""
+    and its telemetry section must still meet its gates."""
     snapshot = json.loads(path.read_text())
     for key in (
         "benchmark",
@@ -109,12 +103,10 @@ def _validate_snapshot(path: Path) -> None:
         "fuzzer",
         "attacks_batched",
         "telemetry_overhead",
-        "lint_performance",
     ):
         if key not in snapshot:
             raise AssertionError(f"snapshot is missing the {key!r} section")
     validate_telemetry_section(snapshot["telemetry_overhead"])
-    validate_lint_performance_section(snapshot["lint_performance"])
 
 
 def main(output: str = "BENCH_fuzzer.json") -> dict:
@@ -141,7 +133,6 @@ def main(output: str = "BENCH_fuzzer.json") -> dict:
         },
         "attacks_batched": _attacks_once(scenario),
         "telemetry_overhead": telemetry_section(),
-        "lint_performance": lint_performance_section(),
     }
     path = Path(output)
     path.write_text(json.dumps(snapshot, indent=2) + "\n")

@@ -13,8 +13,7 @@ tribal rules into a static guardrail:
   table, call graph and taint/lock fixpoints — powering the
   :class:`~repro.analysis.program.registry.ProgramRule` set (REP009 deadlock
   detection, REP010 interprocedural funnel escape, REP011 iteration-order
-  nondeterminism), with per-file results cached on disk by content hash so a
-  warm ``python -m repro lint`` re-analyzes only what changed;
+  nondeterminism), run over the same single parse of each file;
 * structured :class:`~repro.analysis.findings.Finding` records with text,
   JSON and SARIF 2.1.0 reporters (the SARIF log feeds GitHub code scanning);
 * inline suppression pragmas (``# repro: allow[rule-id]``) for intentional,
@@ -36,11 +35,8 @@ from .explain import explain_rule, rule_doc_sections
 from .findings import SEVERITIES, Finding, sort_findings
 from .pragmas import collect_pragmas, expand_decorated_pragmas, is_suppressed
 from .program import (
-    ProgramAnalysis,
-    ProgramCache,
     ProgramGraph,
     ProgramRule,
-    analyze_program,
     build_graph,
     default_program_rules,
     extract_facts,
@@ -66,14 +62,11 @@ __all__ = [
     "Finding",
     "LintResult",
     "ModuleContext",
-    "ProgramAnalysis",
-    "ProgramCache",
     "ProgramGraph",
     "ProgramRule",
     "Rule",
     "SEVERITIES",
     "analyze_paths",
-    "analyze_program",
     "analyze_source",
     "build_graph",
     "collect_pragmas",

@@ -13,11 +13,9 @@ Typical workflows::
     python -m repro lint --update-baseline    # accept current findings as debt
     python -m repro lint path/to/file.py --no-baseline   # absolute truth
 
-Incremental by default: per-file analysis is cached under
-``.repro-lint-cache/`` by content hash, so a warm run re-parses only what
-changed (``--no-cache`` forces a full cold run, ``--jobs N`` fans a cold run
-across processes).  Whole-program rules (REP009+) always see the full tree —
-``--changed`` narrows the *reported* findings, never the analysis.
+Every run parses each file once.  Whole-program rules (REP009+) always see
+the full tree — ``--changed`` narrows the *reported* findings, never the
+analysis.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from typing import List, Optional, Set
 from ..exceptions import ConfigurationError
 from .baseline import DEFAULT_BASELINE, Baseline
 from .explain import explain_rule
-from .program.cache import DEFAULT_CACHE_DIR
 from .program.registry import default_program_rules
 from .report import render_json, render_text
 from .sarif import render_sarif
@@ -103,25 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"incremental-analysis cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk cache: re-parse every file",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="processes for cold-run file analysis (default 1; only pays "
-        "off on many cache misses)",
-    )
     return parser
 
 
@@ -180,11 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         changed: Optional[Set[str]] = (
             _git_changed_files(args.changed) if args.changed is not None else None
         )
-        result = analyze_paths(
-            paths,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            jobs=max(1, args.jobs),
-        )
+        result = analyze_paths(paths)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,10 @@ def collect_pragmas(source: str) -> Dict[int, Set[str]]:
     are never misread; on tokenization failure (the file will produce a parse
     finding anyway) a conservative per-line regex scan is used instead.
     """
+    # every comment token is a substring of the source, so a source with no
+    # match anywhere has no pragma and needs no tokenizing
+    if PRAGMA_PATTERN.search(source) is None:
+        return {}
     lines = source.splitlines()
     comment_hits = []  # (line, ids, standalone)
     try:
@@ -93,6 +97,8 @@ def expand_decorated_pragmas(tree, pragmas: Dict[int, Set[str]]) -> Dict[int, Se
     """
     import ast
 
+    if not pragmas:
+        return pragmas
     expanded = {line: set(ids) for line, ids in pragmas.items()}
     for node in ast.walk(tree):
         decorators = getattr(node, "decorator_list", None)

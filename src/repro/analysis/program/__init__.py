@@ -12,32 +12,16 @@ registered :class:`~.registry.ProgramRule` set (REP009 lock-ordering,
 REP010 interprocedural funnel escape, REP011 iteration-order
 nondeterminism) over it.
 
-Per-file work — parse, per-file rules, fact extraction, pragma maps — is
-cached on disk by content hash (:class:`~.cache.ProgramCache`), so a warm
-``python -m repro lint`` re-analyzes only changed files; cold runs can fan
-parsing across a process pool.  Whole-program resolution is recomputed from
-the cached facts every run: it is cheap, and global findings have no single
-owning file to cache them under.
+Each file is parsed once per run: the per-file rules, the fact extraction
+and the pragma map share that tree (:func:`~.build.analyze_sources`).
 """
 
-from .build import (
-    MIN_FILES_FOR_POOL,
-    ProgramAnalysis,
-    analyze_program,
-)
-from .cache import (
-    CACHE_VERSION,
-    DEFAULT_CACHE_DIR,
-    FileRecord,
-    ProgramCache,
-    analysis_fingerprint,
-)
+from .build import analyze_sources
 from .facts import (
     ClassFacts,
     FunctionFacts,
     ImportFact,
     ModuleFacts,
-    content_hash,
     extract_facts,
     module_name_for,
 )
@@ -50,23 +34,15 @@ from .registry import (
 )
 
 __all__ = [
-    "CACHE_VERSION",
-    "DEFAULT_CACHE_DIR",
-    "MIN_FILES_FOR_POOL",
     "ClassFacts",
-    "FileRecord",
     "FunctionFacts",
     "ImportFact",
     "ModuleFacts",
-    "ProgramAnalysis",
-    "ProgramCache",
     "ProgramGraph",
     "ProgramRule",
     "SymbolRef",
-    "analysis_fingerprint",
-    "analyze_program",
+    "analyze_sources",
     "build_graph",
-    "content_hash",
     "default_program_rules",
     "extract_facts",
     "module_name_for",

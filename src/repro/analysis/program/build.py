@@ -2,209 +2,66 @@
 
 This is the analysis pipeline behind ``python -m repro lint``:
 
-1. enumerate the target files and hash their contents;
-2. for each file, either load the per-file record from the content-hash
-   cache (warm path: no parse) or parse it once, dispatch the per-file
-   rules, extract :class:`~.facts.ModuleFacts` and expand pragmas — on a
-   cold run with ``jobs > 1`` the misses fan out across a process pool;
-3. assemble the :class:`~.graph.ProgramGraph` from all facts and run the
+1. parse each file once, dispatch the per-file rules over the tree, extract
+   its :class:`~.facts.ModuleFacts` and expand its pragma map;
+2. assemble the :class:`~.graph.ProgramGraph` from all facts and run the
    registered whole-program rules (REP009/REP010/REP011) over it;
-4. pragma-filter the program findings with each file's stored pragma map
-   and merge everything into one :class:`~..walker.LintResult`.
+3. pragma-filter every finding with its file's pragma map and merge them
+   into one :class:`~..walker.LintResult`.
 
-The returned :class:`ProgramAnalysis` also reports which files were
-re-parsed and which files' whole-program findings a change could have
-affected (the changed files plus their reverse import closure) — the
-invalidation contract the cache tests pin down.
+A single module is the same pipeline over a one-module program.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from ..findings import Finding, sort_findings
-from ..pragmas import is_suppressed
-from .cache import DEFAULT_CACHE_DIR, FileRecord, ProgramCache
-from .facts import ModuleFacts, content_hash
-from .graph import ProgramGraph, build_graph
+from ..pragmas import collect_pragmas, expand_decorated_pragmas, is_suppressed
+from ..walker import LintResult, Rule, default_rules, parse_source, run_file_rules
+from .facts import ModuleFacts, extract_facts
+from .graph import build_graph
 from .registry import ProgramRule, default_program_rules
 
-#: Below this many cache misses a process pool costs more than it saves.
-MIN_FILES_FOR_POOL = 8
 
-#: Upper bound on one worker's parse batch — a hung worker cannot stall the
-#: lint run forever (600s is far beyond any real parse).
-POOL_TIMEOUT_S = 600.0
-
-
-@dataclass
-class ProgramAnalysis:
-    """Outcome of one whole-program analysis run."""
-
-    findings: List[Finding]
-    files_scanned: int
-    suppressed: int
-    graph: ProgramGraph
-    #: files parsed this run (cache misses)
-    reparsed: List[str] = field(default_factory=list)
-    #: files whose whole-program findings the reparsed set can affect:
-    #: the reparsed files plus their reverse import closure
-    invalidated: List[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    def lint_result(self):
-        """Adapt to the :class:`~repro.analysis.walker.LintResult` surface."""
-        from ..walker import LintResult
-
-        return LintResult(
-            findings=self.findings,
-            files_scanned=self.files_scanned,
-            suppressed=self.suppressed,
-            reparsed=list(self.reparsed),
-            invalidated=list(self.invalidated),
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-        )
-
-
-def _analyze_file_record(path: str, source: str, rules=None) -> FileRecord:
-    """Parse one file and compute its cacheable record (single parse)."""
-    from ..pragmas import collect_pragmas, expand_decorated_pragmas
-    from ..walker import parse_source, run_file_rules
-
-    digest = content_hash(source)
-    tree, parse_failure = parse_source(source, path)
-    if tree is None:
-        facts = ModuleFacts(path=path, module="", content_hash=digest)
-        return FileRecord(
-            content_hash=digest,
-            findings=[parse_failure] if parse_failure else [],
-            suppressed=0,
-            pragmas={},
-            facts=facts,
-        )
-    from .facts import extract_facts
-
-    pragmas = expand_decorated_pragmas(tree, collect_pragmas(source))
-    raw = run_file_rules(tree, path, rules)
-    kept = [
-        finding
-        for finding in raw
-        if not is_suppressed(pragmas, finding.line, finding.rule, finding.name)
-    ]
-    facts = extract_facts(tree, source, path)
-    return FileRecord(
-        content_hash=digest,
-        findings=sort_findings(kept),
-        suppressed=len(raw) - len(kept),
-        pragmas=pragmas,
-        facts=facts,
-    )
-
-
-def _analyze_file_job(path: str) -> Dict[str, object]:
-    """Process-pool entry point: read, analyze, return a serialized record."""
-    source = Path(path).read_text(encoding="utf-8")
-    return _analyze_file_record(path, source).to_dict()
-
-
-def _analyze_misses(
-    misses: List[str], sources: Dict[str, str], rules, jobs: int
-) -> Dict[str, FileRecord]:
-    """Analyze every cache miss, fanning across processes when it pays."""
-    records: Dict[str, FileRecord] = {}
-    if jobs > 1 and len(misses) >= MIN_FILES_FOR_POOL and rules is None:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_analyze_file_job, path): path  # repro: allow[timeout-discipline] lint-local pool; every wait below is bounded
-                for path in misses
-            }
-            for future in as_completed(futures, timeout=POOL_TIMEOUT_S):
-                path = futures[future]
-                records[path] = FileRecord.from_dict(future.result(timeout=POOL_TIMEOUT_S))
-        return records
-    for path in misses:
-        records[path] = _analyze_file_record(path, sources[path], rules)
-    return records
-
-
-def analyze_program(
-    paths: Iterable[str],
-    rules: Optional[Sequence] = None,
+def analyze_sources(
+    sources: Mapping[str, str],
+    rules: Optional[Sequence[Rule]] = None,
     program_rules: Optional[Sequence[ProgramRule]] = None,
-    cache_dir: Optional[str] = None,
-    jobs: int = 1,
-) -> ProgramAnalysis:
-    """Analyze every Python file under ``paths`` as one program."""
-    from ..walker import iter_python_files
-
-    files = [source.as_posix() for source in iter_python_files(paths)]
-    sources = {path: Path(path).read_text(encoding="utf-8") for path in files}
-    hashes = {path: content_hash(sources[path]) for path in files}
-
-    cache = ProgramCache(cache_dir) if cache_dir else None
-    records: Dict[str, FileRecord] = {}
-    misses: List[str] = []
-    for path in files:
-        record = cache.get(path, hashes[path]) if cache else None
-        if record is None:
-            misses.append(path)
-        else:
-            records[path] = record
-    records.update(_analyze_misses(misses, sources, rules, jobs))
-
-    graph = build_graph(
-        record.facts for record in records.values() if record.facts.module
-    )
+) -> LintResult:
+    """Analyze ``{posix path: source}`` as one program."""
+    active_rules = list(rules) if rules is not None else default_rules()
     active_program_rules = (
         list(program_rules) if program_rules is not None else default_program_rules()
     )
-    program_findings: List[Finding] = []
-    for rule in active_program_rules:
-        program_findings.extend(rule.check(graph))
-
     findings: List[Finding] = []
-    suppressed = 0
-    for path in files:
-        record = records[path]
-        findings.extend(record.findings)
-        suppressed += record.suppressed
-    kept_program = []
-    for finding in program_findings:
-        pragmas = records[finding.path].pragmas if finding.path in records else {}
-        if is_suppressed(pragmas, finding.line, finding.rule, finding.name):
-            suppressed += 1
-        else:
-            kept_program.append(finding)
-    findings.extend(kept_program)
+    pragmas: Dict[str, Dict[int, Set[str]]] = {}
+    modules: List[ModuleFacts] = []
+    for path, source in sources.items():
+        tree, parse_failure = parse_source(source, path)
+        if tree is None:
+            findings.append(parse_failure)
+            continue
+        pragmas[path] = expand_decorated_pragmas(tree, collect_pragmas(source))
+        findings.extend(run_file_rules(tree, path, active_rules))
+        modules.append(extract_facts(tree, path))
 
-    invalidated = sorted(graph.dependents_of(misses)) if misses else []
-    analysis = ProgramAnalysis(
-        findings=sort_findings(findings),
-        files_scanned=len(files),
-        suppressed=suppressed,
-        graph=graph,
-        reparsed=sorted(misses),
-        invalidated=invalidated,
-        cache_hits=cache.hits if cache else 0,
-        cache_misses=cache.misses if cache else len(files),
+    graph = build_graph(modules)
+    for rule in active_program_rules:
+        findings.extend(rule.check(graph))
+
+    kept = [
+        finding
+        for finding in findings
+        if not is_suppressed(
+            pragmas.get(finding.path, {}), finding.line, finding.rule, finding.name
+        )
+    ]
+    return LintResult(
+        findings=sort_findings(kept),
+        files_scanned=len(sources),
+        suppressed=len(findings) - len(kept),
     )
-    if cache is not None:
-        for path, record in records.items():
-            if path in misses or cache.entries.get(path) is not record:
-                cache.put(path, record)
-        cache.prune(set(files))
-        cache.flush()
-    return analysis
 
 
-__all__ = [
-    "DEFAULT_CACHE_DIR",
-    "MIN_FILES_FOR_POOL",
-    "ProgramAnalysis",
-    "analyze_program",
-]
+__all__ = ["analyze_sources"]

@@ -1,13 +1,10 @@
-"""Per-module fact extraction — the cacheable half of whole-program analysis.
+"""Per-module fact extraction — the per-file half of whole-program analysis.
 
 A :class:`ModuleFacts` record is everything the program-level rules need to
 know about one file, extracted in a single structured walk over the same AST
-the per-file rules dispatch on (one parse per file, ever).  Facts are plain
-JSON-serializable data, which is what makes the on-disk content-hash cache
-possible: a warm ``python -m repro lint`` loads facts for unchanged files
-instead of re-parsing them, and whole-program resolution (symbol table, call
-graph, lock graph, taint) is recomputed from facts — it is cheap, and global
-rules are global, so per-file caching of *their* output would be unsound.
+the per-file rules dispatch on (one parse per file, ever).  Whole-program
+resolution (symbol table, call graph, lock graph, taint) is then computed
+from the facts of every module, in :mod:`.graph`.
 
 The extractor is deliberately name-based and syntactic, like the rest of the
 linter: it records what the code *says* (dotted receiver chains, ``with
@@ -18,8 +15,7 @@ self._lock:`` nesting, set-valued expressions) and leaves resolution to
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 #: Terminal name components that mark a value as model-typed for taint
@@ -49,11 +45,6 @@ ORDER_LEAKY_CALLEES = frozenset({"list", "tuple", "enumerate"})
 SET_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference", "copy"}
 )
-
-
-def content_hash(source: str) -> str:
-    """Stable content hash of one file's source text."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def dotted(node: ast.AST) -> Optional[str]:
@@ -170,7 +161,6 @@ class ModuleFacts:
 
     path: str
     module: str  # absolute dotted module name ("repro.engine.batching")
-    content_hash: str
     imports: List[ImportFact] = field(default_factory=list)
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
     classes: Dict[str, ClassFacts] = field(default_factory=dict)
@@ -178,60 +168,6 @@ class ModuleFacts:
     module_locks: Dict[str, str] = field(default_factory=dict)
     #: module-level names bound to set-valued constants
     module_sets: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:  # repro: allow[dict-round-trip] asdict() emits every dataclass field by construction
-        """JSON-safe snapshot (exact :meth:`from_dict` round-trip)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleFacts":
-        """Rebuild facts from :meth:`to_dict` output."""
-
-        def _tuples(rows):
-            return [tuple(row) if row is not None else None for row in rows]
-
-        facts = cls(
-            path=str(data["path"]),
-            module=str(data["module"]),
-            content_hash=str(data["content_hash"]),
-            imports=[ImportFact(**row) for row in data.get("imports", [])],
-            module_locks=dict(data.get("module_locks", {})),
-            module_sets=list(data.get("module_sets", [])),
-        )
-        for name, raw in dict(data.get("functions", {})).items():
-            fn = FunctionFacts(
-                qualname=raw["qualname"],
-                lineno=raw["lineno"],
-                end_lineno=raw["end_lineno"],
-                params=list(raw.get("params", [])),
-                param_annotations=dict(raw.get("param_annotations", {})),
-                return_annotation=raw.get("return_annotation", ""),
-                returns=_tuples(raw.get("returns", [])),
-                tainted_locals=list(raw.get("tainted_locals", [])),
-                local_calls=dict(raw.get("local_calls", {})),
-                local_refs=dict(raw.get("local_refs", {})),
-                set_locals=list(raw.get("set_locals", [])),
-            )
-            for call in raw.get("calls", []):
-                fn.calls.append(
-                    CallFact(
-                        callee=call["callee"],
-                        lineno=call["lineno"],
-                        args=_tuples(call.get("args", [])),
-                        kwargs={
-                            key: tuple(val) if val is not None else None
-                            for key, val in call.get("kwargs", {}).items()
-                        },
-                        held_locks=list(call.get("held_locks", [])),
-                    )
-                )
-            fn.lock_acquires = [LockAcquire(**row) for row in raw.get("lock_acquires", [])]
-            fn.query_sinks = [QuerySink(**row) for row in raw.get("query_sinks", [])]
-            fn.iterations = [IterSite(**row) for row in raw.get("iterations", [])]
-            facts.functions[name] = fn
-        for name, raw in dict(data.get("classes", {})).items():
-            facts.classes[name] = ClassFacts(**raw)
-        return facts
 
 
 def _is_lockish(name: str) -> bool:
@@ -638,12 +574,11 @@ def module_name_for(path) -> str:
     return ".".join(reversed(parts)) if parts else source.stem
 
 
-def extract_facts(tree: ast.Module, source: str, path: str, module: Optional[str] = None) -> ModuleFacts:
+def extract_facts(tree: ast.Module, path: str, module: Optional[str] = None) -> ModuleFacts:
     """Extract :class:`ModuleFacts` from one already-parsed module."""
     facts = ModuleFacts(
         path=str(path),
         module=module if module is not None else module_name_for(path),
-        content_hash=content_hash(source),
     )
     _Extractor(facts).visit(tree)
     return facts
@@ -663,7 +598,6 @@ __all__ = [
     "LockAcquire",
     "ModuleFacts",
     "QuerySink",
-    "content_hash",
     "dotted",
     "extract_facts",
     "module_name_for",

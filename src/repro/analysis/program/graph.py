@@ -1,8 +1,7 @@
 """Cross-module symbol table, call graph and whole-program fixpoints.
 
 :class:`ProgramGraph` is built from per-module :class:`~.facts.ModuleFacts`
-(freshly extracted or loaded from the content-hash cache) and answers the
-questions the whole-program rules ask:
+and answers the questions the whole-program rules ask:
 
 * **symbol resolution** — what does the name ``X`` mean inside module ``M``?
   Follows import aliases and re-export chains (``from .graph import build``
@@ -19,8 +18,7 @@ questions the whole-program rules ask:
 * **fixpoints** — which functions (transitively) return model-typed values,
   which return sets, and which locks a function may acquire transitively
   through its callees.  All three are small worklist iterations over the
-  compact fact records, recomputed on every run: global properties are
-  global, so caching them per-file would be unsound.
+  compact fact records.
 
 Everything here is stdlib-only and name-based — the resolver trusts what the
 code says, and when the code is too dynamic it says "unresolved" rather than
@@ -405,46 +403,6 @@ class ProgramGraph:
             if cls is not None and cls_attr in cls.lock_attrs:
                 return cls.lock_attrs[cls_attr]
         return None
-
-    # ------------------------------------------------------------------ #
-    # import graph / invalidation
-    # ------------------------------------------------------------------ #
-    def importers_of(self) -> Dict[str, Set[str]]:
-        """Reverse import adjacency: module -> modules importing it."""
-        reverse: Dict[str, Set[str]] = {name: set() for name in self.modules}
-        for facts in self.modules.values():
-            for imp in facts.imports:
-                targets = [imp.module]
-                if imp.symbol and f"{imp.module}.{imp.symbol}" in self.modules:
-                    targets.append(f"{imp.module}.{imp.symbol}")
-                for target in targets:
-                    if target in reverse:
-                        reverse[target].add(facts.module)
-        return reverse
-
-    def dependents_of(self, changed_paths: Iterable[str]) -> Set[str]:
-        """Paths whose analysis a change to ``changed_paths`` can affect.
-
-        The changed files plus every file that transitively imports one of
-        them — the exact invalidation set for whole-program findings, because
-        cross-module resolution only ever follows import edges.
-        """
-        by_path = {facts.path: facts.module for facts in self.modules.values()}
-        changed_modules = {
-            by_path[path] for path in changed_paths if path in by_path
-        }
-        reverse = self.importers_of()
-        seen: Set[str] = set(changed_modules)
-        stack = sorted(changed_modules)
-        while stack:
-            module = stack.pop()
-            for importer in reverse.get(module, ()):
-                if importer not in seen:
-                    seen.add(importer)
-                    stack.append(importer)
-        return {
-            facts.path for facts in self.modules.values() if facts.module in seen
-        }
 
 
 def build_graph(modules: Iterable[ModuleFacts]) -> ProgramGraph:

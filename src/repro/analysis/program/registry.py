@@ -3,10 +3,10 @@
 
 A per-file rule sees one module's AST; a :class:`ProgramRule` sees the whole
 :class:`~.graph.ProgramGraph` at once and emits findings anywhere in the
-tree.  Program rules run *after* every module's facts are available (fresh or
-cache-loaded) and are recomputed on every run: they are pure functions of the
-graph, cheap next to parsing, and global by nature — a lock-order cycle or a
-cross-module taint flow has no single owning file to cache it under.
+tree.  Program rules run *after* every module's facts are available: they
+are pure functions of the graph, cheap next to parsing, and global by
+nature — a lock-order cycle or a cross-module taint flow has no single
+owning file.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class ProgramRule:
     Subclasses set the same metadata attributes as per-file rules and
     implement :meth:`check`, returning findings anchored wherever in the tree
     the evidence lives.  Pragma suppression is applied by the framework using
-    each file's (cached) pragma map, so rules just report.
+    each file's pragma map, so rules just report.
     """
 
     rule_id: str = ""

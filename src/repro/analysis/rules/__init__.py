@@ -15,16 +15,13 @@ REP004    lock-discipline   attributes mutated under a ``self._lock`` block are
                             never touched lock-free elsewhere in the class
 REP005    dict-round-trip   ``to_dict``/``from_dict`` pairs agree on their key
                             set (serialization cannot drift silently)
-REP006    timeout-discipline no unbounded cross-process waits (bare
-                            ``future.result()``/``queue.get()``) or
-                            unjustified raw executor dispatch
 REP008    clock-discipline  no wall-clock reads (``time.time()``/
                             ``datetime.now()``/…) outside ``repro.telemetry``;
                             durations/deadlines stay monotonic
 ========  ================  ====================================================
 
-REP001, REP002, REP004–REP006 and REP008 are per-file rules (one module at a
-time; REP003 and REP007 are retired and their ids are not reused);
+REP001, REP002, REP004, REP005 and REP008 are per-file rules (one module at
+a time; REP003, REP006 and REP007 are retired and their ids are not reused);
 REP009–REP011 are whole-program rules run over the cross-module
 :class:`~repro.analysis.program.graph.ProgramGraph`:
 
@@ -51,14 +48,12 @@ from .lockorder import LockOrderingRule
 from .locks import LockDisciplineRule
 from .rng import RngDisciplineRule
 from .roundtrip import DictRoundTripRule
-from .timeouts import TimeoutDisciplineRule
 
 __all__ = [
     "EngineFunnelRule",
     "RngDisciplineRule",
     "LockDisciplineRule",
     "DictRoundTripRule",
-    "TimeoutDisciplineRule",
     "ClockDisciplineRule",
     "LockOrderingRule",
     "FunnelEscapeRule",

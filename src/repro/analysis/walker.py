@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
 from ..exceptions import ConfigurationError
-from .findings import Finding, sort_findings
-from .pragmas import collect_pragmas, is_suppressed
+from .findings import Finding
 
 #: Pseudo-rule used for files the analyzer cannot parse.
 PARSE_RULE_ID = "REP000"
@@ -167,50 +166,16 @@ def analyze_source(
 ) -> List[Finding]:
     """Analyze one module's source text; returns pragma-filtered findings.
 
-    The whole-program rules run too, over a single-module program — so
-    cross-function properties inside one file (a lock-order inversion
-    between two methods, a set iterated two functions away) are visible
-    even without a multi-file tree.
+    This is :func:`analyze_paths`' pipeline over a one-module program, so
+    the whole-program rules run too and cross-function properties inside
+    one file (a lock-order inversion between two methods, a set iterated
+    two functions away) are visible even without a multi-file tree.
     """
-    kept, _suppressed = _analyze_module(
-        source, path, rules=rules, program_rules=program_rules
-    )
-    return kept
+    from .program.build import analyze_sources
 
-
-def _analyze_module(
-    source: str,
-    path: str,
-    rules: Optional[Sequence[Rule]] = None,
-    program_rules: Optional[Sequence] = None,
-) -> tuple:
-    """One parse, shared by every rule: ``(kept findings, suppressed)``."""
-    from .pragmas import expand_decorated_pragmas
-    from .program.facts import extract_facts
-    from .program.graph import build_graph
-    from .program.registry import default_program_rules
-
-    posix = str(Path(path).as_posix())
-    tree, parse_failure = parse_source(source, path)
-    if tree is None:
-        return [parse_failure], 0
-
-    findings = list(run_file_rules(tree, posix, rules))
-    facts = extract_facts(tree, source, posix)
-    graph = build_graph([facts])
-    active_program = (
-        list(program_rules) if program_rules is not None else default_program_rules()
-    )
-    for rule in active_program:
-        findings.extend(rule.check(graph))
-
-    pragmas = expand_decorated_pragmas(tree, collect_pragmas(source))
-    kept = [
-        finding
-        for finding in findings
-        if not is_suppressed(pragmas, finding.line, finding.rule, finding.name)
-    ]
-    return sort_findings(kept), len(findings) - len(kept)
+    return analyze_sources(
+        {Path(path).as_posix(): source}, rules=rules, program_rules=program_rules
+    ).findings
 
 
 @dataclass
@@ -220,13 +185,6 @@ class LintResult:
     findings: List[Finding]
     files_scanned: int
     suppressed: int
-    #: files parsed this run (everything on a cold/uncached run)
-    reparsed: List[str] = field(default_factory=list)
-    #: reparsed files plus their reverse import closure — the set whose
-    #: whole-program findings this run's changes could have affected
-    invalidated: List[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def by_rule(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -259,25 +217,19 @@ def analyze_paths(
     paths: Iterable[str],
     rules: Optional[Sequence[Rule]] = None,
     program_rules: Optional[Sequence] = None,
-    cache_dir: Optional[str] = None,
-    jobs: int = 1,
 ) -> LintResult:
     """Analyze every Python file under ``paths`` as one program.
 
-    Files are parsed exactly once each (or not at all when ``cache_dir``
-    holds a warm content-hash cache); the per-file rules and the
+    Each file is parsed exactly once; the per-file rules and the
     whole-program rules both run over that single shared parse.
     """
-    from .program.build import analyze_program
+    from .program.build import analyze_sources
 
-    analysis = analyze_program(
-        paths,
-        rules=rules,
-        program_rules=program_rules,
-        cache_dir=cache_dir,
-        jobs=jobs,
-    )
-    return analysis.lint_result()
+    sources = {
+        source.as_posix(): source.read_text(encoding="utf-8")
+        for source in iter_python_files(paths)
+    }
+    return analyze_sources(sources, rules=rules, program_rules=program_rules)
 
 
 __all__ = [

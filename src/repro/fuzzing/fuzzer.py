@@ -34,7 +34,7 @@ Control flow and execution substrate are separate axes:
   checkpoint cadence.  It never changes which queries a campaign makes.
 
 Both control flows draw each seed's randomness from a private generator
-spawned from the campaign RNG (the policy's ``rng_spawning`` rule), so a
+spawned from the campaign RNG (:func:`repro.config.spawn_rngs`), so a
 seed sees the same proposal stream no matter which execution strategy runs
 it or which other seeds are being fuzzed alongside.  Either way every model
 query flows through a :class:`BatchedQueryEngine`, so query statistics (and
@@ -50,7 +50,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..config import EPSILON, RngLike, ensure_rng
+from ..config import EPSILON, RngLike, ensure_rng, spawn_rngs
 from ..engine.batching import BatchedQueryEngine, QueryStats
 from ..engine.population import (
     PROPOSAL_CAP_FACTOR,
@@ -341,11 +341,7 @@ class OperationalFuzzer:
         energies = self._seed_energies(op_densities, len(seeds))
         # on resume the snapshot carries every live RNG; do not consume the
         # campaign generator so direct runs and resumed runs stay aligned
-        rngs = (
-            cfg.policy.spawn_rngs(generator, len(seeds))
-            if resume_state is None
-            else []
-        )
+        rngs = spawn_rngs(generator, len(seeds)) if resume_state is None else []
         nominal_budgets = [
             max(1, int(round(cfg.queries_per_seed * energies[i])))
             for i in range(len(seeds))

@@ -5,7 +5,7 @@ campaigns execute (the *what* stays with each subsystem's own config):
 
 * :mod:`repro.runtime.policy` — :class:`ExecutionPolicy`, the frozen,
   serializable object capturing the entire execution surface (batching,
-  caching, checkpoint cadence, RNG spawning, telemetry), with
+  caching, checkpoint cadence, telemetry), with
   ``build_engine`` — the one way subsystems build their query engines.
 * :mod:`repro.runtime.spec` — :class:`CampaignSpec`, the declarative
   JSON/TOML campaign description consumed by ``python -m repro run --spec``
@@ -16,11 +16,10 @@ testing loop, scenarios, the CLI) accepts a single ``policy`` parameter;
 the policy decides what execution costs, never what it computes.
 """
 
-from .policy import RNG_SPAWN_POLICIES, ExecutionPolicy
+from .policy import ExecutionPolicy
 from .spec import CampaignSpec
 
 __all__ = [
-    "RNG_SPAWN_POLICIES",
     "ExecutionPolicy",
     "CampaignSpec",
 ]

@@ -1,8 +1,8 @@
 """``ExecutionPolicy`` — the whole execution surface in one object.
 
 :class:`ExecutionPolicy` is one frozen, serializable dataclass that says
-*how* a campaign executes — batching, caching, checkpoint cadence, RNG
-spawning, telemetry — accepted by every subsystem as its single ``policy``
+*how* a campaign executes — batching, caching, checkpoint cadence,
+telemetry — accepted by every subsystem as its single ``policy``
 parameter (checked by :func:`policy_or_default`) and recorded verbatim in
 campaign specs (:mod:`repro.runtime.spec`).
 
@@ -10,8 +10,9 @@ The policy decides what execution costs, not what it computes.  A cache hit
 returns the stored bits.  Changing ``batch_size`` or ``cache`` itself can
 move the last bit of a float — a model's output may depend on the rows per
 call, and hits shrink the batch of misses — while queries, rejections and
-detections stay equal.  RNG spawning is part of the campaign semantics the
-equivalence suites pin.
+detections stay equal.  How random streams are drawn changes what a campaign
+computes, so it is no policy setting: the fuzzer spawns one generator per
+seed itself (:func:`repro.config.spawn_rngs`).
 """
 
 from __future__ import annotations
@@ -22,17 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
-from ..config import RngLike, spawn_rngs
 from ..engine.batching import DEFAULT_BATCH_SIZE, BatchedQueryEngine, as_query_engine
 from ..exceptions import ConfigurationError
 from ..types import Classifier
-
-#: RNG spawning policies.  ``"per-seed"`` (the only shipping policy) gives
-#: every fuzzed seed a private child generator spawned from the campaign RNG,
-#: which is what makes campaigns independent of execution order — the
-#: property every equivalence suite pins.  Future policies (e.g. counter-based
-#: streams for vectorised draws) register here.
-RNG_SPAWN_POLICIES = ("per-seed",)
 
 
 @dataclass(frozen=True)
@@ -54,8 +47,6 @@ class ExecutionPolicy:
     checkpoint_every:
         Campaign-checkpoint cadence (population rounds / seeds for the
         fuzzer, iterations for the testing loop).  0 disables.
-    rng_spawning:
-        RNG spawning policy; see :data:`RNG_SPAWN_POLICIES`.
     telemetry:
         Record structured spans + metrics (:mod:`repro.telemetry`) for the
         campaign and persist ``trace.jsonl`` / ``metrics.json`` in the run
@@ -71,7 +62,6 @@ class ExecutionPolicy:
     cache: bool = False
     cache_max_entries: int = 65536
     checkpoint_every: int = 0
-    rng_spawning: str = "per-seed"
     telemetry: bool = False
 
     def __post_init__(self) -> None:
@@ -89,11 +79,6 @@ class ExecutionPolicy:
             raise ConfigurationError("cache_max_entries must be positive")
         if self.checkpoint_every < 0:
             raise ConfigurationError("checkpoint_every must be non-negative")
-        if self.rng_spawning not in RNG_SPAWN_POLICIES:
-            raise ConfigurationError(
-                f"rng_spawning must be one of {RNG_SPAWN_POLICIES}, "
-                f"got {self.rng_spawning!r}"
-            )
         if not isinstance(self.telemetry, bool):
             raise ConfigurationError(
                 f"telemetry must be a bool, got {type(self.telemetry).__name__}"
@@ -160,14 +145,6 @@ class ExecutionPolicy:
             cache_max_entries=self.cache_max_entries,
         )
 
-    def spawn_rngs(self, rng: RngLike, count: int) -> list:
-        """Spawn per-seed generators according to the RNG spawning policy."""
-        if self.rng_spawning == "per-seed":
-            return spawn_rngs(rng, count)
-        raise ConfigurationError(  # pragma: no cover - guarded in __post_init__
-            f"unimplemented rng_spawning policy {self.rng_spawning!r}"
-        )
-
 
 def load_structured_file(path: Union[str, Path]) -> dict:
     """Load a JSON (default) or TOML (``.toml`` suffix) mapping from disk."""
@@ -213,7 +190,6 @@ def policy_or_default(
 
 
 __all__ = [
-    "RNG_SPAWN_POLICIES",
     "ExecutionPolicy",
     "load_structured_file",
     "policy_or_default",

@@ -24,7 +24,9 @@ run's spec — so a stored run is reproducible from its spec alone.
 Section keys are validated against the target configuration objects, and
 execution settings (``batch_size``, ``cache``, ... — any
 :class:`ExecutionPolicy` field) are rejected outside the ``policy`` section:
-in a spec the execution surface lives there, nowhere else.
+in a spec the execution surface lives there, nowhere else.  Section values
+are validated by building those objects at construction, so a bad value
+fails before any run is registered.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, ReproError
 from .policy import ExecutionPolicy, load_structured_file
 
 #: Keys of the ``scenario`` section (``samples`` maps onto the scenario
@@ -110,8 +112,9 @@ class CampaignSpec:
     fuzzer, workflow, stopping:
         Keyword sections for :class:`repro.fuzzing.FuzzerConfig`,
         :class:`repro.core.WorkflowConfig` and
-        :class:`repro.reliability.StoppingRule`; unknown keys and execution
-        settings are rejected at construction.
+        :class:`repro.reliability.StoppingRule`; unknown keys, execution
+        settings and values those objects reject are rejected at
+        construction.
     """
 
     scenario: Mapping[str, object]
@@ -136,12 +139,34 @@ class CampaignSpec:
                 "spec section 'policy' must be an ExecutionPolicy "
                 "(or, in from_dict input, a mapping of its fields)"
             )
+        self._configs()
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigurationError(
                 f"seed must be an integer, got {self.seed!r}"
             )
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+
+    def _configs(self) -> tuple:
+        """``(FuzzerConfig, WorkflowConfig, StoppingRule)`` built from the
+        sections, each error re-raised as a :class:`ConfigurationError`
+        naming its section."""
+        from ..core.workflow import WorkflowConfig
+        from ..fuzzing.fuzzer import FuzzerConfig
+        from ..reliability.assessment import StoppingRule
+
+        sections = (
+            ("fuzzer", FuzzerConfig, dict(self.fuzzer, policy=self.policy)),
+            ("workflow", WorkflowConfig, dict(self.workflow, policy=self.policy)),
+            ("stopping", StoppingRule, dict(self.stopping)),
+        )
+        built = []
+        for section, config_type, kwargs in sections:
+            try:
+                built.append(config_type(**kwargs))
+            except (ReproError, TypeError, ValueError) as exc:
+                raise ConfigurationError(f"spec section {section!r}: {exc}") from exc
+        return tuple(built)
 
     @property
     def campaign_name(self) -> str:
@@ -206,11 +231,10 @@ class CampaignSpec:
         sections together with the spec's policy driving both the fuzzer and
         the default reliability assessor.
         """
-        from ..core.workflow import OperationalTestingLoop, WorkflowConfig
+        from ..core.workflow import OperationalTestingLoop
         from ..evaluation.scenarios import make_scenario
-        from ..fuzzing.fuzzer import FuzzerConfig
-        from ..reliability.assessment import StoppingRule
 
+        fuzzer_config, workflow_config, stopping_rule = self._configs()
         overrides = {
             SCENARIO_KEY_ALIASES.get(key, key): value
             for key, value in self.scenario.items()
@@ -224,9 +248,9 @@ class CampaignSpec:
             train_data=scenario.train_data,
             partition=scenario.partition,
             naturalness=scenario.naturalness,
-            fuzzer_config=FuzzerConfig(**self.fuzzer, policy=self.policy),
-            stopping_rule=StoppingRule(**self.stopping),
-            workflow_config=WorkflowConfig(**self.workflow, policy=self.policy),
+            fuzzer_config=fuzzer_config,
+            stopping_rule=stopping_rule,
+            workflow_config=workflow_config,
             rng=int(self.seed),
         )
         return scenario, loop

@@ -206,8 +206,10 @@ def _execute(run: StoredRun, resume: bool) -> None:
                 )
             finally:
                 # a failed campaign's partial trace is exactly what you want
-                # for the post-mortem, so save before re-raising
-                if sess is not None:
+                # for the post-mortem, so save before re-raising; a session
+                # that recorded nothing (a resume refused before the campaign
+                # ran) must not overwrite the run's stored trace
+                if sess is not None and (len(sess.spans) or len(sess.metrics)):
                     run.save_telemetry(sess)
     except BaseException:
         run.set_status("failed")

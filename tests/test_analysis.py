@@ -10,6 +10,7 @@ pin for every rule that currently finds nothing.
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -53,12 +54,12 @@ def dedent(snippet: str) -> str:
 # registry / framework
 # --------------------------------------------------------------------------- #
 class TestFramework:
-    def test_six_per_file_rules_registered(self):
-        # REP003 (legacy-knob) and REP007 (shm-lifecycle) are retired; ids
-        # are never renumbered because baselines, SARIF fingerprints and
-        # pragmas key on them
+    def test_five_per_file_rules_registered(self):
+        # REP003 (legacy-knob), REP006 (timeout-discipline) and REP007
+        # (shm-lifecycle) are retired; ids are never renumbered because
+        # baselines, SARIF fingerprints and pragmas key on them
         assert sorted(registered_rules()) == [
-            "REP001", "REP002", "REP004", "REP005", "REP006", "REP008",
+            "REP001", "REP002", "REP004", "REP005", "REP008",
         ]
 
     def test_three_program_rules_registered(self):
@@ -385,42 +386,6 @@ class TestDictRoundTrip:
 
 
 # --------------------------------------------------------------------------- #
-# REP006 timeout-discipline
-# --------------------------------------------------------------------------- #
-class TestTimeoutDiscipline:
-    def test_bare_result_flagged(self):
-        findings = analyze_source("value = future.result()\n", APP_PATH)
-        assert [(f.rule, f.name) for f in findings] == [
-            ("REP006", "timeout-discipline")
-        ]
-        assert "waits forever" in findings[0].message
-
-    def test_result_with_timeout_clean(self):
-        assert analyze_source("value = future.result(timeout=5.0)\n", APP_PATH) == []
-        assert analyze_source("value = future.result(5.0)\n", APP_PATH) == []
-
-    def test_queue_get_without_timeout_flagged(self):
-        findings = analyze_source("item = work_queue.get()\n", APP_PATH)
-        assert [f.rule for f in findings] == ["REP006"]
-
-    def test_queue_get_bounded_clean(self):
-        assert analyze_source("item = work_queue.get(timeout=1.0)\n", APP_PATH) == []
-        assert analyze_source("item = work_queue.get(True, 1.0)\n", APP_PATH) == []
-
-    def test_dict_get_never_matches(self):
-        # .get on a non-queue receiver is ordinary dict access
-        assert analyze_source("value = config.get('key')\n", APP_PATH) == []
-
-    def test_pool_submit_flagged_even_via_subscript(self):
-        findings = analyze_source("fut = pools[worker].submit(fn, arg)\n", APP_PATH)
-        assert [f.rule for f in findings] == ["REP006"]
-        assert "allow[timeout-discipline]" in findings[0].hint
-
-    def test_non_pool_submit_clean(self):
-        assert analyze_source("form.submit()\n", APP_PATH) == []
-
-
-# --------------------------------------------------------------------------- #
 # REP008 — clock-discipline
 # --------------------------------------------------------------------------- #
 class TestClockDiscipline:
@@ -505,6 +470,13 @@ class TestPragmas:
     def test_pragma_inside_string_literal_ignored(self):
         source = 'def f(model):\n    return model.predict("# repro: allow[engine-funnel]")'
         assert len(analyze_source(source, APP_PATH)) == 1
+
+    def test_pragma_free_module_maps_to_no_pragmas_and_keeps_its_finding(self):
+        source = "import functools\n\n\n@functools.cache\n" + self.VIOLATION
+        assert collect_pragmas(source) == {}
+        assert expand_decorated_pragmas(ast.parse(source), {}) == {}
+        findings = analyze_source(source, APP_PATH)
+        assert [(f.rule, f.line) for f in findings] == [("REP001", 6)]
 
     def test_suppressions_counted_per_run(self, tmp_path):
         target = tmp_path / "mod.py"
@@ -669,12 +641,24 @@ class TestCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "REP001", "REP002", "REP004", "REP005", "REP006",
+            "REP001", "REP002", "REP004", "REP005",
             "REP008", "REP009", "REP010", "REP011",
         ):
             assert rule_id in out
         assert "REP003" not in out
+        assert "REP006" not in out
         assert "REP007" not in out
+
+    @pytest.mark.parametrize(
+        "flags", [["--no-cache"], ["--jobs", "2"], ["--cache-dir", "d"]]
+    )
+    def test_retired_cache_and_pool_flags_exit_two(self, tmp_path, capsys, flags):
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            lint_main([str(clean), "--no-baseline", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_conflicting_baseline_flags_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -722,7 +706,6 @@ class TestSelfScan:
                         return cls(a=data["a"], b=data["b"])
                 """
             ),
-            "REP006": "value = future.result()\n",
             "REP008": "stamp = time.time()\n",
             "REP009": dedent(
                 """
@@ -1266,8 +1249,10 @@ class TestExplain:
         assert "Example:" in out and "Fix:" in out
 
     def test_cli_explain_unknown_rule_exits_two(self, capsys):
-        assert lint_main(["--explain", "nope"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
+        # retired ids are unknown too: their rules are gone, never reassigned
+        for rule in ("nope", "REP003", "REP006", "REP007"):
+            assert lint_main(["--explain", rule]) == 2
+            assert "unknown rule" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #

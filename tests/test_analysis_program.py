@@ -3,26 +3,18 @@
 Covers the parts the per-rule fixtures in ``test_analysis.py`` take for
 granted: cross-module symbol resolution (aliased imports, re-export chains,
 wildcard rejection), call-graph resolution (self methods, constructor-typed
-attributes and locals, callback aliases, base-class walks), the facts
-serialization round-trip, and the on-disk cache contract — a warm run
-reparses nothing, a one-file edit re-analyzes exactly that file plus its
-reverse import closure, and a stale fingerprint or corrupt cache file means
-a cold start rather than stale findings.
+attributes and locals, callback aliases, base-class walks), and the one
+lint pipeline — ``analyze_source`` is ``analyze_paths`` over a one-module
+program, and a finding that only exists across two modules is reported,
+and pragma-suppressed, on the line where it happens.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import textwrap
-from pathlib import Path
 
-from repro.analysis import analyze_program, build_graph, extract_facts
-from repro.analysis.program.cache import (
-    CACHE_VERSION,
-    ProgramCache,
-    analysis_fingerprint,
-)
+from repro.analysis import analyze_paths, analyze_source, build_graph, extract_facts
 from repro.analysis.program.facts import ModuleFacts, module_name_for
 
 
@@ -34,7 +26,7 @@ def facts_for(module: str, source: str, package: bool = False) -> ModuleFacts:
     source = dedent(source)
     stem = module.replace(".", "/")
     path = f"src/{stem}/__init__.py" if package else f"src/{stem}.py"
-    return extract_facts(ast.parse(source), source, path, module=module)
+    return extract_facts(ast.parse(source), path, module=module)
 
 
 def graph_for(**modules: str):
@@ -264,190 +256,60 @@ class TestCallResolution:
 
 
 # --------------------------------------------------------------------------- #
-# facts round-trip
+# the one pipeline
 # --------------------------------------------------------------------------- #
-class TestFactsRoundTrip:
-    RICH_SOURCE = """
-        import threading
-        from typing import Set
-
-        from pkg.other import helper as h
-
-        KNOWN = {"a", "b"}
-        _LOCK = threading.Lock()
-
-
-        class Planner:
-            def __init__(self):
-                self._lock = threading.RLock()
-                self.pending = set()
-
-            def drain(self, shards: Set[int]) -> Set[int]:
-                with self._lock:
-                    out = {s for s in shards}
-                for item in sorted(self.pending):
-                    h(item, timeout=1)
-                model = h()
-                return out
-        """
-
-    def test_to_dict_from_dict_is_exact(self):
-        original = facts_for("pkg.planner", self.RICH_SOURCE)
-        # through real JSON, exactly as the cache stores it
-        restored = ModuleFacts.from_dict(json.loads(json.dumps(original.to_dict())))
-        assert restored.to_dict() == original.to_dict()
-        assert restored.module == "pkg.planner"
-        assert restored.content_hash == original.content_hash
-        fn = restored.functions["Planner.drain"]
-        assert fn.params == ["self", "shards"]
-        assert fn.lock_acquires[0].lock == "self._lock"
-        assert restored.classes["Planner"].set_attrs == ["pending"]
-        assert restored.module_sets == ["KNOWN"]
-
-    def test_restored_facts_build_an_equivalent_graph(self):
-        original = facts_for("pkg.planner", self.RICH_SOURCE)
-        restored = ModuleFacts.from_dict(json.loads(json.dumps(original.to_dict())))
-        before, after = build_graph([original]), build_graph([restored])
-        assert before.returns_model() == after.returns_model()
-        assert before.transitive_locks() == after.transitive_locks()
+class TestOnePipeline:
+    FIXTURES = {
+        # per-file rule (REP001)
+        "per_file": "def f(model, x):\n    return model.predict(x)\n",
+        # whole-program rule (REP010): the escape spans two functions
+        "whole_program": dedent(
+            """
+            def run(engine, x):
+                return engine.predict(x)
 
 
-# --------------------------------------------------------------------------- #
-# cache & invalidation
-# --------------------------------------------------------------------------- #
-def write_pkg(tmp_path) -> Path:
-    """A three-deep import chain: a.py -> b.py -> c.py."""
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    (pkg / "c.py").write_text("def leaf():\n    return 1\n")
-    (pkg / "b.py").write_text(
-        "from pkg.c import leaf\n\n\ndef mid():\n    return leaf()\n"
-    )
-    (pkg / "a.py").write_text(
-        "from pkg.b import mid\n\n\ndef top():\n    return mid()\n"
-    )
-    return pkg
+            def f(model, x):
+                return run(model, x)
+            """
+        ),
+        "suppressed": (
+            "def f(model, x):\n"
+            "    return model.predict(x)  # repro: allow[engine-funnel]\n"
+        ),
+    }
 
+    def test_analyze_source_matches_analyze_paths(self, tmp_path):
+        rules = {}
+        for name, source in self.FIXTURES.items():
+            target = tmp_path / f"{name}.py"
+            target.write_text(source)
+            from_paths = analyze_paths([str(target)])
+            assert analyze_source(source, str(target)) == from_paths.findings
+            rules[name] = ([f.rule for f in from_paths.findings], from_paths.suppressed)
+        assert rules == {
+            "per_file": (["REP001"], 0),
+            "whole_program": (["REP010"], 0),
+            "suppressed": ([], 1),
+        }
 
-def names(paths) -> set:
-    return {Path(p).name for p in paths}
-
-
-class TestCacheInvalidation:
-    def test_cold_then_warm(self, tmp_path):
-        pkg = write_pkg(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        cold = analyze_program([str(pkg)], cache_dir=cache_dir)
-        assert cold.cache_misses == 4 and cold.cache_hits == 0
-        assert names(cold.reparsed) == {"__init__.py", "a.py", "b.py", "c.py"}
-        warm = analyze_program([str(pkg)], cache_dir=cache_dir)
-        assert warm.cache_hits == 4 and warm.cache_misses == 0
-        assert warm.reparsed == [] and warm.invalidated == []
-        assert warm.findings == cold.findings
-        assert warm.files_scanned == cold.files_scanned
-
-    def test_one_file_edit_invalidates_reverse_import_closure(self, tmp_path):
-        pkg = write_pkg(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        analyze_program([str(pkg)], cache_dir=cache_dir)
-        (pkg / "c.py").write_text("def leaf():\n    return 2\n")
-        run = analyze_program([str(pkg)], cache_dir=cache_dir)
-        assert names(run.reparsed) == {"c.py"}
-        assert run.cache_hits == 3 and run.cache_misses == 1
-        # b imports c and a imports b: both can see c's symbols
-        assert names(run.invalidated) == {"a.py", "b.py", "c.py"}
-
-    def test_leaf_of_the_import_chain_invalidates_only_itself(self, tmp_path):
-        pkg = write_pkg(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        analyze_program([str(pkg)], cache_dir=cache_dir)
-        (pkg / "a.py").write_text(
-            "from pkg.b import mid\n\n\ndef top():\n    return mid() + 1\n"
+    def test_cross_module_escape_found_and_pragma_suppressed(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "runner.py").write_text("def run(engine, x):\n    return engine.predict(x)\n")
+        caller = pkg / "app.py"
+        caller.write_text(
+            "from pkg.runner import run\n\n\ndef f(model, x):\n    return run(model, x)\n"
         )
-        run = analyze_program([str(pkg)], cache_dir=cache_dir)
-        assert names(run.reparsed) == {"a.py"}
-        assert names(run.invalidated) == {"a.py"}
+        result = analyze_paths([str(pkg)])
+        (finding,) = result.findings
+        assert (finding.rule, finding.path, finding.line) == ("REP010", caller.as_posix(), 5)
+        assert result.suppressed == 0 and result.files_scanned == 3
 
-    def test_stale_fingerprint_means_cold_start(self, tmp_path):
-        pkg = write_pkg(tmp_path)
-        cache_dir = tmp_path / "cache"
-        analyze_program([str(pkg)], cache_dir=str(cache_dir))
-        store = cache_dir / "program-cache.json"
-        payload = json.loads(store.read_text())
-        payload["fingerprint"] = "0" * 64
-        store.write_text(json.dumps(payload))
-        run = analyze_program([str(pkg)], cache_dir=str(cache_dir))
-        assert run.cache_hits == 0 and run.cache_misses == 4
-
-    def test_corrupt_cache_file_means_cold_start(self, tmp_path):
-        pkg = write_pkg(tmp_path)
-        cache_dir = tmp_path / "cache"
-        analyze_program([str(pkg)], cache_dir=str(cache_dir))
-        (cache_dir / "program-cache.json").write_text("{not json")
-        run = analyze_program([str(pkg)], cache_dir=str(cache_dir))
-        assert run.cache_hits == 0 and run.cache_misses == 4
-        # and the cold run repaired the store
-        rerun = analyze_program([str(pkg)], cache_dir=str(cache_dir))
-        assert rerun.cache_hits == 4
-
-    def test_deleted_file_pruned_from_cache(self, tmp_path):
-        pkg = write_pkg(tmp_path)
-        cache_dir = tmp_path / "cache"
-        analyze_program([str(pkg)], cache_dir=str(cache_dir))
-        (pkg / "a.py").unlink()
-        analyze_program([str(pkg)], cache_dir=str(cache_dir))
-        stored = json.loads((cache_dir / "program-cache.json").read_text())
-        assert names(stored["entries"]) == {"__init__.py", "b.py", "c.py"}
-
-    def test_uncached_run_reparses_everything(self, tmp_path):
-        pkg = write_pkg(tmp_path)
-        run = analyze_program([str(pkg)])
-        assert run.cache_hits == 0 and run.cache_misses == 4
-
-    def test_fingerprint_is_stable_within_a_process(self):
-        assert analysis_fingerprint() == analysis_fingerprint()
-        assert len(analysis_fingerprint()) == 64
-
-    def test_cache_version_bump_invalidates(self, tmp_path):
-        pkg = write_pkg(tmp_path)
-        cache_dir = tmp_path / "cache"
-        analyze_program([str(pkg)], cache_dir=str(cache_dir))
-        store = cache_dir / "program-cache.json"
-        payload = json.loads(store.read_text())
-        assert payload["version"] == CACHE_VERSION
-        payload["version"] = "0"
-        store.write_text(json.dumps(payload))
-        assert ProgramCache(cache_dir).entries == {}
-
-
-# --------------------------------------------------------------------------- #
-# parallel cold runs
-# --------------------------------------------------------------------------- #
-class TestParallelAnalysis:
-    def test_pool_run_matches_serial_run(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        for i in range(9):  # above MIN_FILES_FOR_POOL
-            (pkg / f"mod{i}.py").write_text(
-                f"def f{i}(model, x):\n    return model.predict(x)\n"
-            )
-        serial = analyze_program([str(pkg)], jobs=1)
-        pooled = analyze_program([str(pkg)], jobs=2)
-        assert pooled.findings == serial.findings
-        assert len(pooled.findings) == 9
-        assert pooled.files_scanned == serial.files_scanned == 10
-
-    def test_pool_results_are_cacheable(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        for i in range(9):
-            (pkg / f"mod{i}.py").write_text(f"def f{i}():\n    return {i}\n")
-        cache_dir = str(tmp_path / "cache")
-        cold = analyze_program([str(pkg)], cache_dir=cache_dir, jobs=2)
-        assert cold.cache_misses == 10
-        warm = analyze_program([str(pkg)], cache_dir=cache_dir, jobs=2)
-        assert warm.cache_hits == 10 and warm.reparsed == []
-        assert warm.findings == cold.findings
+        lines = caller.read_text().splitlines()
+        lines[finding.line - 1] += "  # repro: allow[funnel-escape]"
+        caller.write_text("\n".join(lines) + "\n")
+        blessed = analyze_paths([str(pkg)])
+        assert blessed.findings == []
+        assert blessed.suppressed == 1

@@ -66,9 +66,9 @@ class TestExecutionPolicy:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown ExecutionPolicy"):
             ExecutionPolicy.from_dict({"cache": True, "warp_factor": 9})
-        # fields of the retired process pool, of the retired durable cache
-        # and of the retired thread pool: a stored policy naming one fails
-        # at load, and the error names the key
+        # fields of the retired process pool, of the retired durable cache,
+        # of the retired thread pool and the retired one-value RNG rule: a
+        # stored policy naming one fails at load, and the error names the key
         for key, value in (
             ("transport", "auto"),
             ("start_method", None),
@@ -77,6 +77,8 @@ class TestExecutionPolicy:
             ("cache_dir", None),
             ("backend", "batched"),
             ("num_workers", 1),
+            ("rng_spawning", "per-seed"),
+            ("rng_spawning", "global"),
         ):
             with pytest.raises(ConfigurationError, match=f"'{key}'"):
                 ExecutionPolicy.from_dict({"cache": True, key: value})
@@ -88,7 +90,6 @@ class TestExecutionPolicy:
             {"batch_size": 0},
             {"cache_max_entries": 0},
             {"checkpoint_every": -1},
-            {"rng_spawning": "global"},
             {"cache": "yes"},
             # counts must be Python ints, or they would be truncated where
             # used (a cadence of 0.5 becomes 0 and breaks the checkpointer)
@@ -427,6 +428,13 @@ class TestSpecCli:
         for bad, message in (
             (dict(self.SPEC, fuzzer={"batch_size": 2}), "policy"),
             (dict(self.SPEC, policy={"checkpoint_every": 0.5}), "checkpoint_every"),
+            # bad section values fail before a run is registered, not at build
+            (dict(self.SPEC, fuzzer={"execution": "sharded"}), "spec section 'fuzzer'"),
+            (dict(self.SPEC, stopping={"max_iterations": -3}), "spec section 'stopping'"),
+            (
+                dict(self.SPEC, workflow={"seeds_per_iteration": "many"}),
+                "spec section 'workflow'",
+            ),
         ):
             spec_path.write_text(json.dumps(bad))
             argv = ["--runs-dir", runs_dir, "run", "--spec", str(spec_path)]

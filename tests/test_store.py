@@ -750,6 +750,27 @@ class TestResumeFingerprintDiagnosis:
         assert str(checkpoint) in err
         assert "deadbeef" in err and expected in err
 
+    def test_refused_resume_keeps_the_stored_trace(self, tmp_path, capsys):
+        runs_dir = tmp_path / "runs"
+        argv = self._tiny_run_argv(runs_dir) + ["--telemetry", "--checkpoint-every", "1"]
+        assert cli_main(argv) == 0
+        run_dir = runs_dir / "run-0001"
+        trace, metrics = run_dir / "trace.jsonl", run_dir / "metrics.json"
+        before = (trace.read_bytes(), metrics.read_bytes())
+        assert json.loads(before[1])["metrics"], "the campaign recorded metrics"
+        # edit the stored spec (the checkpoint no longer matches it) and put
+        # the run back into a resumable state
+        registry_file = run_dir / "run.json"
+        record = json.loads(registry_file.read_text())
+        record["config"]["spec"]["fuzzer"]["queries_per_seed"] += 1
+        record["status"] = "failed"
+        registry_file.write_text(json.dumps(record))
+
+        capsys.readouterr()
+        assert cli_main(["--runs-dir", str(runs_dir), "resume", "run-0001"]) == 2
+        # the refused resume recorded nothing, so it overwrote nothing
+        assert (trace.read_bytes(), metrics.read_bytes()) == before
+
 
 def _detection_digest(run):
     return [
