@@ -8,9 +8,8 @@ minute:
 3. detect *operational* AEs with OP-weighted seeds + naturalness-guided fuzzing,
 4. retrain on what was found, and
 5. assess the delivered reliability before and after,
-6. (bonus) one ExecutionPolicy drives the runtime: checkpoint a campaign,
-   "kill" it, and resume it bit-identically — then scale the same campaign
-   with a policy switch, not a rewrite.
+6. (bonus) one ExecutionPolicy drives the runtime: the testing loop
+   checkpoints its campaign, and a fresh loop resumes it bit-identically.
 
 Run with:  python examples/quickstart.py
 """
@@ -22,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import OperationalAEDetection
+from repro.core import OperationalAEDetection, OperationalTestingLoop, WorkflowConfig
 from repro.data import build_partition_for_dataset, make_gaussian_clusters
 from repro.evaluation import format_table
-from repro.fuzzing import FuzzerConfig, OperationalFuzzer
+from repro.fuzzing import FuzzerConfig
 from repro.naturalness import default_naturalness_scorer
 from repro.nn import Adam, Trainer, TrainerConfig, accuracy, build_mlp_classifier
 from repro.op import ground_truth_profile_for_clusters, synthesize_operational_dataset
-from repro.reliability import ReliabilityAssessor
+from repro.reliability import ReliabilityAssessor, StoppingRule
 from repro.retraining import OperationalRetrainer, RetrainingConfig
 from repro.runtime import ExecutionPolicy
 
@@ -97,42 +96,49 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # An ExecutionPolicy captures the entire execution surface — batching,
     # caching, checkpoint cadence, telemetry — in one serializable object.
-    # Here: campaign snapshots every 2 population rounds, so a killed run
-    # resumes bit-identically.
+    # Here the testing loop checkpoints every 2 iterations of a 3-iteration
+    # campaign, so the checkpoint holds the state after iteration 2.
+    def testing_loop() -> OperationalTestingLoop:
+        return OperationalTestingLoop(
+            profile=profile,
+            train_data=train,
+            partition=partition,
+            naturalness=naturalness,
+            fuzzer_config=FuzzerConfig(queries_per_seed=25),
+            retraining_config=RetrainingConfig(epochs=3),
+            stopping_rule=StoppingRule(target_pmi=1e-6, max_iterations=3),
+            workflow_config=WorkflowConfig(
+                test_budget_per_iteration=300,
+                seeds_per_iteration=12,
+                policy=ExecutionPolicy(checkpoint_every=2),
+            ),
+            rng=SEED,
+        )
+
     with tempfile.TemporaryDirectory() as store_dir:
-        fuzz_config = FuzzerConfig(
-            queries_per_seed=25, policy=ExecutionPolicy(checkpoint_every=2)
+        checkpoint = Path(store_dir) / "loop.ckpt"
+        _, first = testing_loop().run(
+            model, operational_data, checkpoint_path=str(checkpoint)
         )
-        seeds_x, seeds_y = operational_data.x[:12], operational_data.y[:12]
-        checkpoint = Path(store_dir) / "campaign.ckpt"
-
-        fuzzer = OperationalFuzzer(naturalness, config=fuzz_config, natural_pool=operational_data.x)
-        first = fuzzer.fuzz(
-            model, seeds_x, seeds_y, budget=300, rng=SEED, checkpoint_path=str(checkpoint)
-        )
-
-        # pretend the campaign above was killed right after its last
-        # checkpoint: resume it and it replays the tail to the same result
-        resumed_fuzzer = OperationalFuzzer(
-            naturalness, config=fuzz_config, natural_pool=operational_data.x
-        )
-        resumed = resumed_fuzzer.fuzz(
-            model, seeds_x, seeds_y, budget=300, rng=SEED, resume_from=str(checkpoint)
+        # pretend the campaign above was killed during iteration 3: a fresh
+        # loop resumes from the checkpoint and replays the tail to the same
+        # result
+        _, resumed = testing_loop().run(
+            model, operational_data, resume_from=str(checkpoint)
         )
         same = (
-            len(first.adversarial_examples) == len(resumed.adversarial_examples)
-            and first.total_queries == resumed.total_queries
+            first.total_aes == resumed.total_aes
+            and first.final_pmi == resumed.final_pmi
         )
         print()
         print(
             f"resumed campaign matches the uninterrupted one: {same} "
-            f"({len(resumed.adversarial_examples)} AEs, "
-            f"{resumed.total_queries} queries either way)"
+            f"({resumed.total_aes} AEs, final pmi {resumed.final_pmi:.4f} "
+            "either way)"
         )
-    # For whole testing-loop campaigns the same policy drives everything
-    # (`WorkflowConfig(policy=...)`), and a campaign is one declarative
-    # spec file — scenario + fuzzer + workflow + stopping + policy + seed —
-    # recorded verbatim in the run registry (see examples/campaign.json):
+    # A whole campaign is also one declarative spec file — scenario +
+    # fuzzer + workflow + stopping + policy + seed — recorded verbatim in
+    # the run registry (see examples/campaign.json):
     #   python -m repro run --spec examples/campaign.json
     #   python -m repro show run-0001         # stored spec, stats, estimates
     #   python -m repro run --from-run run-0001   # reproduce it from the spec

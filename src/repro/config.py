@@ -9,9 +9,8 @@ construction and independent components can be seeded independently.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -60,27 +59,15 @@ def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
-@dataclass(frozen=True)
-class GlobalConfig:
-    """Library-wide defaults bundled in one immutable object.
+def require_int(name: str, value: object, error: type = ConfigurationError) -> None:
+    """Raise ``error`` unless ``value`` is a Python ``int`` (not a ``bool``).
 
-    Attributes
-    ----------
-    dtype:
-        Floating point dtype used by the neural-network substrate.
-    epsilon:
-        Numerical floor for probabilities and denominators.
-    default_seed:
-        Seed used by example scripts and benchmarks when none is supplied.
+    The one check for configured counts: a fractional count would otherwise
+    be accepted and fail (or be truncated) only where it is used, deep into
+    a campaign.  The rejection is raised as the caller's own ``error`` class.
     """
-
-    dtype: np.dtype = DEFAULT_DTYPE
-    epsilon: float = EPSILON
-    default_seed: Optional[int] = 2021  # year of the paper
-
-
-#: Singleton default configuration used by examples and benchmarks.
-DEFAULTS = GlobalConfig()
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def clip01(x: np.ndarray) -> np.ndarray:

@@ -29,14 +29,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..config import RngLike, ensure_rng
+from ..config import RngLike, ensure_rng, require_int
 from ..data.dataset import Dataset
 from ..data.partition import Partition, build_partition_for_dataset
 from ..engine.batching import QueryStats
 from ..exceptions import CheckpointMismatchError, ConfigurationError
 from ..fuzzing.fuzzer import FuzzerConfig, OperationalFuzzer
 from ..runtime.policy import ExecutionPolicy, policy_or_default
-from ..store.checkpoint import Checkpointer, campaign_fingerprint, read_checkpoint
+from ..store.checkpoint import campaign_fingerprint, read_checkpoint, write_checkpoint
 from ..naturalness.metrics import NaturalnessScorer, default_naturalness_scorer
 from ..nn.network import Sequential
 from ..op.profile import OperationalProfile
@@ -64,13 +64,14 @@ class WorkflowConfig:
         iteration notes (slower but an independent cross-check).
     policy:
         One :class:`~repro.runtime.ExecutionPolicy` driving the whole loop:
-        it replaces the fuzzer config's execution surface (the fuzzer keeps
-        its own ``checkpoint_every``), drives the default reliability
-        assessor (without checkpointing), and its ``checkpoint_every`` sets
-        the loop's checkpoint cadence (in iterations).  ``None`` (default)
+        it replaces the fuzzer config's policy, is the default reliability
+        assessor's policy, and its ``checkpoint_every`` sets the loop's
+        checkpoint cadence (in iterations).  ``None`` (default)
         leaves the fuzzer and assessor at their own policies and disables
         loop checkpoints.  Campaign results are bit-identical across
         policies.
+
+    The three counts must be Python ``int`` (not ``bool``).
     """
 
     test_budget_per_iteration: int = 600
@@ -80,6 +81,12 @@ class WorkflowConfig:
     policy: Optional[ExecutionPolicy] = None
 
     def __post_init__(self) -> None:
+        for name in (
+            "test_budget_per_iteration",
+            "seeds_per_iteration",
+            "operational_dataset_size",
+        ):
+            require_int(name, getattr(self, name))
         if self.test_budget_per_iteration <= 0:
             raise ConfigurationError("test_budget_per_iteration must be positive")
         if self.seeds_per_iteration <= 0:
@@ -117,19 +124,12 @@ class OperationalTestingLoop:
         self.config = workflow_config if workflow_config is not None else WorkflowConfig()
         self.stopping_rule = stopping_rule if stopping_rule is not None else StoppingRule()
         self.fuzzer_config = fuzzer_config if fuzzer_config is not None else FuzzerConfig()
-        workflow_policy = self.config.policy
         assessor_policy = ExecutionPolicy()
-        if workflow_policy is not None:
+        if self.config.policy is not None:
             # one workflow-level policy drives every hot path: the fuzzer's
-            # execution surface (its checkpoint cadence stays its own) and
-            # the default assessor's, which never checkpoints
-            self.fuzzer_config = replace(
-                self.fuzzer_config,
-                policy=workflow_policy.replace(
-                    checkpoint_every=self.fuzzer_config.policy.checkpoint_every
-                ),
-            )
-            assessor_policy = workflow_policy.replace(checkpoint_every=0)
+            # and the default assessor's
+            self.fuzzer_config = replace(self.fuzzer_config, policy=self.config.policy)
+            assessor_policy = self.config.policy
         self._rng = ensure_rng(rng)
 
         self.partition = (
@@ -212,13 +212,7 @@ class OperationalTestingLoop:
         fingerprint = campaign_fingerprint(
             self.train_data.x, self.train_data.y, extra=knobs
         )
-        checkpointer = None
-        if checkpoint_path is not None and self.config.checkpoint_cadence > 0:
-            checkpointer = Checkpointer(
-                checkpoint_path,
-                every=self.config.checkpoint_cadence,
-                meta={"fingerprint": fingerprint, "kind": "workflow"},
-            )
+        cadence = self.config.checkpoint_cadence if checkpoint_path is not None else 0
 
         if resume_from is not None:
             payload = read_checkpoint(resume_from)
@@ -264,9 +258,9 @@ class OperationalTestingLoop:
             total_test_cases += iteration_report.test_cases_used
             report.append(iteration_report)
             self.last_estimate = estimate_after
-            if checkpointer is not None:
-                # built only when due, and written (pickled) at once
-                checkpointer.save_if_due(iteration + 1, lambda: {
+            if cadence > 0 and (iteration + 1) % cadence == 0:
+                write_checkpoint(checkpoint_path, {
+                    "fingerprint": fingerprint,
                     "next_iteration": iteration + 1,
                     "rng_state": self._rng.bit_generator.state,
                     "model_weights": current.get_weights(),

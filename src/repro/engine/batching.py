@@ -96,8 +96,7 @@ class QueryStats:
     def merge(self, other: "QueryStats") -> "QueryStats":
         """Add another set of counters into this one, field by field.
 
-        Used to continue an interrupted campaign's accounting from its
-        checkpoint, and to total the counters of several campaigns.
+        The testing loop uses it to total its fuzzing campaigns' counters.
         """
         for name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))

@@ -139,52 +139,19 @@ class PopulationFuzzEngine:
     # campaign driver
     # ------------------------------------------------------------------ #
     def run(
-        self,
-        tasks: Sequence[SeedTask],
-        budget: Optional[int] = None,
-        checkpointer=None,
-        resume_state: Optional[dict] = None,
+        self, tasks: Sequence[SeedTask], budget: Optional[int] = None
     ) -> List[MemberOutcome]:
         """Fuzz every admissible task and return outcomes in seed order.
 
         Tasks that cannot be admitted before the global budget is exhausted
         are not started at all and yield no outcome — exactly like the
         sequential loop breaking out of its seed iteration.
-
-        ``checkpointer`` (a :class:`repro.store.Checkpointer`) snapshots the
-        whole campaign state at round boundaries; ``resume_state`` (a payload
-        loaded from such a snapshot) restores it, after which the campaign
-        replays bit-identically to one that was never interrupted — every
-        task carries its own RNG whose exact bit-generator state round-trips
-        through the snapshot.  When resuming, ``tasks``/``budget`` are
-        ignored in favour of the snapshot.
         """
-        if resume_state is not None:
-            waitlist = list(resume_state["waitlist"])
-            active = list(resume_state["active"])
-            outcomes = list(resume_state["outcomes"])
-            self._reserve_left = resume_state["reserve_left"]
-            rounds = int(resume_state["rounds"])
-        else:
-            self._reserve_left = np.inf if budget is None else float(int(budget))
-            waitlist = list(tasks)
-            active = []
-            outcomes = []
-            rounds = 0
-
+        self._reserve_left = np.inf if budget is None else float(int(budget))
+        waitlist = list(tasks)
+        active: List[SeedTask] = []
+        outcomes: List[MemberOutcome] = []
         while True:
-            if checkpointer is not None:
-                checkpointer.save_if_due(
-                    rounds,
-                    lambda: {
-                        "waitlist": waitlist,
-                        "active": active,
-                        "outcomes": outcomes,
-                        "reserve_left": self._reserve_left,
-                        "rounds": rounds,
-                        "stats": self.engine.stats,
-                    },
-                )
             if waitlist and self._reserve_left > 0:
                 admitted = self._admit(waitlist)
                 if admitted:
@@ -196,7 +163,6 @@ class PopulationFuzzEngine:
                     continue
                 break
             self._round(active, outcomes)
-            rounds += 1
 
         outcomes.sort(key=lambda outcome: outcome.index)
         return outcomes

@@ -30,8 +30,8 @@ Control flow and execution substrate are separate axes:
   one-seed-at-a-time loop, kept for equivalence testing and as the ground
   truth for the per-seed semantics).
 * ``FuzzerConfig.policy`` (an :class:`repro.runtime.ExecutionPolicy`) sets
-  what execution costs: batching, the engine's in-memory cache and the
-  checkpoint cadence.  It never changes which queries a campaign makes.
+  what execution costs: batching and the engine's in-memory cache.  It
+  never changes which queries a campaign makes.
 
 Both control flows draw each seed's randomness from a private generator
 spawned from the campaign RNG (:func:`repro.config.spawn_rngs`), so a
@@ -50,7 +50,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..config import EPSILON, RngLike, ensure_rng, spawn_rngs
+from ..config import EPSILON, RngLike, ensure_rng, require_int, spawn_rngs
 from ..engine.batching import BatchedQueryEngine, QueryStats
 from ..engine.population import (
     PROPOSAL_CAP_FACTOR,
@@ -62,7 +62,6 @@ from ..engine.population import (
 from ..exceptions import FuzzingError
 from ..naturalness.metrics import NaturalnessScorer
 from ..runtime.policy import ExecutionPolicy, policy_or_default
-from ..store.checkpoint import Checkpointer, campaign_fingerprint, read_checkpoint
 from ..types import AdversarialExample, Classifier
 from .mutations import MutationContext, MutationOperator, default_operators
 
@@ -109,8 +108,11 @@ class FuzzerConfig:
         default) or ``"sequential"`` (the reference per-seed loop).
     policy:
         The campaign's :class:`~repro.runtime.ExecutionPolicy` (batching,
-        caching, checkpoint cadence).  Defaults to ``ExecutionPolicy()``
-        (no query cache), like every other subsystem.
+        caching).  Defaults to ``ExecutionPolicy()`` (no query cache), like
+        every other subsystem.
+
+    The three counts (``queries_per_seed``, ``neighbour_count``,
+    ``stall_limit``) must be Python ``int`` (not ``bool``).
     """
 
     epsilon: float = 0.1
@@ -128,6 +130,8 @@ class FuzzerConfig:
     policy: Optional[ExecutionPolicy] = None
 
     def __post_init__(self) -> None:
+        for name in ("queries_per_seed", "neighbour_count", "stall_limit"):
+            require_int(name, getattr(self, name), FuzzingError)
         if self.epsilon <= 0:
             raise FuzzingError("epsilon must be positive")
         if self.queries_per_seed <= 0:
@@ -256,8 +260,6 @@ class OperationalFuzzer:
         op_densities: Optional[np.ndarray] = None,
         budget: Optional[int] = None,
         rng: RngLike = None,
-        checkpoint_path: Optional[str] = None,
-        resume_from: Optional[str] = None,
     ) -> FuzzCampaignResult:
         """Fuzz a batch of seeds and return every operational AE found.
 
@@ -276,17 +278,6 @@ class OperationalFuzzer:
             fuzzing stops once it is exhausted.
         rng:
             Seed or generator.
-        checkpoint_path:
-            Where to snapshot the campaign every
-            ``config.policy.checkpoint_every`` rounds/seeds (atomic replace;
-            see :mod:`repro.store.checkpoint`).  ``None`` disables snapshots.
-        resume_from:
-            Path of a checkpoint written by an earlier (interrupted) run of
-            *this* campaign — same seeds, labels and control-flow config,
-            verified by fingerprint.  The campaign resumes from the snapshot
-            and produces detections, per-seed query counts and fitness
-            trajectories bit-identical to an uninterrupted run.  The
-            fingerprint leaves the execution policy out.
         """
         seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
         labels = np.atleast_1d(np.asarray(labels, dtype=int))
@@ -300,82 +291,20 @@ class OperationalFuzzer:
                 raise FuzzingError("op_densities must have one entry per seed")
         generator = ensure_rng(rng)
         cfg = self.config
-        kind = "sequential" if cfg.execution == "sequential" else "population"
-        # fingerprint everything that shapes the campaign's control flow:
-        # the inputs (seeds, labels, densities, the natural pool feeding the
-        # interpolation neighbours) and every config knob that changes what
-        # the campaign *does* — batching and caching are deliberately
-        # excluded because they never change logical results
-        fingerprint_arrays = [seeds, labels]
-        if op_densities is not None:
-            fingerprint_arrays.append(op_densities)
-        if self._pool is not None:
-            fingerprint_arrays.append(self._pool)
-        fingerprint = campaign_fingerprint(
-            *fingerprint_arrays,
-            extra=(
-                f"{kind}:{cfg.epsilon}:{cfg.queries_per_seed}:"
-                f"{cfg.naturalness_threshold}:{cfg.loss_weight}:"
-                f"{cfg.naturalness_weight}:{cfg.use_gradient}:"
-                f"{cfg.gradient_probability}:{cfg.neighbour_count}:"
-                f"{cfg.min_energy}:{cfg.max_energy}:{cfg.stall_limit}:"
-                f"{budget}:densities={op_densities is not None}:"
-                f"pool={self._pool is not None}"
-            ),
-        )
-        resume_state: Optional[dict] = None
-        if resume_from is not None:
-            resume_state = read_checkpoint(resume_from)
-            if resume_state.get("fingerprint") != fingerprint:
-                raise FuzzingError(
-                    f"checkpoint {resume_from} belongs to a different campaign "
-                    "(seeds, labels or control-flow config differ)"
-                )
-        checkpointer = None
-        if checkpoint_path is not None and cfg.policy.checkpoint_every > 0:
-            checkpointer = Checkpointer(
-                checkpoint_path,
-                every=cfg.policy.checkpoint_every,
-                meta={"fingerprint": fingerprint, "kind": kind},
-            )
         energies = self._seed_energies(op_densities, len(seeds))
-        # on resume the snapshot carries every live RNG; do not consume the
-        # campaign generator so direct runs and resumed runs stay aligned
-        rngs = spawn_rngs(generator, len(seeds)) if resume_state is None else []
+        rngs = spawn_rngs(generator, len(seeds))
         nominal_budgets = [
             max(1, int(round(cfg.queries_per_seed * energies[i])))
             for i in range(len(seeds))
         ]
         engine = cfg.policy.build_engine(model, naturalness=self.naturalness)
         self.last_query_stats = engine.stats
-        if resume_state is not None:
-            # continue the interrupted campaign's accounting: counters
-            # restart from the snapshot, exactly as if never interrupted
-            engine.stats.merge(resume_state["stats"])
-        if cfg.execution == "sequential":
-            result = self._fuzz_sequential(
-                engine,
-                seeds,
-                labels,
-                op_densities,
-                budget,
-                nominal_budgets,
-                rngs,
-                checkpointer=checkpointer,
-                resume_state=resume_state,
-            )
-        else:
-            result = self._fuzz_population(
-                engine,
-                seeds,
-                labels,
-                op_densities,
-                budget,
-                nominal_budgets,
-                rngs,
-                checkpointer=checkpointer,
-                resume_state=resume_state,
-            )
+        fuzz = (
+            self._fuzz_sequential
+            if cfg.execution == "sequential"
+            else self._fuzz_population
+        )
+        result = fuzz(engine, seeds, labels, op_densities, budget, nominal_budgets, rngs)
         result.validate_budget(budget)
         return result
 
@@ -391,29 +320,22 @@ class OperationalFuzzer:
         budget: Optional[int],
         nominal_budgets: List[int],
         rngs: List[np.random.Generator],
-        checkpointer=None,
-        resume_state: Optional[dict] = None,
     ) -> FuzzCampaignResult:
-        if resume_state is None:
-            neighbours = self._natural_neighbours_batch(seeds)
-            tasks = [
-                SeedTask(
-                    index=i,
-                    seed=seeds[i],
-                    label=int(labels[i]),
-                    budget=nominal_budgets[i],
-                    density=float(op_densities[i]) if op_densities is not None else None,
-                    neighbours=neighbours[i],
-                    rng=rngs[i],
-                )
-                for i in range(len(seeds))
-            ]
-        else:
-            tasks = []  # the snapshot carries every task's live state
+        neighbours = self._natural_neighbours_batch(seeds)
+        tasks = [
+            SeedTask(
+                index=i,
+                seed=seeds[i],
+                label=int(labels[i]),
+                budget=nominal_budgets[i],
+                density=float(op_densities[i]) if op_densities is not None else None,
+                neighbours=neighbours[i],
+                rng=rngs[i],
+            )
+            for i in range(len(seeds))
+        ]
         population = PopulationFuzzEngine(engine, self.config, self.operators)
-        outcomes = population.run(
-            tasks, budget=budget, checkpointer=checkpointer, resume_state=resume_state
-        )
+        outcomes = population.run(tasks, budget=budget)
         return FuzzCampaignResult(
             per_seed=[
                 SeedFuzzResult(
@@ -439,29 +361,10 @@ class OperationalFuzzer:
         budget: Optional[int],
         nominal_budgets: List[int],
         rngs: List[np.random.Generator],
-        checkpointer=None,
-        resume_state: Optional[dict] = None,
     ) -> FuzzCampaignResult:
         result = FuzzCampaignResult()
-        start = 0
         queries_remaining = budget if budget is not None else np.inf
-        if resume_state is not None:
-            start = int(resume_state["next_index"])
-            result.per_seed = list(resume_state["per_seed"])
-            queries_remaining = resume_state["queries_remaining"]
-            rngs = list(resume_state["rngs"])
-        for index in range(start, len(seeds)):
-            if checkpointer is not None:
-                checkpointer.save_if_due(
-                    index,
-                    lambda: {
-                        "next_index": index,
-                        "per_seed": result.per_seed,
-                        "queries_remaining": queries_remaining,
-                        "rngs": rngs,
-                        "stats": engine.stats,
-                    },
-                )
+        for index in range(len(seeds)):
             if queries_remaining <= 0:
                 break
             seed, label = seeds[index], labels[index]

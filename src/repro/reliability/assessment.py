@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..config import RngLike, ensure_rng
+from ..config import RngLike, ensure_rng, require_int
 from ..data.dataset import Dataset
 from ..data.partition import Partition
 from ..exceptions import ReliabilityError
@@ -104,6 +104,7 @@ class StoppingRule:
 
     Testing stops when the (conservative) pmi estimate meets the target, or
     when the campaign exhausts ``max_iterations`` or ``max_test_cases``.
+    Both caps must be Python ``int`` (not ``bool``).
     """
 
     target_pmi: float = 0.02
@@ -117,10 +118,13 @@ class StoppingRule:
             raise ReliabilityError("target_pmi must be positive")
         if not 0 < self.confidence < 1:
             raise ReliabilityError("confidence must be in (0, 1)")
+        require_int("max_iterations", self.max_iterations, ReliabilityError)
         if self.max_iterations <= 0:
             raise ReliabilityError("max_iterations must be positive")
-        if self.max_test_cases is not None and self.max_test_cases <= 0:
-            raise ReliabilityError("max_test_cases must be positive when set")
+        if self.max_test_cases is not None:
+            require_int("max_test_cases", self.max_test_cases, ReliabilityError)
+            if self.max_test_cases <= 0:
+                raise ReliabilityError("max_test_cases must be positive when set")
 
     def should_stop(
         self,

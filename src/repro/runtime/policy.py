@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
+from ..config import require_int
 from ..engine.batching import DEFAULT_BATCH_SIZE, BatchedQueryEngine, as_query_engine
 from ..exceptions import ConfigurationError
 from ..types import Classifier
@@ -45,8 +46,7 @@ class ExecutionPolicy:
         Capacity of the in-memory cache.  Each engine builds its own cache,
         which dies with the engine.
     checkpoint_every:
-        Campaign-checkpoint cadence (population rounds / seeds for the
-        fuzzer, iterations for the testing loop).  0 disables.
+        Testing-loop iterations between checkpoints; 0 disables.
     telemetry:
         Record structured spans + metrics (:mod:`repro.telemetry`) for the
         campaign and persist ``trace.jsonl`` / ``metrics.json`` in the run
@@ -66,9 +66,7 @@ class ExecutionPolicy:
 
     def __post_init__(self) -> None:
         for name in ("batch_size", "cache_max_entries", "checkpoint_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
         if not isinstance(self.cache, bool):

@@ -3,9 +3,9 @@
 The query engine makes model traffic batched; this package makes campaigns
 *durable*:
 
-* :mod:`repro.store.checkpoint` — atomic campaign checkpoints (per-seed RNG
-  streams, budgets, stall counters, ``QueryStats``) so an interrupted
-  campaign resumes bit-identical to an uninterrupted one.
+* :mod:`repro.store.checkpoint` — the testing loop's atomic checkpoints
+  (model weights, detections, ``QueryStats``, the campaign RNG) so an
+  interrupted campaign resumes bit-identical to an uninterrupted one.
 * :mod:`repro.store.registry` — :class:`RunRegistry`, which records every
   campaign's config, engine stats, detections and reliability estimates as
   queryable on-disk artifacts.
@@ -16,16 +16,10 @@ The CLI surface over the registry lives in :mod:`repro.store.cli`
 workflow and scenario packages.
 """
 
-from .checkpoint import (
-    Checkpointer,
-    campaign_fingerprint,
-    read_checkpoint,
-    write_checkpoint,
-)
+from .checkpoint import campaign_fingerprint, read_checkpoint, write_checkpoint
 from .registry import RUN_STATUSES, RunRegistry, StoredRun
 
 __all__ = [
-    "Checkpointer",
     "campaign_fingerprint",
     "read_checkpoint",
     "write_checkpoint",

@@ -1,19 +1,20 @@
 """Atomic campaign checkpoints: snapshot, crash, resume — bit-identically.
 
-A checkpoint is one pickled payload (per-seed RNG bit-generator states,
-budgets, stall counters, partial outcomes, ``QueryStats`` — everything the
-campaign control flow mutates) written atomically: the payload is serialized
-to a temporary file in the same directory and renamed over the target, so a
-writer killed mid-checkpoint leaves the previous checkpoint intact, never a
-torn one.
+The testing loop (:class:`repro.core.OperationalTestingLoop`) writes one
+every ``ExecutionPolicy.checkpoint_every`` iterations; nothing else
+checkpoints.  A checkpoint is one pickled payload (model weights,
+detected AEs, the campaign report, ``QueryStats`` and the campaign RNG's
+bit-generator state — everything an iteration mutates) written atomically:
+the payload is serialized to a temporary file in the same directory and
+renamed over the target, so a writer killed mid-checkpoint leaves the
+previous checkpoint intact, never a torn one.
 
-Checkpoints carry a *fingerprint* of the campaign inputs (seed matrix,
-labels, the config knobs that shape control flow).  Resuming verifies the
-fingerprint, so a checkpoint can never be silently replayed against a
-different campaign.  The pickled payload snapshots live mutable state
-(``numpy`` Generators round-trip their exact bit-generator state), which is
-what makes a resumed campaign bit-identical to an uninterrupted one — the
-property ``tests/test_store.py`` pins.
+Checkpoints carry a *fingerprint* of the campaign inputs (training data and
+the configuration values).  Resuming verifies the fingerprint, so a
+checkpoint can never be silently replayed against a different campaign.
+Restoring the RNG's exact bit-generator state is what makes a resumed
+campaign bit-identical to an uninterrupted one — the property
+``tests/test_store.py`` pins.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import pickle
 from hashlib import blake2b
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -91,69 +92,8 @@ def read_checkpoint(path: PathLike) -> Dict[str, object]:
     return envelope["payload"]
 
 
-class Checkpointer:
-    """Interval-driven checkpoint writer used inside campaign loops.
-
-    Parameters
-    ----------
-    path:
-        Checkpoint target; every save atomically replaces it.
-    every:
-        Snapshot cadence in loop steps (rounds for the population fuzzer,
-        seeds for the sequential one, iterations for the workflow).
-    meta:
-        Envelope fields merged into every payload (fingerprint, kind, ...).
-    keep_history:
-        Additionally keep each snapshot as ``<path>.<step>`` instead of only
-        the latest — used by tests and for post-mortem debugging.
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        every: int,
-        meta: Optional[Dict[str, object]] = None,
-        keep_history: bool = False,
-    ) -> None:
-        if every <= 0:
-            raise CheckpointError("checkpoint cadence must be positive")
-        self.path = Path(path)
-        self.every = int(every)
-        self.meta = dict(meta or {})
-        self.keep_history = keep_history
-        self._last_saved: Optional[int] = None
-
-    def due(self, step: int) -> bool:
-        """Whether a snapshot is due at ``step`` (step 0 is never saved).
-
-        A step is saved at most once, so loops that revisit their
-        checkpoint point without advancing (e.g. an admission ``continue``)
-        don't rewrite identical snapshots.
-        """
-        return step > 0 and step % self.every == 0 and step != self._last_saved
-
-    def save(self, step: int, payload: Dict[str, object]) -> None:
-        merged = {**self.meta, "step": step, **payload}
-        write_checkpoint(self.path, merged)
-        if self.keep_history:
-            write_checkpoint(
-                self.path.with_name(f"{self.path.name}.{step:06d}"), merged
-            )
-        self._last_saved = step
-
-    def save_if_due(self, step: int, payload_fn) -> None:
-        """Save ``payload_fn()`` when ``step`` hits the cadence.
-
-        The payload is built lazily so loops don't pay snapshot-construction
-        cost on the (vast majority of) steps that don't checkpoint.
-        """
-        if self.due(step):
-            self.save(step, payload_fn())
-
-
 __all__ = [
     "campaign_fingerprint",
     "write_checkpoint",
     "read_checkpoint",
-    "Checkpointer",
 ]

@@ -75,9 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seeds-per-iteration", type=int, default=10)
     run.add_argument("--queries-per-seed", type=int, default=20)
     run.add_argument("--target-pmi", type=float, default=0.02)
-    run.add_argument("--engine", default=None,
-                     choices=("sequential", "population"),
-                     help="the fuzzer's control flow for the whole loop")
     run.add_argument("--checkpoint-every", type=int, default=1,
                      help="iterations between checkpoints (0 disables)")
     run.add_argument("--telemetry", action="store_true",
@@ -127,15 +124,12 @@ def _spec_from_flags(args: argparse.Namespace) -> dict:
         scenario["samples"] = int(args.samples)
     if args.epochs is not None:
         scenario["epochs"] = int(args.epochs)
-    fuzzer: dict = {"queries_per_seed": int(args.queries_per_seed)}
-    if args.engine == "sequential":
-        fuzzer["execution"] = "sequential"
-    policy = ExecutionPolicy(cache=True, checkpoint_every=int(args.checkpoint_every))
+    policy = ExecutionPolicy(checkpoint_every=int(args.checkpoint_every))
     return {
         "name": args.name,
         "seed": int(args.seed),
         "scenario": scenario,
-        "fuzzer": fuzzer,
+        "fuzzer": {"queries_per_seed": int(args.queries_per_seed)},
         "workflow": {
             "test_budget_per_iteration": int(args.budget),
             "seeds_per_iteration": int(args.seeds_per_iteration),

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.config import DEFAULTS, EPSILON, GlobalConfig, clip01, ensure_rng, spawn_rngs
-from repro.exceptions import ConfigurationError
+from repro.config import clip01, ensure_rng, require_int, spawn_rngs
+from repro.exceptions import ConfigurationError, FuzzingError
 
 
 class TestEnsureRng:
@@ -68,15 +68,14 @@ class TestClip01:
         np.testing.assert_allclose(clip01(values), values)
 
 
-class TestGlobalConfig:
-    def test_defaults_exist(self):
-        assert DEFAULTS.epsilon == EPSILON
-        assert DEFAULTS.default_seed == 2021
+class TestRequireInt:
+    def test_accepts_python_ints(self):
+        require_int("count", 0)
+        require_int("count", -3)
 
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            DEFAULTS.epsilon = 1.0  # type: ignore[misc]
-
-    def test_custom_instance(self):
-        config = GlobalConfig(default_seed=None)
-        assert config.default_seed is None
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_rejects_everything_else_with_the_callers_error(self, value):
+        with pytest.raises(ConfigurationError, match="count must be an integer"):
+            require_int("count", value)
+        with pytest.raises(FuzzingError, match="count must be an integer"):
+            require_int("count", value, FuzzingError)

@@ -211,11 +211,12 @@ class TestLegacyKnobShims:
             rng=0,
         )
         assert loop.config.checkpoint_cadence == 3
-        # every workflow-policy field reaches the fuzzer (telemetry
-        # included); only the fuzzer's own cadence stays its own
-        assert loop.fuzzer_config.policy == policy.replace(checkpoint_every=5)
+        # the workflow policy replaces the fuzzer's whole policy (telemetry
+        # included; the fuzzer reads no cadence) and is the default
+        # assessor's, unchanged
+        assert loop.fuzzer_config.policy == policy
         assert loop.fuzzer_config.policy.telemetry is True
-        assert loop.assessor.policy == policy.replace(checkpoint_every=0)
+        assert loop.assessor.policy == policy
 
     def test_workflow_policy_config_copies_warning_free(self):
         import dataclasses
@@ -434,6 +435,16 @@ class TestSpecCli:
             (
                 dict(self.SPEC, workflow={"seeds_per_iteration": "many"}),
                 "spec section 'workflow'",
+            ),
+            # fractional or boolean counts are not counts
+            (
+                dict(self.SPEC, workflow={"seeds_per_iteration": 2.5}),
+                "spec section 'workflow'",
+            ),
+            (dict(self.SPEC, fuzzer={"stall_limit": 1.5}), "spec section 'fuzzer'"),
+            (
+                dict(self.SPEC, stopping={"max_iterations": True}),
+                "spec section 'stopping'",
             ),
         ):
             spec_path.write_text(json.dumps(bad))

@@ -11,16 +11,14 @@ from repro.engine import QueryStats
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
-    FuzzingError,
     ReliabilityError,
     StoreError,
 )
-from repro.fuzzing import FuzzerConfig, OperationalFuzzer
+from repro.fuzzing import FuzzerConfig
 from repro.reliability import ReliabilityEstimate, StoppingRule
 from repro.retraining import RetrainingConfig
 from repro.runtime import ExecutionPolicy
 from repro.store import (
-    Checkpointer,
     RunRegistry,
     campaign_fingerprint,
     read_checkpoint,
@@ -28,26 +26,6 @@ from repro.store import (
 )
 from repro.store.cli import main as cli_main
 from repro.types import AdversarialExample, CampaignReport, IterationReport
-
-
-class _ExplodingModel:
-    """Wrapper that dies after a fixed number of physical predict calls."""
-
-    def __init__(self, inner, fail_after: int) -> None:
-        self.inner = inner
-        self.fail_after = fail_after
-
-    def predict_proba(self, x):
-        self.fail_after -= 1
-        if self.fail_after < 0:
-            raise RuntimeError("killed mid-campaign")
-        return self.inner.predict_proba(x)
-
-    def predict(self, x):
-        return self.predict_proba(x).argmax(axis=1)
-
-    def loss_input_gradient(self, x, y):
-        return self.inner.loss_input_gradient(x, y)
 
 
 class _KillingRule(StoppingRule):
@@ -63,22 +41,6 @@ class _KillingRule(StoppingRule):
         if iteration >= self.kill_after:
             raise RuntimeError("killed mid-campaign")
         return super().should_stop(estimate, iteration, test_cases_used)
-
-
-def _campaign_summary(campaign):
-    """Bit-comparable digest of a fuzzing campaign's logical outcome."""
-    return [
-        (
-            r.seed_index,
-            r.queries,
-            r.best_fitness,
-            r.candidates_rejected_by_naturalness,
-            None
-            if r.adversarial_example is None
-            else r.adversarial_example.perturbed.tobytes(),
-        )
-        for r in campaign.per_seed
-    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -158,19 +120,6 @@ class TestCheckpointPrimitives:
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
-    def test_checkpointer_cadence(self, tmp_path):
-        checkpointer = Checkpointer(tmp_path / "c.pkl", every=3)
-        assert [s for s in range(10) if checkpointer.due(s)] == [3, 6, 9]
-        with pytest.raises(CheckpointError):
-            Checkpointer(tmp_path / "c.pkl", every=0)
-
-    def test_keep_history_writes_numbered_snapshots(self, tmp_path):
-        checkpointer = Checkpointer(tmp_path / "c.pkl", every=1, keep_history=True)
-        checkpointer.save(1, {"value": 1})
-        checkpointer.save(2, {"value": 2})
-        assert read_checkpoint(tmp_path / "c.pkl")["value"] == 2
-        assert read_checkpoint(tmp_path / "c.pkl.000001")["value"] == 1
-
     def test_fingerprint_sensitive_to_inputs(self):
         a = campaign_fingerprint(np.arange(4.0), extra="x")
         assert a == campaign_fingerprint(np.arange(4.0), extra="x")
@@ -179,175 +128,13 @@ class TestCheckpointPrimitives:
 
 
 # --------------------------------------------------------------------------- #
-# fuzzer checkpoint/resume (acceptance: bit-identical to uninterrupted)
-# --------------------------------------------------------------------------- #
-class TestFuzzerCheckpointResume:
-    @pytest.fixture()
-    def campaign_inputs(self, operational_cluster_data):
-        data = operational_cluster_data
-        return data.x[:8], data.y[:8]
-
-    def _config(self, policy=None, **overrides):
-        base = dict(
-            epsilon=0.12,
-            queries_per_seed=12,
-            naturalness_threshold=0.3,
-            policy=policy
-            if policy is not None
-            else ExecutionPolicy(cache=True, checkpoint_every=1),
-        )
-        base.update(overrides)
-        return FuzzerConfig(**base)
-
-    def _run_interrupted_then_resume(
-        self,
-        tmp_path,
-        model,
-        naturalness,
-        pool,
-        seeds,
-        labels,
-        interrupted_config,
-        resume_config,
-        budget=80,
-    ):
-        baseline_fuzzer = OperationalFuzzer(
-            naturalness, config=resume_config, natural_pool=pool
-        )
-        baseline = baseline_fuzzer.fuzz(model, seeds, labels, budget=budget, rng=3)
-        physical = baseline_fuzzer.last_query_stats.model_calls
-
-        checkpoint = tmp_path / "fuzz.ckpt"
-        dying = OperationalFuzzer(
-            naturalness, config=interrupted_config, natural_pool=pool
-        )
-        with pytest.raises(RuntimeError, match="killed"):
-            dying.fuzz(
-                _ExplodingModel(model, fail_after=max(2, physical // 2)),
-                seeds,
-                labels,
-                budget=budget,
-                rng=3,
-                checkpoint_path=str(checkpoint),
-            )
-        assert checkpoint.exists(), "campaign died before its first checkpoint"
-
-        resumed_fuzzer = OperationalFuzzer(
-            naturalness, config=resume_config, natural_pool=pool
-        )
-        resumed = resumed_fuzzer.fuzz(
-            model, seeds, labels, budget=budget, rng=3, resume_from=str(checkpoint)
-        )
-        return baseline, resumed, baseline_fuzzer, resumed_fuzzer
-
-    def test_population_resume_bit_identical(
-        self,
-        tmp_path,
-        trained_cluster_model,
-        cluster_naturalness,
-        operational_cluster_data,
-        campaign_inputs,
-    ):
-        seeds, labels = campaign_inputs
-        cfg = self._config()
-        baseline, resumed, base_fz, res_fz = self._run_interrupted_then_resume(
-            tmp_path,
-            trained_cluster_model,
-            cluster_naturalness,
-            operational_cluster_data.x,
-            seeds,
-            labels,
-            cfg,
-            cfg,
-        )
-        assert _campaign_summary(baseline) == _campaign_summary(resumed)
-        assert baseline.total_queries == resumed.total_queries
-        # restored counters continue the interrupted campaign's accounting:
-        # logical rows agree exactly with the uninterrupted campaign
-        assert (
-            res_fz.last_query_stats.rows_queried
-            == base_fz.last_query_stats.rows_queried
-        )
-
-    def test_sequential_resume_bit_identical(
-        self,
-        tmp_path,
-        trained_cluster_model,
-        cluster_naturalness,
-        operational_cluster_data,
-        campaign_inputs,
-    ):
-        seeds, labels = campaign_inputs
-        cfg = self._config(
-            execution="sequential",
-            policy=ExecutionPolicy(cache=True, checkpoint_every=2),
-        )
-        baseline, resumed, _, _ = self._run_interrupted_then_resume(
-            tmp_path,
-            trained_cluster_model,
-            cluster_naturalness,
-            operational_cluster_data.x,
-            seeds,
-            labels,
-            cfg,
-            cfg,
-        )
-        assert _campaign_summary(baseline) == _campaign_summary(resumed)
-
-    def test_resume_rejects_foreign_campaign(
-        self,
-        tmp_path,
-        trained_cluster_model,
-        cluster_naturalness,
-        operational_cluster_data,
-        campaign_inputs,
-    ):
-        seeds, labels = campaign_inputs
-        cfg = self._config()
-        checkpoint = tmp_path / "fuzz.ckpt"
-        fuzzer = OperationalFuzzer(
-            cluster_naturalness, config=cfg, natural_pool=operational_cluster_data.x
-        )
-        fuzzer.fuzz(
-            trained_cluster_model,
-            seeds,
-            labels,
-            budget=80,
-            rng=3,
-            checkpoint_path=str(checkpoint),
-        )
-        assert checkpoint.exists()
-        other = OperationalFuzzer(
-            cluster_naturalness, config=cfg, natural_pool=operational_cluster_data.x
-        )
-        with pytest.raises(FuzzingError, match="different campaign"):
-            other.fuzz(
-                trained_cluster_model,
-                seeds + 0.5,  # different seed matrix => different fingerprint
-                labels,
-                budget=80,
-                rng=3,
-                resume_from=str(checkpoint),
-            )
-        # per-seed densities shape the energy allocation, so they are part
-        # of the campaign identity too
-        with pytest.raises(FuzzingError, match="different campaign"):
-            other.fuzz(
-                trained_cluster_model,
-                seeds,
-                labels,
-                op_densities=np.linspace(0.5, 2.0, len(seeds)),
-                budget=80,
-                rng=3,
-                resume_from=str(checkpoint),
-            )
-
-
-# --------------------------------------------------------------------------- #
 # workflow checkpoint/resume (acceptance: identical reliability estimates)
 # --------------------------------------------------------------------------- #
 class TestWorkflowCheckpointResume:
-    def _build_loop(self, profile, train, naturalness, stopping_rule, **workflow_kwargs):
+    def _build_loop(
+        self, profile, train, naturalness, stopping_rule, checkpoint_every=1,
+        **workflow_kwargs,
+    ):
         return OperationalTestingLoop(
             profile=profile,
             train_data=train,
@@ -358,7 +145,7 @@ class TestWorkflowCheckpointResume:
             workflow_config=WorkflowConfig(
                 test_budget_per_iteration=100,
                 seeds_per_iteration=6,
-                policy=ExecutionPolicy(cache=True, checkpoint_every=1),
+                policy=ExecutionPolicy(cache=True, checkpoint_every=checkpoint_every),
                 **workflow_kwargs,
             ),
             rng=21,
@@ -421,6 +208,33 @@ class TestWorkflowCheckpointResume:
         for layer_a, layer_b in zip(model_a.get_weights(), model_b.get_weights()):
             for key in layer_a:
                 np.testing.assert_array_equal(layer_a[key], layer_b[key])
+
+    def test_checkpoint_written_every_cadence_iterations(
+        self,
+        tmp_path,
+        cluster_profile,
+        clusters_split,
+        cluster_naturalness,
+        trained_cluster_model,
+        operational_cluster_data,
+    ):
+        # three iterations at a cadence of two: the one checkpoint is taken
+        # after the second iteration and the third does not overwrite it
+        train, _ = clusters_split
+        rule = StoppingRule(target_pmi=1e-6, max_iterations=3)
+        loop = self._build_loop(
+            cluster_profile, train, cluster_naturalness, rule, checkpoint_every=2
+        )
+        checkpoint = tmp_path / "loop.ckpt"
+        _, report = loop.run(
+            trained_cluster_model,
+            operational_cluster_data,
+            checkpoint_path=str(checkpoint),
+        )
+        assert report.num_iterations == 3
+        payload = read_checkpoint(checkpoint)
+        assert payload["next_iteration"] == 2
+        assert payload["report"].num_iterations == 2
 
     def test_resume_rejects_different_campaign(
         self,
@@ -623,8 +437,8 @@ class TestCli:
         runs_dir = str(tmp_path / "runs")
         base = ["--runs-dir", runs_dir]
         assert cli_main(base + self.RUN_ARGS) == 0
-        # the same campaign again: every engine builds a fresh cache, so the
-        # second run computes exactly what the first did
+        # the same campaign again: the second run computes exactly what the
+        # first did
         assert cli_main(base + self.RUN_ARGS) == 0
         registry = RunRegistry(runs_dir)
         first, second = registry.runs()
@@ -648,6 +462,26 @@ class TestCli:
 
         assert cli_main(base + ["gc", "--keep", "1"]) == 0
         assert [run.run_id for run in registry.runs()] == ["run-0002"]
+
+    def test_flag_launched_run_records_the_default_policy(self, tmp_path):
+        # the flags set only the checkpoint cadence: the query cache stays
+        # at the policy default (off), as everywhere else
+        runs_dir = str(tmp_path / "runs")
+        assert cli_main(["--runs-dir", runs_dir] + self.RUN_ARGS) == 0
+        spec = RunRegistry(runs_dir).get("run-0001").config["spec"]
+        assert spec["policy"] == ExecutionPolicy(checkpoint_every=1).to_dict()
+        assert spec["policy"]["cache"] is False
+
+    def test_retired_engine_flag_exits_two(self, tmp_path, capsys):
+        # a spec's "fuzzer": {"execution": "sequential"} selects the
+        # reference loop; no flag does
+        runs_dir = str(tmp_path / "runs")
+        argv = ["--runs-dir", runs_dir] + self.RUN_ARGS + ["--engine", "sequential"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert RunRegistry(runs_dir).runs() == []
 
     def test_resume_completed_run_is_a_noop(self, tmp_path, capsys):
         base = ["--runs-dir", str(tmp_path / "runs")]
