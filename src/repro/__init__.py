@@ -25,33 +25,7 @@ substrate it depends on:
   declarative :class:`CampaignSpec` files.
 """
 
-from . import (
-    attacks,
-    config,
-    core,
-    data,
-    engine,
-    evaluation,
-    exceptions,
-    fuzzing,
-    naturalness,
-    nn,
-    op,
-    reliability,
-    retraining,
-    runtime,
-    sampling,
-    store,
-    types,
-)
-from .types import (
-    AdversarialExample,
-    CampaignReport,
-    Classifier,
-    DetectionResult,
-    IterationReport,
-    LabeledBatch,
-)
+import importlib as _importlib
 
 __version__ = "1.0.0"
 
@@ -81,3 +55,35 @@ __all__ = [
     "LabeledBatch",
     "__version__",
 ]
+
+#: Re-exported from :mod:`repro.types`.
+_TYPES = frozenset(
+    {
+        "AdversarialExample",
+        "CampaignReport",
+        "Classifier",
+        "DetectionResult",
+        "IterationReport",
+        "LabeledBatch",
+    }
+)
+#: Every other public name is a submodule; ``telemetry`` is public too,
+#: though not in ``__all__``.
+_SUBMODULES = (frozenset(__all__) - _TYPES - {"__version__"}) | {"telemetry"}
+
+
+# Submodules and types load on first attribute access (PEP 562), so a
+# process imports only what it runs: ``python -m repro lint`` loads neither
+# NumPy nor SciPy.
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _importlib.import_module(f".{name}", __name__)
+    if name in _TYPES:
+        value = getattr(_importlib.import_module(".types", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | _TYPES)

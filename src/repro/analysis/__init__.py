@@ -25,8 +25,8 @@ tribal rules into a static guardrail:
 Run it as ``python -m repro lint`` (see :mod:`repro.analysis.cli`); a
 dedicated CI job fails on any non-baselined finding.  The package's own
 modules are stdlib-only by design, so the analyzer can never be broken by the
-scientific stack it lints (the ``python -m repro`` entry point still imports
-the package root, which is where numpy comes in).
+scientific stack it lints; the package root loads its submodules lazily, so a
+``python -m repro lint`` run imports neither NumPy nor SciPy.
 """
 
 from .baseline import DEFAULT_BASELINE, Baseline

@@ -70,6 +70,17 @@ def require_int(name: str, value: object, error: type = ConfigurationError) -> N
         raise error(f"{name} must be an integer, got {value!r}")
 
 
+def require_bool(name: str, value: object, error: type = ConfigurationError) -> None:
+    """Raise ``error`` unless ``value`` is a Python ``bool``.
+
+    The one check for configured flags: a spec's ``"false"`` would
+    otherwise pass and, being a non-empty string, switch the flag on.  The
+    rejection is raised as the caller's own ``error`` class.
+    """
+    if not isinstance(value, bool):
+        raise error(f"{name} must be a bool, got {type(value).__name__}")
+
+
 def clip01(x: np.ndarray) -> np.ndarray:
     """Clip an array into the canonical ``[0, 1]`` input domain."""
     return np.clip(x, 0.0, 1.0)

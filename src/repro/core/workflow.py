@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..config import RngLike, ensure_rng, require_int
+from ..config import RngLike, ensure_rng, require_bool, require_int
 from ..data.dataset import Dataset
 from ..data.partition import Partition, build_partition_for_dataset
 from ..engine.batching import QueryStats
@@ -71,7 +71,8 @@ class WorkflowConfig:
         loop checkpoints.  Campaign results are bit-identical across
         policies.
 
-    The three counts must be Python ``int`` (not ``bool``).
+    The three counts must be Python ``int`` (not ``bool``), and
+    ``reassess_with_monte_carlo`` a ``bool``.
     """
 
     test_budget_per_iteration: int = 600
@@ -87,6 +88,7 @@ class WorkflowConfig:
             "operational_dataset_size",
         ):
             require_int(name, getattr(self, name))
+        require_bool("reassess_with_monte_carlo", self.reassess_with_monte_carlo)
         if self.test_budget_per_iteration <= 0:
             raise ConfigurationError("test_budget_per_iteration must be positive")
         if self.seeds_per_iteration <= 0:
@@ -192,7 +194,9 @@ class OperationalTestingLoop:
         checkpoint_path:
             Where to snapshot the campaign every
             ``config.checkpoint_cadence`` iterations (model weights, detected
-            AEs, report, the campaign RNG's exact bit-generator state).
+            AEs, report, the campaign RNG's exact bit-generator state).  A
+            path with a cadence of 0 would never be written, so it raises
+            :class:`ConfigurationError` before any work.
         resume_from:
             Checkpoint written by an earlier run of this campaign.  The
             loop must be constructed with the same arguments (training
@@ -201,6 +205,12 @@ class OperationalTestingLoop:
             bit-identically to an uninterrupted run — including every
             subsequent reliability estimate.
         """
+        if checkpoint_path is not None and self.config.checkpoint_cadence == 0:
+            raise ConfigurationError(
+                "checkpoint_path is set but checkpoints are disabled; give the "
+                "WorkflowConfig a policy with ExecutionPolicy(checkpoint_every=N), "
+                "N > 0, or pass no checkpoint_path"
+            )
         current = model if in_place else copy.deepcopy(model)
         report = CampaignReport()
         # the fingerprint hashes configuration *values* (not reprs), so any

@@ -23,14 +23,10 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..config import RngLike, clip01, ensure_rng
 from ..exceptions import ConfigurationError, ShapeError
-
-try:  # scipy is a hard dependency of the library, but keep the import local
-    from scipy.spatial import cKDTree
-except ImportError:  # pragma: no cover - scipy is always installed in this repo
-    cKDTree = None
 
 
 class Partition:
@@ -165,7 +161,7 @@ class AnchorPartition(Partition):
             raise ConfigurationError("radius must be positive")
         self.anchors = anchors
         self.radius = radius
-        self._tree = cKDTree(anchors) if cKDTree is not None else None
+        self._tree = cKDTree(anchors)
 
     @property
     def num_cells(self) -> int:
@@ -177,11 +173,8 @@ class AnchorPartition(Partition):
 
     def assign(self, x: np.ndarray) -> np.ndarray:
         x = self._check_input(x)
-        if self._tree is not None:
-            _, indices = self._tree.query(x)
-            return np.asarray(indices, dtype=int)
-        distances = np.linalg.norm(x[:, None, :] - self.anchors[None, :, :], axis=2)
-        return distances.argmin(axis=1)
+        _, indices = self._tree.query(x)
+        return np.asarray(indices, dtype=int)
 
     def cell_center(self, cell_id: int) -> np.ndarray:
         if not 0 <= cell_id < self.num_cells:

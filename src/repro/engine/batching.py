@@ -33,7 +33,7 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..config import finite_rows
+from ..config import finite_rows, require_bool
 from ..exceptions import ConfigurationError
 from ..naturalness.metrics import NaturalnessScorer
 from ..telemetry import clock
@@ -194,10 +194,7 @@ class BatchedQueryEngine:
     ) -> None:
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
-        if not isinstance(cache, bool):
-            raise ConfigurationError(
-                f"cache must be a bool, got {type(cache).__name__}"
-            )
+        require_bool("cache", cache)
         self.model = model
         self.naturalness = naturalness
         self.batch_size = int(batch_size)

@@ -50,7 +50,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..config import EPSILON, RngLike, ensure_rng, require_int, spawn_rngs
+from ..config import EPSILON, RngLike, ensure_rng, require_bool, require_int, spawn_rngs
 from ..engine.batching import BatchedQueryEngine, QueryStats
 from ..engine.population import (
     PROPOSAL_CAP_FACTOR,
@@ -112,7 +112,8 @@ class FuzzerConfig:
         every other subsystem.
 
     The three counts (``queries_per_seed``, ``neighbour_count``,
-    ``stall_limit``) must be Python ``int`` (not ``bool``).
+    ``stall_limit``) must be Python ``int`` (not ``bool``), and
+    ``use_gradient`` a ``bool``.
     """
 
     epsilon: float = 0.1
@@ -132,6 +133,7 @@ class FuzzerConfig:
     def __post_init__(self) -> None:
         for name in ("queries_per_seed", "neighbour_count", "stall_limit"):
             require_int(name, getattr(self, name), FuzzingError)
+        require_bool("use_gradient", self.use_gradient, FuzzingError)
         if self.epsilon <= 0:
             raise FuzzingError("epsilon must be positive")
         if self.queries_per_seed <= 0:

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..config import RngLike, ensure_rng, require_int
+from ..config import RngLike, ensure_rng, require_bool, require_int
 from ..data.dataset import Dataset
 from ..data.partition import Partition
 from ..exceptions import ReliabilityError
@@ -104,7 +104,8 @@ class StoppingRule:
 
     Testing stops when the (conservative) pmi estimate meets the target, or
     when the campaign exhausts ``max_iterations`` or ``max_test_cases``.
-    Both caps must be Python ``int`` (not ``bool``).
+    Both caps must be Python ``int`` (not ``bool``), and ``conservative`` a
+    ``bool``.
     """
 
     target_pmi: float = 0.02
@@ -118,6 +119,7 @@ class StoppingRule:
             raise ReliabilityError("target_pmi must be positive")
         if not 0 < self.confidence < 1:
             raise ReliabilityError("confidence must be in (0, 1)")
+        require_bool("conservative", self.conservative, ReliabilityError)
         require_int("max_iterations", self.max_iterations, ReliabilityError)
         if self.max_iterations <= 0:
             raise ReliabilityError("max_iterations must be positive")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
-from ..config import require_int
+from ..config import require_bool, require_int
 from ..engine.batching import DEFAULT_BATCH_SIZE, BatchedQueryEngine, as_query_engine
 from ..exceptions import ConfigurationError
 from ..types import Classifier
@@ -56,6 +56,7 @@ class ExecutionPolicy:
 
     The three counts must be Python ``int`` (not ``bool``): a fractional
     cadence or batch size would otherwise be truncated where it is used.
+    The two flags (``cache``, ``telemetry``) must be Python ``bool``.
     """
 
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -69,18 +70,12 @@ class ExecutionPolicy:
             require_int(name, getattr(self, name))
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
-        if not isinstance(self.cache, bool):
-            raise ConfigurationError(
-                f"cache must be a bool, got {type(self.cache).__name__}"
-            )
+        require_bool("cache", self.cache)
         if self.cache_max_entries <= 0:
             raise ConfigurationError("cache_max_entries must be positive")
         if self.checkpoint_every < 0:
             raise ConfigurationError("checkpoint_every must be non-negative")
-        if not isinstance(self.telemetry, bool):
-            raise ConfigurationError(
-                f"telemetry must be a bool, got {type(self.telemetry).__name__}"
-            )
+        require_bool("telemetry", self.telemetry)
 
     # ------------------------------------------------------------------ #
     # serialization

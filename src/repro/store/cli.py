@@ -190,12 +190,16 @@ def _execute(run: StoredRun, resume: bool) -> None:
         resume_from = str(run.checkpoint_path)
     try:
         scenario, loop = _build_campaign(run.config)
+        # a spec with checkpoint_every 0 runs without checkpoints
+        checkpoint_path = (
+            str(run.checkpoint_path) if loop.config.checkpoint_cadence > 0 else None
+        )
         with telemetry.session(enabled=_telemetry_enabled(run.config)) as sess:
             try:
                 _, report = loop.run(
                     scenario.model,
                     operational_data=scenario.operational_data,
-                    checkpoint_path=str(run.checkpoint_path),
+                    checkpoint_path=checkpoint_path,
                     resume_from=resume_from,
                 )
             finally:

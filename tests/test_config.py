@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.config import clip01, ensure_rng, require_int, spawn_rngs
-from repro.exceptions import ConfigurationError, FuzzingError
+from repro.config import clip01, ensure_rng, require_bool, require_int, spawn_rngs
+from repro.core import WorkflowConfig
+from repro.exceptions import ConfigurationError, FuzzingError, ReliabilityError
+from repro.fuzzing import FuzzerConfig
+from repro.reliability import StoppingRule
+from repro.runtime import ExecutionPolicy
 
 
 class TestEnsureRng:
@@ -79,3 +83,35 @@ class TestRequireInt:
             require_int("count", value)
         with pytest.raises(FuzzingError, match="count must be an integer"):
             require_int("count", value, FuzzingError)
+
+
+class TestRequireBool:
+    def test_accepts_python_bools(self):
+        require_bool("flag", True)
+        require_bool("flag", False)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_rejects_everything_else_with_the_callers_error(self, value):
+        with pytest.raises(ConfigurationError, match="flag must be a bool"):
+            require_bool("flag", value)
+        with pytest.raises(FuzzingError, match="flag must be a bool"):
+            require_bool("flag", value, FuzzingError)
+
+    # a spec's "false" is a non-empty, truthy string: accepted, it would
+    # switch the flag on
+    @pytest.mark.parametrize(
+        "config_cls,field,error",
+        [
+            (FuzzerConfig, "use_gradient", FuzzingError),
+            (StoppingRule, "conservative", ReliabilityError),
+            (WorkflowConfig, "reassess_with_monte_carlo", ConfigurationError),
+            (ExecutionPolicy, "cache", ConfigurationError),
+            (ExecutionPolicy, "telemetry", ConfigurationError),
+        ],
+    )
+    def test_config_flags_reject_non_bools(self, config_cls, field, error):
+        for value in ("false", 0, None):
+            with pytest.raises(error, match=f"{field} must be a bool, got"):
+                config_cls(**{field: value})
+        for value in (True, False):
+            assert getattr(config_cls(**{field: value}), field) is value

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
+from scipy.special import betaincinv
 
 from repro.config import clip01, ensure_rng
 from repro.data import Dataset, GridPartition
@@ -14,7 +16,7 @@ from repro.fuzzing import FuzzerConfig, OperationalFuzzer
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy, confusion_matrix, prediction_margin
 from repro.op import hellinger_distance, js_divergence, kl_divergence, total_variation
-from repro.reliability import BayesianCellModel, BetaPrior
+from repro.reliability import BayesianCellModel, BetaPrior, CellPosterior
 
 
 # --------------------------------------------------------------------------- #
@@ -370,3 +372,58 @@ class TestBayesianProperties:
         small = model.posterior_for(trials, 0).upper_bound(0.95)
         large = model.posterior_for(trials * 2, 0).upper_bound(0.95)
         assert large <= small + 1e-12
+
+
+# --------------------------------------------------------------------------- #
+# credible bounds: betaincinv against its reference, scipy.stats.beta.ppf
+# --------------------------------------------------------------------------- #
+def _bits(x) -> np.ndarray:
+    """The IEEE bit patterns of ``x``, so that equality is bit for bit."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# Beta parameters in [1e-3, 1e6]: hypothesis' own float draws (which favour
+# the ends) and log-uniform ones
+beta_parameters = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e6),
+    st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0**e),
+)
+quantile_levels = st.one_of(
+    st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
+    st.floats(min_value=0.5 - 1e-10, max_value=0.5 + 1e-10),
+    st.sampled_from([1e-12, 1.0 - 1e-12, 0.5 - 1e-10, 0.5 + 1e-10, 0.05, 0.9, 0.95]),
+)
+
+
+class TestCredibleBoundKernel:
+    """``betaincinv(a, b, q)`` is ``stats.beta.ppf(q, a, b)``, bit for bit.
+
+    The Bayesian cell model computes its bounds with ``betaincinv`` so that
+    no process loads :mod:`scipy.stats`; the reference stays here.
+    """
+
+    @given(beta_parameters, beta_parameters, quantile_levels)
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_identity(self, a, b, q):
+        expected = _bits(stats.beta.ppf(q, a, b))
+        np.testing.assert_array_equal(_bits(betaincinv(a, b, q)), expected)
+        # the cell model's upper bound is that quantile
+        np.testing.assert_array_equal(_bits(CellPosterior(0, a, b).upper_bound(q)), expected)
+
+    def test_array_identity(self):
+        # posterior-like pairs (prior Beta(1, 9) plus evidence) at the
+        # confidences the assessor uses, and random pairs over the range
+        rng = np.random.default_rng(2021)
+        failures = rng.integers(0, 200, 20_000).astype(float)
+        passes = rng.integers(0, 5_000, 20_000).astype(float)
+        for q in (0.5, 0.5 + 1e-10, 0.5 - 1e-10, 0.05, 0.1, 0.9, 0.95, 0.99):
+            np.testing.assert_array_equal(
+                _bits(betaincinv(1.0 + failures, 9.0 + passes, q)),
+                _bits(stats.beta.ppf(q, 1.0 + failures, 9.0 + passes)),
+            )
+        a = 10.0 ** rng.uniform(-3.0, 6.0, 50_000)
+        b = 10.0 ** rng.uniform(-3.0, 6.0, 50_000)
+        q = rng.uniform(1e-12, 1.0 - 1e-12, 50_000)
+        np.testing.assert_array_equal(
+            _bits(betaincinv(a, b, q)), _bits(stats.beta.ppf(q, a, b))
+        )

@@ -161,8 +161,8 @@ def random_evidence_table(num_cells: int) -> CellEvidenceTable:
 class TestArrayBounds:
     """The one-call array bounds equal the per-cell scalar bounds, bit for bit."""
 
-    # one ulp above 0.5, ppf(1 - c) exceeds ppf(c) on many cells; the
-    # lower bound's clamp must keep lower <= upper there
+    # one ulp above 0.5, the 1 - c quantile exceeds the c quantile on many
+    # cells; the lower bound's clamp must keep lower <= upper there
     @pytest.mark.parametrize(
         "confidence", [0.5, np.nextafter(0.5, 1.0), 0.5 + 1e-10, 0.9, 0.95]
     )

@@ -420,6 +420,21 @@ class TestSpecCli:
             ae.perturbed.tobytes() for ae in first.load_detections()
         ]
 
+    def test_spec_without_checkpoints_completes(self, tmp_path):
+        # checkpoint_every 0 is a valid spec: the run completes and writes
+        # no checkpoint
+        from repro.store import RunRegistry
+        from repro.store.cli import main as cli_main
+
+        runs_dir = str(tmp_path / "runs")
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(json.dumps(dict(self.SPEC, policy={"checkpoint_every": 0})))
+        assert cli_main(["--runs-dir", runs_dir, "run", "--spec", str(spec_path)]) == 0
+        run = RunRegistry(runs_dir).get("run-0001")
+        assert run.status == "completed"
+        assert run.load_estimates()["final"].queries > 0
+        assert not run.checkpoint_path.exists()
+
     def test_malformed_spec_never_creates_a_run(self, tmp_path, capsys):
         from repro.store import RunRegistry
         from repro.store.cli import main as cli_main
@@ -446,6 +461,8 @@ class TestSpecCli:
                 dict(self.SPEC, stopping={"max_iterations": True}),
                 "spec section 'stopping'",
             ),
+            # a string flag is not a flag: "false" would be truthy
+            (dict(self.SPEC, fuzzer={"use_gradient": "false"}), "spec section 'fuzzer'"),
         ):
             spec_path.write_text(json.dumps(bad))
             argv = ["--runs-dir", runs_dir, "run", "--spec", str(spec_path)]

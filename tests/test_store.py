@@ -236,6 +236,44 @@ class TestWorkflowCheckpointResume:
         assert payload["next_iteration"] == 2
         assert payload["report"].num_iterations == 2
 
+    def test_checkpoint_path_without_cadence_raises(
+        self,
+        tmp_path,
+        cluster_profile,
+        clusters_split,
+        cluster_naturalness,
+        trained_cluster_model,
+        operational_cluster_data,
+    ):
+        # a cadence of 0 would never write the checkpoint: the loop refuses
+        # the path before any work, under an explicit checkpoint_every=0
+        # and under the default workflow config (no policy)
+        train, _ = clusters_split
+        rule = StoppingRule(target_pmi=1e-6, max_iterations=1)
+        checkpoint = tmp_path / "loop.ckpt"
+        for loop in (
+            self._build_loop(
+                cluster_profile, train, cluster_naturalness, rule, checkpoint_every=0
+            ),
+            OperationalTestingLoop(
+                profile=cluster_profile,
+                train_data=train,
+                naturalness=cluster_naturalness,
+                stopping_rule=rule,
+                rng=21,
+            ),
+        ):
+            with pytest.raises(
+                ConfigurationError, match=r"ExecutionPolicy\(checkpoint_every=N\)"
+            ):
+                loop.run(
+                    trained_cluster_model,
+                    operational_cluster_data,
+                    checkpoint_path=str(checkpoint),
+                )
+            assert loop.last_estimate is None
+        assert not checkpoint.exists()
+
     def test_resume_rejects_different_campaign(
         self,
         tmp_path,
