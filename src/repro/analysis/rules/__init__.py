@@ -35,7 +35,7 @@ REP010    funnel-escape     model-typed values cannot dodge the engine funnel
                             through helpers, returns or engine-named
                             parameters (interprocedural REP001)
 REP011    iteration-order   no unordered set iteration feeds merged stats,
-                            serialized artifacts or shard planning
+                            serialized artifacts or query order
                             (hash-order nondeterminism)
 ========  ================  ====================================================
 """

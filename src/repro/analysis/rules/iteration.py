@@ -4,10 +4,11 @@ Python sets iterate in hash order, and hash order is a function of
 ``PYTHONHASHSEED`` and insertion history — two runs of the same campaign can
 walk the same set differently.  That is harmless while the consumer is
 order-insensitive (``sum``, ``sorted``, membership), and catastrophically
-quiet while it is not: merged per-shard stats accumulate floats in a
-different order, serialized artifacts list keys in a different order, shard
-planning hands different workers different examples.  Every one of those
-breaks the bit-identity contract without failing a single assertion.
+quiet while it is not: merged stats accumulate floats in a different
+order, serialized artifacts list keys in a different order, a campaign
+walking its seeds from a set queries them in a different order.  Every one
+of those breaks the bit-identity contract without failing a single
+assertion.
 
 The facts layer records each place an iterable's order can leak — ``for``
 loops, order-preserving comprehensions, ``list()``/``tuple()``/
@@ -48,7 +49,7 @@ def _annotation_is_set(annotation: str) -> bool:
 class IterationOrderRule(ProgramRule):
     """Set iteration order is an accident of ``PYTHONHASHSEED`` and insertion
     history, so any set whose iteration order reaches program output — merged
-    statistics, serialized artifacts, shard plans — silently breaks the
+    statistics, serialized artifacts, query order — silently breaks the
     bit-identical-rerun contract.  The rule classifies every order-leaking
     iteration site (``for``, order-preserving comprehensions, ``list()``/
     ``tuple()``/``enumerate()``) whose iterable is set-valued, resolving
@@ -59,13 +60,13 @@ class IterationOrderRule(ProgramRule):
     Example::
 
         def merge(self):
-            for shard_id in self.pending:      # self.pending = set(...)
-                self._absorb(shard_id)         # float adds: order-dependent
+            for run_id in self.pending:        # self.pending = set(...)
+                self._absorb(run_id)           # float adds: order-dependent
 
     Fix::
 
-        for shard_id in sorted(self.pending):  # fix the order explicitly
-            self._absorb(shard_id)
+        for run_id in sorted(self.pending):    # fix the order explicitly
+            self._absorb(run_id)
         # or prove the consumer commutes and say so:
         # repro: allow[iteration-order] pure membership test, order-free
     """
@@ -75,7 +76,7 @@ class IterationOrderRule(ProgramRule):
     severity = "error"
     description = (
         "unordered set/dict iteration feeding merged stats, serialized "
-        "artifacts or shard planning (hash-order nondeterminism)"
+        "artifacts or query order (hash-order nondeterminism)"
     )
 
     def check(self, program: ProgramGraph) -> List[Finding]:

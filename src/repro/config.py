@@ -50,13 +50,21 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     )
 
 
-def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
-    """Split one random source into ``count`` independent child generators."""
+def spawn_seeds(rng: RngLike, count: int) -> np.ndarray:
+    """The seeds of ``count`` child generators, in one draw from ``rng``.
+
+    ``np.random.default_rng(int(seeds[i]))`` is child ``i`` of
+    :func:`spawn_rngs`; a caller that needs only some children builds only
+    those.
+    """
     if count < 0:
         raise ConfigurationError(f"count must be non-negative, got {count}")
-    parent = ensure_rng(rng)
-    seeds = parent.integers(0, 2**31 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
+    return ensure_rng(rng).integers(0, 2**31 - 1, size=count)
+
+
+def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
+    """Split one random source into ``count`` independent child generators."""
+    return [np.random.default_rng(int(s)) for s in spawn_seeds(rng, count)]
 
 
 def require_int(name: str, value: object, error: type = ConfigurationError) -> None:

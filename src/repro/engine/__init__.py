@@ -25,9 +25,9 @@ from .batching import (
     as_query_engine,
 )
 from .population import (
-    MemberOutcome,
     PopulationFuzzEngine,
-    SeedTask,
+    SeedBatch,
+    SeedFuzzResult,
     fitness_from_probs,
     pick_operator,
 )
@@ -38,9 +38,9 @@ __all__ = [
     "QueryCache",
     "QueryStats",
     "as_query_engine",
-    "MemberOutcome",
     "PopulationFuzzEngine",
-    "SeedTask",
+    "SeedBatch",
+    "SeedFuzzResult",
     "fitness_from_probs",
     "pick_operator",
 ]

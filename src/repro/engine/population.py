@@ -18,13 +18,20 @@ preserved exactly:
   policy of handing leftover budget to later seeds.  The campaign total can
   therefore never exceed the budget.
 
+The population is held as columns, one entry per seed: the search state is
+a handful of arrays, retirement clears a mask, and each round's fitness is
+one array expression.  Only the random draws stay per member, each from the
+member's own generator, which is built when the member passes its seed
+check.
+
 The module is deliberately ignorant of :class:`repro.fuzzing.fuzzer`
-dataclasses (the fuzzer depends on this module, not vice versa); results
-come back as plain :class:`MemberOutcome` records the fuzzer re-wraps.
+(the fuzzer depends on this module, not vice versa); it returns one
+:class:`SeedFuzzResult` per admitted seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +42,7 @@ from ..types import AdversarialExample
 from .batching import BatchedQueryEngine
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from ..fuzzing.mutations import MutationOperator
+    from ..fuzzing.mutations import BatchMutationContext, MutationOperator
 
 #: Proposal cap multiplier: rejected proposals cost no queries; bound them
 #: anyway (same constant as the sequential loop).
@@ -58,55 +65,152 @@ def pick_operator(
 
 
 def fitness_from_probs(
-    probs: np.ndarray,
-    label: int,
-    naturalness: float,
+    label_probs: np.ndarray,
+    naturalness: np.ndarray,
     loss_weight: float,
     naturalness_weight: float,
-) -> float:
-    """Search fitness mixing model loss with (log) naturalness."""
-    loss = -np.log(max(float(probs[label]), EPSILON))
-    return loss_weight * loss + naturalness_weight * float(
-        np.log(max(naturalness, EPSILON))
+) -> np.ndarray:
+    """Search fitness mixing model loss with (log) naturalness, elementwise.
+
+    ``label_probs`` is the model's probability of each candidate's true
+    label; scalars give the same bits as arrays.
+    """
+    loss = -np.log(np.maximum(label_probs, EPSILON))
+    return loss_weight * loss + naturalness_weight * np.log(
+        np.maximum(naturalness, EPSILON)
     )
 
 
 @dataclass
-class SeedTask:
-    """One population member: immutable inputs plus mutable search state."""
+class SeedFuzzResult:
+    """Outcome of fuzzing a single seed."""
 
-    index: int
-    seed: np.ndarray
-    label: int
-    budget: int
-    density: Optional[float]
-    neighbours: Optional[np.ndarray]
-    rng: np.random.Generator
-    # --- runtime state, owned by the population engine ------------------- #
-    current: Optional[np.ndarray] = None
-    seed_naturalness: float = 0.0
-    floor: float = 0.0
-    queries: int = 0
-    proposals: int = 0
-    stalled: int = 0
-    rejected: int = 0
-    best_fitness: float = -np.inf
-    found: Optional[AdversarialExample] = None
-
-
-@dataclass
-class MemberOutcome:
-    """Outcome of one population member, in fuzzer-agnostic form."""
-
-    index: int
+    seed_index: int
     adversarial_example: Optional[AdversarialExample]
     queries: int
     best_fitness: float
-    rejected: int
+    candidates_rejected_by_naturalness: int
+
+
+@dataclass(eq=False)
+class SeedBatch:
+    """A campaign's seeds as columns, one row per seed.
+
+    Attributes
+    ----------
+    seeds, labels:
+        Seed inputs ``(n, d)`` and their true labels ``(n,)``.
+    budgets:
+        Nominal per-seed query budgets ``(n,)``.
+    rng_seeds:
+        Seed of each member's private generator ``(n,)``, drawn by
+        :func:`repro.config.spawn_seeds`.
+    densities:
+        Operational density of each seed ``(n,)``, or ``None``.
+    neighbours:
+        Natural neighbours of each seed ``(n, k, d)``, or ``None``.
+    """
+
+    seeds: np.ndarray
+    labels: np.ndarray
+    budgets: np.ndarray
+    rng_seeds: np.ndarray
+    densities: Optional[np.ndarray] = None
+    neighbours: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+
+class _Population:
+    """Search state of one campaign, one column entry per seed.
+
+    Seeds are admitted in index order, so the admitted members are always
+    the prefix ``[0, admitted)``; ``active`` marks the live ones among them.
+    """
+
+    def __init__(self, batch: SeedBatch, budget: Optional[int]) -> None:
+        n = len(batch)
+        self.batch = batch
+        self.budget = np.array(batch.budgets, dtype=np.int64)
+        self.current = np.array(batch.seeds, dtype=float)
+        self.floor = np.zeros(n)
+        self.queries = np.zeros(n, dtype=np.int64)
+        self.proposals = np.zeros(n, dtype=np.int64)
+        self.stalled = np.zeros(n, dtype=np.int64)
+        self.rejected = np.zeros(n, dtype=np.int64)
+        self.best_fitness = np.full(n, -np.inf)
+        self.active = np.zeros(n, dtype=bool)
+        self.rngs: List[Optional[np.random.Generator]] = [None] * n
+        self.found: List[Optional[AdversarialExample]] = [None] * n
+        self.admitted = 0
+        self.reserve_left = math.inf if budget is None else int(budget)
+
+    def can_admit(self) -> bool:
+        return self.admitted < len(self.batch) and self.reserve_left > 0
+
+    def admit(self) -> np.ndarray:
+        """Reserve budget for as many waitlisted seeds as currently fits."""
+        start = self.admitted
+        while self.can_admit():
+            i = self.admitted
+            if self.reserve_left != math.inf:
+                self.budget[i] = max(1, min(int(self.budget[i]), self.reserve_left))
+            self.reserve_left -= int(self.budget[i])
+            self.admitted += 1
+        return np.arange(start, self.admitted)
+
+    def retire(self, members: np.ndarray) -> None:
+        """Retire members, refunding whatever they reserved but did not spend."""
+        self.active[members] = False
+        self.reserve_left += int(np.sum(self.budget[members] - self.queries[members]))
+
+    def detect(
+        self,
+        member: int,
+        perturbed: np.ndarray,
+        predicted_label: int,
+        distance: float,
+        naturalness: float,
+    ) -> None:
+        """Record the member's operational AE; the caller retires it."""
+        batch = self.batch
+        self.found[member] = AdversarialExample(
+            seed=batch.seeds[member].copy(),
+            perturbed=perturbed,
+            true_label=int(batch.labels[member]),
+            predicted_label=predicted_label,
+            distance=distance,
+            naturalness=naturalness,
+            op_density=(
+                float(batch.densities[member]) if batch.densities is not None else None
+            ),
+            method="operational-fuzzer",
+            queries=int(self.queries[member]),
+        )
+
+    def results(self) -> List[SeedFuzzResult]:
+        """One result per admitted seed, in seed order."""
+        n = self.admitted
+        return [
+            SeedFuzzResult(
+                seed_index=i,
+                adversarial_example=self.found[i],
+                queries=queries,
+                best_fitness=best if math.isfinite(best) else 0.0,
+                candidates_rejected_by_naturalness=rejected,
+            )
+            for i, queries, best, rejected in zip(
+                range(n),
+                self.queries[:n].tolist(),
+                self.best_fitness[:n].tolist(),
+                self.rejected[:n].tolist(),
+            )
+        ]
 
 
 class PopulationFuzzEngine:
-    """Runs the lock-step rounds over a population of seed tasks.
+    """Runs the lock-step rounds over a population of seeds.
 
     Parameters
     ----------
@@ -133,222 +237,184 @@ class PopulationFuzzEngine:
         self.operators: List["MutationOperator"] = list(operators)
         self.directed = [op for op in self.operators if op.queries_model]
         self.undirected = [op for op in self.operators if not op.queries_model]
-        self._reserve_left: float = np.inf
 
     # ------------------------------------------------------------------ #
     # campaign driver
     # ------------------------------------------------------------------ #
     def run(
-        self, tasks: Sequence[SeedTask], budget: Optional[int] = None
-    ) -> List[MemberOutcome]:
-        """Fuzz every admissible task and return outcomes in seed order.
+        self, seeds: SeedBatch, budget: Optional[int] = None
+    ) -> List[SeedFuzzResult]:
+        """Fuzz every admissible seed and return results in seed order.
 
-        Tasks that cannot be admitted before the global budget is exhausted
-        are not started at all and yield no outcome — exactly like the
+        Seeds that cannot be admitted before the global budget is exhausted
+        are not started at all and yield no result — exactly like the
         sequential loop breaking out of its seed iteration.
         """
-        self._reserve_left = np.inf if budget is None else float(int(budget))
-        waitlist = list(tasks)
-        active: List[SeedTask] = []
-        outcomes: List[MemberOutcome] = []
+        pop = _Population(seeds, budget)
         while True:
-            if waitlist and self._reserve_left > 0:
-                admitted = self._admit(waitlist)
-                if admitted:
-                    self._initialise(admitted, active, outcomes)
-            if not active:
-                if waitlist and self._reserve_left > 0:
+            if pop.can_admit():
+                admitted = pop.admit()
+                if len(admitted):
+                    self._initialise(pop, admitted)
+            if not pop.active.any():
+                if pop.can_admit():
                     # a whole admission wave retired during initialisation
                     # (natural failures) and refunded budget: admit more
                     continue
                 break
-            self._round(active, outcomes)
+            self._round(pop)
+        return pop.results()
 
-        outcomes.sort(key=lambda outcome: outcome.index)
-        return outcomes
-
-    # ------------------------------------------------------------------ #
-    # admission / retirement
-    # ------------------------------------------------------------------ #
-    def _admit(self, waitlist: List[SeedTask]) -> List[SeedTask]:
-        """Reserve budget for as many waitlisted tasks as currently fits."""
-        admitted: List[SeedTask] = []
-        while waitlist and self._reserve_left > 0:
-            task = waitlist.pop(0)
-            if np.isfinite(self._reserve_left):
-                task.budget = max(1, min(task.budget, int(self._reserve_left)))
-            self._reserve_left -= task.budget
-            admitted.append(task)
-        return admitted
-
-    def _finish(
-        self, task: SeedTask, active: List[SeedTask], outcomes: List[MemberOutcome]
-    ) -> None:
-        """Retire a task, refunding whatever it reserved but did not spend."""
-        self._reserve_left += task.budget - task.queries
-        if task in active:
-            active.remove(task)
-        outcomes.append(
-            MemberOutcome(
-                index=task.index,
-                adversarial_example=task.found,
-                queries=task.queries,
-                best_fitness=(
-                    float(task.best_fitness) if np.isfinite(task.best_fitness) else 0.0
-                ),
-                rejected=task.rejected,
-            )
-        )
-
-    def _initialise(
-        self,
-        admitted: List[SeedTask],
-        active: List[SeedTask],
-        outcomes: List[MemberOutcome],
-    ) -> None:
-        """Score and classify the raw seeds of newly admitted tasks (batched)."""
-        seeds = np.stack([task.seed for task in admitted])
+    def _initialise(self, pop: _Population, admitted: np.ndarray) -> None:
+        """Score and classify the raw seeds of newly admitted members (batched)."""
+        batch = pop.batch
+        seeds = batch.seeds[admitted]
         naturalness = self.engine.score_naturalness(seeds)
         predictions = self.engine.predict(seeds)
-        for task, seed_nat, prediction in zip(admitted, naturalness, predictions):
-            task.seed_naturalness = float(seed_nat)
-            task.floor = self.config.naturalness_threshold * task.seed_naturalness
-            task.current = task.seed.copy()
-            task.queries = 1
-            if int(prediction) != task.label:
-                # a "natural failure": the seed itself is already misclassified
-                task.found = AdversarialExample(
-                    seed=task.seed.copy(),
-                    perturbed=task.seed.copy(),
-                    true_label=task.label,
-                    predicted_label=int(prediction),
-                    distance=0.0,
-                    naturalness=task.seed_naturalness,
-                    op_density=task.density,
-                    method="operational-fuzzer",
-                    queries=task.queries,
-                )
-                task.best_fitness = 0.0
-                self._finish(task, active, outcomes)
-            else:
-                active.append(task)
+        pop.floor[admitted] = self.config.naturalness_threshold * naturalness
+        pop.queries[admitted] = 1
+        # a "natural failure": the seed itself is already misclassified
+        failed = predictions != batch.labels[admitted]
+        for member, prediction, seed_naturalness in zip(
+            admitted[failed].tolist(),
+            predictions[failed].tolist(),
+            naturalness[failed].tolist(),
+        ):
+            pop.detect(
+                member, batch.seeds[member].copy(), prediction, 0.0, seed_naturalness
+            )
+        pop.retire(admitted[failed])
+        passed = admitted[~failed]
+        for member in passed.tolist():
+            pop.rngs[member] = np.random.default_rng(int(batch.rng_seeds[member]))
+        pop.active[passed] = True
 
     # ------------------------------------------------------------------ #
     # one lock-step round
     # ------------------------------------------------------------------ #
-    def _round(self, active: List[SeedTask], outcomes: List[MemberOutcome]) -> None:
+    def _round(self, pop: _Population) -> None:
         cfg = self.config
 
-        # retire tasks that exhausted budget, proposals or patience
-        for task in list(active):
-            if (
-                task.queries >= task.budget
-                or task.proposals >= PROPOSAL_CAP_FACTOR * task.budget
-                or (cfg.stall_limit and task.stalled >= cfg.stall_limit)
-            ):
-                self._finish(task, active, outcomes)
-        if not active:
+        # retire members that exhausted budget, proposals or patience
+        live = np.flatnonzero(pop.active)
+        budget = pop.budget[live]
+        exhausted = (pop.queries[live] >= budget) | (
+            pop.proposals[live] >= PROPOSAL_CAP_FACTOR * budget
+        )
+        if cfg.stall_limit:
+            exhausted |= pop.stalled[live] >= cfg.stall_limit
+        pop.retire(live[exhausted])
+        live = live[~exhausted]
+        if not len(live):
             return
+        pop.proposals[live] += 1
 
-        from ..fuzzing.mutations import BatchMutationContext
-
-        # every live member proposes; proposals are grouped per operator so
-        # directed operators can issue one physical gradient call per round
-        groups: Dict[int, Tuple["MutationOperator", List[SeedTask]]] = {}
-        for task in active:
-            task.proposals += 1
+        # every live member picks an operator from its own stream; proposals
+        # are grouped per operator so each operator proposes for its whole
+        # group at once (directed ones with one physical gradient call)
+        groups: Dict[int, Tuple["MutationOperator", List[int]]] = {}
+        for member in live.tolist():
             operator = pick_operator(
                 self.directed,
                 self.undirected,
                 self.operators,
                 cfg.gradient_probability,
-                task.rng,
+                pop.rngs[member],
             )
-            groups.setdefault(id(operator), (operator, []))[1].append(task)
+            groups.setdefault(id(operator), (operator, []))[1].append(member)
 
-        candidate_tasks: List[SeedTask] = []
-        candidate_rows: List[np.ndarray] = []
-        for operator, members in groups.values():
-            context = BatchMutationContext(
-                seeds=np.stack([task.seed for task in members]),
-                currents=np.stack([task.current for task in members]),
-                labels=np.array([task.label for task in members], dtype=int),
-                epsilon=cfg.epsilon,
-                model=self.engine,
-                natural_neighbours=[task.neighbours for task in members],
-                rngs=[task.rng for task in members],
-            )
-            proposals = operator.propose_batch(context)
-            for task, row in zip(members, proposals):
-                if operator.queries_model:
-                    task.queries += 1
-                    if task.queries >= task.budget:
-                        # the directed proposal consumed the last query; the
-                        # candidate is discarded, as in the sequential loop
-                        self._finish(task, active, outcomes)
-                        continue
-                candidate_tasks.append(task)
-                candidate_rows.append(row)
-        if not candidate_tasks:
+        proposers: List[np.ndarray] = []
+        blocks: List[np.ndarray] = []
+        for operator, group in groups.values():
+            members = np.array(group)
+            block = operator.propose_batch(self._context(pop, members))
+            if operator.queries_model:
+                pop.queries[members] += 1
+                # a directed proposal that consumed the member's last query
+                # is discarded, as in the sequential loop
+                spent = pop.queries[members] >= pop.budget[members]
+                if spent.any():
+                    pop.retire(members[spent])
+                    members, block = members[~spent], block[~spent]
+            proposers.append(members)
+            blocks.append(block)
+        members = np.concatenate(proposers)
+        if not len(members):
             return
 
         # one batched naturalness call gates every proposal of the round
-        candidates = np.stack(candidate_rows)
-        candidate_naturalness = self.engine.score_naturalness(candidates)
-        surviving: List[Tuple[SeedTask, np.ndarray, float]] = []
-        for task, row, naturalness in zip(
-            candidate_tasks, candidates, candidate_naturalness
-        ):
-            if cfg.naturalness_threshold > 0 and naturalness < task.floor:
-                task.rejected += 1
-                task.stalled += 1
-            else:
-                surviving.append((task, row, float(naturalness)))
-        if not surviving:
-            return
+        candidates = np.concatenate(blocks)
+        naturalness = self.engine.score_naturalness(candidates)
+        if cfg.naturalness_threshold > 0:
+            unnatural = naturalness < pop.floor[members]
+            pop.rejected[members[unnatural]] += 1
+            pop.stalled[members[unnatural]] += 1
+            natural = ~unnatural
+            members = members[natural]
+            candidates, naturalness = candidates[natural], naturalness[natural]
+            if not len(members):
+                return
 
         # one batched forward pass yields every verdict and fitness at once
-        probs = self.engine.predict_proba(np.stack([row for _, row, _ in surviving]))
+        probs = self.engine.predict_proba(candidates)
         predictions = probs.argmax(axis=1)
-        for (task, row, naturalness), probs_row, prediction in zip(
-            surviving, probs, predictions
-        ):
-            task.queries += 1
-            if int(prediction) != task.label:
-                distance = float(np.max(np.abs(row - task.seed)))
-                task.found = AdversarialExample(
-                    seed=task.seed.copy(),
-                    perturbed=row,
-                    true_label=task.label,
-                    predicted_label=int(prediction),
-                    distance=distance,
-                    naturalness=naturalness,
-                    op_density=task.density,
-                    method="operational-fuzzer",
-                    queries=task.queries,
-                )
-                self._finish(task, active, outcomes)
-                continue
-            fitness = fitness_from_probs(
-                probs_row,
-                task.label,
-                naturalness,
-                cfg.loss_weight,
-                cfg.naturalness_weight,
+        pop.queries[members] += 1
+        labels = pop.batch.labels[members]
+        hit = predictions != labels
+        if hit.any():
+            distances = np.max(
+                np.abs(candidates[hit] - pop.batch.seeds[members[hit]]), axis=1
             )
-            if fitness > task.best_fitness:
-                task.best_fitness = fitness
-                task.current = row
-                task.stalled = 0
-            else:
-                task.stalled += 1
+            for j, distance in zip(np.flatnonzero(hit).tolist(), distances.tolist()):
+                pop.detect(
+                    int(members[j]),
+                    candidates[j],
+                    int(predictions[j]),
+                    distance,
+                    float(naturalness[j]),
+                )
+            pop.retire(members[hit])
+
+        missed = ~hit
+        members, candidates = members[missed], candidates[missed]
+        fitness = fitness_from_probs(
+            probs[missed, labels[missed]],
+            naturalness[missed],
+            cfg.loss_weight,
+            cfg.naturalness_weight,
+        )
+        improved = fitness > pop.best_fitness[members]
+        better = members[improved]
+        pop.best_fitness[better] = fitness[improved]
+        pop.current[better] = candidates[improved]
+        pop.stalled[better] = 0
+        pop.stalled[members[~improved]] += 1
+
+    def _context(
+        self, pop: _Population, members: np.ndarray
+    ) -> "BatchMutationContext":
+        """The mutation context of one operator group."""
+        from ..fuzzing.mutations import BatchMutationContext
+
+        batch = pop.batch
+        return BatchMutationContext(
+            seeds=batch.seeds[members],
+            currents=pop.current[members],
+            labels=batch.labels[members],
+            epsilon=self.config.epsilon,
+            model=self.engine,
+            natural_neighbours=(
+                batch.neighbours[members] if batch.neighbours is not None else None
+            ),
+            rngs=[pop.rngs[member] for member in members.tolist()],
+        )
 
 
 __all__ = [
     "PROPOSAL_CAP_FACTOR",
     "pick_operator",
     "fitness_from_probs",
-    "SeedTask",
-    "MemberOutcome",
+    "SeedBatch",
+    "SeedFuzzResult",
     "PopulationFuzzEngine",
 ]

@@ -33,12 +33,14 @@ Control flow and execution substrate are separate axes:
   what execution costs: batching and the engine's in-memory cache.  It
   never changes which queries a campaign makes.
 
-Both control flows draw each seed's randomness from a private generator
-spawned from the campaign RNG (:func:`repro.config.spawn_rngs`), so a
-seed sees the same proposal stream no matter which execution strategy runs
-it or which other seeds are being fuzzed alongside.  Either way every model
-query flows through a :class:`BatchedQueryEngine`, so query statistics (and
-the optional memoizing cache) are always available via
+Both control flows give each seed a private generator seeded from one draw
+of the campaign RNG (:func:`repro.config.spawn_seeds`, the draw
+:func:`repro.config.spawn_rngs` makes), so a seed sees the same proposal
+stream no matter which execution strategy runs it or which other seeds are
+being fuzzed alongside.  A seed's generator is built only once the seed
+passes its initial check: a natural failure, or a seed never reached under
+a spent budget, needs none.  Either way every model query flows through a
+:class:`BatchedQueryEngine`, whose query statistics are available via
 ``OperationalFuzzer.last_query_stats``.
 """
 
@@ -50,12 +52,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..config import EPSILON, RngLike, ensure_rng, require_bool, require_int, spawn_rngs
+from ..config import EPSILON, RngLike, require_bool, require_int, spawn_seeds
 from ..engine.batching import BatchedQueryEngine, QueryStats
 from ..engine.population import (
     PROPOSAL_CAP_FACTOR,
     PopulationFuzzEngine,
-    SeedTask,
+    SeedBatch,
+    SeedFuzzResult,
     fitness_from_probs,
     pick_operator,
 )
@@ -159,17 +162,6 @@ class FuzzerConfig:
         self.policy = policy_or_default(
             self.policy, ExecutionPolicy(), "FuzzerConfig", FuzzingError
         )
-
-
-@dataclass
-class SeedFuzzResult:
-    """Outcome of fuzzing a single seed."""
-
-    seed_index: int
-    adversarial_example: Optional[AdversarialExample]
-    queries: int
-    best_fitness: float
-    candidates_rejected_by_naturalness: int
 
 
 @dataclass
@@ -291,96 +283,56 @@ class OperationalFuzzer:
             op_densities = np.asarray(op_densities, dtype=float)
             if op_densities.shape != (len(seeds),):
                 raise FuzzingError("op_densities must have one entry per seed")
-        generator = ensure_rng(rng)
         cfg = self.config
         energies = self._seed_energies(op_densities, len(seeds))
-        rngs = spawn_rngs(generator, len(seeds))
-        nominal_budgets = [
-            max(1, int(round(cfg.queries_per_seed * energies[i])))
-            for i in range(len(seeds))
-        ]
+        batch = SeedBatch(
+            seeds=seeds,
+            labels=labels,
+            # np.rint rounds half to even, like round()
+            budgets=np.maximum(1, np.rint(cfg.queries_per_seed * energies)).astype(int),
+            rng_seeds=spawn_seeds(rng, len(seeds)),
+            densities=op_densities,
+        )
         engine = cfg.policy.build_engine(model, naturalness=self.naturalness)
         self.last_query_stats = engine.stats
-        fuzz = (
-            self._fuzz_sequential
-            if cfg.execution == "sequential"
-            else self._fuzz_population
-        )
-        result = fuzz(engine, seeds, labels, op_densities, budget, nominal_budgets, rngs)
+        if cfg.execution == "sequential":
+            per_seed = self._fuzz_sequential(engine, batch, budget)
+        else:
+            batch.neighbours = self._natural_neighbours_batch(seeds)
+            population = PopulationFuzzEngine(engine, cfg, self.operators)
+            per_seed = population.run(batch, budget=budget)
+        result = FuzzCampaignResult(per_seed=per_seed)
         result.validate_budget(budget)
         return result
-
-    # ------------------------------------------------------------------ #
-    # population (batched) execution
-    # ------------------------------------------------------------------ #
-    def _fuzz_population(
-        self,
-        engine: BatchedQueryEngine,
-        seeds: np.ndarray,
-        labels: np.ndarray,
-        op_densities: Optional[np.ndarray],
-        budget: Optional[int],
-        nominal_budgets: List[int],
-        rngs: List[np.random.Generator],
-    ) -> FuzzCampaignResult:
-        neighbours = self._natural_neighbours_batch(seeds)
-        tasks = [
-            SeedTask(
-                index=i,
-                seed=seeds[i],
-                label=int(labels[i]),
-                budget=nominal_budgets[i],
-                density=float(op_densities[i]) if op_densities is not None else None,
-                neighbours=neighbours[i],
-                rng=rngs[i],
-            )
-            for i in range(len(seeds))
-        ]
-        population = PopulationFuzzEngine(engine, self.config, self.operators)
-        outcomes = population.run(tasks, budget=budget)
-        return FuzzCampaignResult(
-            per_seed=[
-                SeedFuzzResult(
-                    seed_index=o.index,
-                    adversarial_example=o.adversarial_example,
-                    queries=o.queries,
-                    best_fitness=o.best_fitness,
-                    candidates_rejected_by_naturalness=o.rejected,
-                )
-                for o in outcomes
-            ]
-        )
 
     # ------------------------------------------------------------------ #
     # sequential (reference) execution
     # ------------------------------------------------------------------ #
     def _fuzz_sequential(
-        self,
-        engine: BatchedQueryEngine,
-        seeds: np.ndarray,
-        labels: np.ndarray,
-        op_densities: Optional[np.ndarray],
-        budget: Optional[int],
-        nominal_budgets: List[int],
-        rngs: List[np.random.Generator],
-    ) -> FuzzCampaignResult:
-        result = FuzzCampaignResult()
+        self, engine: BatchedQueryEngine, batch: SeedBatch, budget: Optional[int]
+    ) -> List[SeedFuzzResult]:
+        per_seed: List[SeedFuzzResult] = []
+        densities = batch.densities
         queries_remaining = budget if budget is not None else np.inf
-        for index in range(len(seeds)):
+        for index in range(len(batch)):
             if queries_remaining <= 0:
                 break
-            seed, label = seeds[index], labels[index]
-            seed_budget = nominal_budgets[index]
+            seed_budget = int(batch.budgets[index])
             if np.isfinite(queries_remaining):
                 seed_budget = min(seed_budget, int(queries_remaining))
             seed_budget = max(1, seed_budget)
-            density = float(op_densities[index]) if op_densities is not None else None
             seed_result = self._fuzz_one(
-                engine, seed, int(label), index, seed_budget, density, rngs[index]
+                engine,
+                batch.seeds[index],
+                int(batch.labels[index]),
+                index,
+                seed_budget,
+                float(densities[index]) if densities is not None else None,
+                int(batch.rng_seeds[index]),
             )
             queries_remaining -= seed_result.queries
-            result.per_seed.append(seed_result)
-        return result
+            per_seed.append(seed_result)
+        return per_seed
 
     # ------------------------------------------------------------------ #
     # internals
@@ -402,17 +354,15 @@ class OperationalFuzzer:
         indices = np.atleast_1d(indices)
         return self._pool[indices]
 
-    def _natural_neighbours_batch(
-        self, seeds: np.ndarray
-    ) -> List[Optional[np.ndarray]]:
-        """Natural neighbours of every seed from one vectorised KD-tree query."""
+    def _natural_neighbours_batch(self, seeds: np.ndarray) -> Optional[np.ndarray]:
+        """The ``(n, k, d)`` natural neighbours of every seed, from one
+        vectorised KD-tree query."""
         if self._pool_tree is None or self.config.neighbour_count == 0:
-            return [None] * len(seeds)
+            return None
         k = min(self.config.neighbour_count, len(self._pool))
         _, indices = self._pool_tree.query(seeds, k=k)
         # cKDTree squeezes the k axis when k == 1; restore (n, k)
-        indices = np.asarray(indices).reshape(len(seeds), -1)
-        return [self._pool[row] for row in indices]
+        return self._pool[np.asarray(indices).reshape(len(seeds), k)]
 
     def _fuzz_one(
         self,
@@ -422,7 +372,7 @@ class OperationalFuzzer:
         seed_index: int,
         seed_budget: int,
         op_density: Optional[float],
-        generator: np.random.Generator,
+        rng_seed: int,
     ) -> SeedFuzzResult:
         cfg = self.config
         seed_naturalness = float(engine.score_naturalness(seed[None, :])[0])
@@ -452,6 +402,7 @@ class OperationalFuzzer:
             )
             return SeedFuzzResult(seed_index, found, queries, 0.0, 0)
 
+        generator = np.random.default_rng(rng_seed)
         directed = [op for op in self.operators if op.queries_model]
         undirected = [op for op in self.operators if not op.queries_model]
         stalled = 0
@@ -504,7 +455,7 @@ class OperationalFuzzer:
                 break
 
             fitness = fitness_from_probs(
-                probs, label, candidate_naturalness, cfg.loss_weight, cfg.naturalness_weight
+                probs[label], candidate_naturalness, cfg.loss_weight, cfg.naturalness_weight
             )
             if fitness > best_fitness:
                 best_fitness = fitness

@@ -12,7 +12,7 @@ is realised mechanically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class BatchMutationContext:
     private random stream, so a member's proposal sequence is independent of
     which other members happen to be alive in the same round — this is what
     keeps the batched fuzzer statistically equivalent to the sequential one.
+    ``natural_neighbours`` is one ``(n, k, d)`` block, or ``None`` when no
+    seed has neighbours.
     """
 
     seeds: np.ndarray
@@ -68,18 +70,19 @@ class BatchMutationContext:
     labels: np.ndarray
     epsilon: float
     model: Classifier
-    natural_neighbours: List[Optional[np.ndarray]]
+    natural_neighbours: Optional[np.ndarray]
     rngs: Sequence[np.random.Generator]
 
     def row(self, i: int) -> MutationContext:
         """View row ``i`` as a single-seed mutation context."""
+        neighbours = self.natural_neighbours
         return MutationContext(
             seed=self.seeds[i],
             current=self.currents[i],
             label=int(self.labels[i]),
             epsilon=self.epsilon,
             model=self.model,
-            natural_neighbours=self.natural_neighbours[i],
+            natural_neighbours=neighbours[i] if neighbours is not None else None,
             rng=self.rngs[i],
         )
 
@@ -98,13 +101,24 @@ class MutationOperator:
     def propose_batch(self, context: BatchMutationContext) -> np.ndarray:
         """Return one candidate per row of ``context.currents``.
 
-        The default delegates to :meth:`propose` row by row, drawing from
-        each row's own generator; operators whose proposals touch the model
-        override this to issue a single batched call instead.
+        Row ``i`` draws from ``context.rngs[i]`` exactly what :meth:`propose`
+        would draw, in the same order; :meth:`_moves` turns the drawn steps
+        into the block's candidates and one projection clips them all, so
+        the result equals :meth:`propose` row by row, bit for bit.  An
+        operator without a block form is asked row by row; operators whose
+        proposals touch the model override this to issue a single batched
+        call instead.
         """
-        return np.stack(
-            [self.propose(context.row(i)) for i in range(len(context.currents))]
-        )
+        moved = self._moves(context)
+        if moved is None:
+            return np.stack(
+                [self.propose(context.row(i)) for i in range(len(context.currents))]
+            )
+        return self._project(moved, context.seeds, context.epsilon)
+
+    def _moves(self, context: BatchMutationContext) -> Optional[np.ndarray]:
+        """Unprojected candidates for every row, or ``None`` (no block form)."""
+        return None
 
     @staticmethod
     def _project(candidate: np.ndarray, seed: np.ndarray, epsilon: float) -> np.ndarray:
@@ -126,6 +140,12 @@ class GaussianMutation(MutationOperator):
         noise = context.rng.normal(0.0, std, size=context.current.shape)
         return self._project(context.current + noise, context.seed, context.epsilon)
 
+    def _moves(self, context: BatchMutationContext) -> np.ndarray:
+        std = context.epsilon * self.scale_fraction
+        d = context.currents.shape[1]
+        noise = np.array([rng.normal(0.0, std, size=d) for rng in context.rngs])
+        return context.currents + noise
+
 
 class SparseMutation(MutationOperator):
     """Perturb a random subset of features by up to epsilon (salt-and-pepper style)."""
@@ -146,6 +166,19 @@ class SparseMutation(MutationOperator):
             -context.epsilon, context.epsilon, size=count
         )
         return self._project(candidate, context.seed, context.epsilon)
+
+    def _moves(self, context: BatchMutationContext) -> np.ndarray:
+        n, d = context.currents.shape
+        count = max(1, int(round(self.fraction * d)))
+        indices = np.empty((n, count), dtype=np.intp)
+        steps = np.empty((n, count))
+        for i, rng in enumerate(context.rngs):
+            indices[i] = rng.choice(d, size=count, replace=False)
+            steps[i] = rng.uniform(-context.epsilon, context.epsilon, size=count)
+        candidates = context.currents.copy()
+        # indices are distinct within a row, so every entry is added once
+        candidates[np.arange(n)[:, None], indices] += steps
+        return candidates
 
 
 class InterpolationMutation(MutationOperator):
@@ -172,6 +205,20 @@ class InterpolationMutation(MutationOperator):
         alpha = context.rng.uniform(0.0, self.max_step)
         candidate = context.current + alpha * (target - context.current)
         return self._project(candidate, context.seed, context.epsilon)
+
+    def _moves(self, context: BatchMutationContext) -> np.ndarray:
+        neighbours = context.natural_neighbours
+        if neighbours is None or neighbours.shape[1] == 0:
+            return GaussianMutation()._moves(context)
+        n, k = neighbours.shape[:2]
+        picks = np.empty(n, dtype=np.intp)
+        alphas = np.empty(n)
+        for i, rng in enumerate(context.rngs):
+            picks[i] = rng.integers(k)
+            alphas[i] = rng.uniform(0.0, self.max_step)
+        targets = neighbours[np.arange(n), picks]
+        currents = context.currents
+        return currents + alphas[:, None] * (targets - currents)
 
 
 class GradientMutation(MutationOperator):

@@ -73,7 +73,9 @@ class SGD(Optimizer):
         if self.momentum == 0.0:
             param -= self.learning_rate * grad
             return
-        state = self._state.setdefault(key, {"velocity": np.zeros_like(param)})
+        state = self._state.get(key)
+        if state is None:
+            state = self._state[key] = {"velocity": np.zeros_like(param)}
         velocity = state["velocity"]
         velocity *= self.momentum
         velocity -= self.learning_rate * grad
@@ -106,9 +108,12 @@ class Adam(Optimizer):
     def _update_param(
         self, key: Tuple[int, str], param: np.ndarray, grad: np.ndarray
     ) -> None:
-        state = self._state.setdefault(
-            key, {"m": np.zeros_like(param), "v": np.zeros_like(param)}
-        )
+        state = self._state.get(key)
+        if state is None:
+            state = self._state[key] = {
+                "m": np.zeros_like(param),
+                "v": np.zeros_like(param),
+            }
         m, v = state["m"], state["v"]
         m *= self.beta1
         m += (1 - self.beta1) * grad
@@ -140,7 +145,9 @@ class RMSProp(Optimizer):
     def _update_param(
         self, key: Tuple[int, str], param: np.ndarray, grad: np.ndarray
     ) -> None:
-        state = self._state.setdefault(key, {"avg_sq": np.zeros_like(param)})
+        state = self._state.get(key)
+        if state is None:
+            state = self._state[key] = {"avg_sq": np.zeros_like(param)}
         avg_sq = state["avg_sq"]
         avg_sq *= self.rho
         avg_sq += (1 - self.rho) * grad**2

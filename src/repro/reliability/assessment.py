@@ -29,7 +29,7 @@ from ..nn.metrics import accuracy
 from ..op.profile import OperationalProfile
 from ..runtime.policy import ExecutionPolicy, policy_or_default
 from ..types import Classifier
-from .bayesian import BayesianCellModel, BetaPrior
+from .bayesian import BayesianCellModel, BetaPrior, check_confidence
 from .cells import CellEvidenceTable, CellRobustnessEvaluator
 
 
@@ -117,8 +117,7 @@ class StoppingRule:
     def __post_init__(self) -> None:
         if self.target_pmi <= 0:
             raise ReliabilityError("target_pmi must be positive")
-        if not 0 < self.confidence < 1:
-            raise ReliabilityError("confidence must be in (0, 1)")
+        check_confidence(self.confidence)
         require_bool("conservative", self.conservative, ReliabilityError)
         require_int("max_iterations", self.max_iterations, ReliabilityError)
         if self.max_iterations <= 0:
@@ -179,8 +178,7 @@ class ReliabilityAssessor:
         policy: Optional[ExecutionPolicy] = None,
         rng: RngLike = None,
     ) -> None:
-        if not 0 < confidence < 1:
-            raise ReliabilityError("confidence must be in (0, 1)")
+        check_confidence(confidence)
         self.policy = policy_or_default(
             policy, ExecutionPolicy(), "ReliabilityAssessor", ReliabilityError
         )

@@ -44,9 +44,16 @@ class BetaPrior:
         return self.alpha / (self.alpha + self.beta)
 
 
-def _check_confidence(confidence: float) -> None:
-    if not 0.0 < confidence < 1.0:
-        raise ReliabilityError("confidence must be in (0, 1)")
+def check_confidence(confidence: float) -> None:
+    """Raise :class:`ReliabilityError` unless ``0.5 <= confidence < 1``.
+
+    A one-sided bound at confidence ``c`` is the ``c`` (upper) or ``1 - c``
+    (lower) posterior quantile.  Below 0.5 the two swap places: the "upper"
+    bound falls below the posterior median and under the lower bound, so a
+    conservative claim made at it is not conservative.
+    """
+    if not 0.5 <= confidence < 1.0:
+        raise ReliabilityError(f"confidence must be in [0.5, 1), got {confidence!r}")
 
 
 def _upper_bounds(alpha, beta, confidence: float) -> np.ndarray:
@@ -55,7 +62,7 @@ def _upper_bounds(alpha, beta, confidence: float) -> np.ndarray:
     The ``confidence`` quantile, by :func:`~scipy.special.betaincinv`; one
     call over arrays gives the same bits as one call per cell.
     """
-    _check_confidence(confidence)
+    check_confidence(confidence)
     return betaincinv(alpha, beta, confidence)
 
 
@@ -68,7 +75,7 @@ def _lower_bounds(alpha, beta, confidence: float) -> np.ndarray:
     there, so the result is capped at the upper bound to keep
     ``lower <= upper`` always true.
     """
-    _check_confidence(confidence)
+    check_confidence(confidence)
     lower = betaincinv(alpha, beta, 1.0 - confidence)
     if 0.5 <= confidence <= 0.5 + 1e-9:
         lower = np.minimum(lower, betaincinv(alpha, beta, confidence))

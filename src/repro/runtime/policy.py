@@ -11,8 +11,8 @@ returns the stored bits.  Changing ``batch_size`` or ``cache`` itself can
 move the last bit of a float — a model's output may depend on the rows per
 call, and hits shrink the batch of misses — while queries, rejections and
 detections stay equal.  How random streams are drawn changes what a campaign
-computes, so it is no policy setting: the fuzzer spawns one generator per
-seed itself (:func:`repro.config.spawn_rngs`).
+computes, so it is no policy setting: the fuzzer seeds one private stream
+per seed itself (:func:`repro.config.spawn_seeds`).
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ via ``REPRO_RUNS_DIR``), so several hosts can share one registry directory.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -327,7 +328,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     registry = RunRegistry(args.runs_dir if args.runs_dir else default_runs_dir())
     try:
-        return _COMMANDS[args.command](registry, args)
+        status = _COMMANDS[args.command](registry, args)
+        # flush here, so that a reader that closed early fails the flush
+        # inside this handler rather than at interpreter exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader (``| head``) closed the pipe: the Python docs' SIGPIPE
+        # recipe points stdout at devnull so that the flush at exit cannot
+        # fail again, and exits 1 without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except CheckpointMismatchError as exc:
         # a usage error, not a campaign failure: the checkpoint on disk was
         # written by a different campaign than the one being resumed

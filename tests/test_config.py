@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.config import clip01, ensure_rng, require_bool, require_int, spawn_rngs
+from repro.config import (
+    clip01,
+    ensure_rng,
+    require_bool,
+    require_int,
+    spawn_rngs,
+    spawn_seeds,
+)
 from repro.core import WorkflowConfig
 from repro.exceptions import ConfigurationError, FuzzingError, ReliabilityError
 from repro.fuzzing import FuzzerConfig
@@ -58,6 +65,19 @@ class TestSpawnRngs:
         a = [g.random() for g in spawn_rngs(7, 3)]
         b = [g.random() for g in spawn_rngs(7, 3)]
         np.testing.assert_allclose(a, b)
+
+    def test_children_are_built_from_spawn_seeds(self):
+        # a caller that builds only some children from spawn_seeds gets the
+        # very streams spawn_rngs would have given it
+        parent_a, parent_b = np.random.default_rng(11), np.random.default_rng(11)
+        seeds = spawn_seeds(parent_a, 4)
+        children = spawn_rngs(parent_b, 4)
+        for i in (3, 1):
+            child = np.random.default_rng(int(seeds[i]))
+            assert child.bit_generator.state == children[i].bit_generator.state
+        assert parent_a.bit_generator.state == parent_b.bit_generator.state
+        with pytest.raises(ConfigurationError):
+            spawn_seeds(0, -1)
 
 
 class TestClip01:

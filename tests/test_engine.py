@@ -590,3 +590,95 @@ class TestScenarioMatrixEquivalence:
             assert on.best_fitness == pytest.approx(off.best_fitness, rel=1e-12)
         assert cached.total_queries == uncached.total_queries
         assert cached.detection_rate == uncached.detection_rate
+
+
+class TestColumnarPopulation:
+    """The column-held population: retirement by mask, generators at admission."""
+
+    def test_duplicate_seeds_stranded_by_budget_match_sequential(
+        self,
+        monkeypatch,
+        trained_cluster_model,
+        cluster_naturalness,
+        cluster_profile,
+        operational_cluster_data,
+    ):
+        # eight copies of one robust seed: identical row, label and density.
+        # With no stall limit and no naturalness floor every member spends
+        # exactly its reservation, so both control flows admit the same
+        # members: five in full, a sixth with what is left, two stranded
+        from repro.engine.population import _Population
+
+        retired = []
+        retire = _Population.retire
+
+        def recording_retire(self, members):
+            retired.extend(np.asarray(members).tolist())
+            retire(self, members)
+
+        monkeypatch.setattr(_Population, "retire", recording_retire)
+        seeds = np.repeat(cluster_profile.means[:1], 8, axis=0)
+        labels = np.repeat(cluster_profile.component_labels[:1], 8)
+        densities = np.full(8, 0.5)
+        budget = 5 * 12 + 7
+        campaigns = {}
+        for mode in ("sequential", "population"):
+            fuzzer = _make_fuzzer(
+                cluster_naturalness,
+                operational_cluster_data.x,
+                mode,
+                epsilon=0.05,
+                queries_per_seed=12,
+                naturalness_threshold=0.0,
+                stall_limit=0,
+            )
+            campaigns[mode] = fuzzer.fuzz(
+                trained_cluster_model,
+                seeds,
+                labels,
+                op_densities=densities,
+                budget=budget,
+                rng=4,
+            )
+        population = campaigns["population"]
+        _assert_campaigns_equivalent(campaigns["sequential"], population, exact=False)
+        # every admitted member retired once; the stranded ones yield nothing
+        assert sorted(retired) == list(range(6))
+        assert [r.seed_index for r in population.per_seed] == list(range(6))
+        assert [r.queries for r in population.per_seed] == [12] * 5 + [7]
+        assert population.total_queries == budget
+        population.validate_budget(budget)
+
+    @pytest.mark.parametrize("execution", ["population", "sequential"])
+    def test_generators_are_built_only_past_the_seed_check(
+        self,
+        execution,
+        monkeypatch,
+        trained_cluster_model,
+        cluster_naturalness,
+        operational_cluster_data,
+    ):
+        data = operational_cluster_data
+        correct = trained_cluster_model.predict(data.x) == data.y
+        wrong, right = np.flatnonzero(~correct), np.flatnonzero(correct)
+        if len(wrong) < 3:
+            pytest.skip("not enough natural failures in the scenario")
+        default_rng = np.random.default_rng
+        campaign_rng = default_rng(0)
+        built = []
+
+        def counting_default_rng(seed=None):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        fuzzer = _make_fuzzer(cluster_naturalness, data.x, execution)
+        failures = fuzzer.fuzz(
+            trained_cluster_model, data.x[wrong[:3]], data.y[wrong[:3]], rng=campaign_rng
+        )
+        assert failures.detection_rate == 1.0
+        assert built == []
+        # one generator per seed that passes its check
+        mixed = np.concatenate([wrong[:3], right[:4]])
+        fuzzer.fuzz(trained_cluster_model, data.x[mixed], data.y[mixed], rng=campaign_rng)
+        assert len(built) == 4

@@ -10,9 +10,17 @@ from scipy.special import betaincinv
 
 from repro.config import clip01, ensure_rng
 from repro.data import Dataset, GridPartition
+from repro.exceptions import ReliabilityError
 from repro.engine import BatchedQueryEngine, QueryStats
 from repro.engine.batching import _iter_chunks
-from repro.fuzzing import FuzzerConfig, OperationalFuzzer
+from repro.fuzzing import (
+    BatchMutationContext,
+    FuzzerConfig,
+    GaussianMutation,
+    InterpolationMutation,
+    OperationalFuzzer,
+    SparseMutation,
+)
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy, confusion_matrix, prediction_margin
 from repro.op import hellinger_distance, js_divergence, kl_divergence, total_variation
@@ -345,6 +353,74 @@ class TestEngineShardingProperties:
 
 
 # --------------------------------------------------------------------------- #
+# mutation operators: one block proposal == the per-row proposals, stacked
+# --------------------------------------------------------------------------- #
+@st.composite
+def proposal_blocks(draw):
+    """Seeds, currents inside their cells, neighbours and member streams."""
+    d = draw(st.sampled_from([2, 144]))
+    n = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=6))
+    epsilon = draw(st.floats(min_value=1e-3, max_value=0.5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 2)))
+    seeds = rng.random((n, d))
+    currents = clip01(seeds + rng.uniform(-epsilon, epsilon, size=(n, d)))
+    neighbours = rng.random((n, k, d)) if draw(st.booleans()) else None
+    rng_seeds = rng.integers(0, 2**31 - 1, size=n)
+    return seeds, currents, neighbours, rng_seeds, epsilon
+
+
+class TestBlockProposals:
+    """An undirected operator's ``propose_batch`` draws each row from that
+    row's generator as :meth:`propose` would and computes the block at
+    once; the result is the stacked per-row proposals, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            GaussianMutation(),
+            GaussianMutation(scale_fraction=1.0),
+            SparseMutation(),
+            SparseMutation(fraction=0.6),
+            InterpolationMutation(),
+            InterpolationMutation(max_step=1.0),
+        ],
+        ids=[
+            "gaussian",
+            "gaussian-1",
+            "sparse",
+            "sparse-0.6",
+            "interpolation",
+            "interpolation-1",
+        ],
+    )
+    @given(block=proposal_blocks())
+    @settings(max_examples=40, deadline=None)
+    def test_block_equals_stacked_rows(self, operator, block):
+        seeds, currents, neighbours, rng_seeds, epsilon = block
+
+        def context():
+            return BatchMutationContext(
+                seeds=seeds,
+                currents=currents,
+                labels=np.zeros(len(seeds), dtype=int),
+                epsilon=epsilon,
+                model=None,
+                natural_neighbours=neighbours,
+                rngs=[np.random.default_rng(int(s)) for s in rng_seeds],
+            )
+
+        batched = context()
+        proposals = operator.propose_batch(batched)
+        rowwise = context()
+        rows = np.stack([operator.propose(rowwise.row(i)) for i in range(len(seeds))])
+        np.testing.assert_array_equal(_bits(proposals), _bits(rows))
+        # every member's stream advanced by exactly the same draws
+        for a, b in zip(batched.rngs, rowwise.rngs):
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+# --------------------------------------------------------------------------- #
 # Bayesian reliability model
 # --------------------------------------------------------------------------- #
 class TestBayesianProperties:
@@ -407,8 +483,15 @@ class TestCredibleBoundKernel:
     def test_scalar_identity(self, a, b, q):
         expected = _bits(stats.beta.ppf(q, a, b))
         np.testing.assert_array_equal(_bits(betaincinv(a, b, q)), expected)
-        # the cell model's upper bound is that quantile
-        np.testing.assert_array_equal(_bits(CellPosterior(0, a, b).upper_bound(q)), expected)
+        # the cell model's upper bound is that quantile, at the confidences
+        # a one-sided upper bound is defined for
+        if q >= 0.5:
+            np.testing.assert_array_equal(
+                _bits(CellPosterior(0, a, b).upper_bound(q)), expected
+            )
+        else:
+            with pytest.raises(ReliabilityError, match="confidence"):
+                CellPosterior(0, a, b).upper_bound(q)
 
     def test_array_identity(self):
         # posterior-like pairs (prior Beta(1, 9) plus evidence) at the

@@ -210,6 +210,31 @@ class TestArrayBounds:
             with pytest.raises(ReliabilityError, match="confidence"):
                 model.posterior_lower_bounds(table, confidence)
 
+    @pytest.mark.parametrize("confidence", [0.3, 0.05, np.nextafter(0.5, 0.0)])
+    def test_confidence_below_one_half_raises(self, confidence, cluster_profile):
+        # below 0.5 the one-sided quantiles swap: posterior_for(40, 3) has
+        # lower_bound(0.3) 0.0954 above upper_bound(0.3) 0.0565
+        posterior = BayesianCellModel().posterior_for(40, 3)
+        table = random_evidence_table(16)
+        model = BayesianCellModel()
+        for bound in (
+            posterior.upper_bound,
+            posterior.lower_bound,
+            lambda c: model.posterior_upper_bounds(table, c),
+            lambda c: model.posterior_lower_bounds(table, c),
+        ):
+            with pytest.raises(ReliabilityError, match=r"\[0\.5, 1\)"):
+                bound(confidence)
+        with pytest.raises(ReliabilityError, match="confidence"):
+            StoppingRule(confidence=confidence)
+        with pytest.raises(ReliabilityError, match="confidence"):
+            ReliabilityAssessor(GridPartition(2, 4), cluster_profile, confidence=confidence)
+
+    def test_confidence_one_half_is_the_median(self):
+        posterior = BayesianCellModel().posterior_for(40, 3)
+        assert posterior.lower_bound(0.5) == posterior.upper_bound(0.5)
+        StoppingRule(confidence=0.5)
+
 
 class TestReliabilityAssessor:
     @pytest.fixture()

@@ -1,7 +1,11 @@
 """Tests for repro.store: checkpoint/resume, registry + CLI."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,6 +504,25 @@ class TestCli:
 
         assert cli_main(base + ["gc", "--keep", "1"]) == 0
         assert [run.run_id for run in registry.runs()] == ["run-0002"]
+
+    def test_reader_closing_early_exits_without_a_traceback(self, tmp_path):
+        # `python -m repro show run-0001 | head -5`: the reader closes the
+        # pipe before the command has written; the command exits 1 quietly
+        runs_dir = str(tmp_path / "runs")
+        assert cli_main(["--runs-dir", runs_dir] + self.RUN_ARGS) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for command in (["show", "run-0001"], ["ls"], ["ls", "--json"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "--runs-dir", runs_dir, *command],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 1, (command, stderr)
+            assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
 
     def test_flag_launched_run_records_the_default_policy(self, tmp_path):
         # the flags set only the checkpoint cadence: the query cache stays
