@@ -3,17 +3,17 @@
 The reproduction's correctness story rests on contracts that are otherwise
 enforced only at runtime or by convention: all model traffic flows through the
 ``ExecutionPolicy.build_engine()`` funnel, every stochastic component takes a
-seeded ``Generator``, lock-guarded state is never touched lock-free, and
+seeded ``Generator``, durations come from monotonic clocks, and
 ``to_dict``/``from_dict`` pairs round-trip exactly.  This package turns those
 tribal rules into a static guardrail:
 
 * a :class:`~repro.analysis.walker.Rule` protocol + registry with a
   single-parse, single-walk dispatcher (:func:`analyze_paths`);
 * a whole-program layer (:mod:`repro.analysis.program`) — cross-module symbol
-  table, call graph and taint/lock fixpoints — powering the
-  :class:`~repro.analysis.program.registry.ProgramRule` set (REP009 deadlock
-  detection, REP010 interprocedural funnel escape, REP011 iteration-order
-  nondeterminism), run over the same single parse of each file;
+  table, call graph and taint fixpoints — powering the
+  :class:`~repro.analysis.program.registry.ProgramRule` set (REP010
+  interprocedural funnel escape, REP011 iteration-order nondeterminism),
+  run over the same single parse of each file;
 * structured :class:`~repro.analysis.findings.Finding` records with text,
   JSON and SARIF 2.1.0 reporters (the SARIF log feeds GitHub code scanning);
 * inline suppression pragmas (``# repro: allow[rule-id]``) for intentional,

@@ -9,11 +9,11 @@ Typical workflows::
     python -m repro lint src/repro --json     # CI: machine-readable findings
     python -m repro lint --sarif > lint.sarif # GitHub code-scanning upload
     python -m repro lint --changed            # findings on git-changed files only
-    python -m repro lint --explain REP009     # why a rule exists + how to fix
+    python -m repro lint --explain REP010     # why a rule exists + how to fix
     python -m repro lint --update-baseline    # accept current findings as debt
     python -m repro lint path/to/file.py --no-baseline   # absolute truth
 
-Every run parses each file once.  Whole-program rules (REP009+) always see
+Every run parses each file once.  Whole-program rules (REP010+) always see
 the full tree — ``--changed`` narrows the *reported* findings, never the
 analysis.
 """
@@ -46,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
         description="AST-based invariant linter for the repro codebase "
-        "(engine-funnel, RNG, lock and serialization contracts, plus "
-        "whole-program deadlock/taint/determinism rules).",
+        "(engine-funnel, RNG, clock and serialization contracts, plus "
+        "whole-program taint/determinism rules).",
         epilog="Suppress one finding in code with `# repro: allow[rule-id]` "
         "plus a short justification.",
     )
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--explain",
         metavar="RULE",
         help="print one rule's rationale, example and fix, then exit "
-        "(id like REP009 or slug like lock-ordering)",
+        "(id like REP010 or slug like funnel-escape)",
     )
     parser.add_argument(
         "--baseline",

@@ -52,7 +52,7 @@ def _all_rules() -> List[object]:
 
 
 def find_rule(query: str) -> object:
-    """Rule instance matching an id (``REP009``) or slug (``lock-ordering``)."""
+    """Rule instance matching an id (``REP010``) or slug (``funnel-escape``)."""
     wanted = query.strip().lower()
     rules = _all_rules()
     for rule in rules:

@@ -5,7 +5,7 @@ This is the analysis pipeline behind ``python -m repro lint``:
 1. parse each file once, dispatch the per-file rules over the tree, extract
    its :class:`~.facts.ModuleFacts` and expand its pragma map;
 2. assemble the :class:`~.graph.ProgramGraph` from all facts and run the
-   registered whole-program rules (REP009/REP010/REP011) over it;
+   registered whole-program rules (REP010/REP011) over it;
 3. pragma-filter every finding with its file's pragma map and merge them
    into one :class:`~..walker.LintResult`.
 

@@ -3,13 +3,13 @@
 A :class:`ModuleFacts` record is everything the program-level rules need to
 know about one file, extracted in a single structured walk over the same AST
 the per-file rules dispatch on (one parse per file, ever).  Whole-program
-resolution (symbol table, call graph, lock graph, taint) is then computed
-from the facts of every module, in :mod:`.graph`.
+resolution (symbol table, call graph, taint) is then computed from the
+facts of every module, in :mod:`.graph`.
 
 The extractor is deliberately name-based and syntactic, like the rest of the
-linter: it records what the code *says* (dotted receiver chains, ``with
-self._lock:`` nesting, set-valued expressions) and leaves resolution to
-:mod:`.graph`, which is where cross-module knowledge lives.
+linter: it records what the code *says* (dotted receiver chains, set-valued
+expressions) and leaves resolution to :mod:`.graph`, which is where
+cross-module knowledge lives.
 """
 
 from __future__ import annotations
@@ -81,17 +81,6 @@ class CallFact:
     args: List[Optional[Tuple[str, str]]] = field(default_factory=list)
     #: keyword args with the same classification
     kwargs: Dict[str, Optional[Tuple[str, str]]] = field(default_factory=dict)
-    #: lock expressions held (innermost last) when the call is made
-    held_locks: List[str] = field(default_factory=list)
-
-
-@dataclass
-class LockAcquire:
-    """One ``with <lock>:`` acquisition and the locks already held there."""
-
-    lock: str  # lock expression as written ("self._lock", "_REGISTRY_LOCK")
-    lineno: int
-    held: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -128,7 +117,6 @@ class FunctionFacts:
     calls: List[CallFact] = field(default_factory=list)
     #: return value classifications: ("name", dotted)/("call", callee)/("set","")
     returns: List[Tuple[str, str]] = field(default_factory=list)
-    lock_acquires: List[LockAcquire] = field(default_factory=list)
     tainted_locals: List[str] = field(default_factory=list)
     #: local name -> dotted callee of the call it was assigned from
     local_calls: Dict[str, str] = field(default_factory=dict)
@@ -149,8 +137,6 @@ class ClassFacts:
     methods: List[str] = field(default_factory=list)
     #: self.X = ClassName(...) -> X: dotted constructor name
     attr_types: Dict[str, str] = field(default_factory=dict)
-    #: self.X = threading.Lock()/RLock() -> X: "Lock" | "RLock"
-    lock_attrs: Dict[str, str] = field(default_factory=dict)
     #: self.X assigned a set-valued expression somewhere in the class
     set_attrs: List[str] = field(default_factory=list)
 
@@ -164,34 +150,8 @@ class ModuleFacts:
     imports: List[ImportFact] = field(default_factory=list)
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
     classes: Dict[str, ClassFacts] = field(default_factory=dict)
-    #: module-level NAME = Lock()/RLock() -> "Lock" | "RLock"
-    module_locks: Dict[str, str] = field(default_factory=dict)
     #: module-level names bound to set-valued constants
     module_sets: List[str] = field(default_factory=list)
-
-
-def _is_lockish(name: str) -> bool:
-    return "lock" in name.lower()
-
-
-def _lock_expr(node: ast.AST) -> Optional[str]:
-    """Lock expression of a with-item when it looks lock-shaped."""
-    name = dotted(node)
-    if name is None:
-        return None
-    return name if _is_lockish(name.split(".")[-1]) else None
-
-
-def _lock_ctor(node: ast.AST) -> Optional[str]:
-    """``threading.Lock()`` / ``RLock()`` -> the lock kind, else ``None``."""
-    if not isinstance(node, ast.Call):
-        return None
-    leaf = None
-    if isinstance(node.func, ast.Attribute):
-        leaf = node.func.attr
-    elif isinstance(node.func, ast.Name):
-        leaf = node.func.id
-    return leaf if leaf in ("Lock", "RLock") else None
 
 
 class _Extractor(ast.NodeVisitor):
@@ -201,7 +161,6 @@ class _Extractor(ast.NodeVisitor):
         self.facts = facts
         self._class_stack: List[ClassFacts] = []
         self._fn_stack: List[FunctionFacts] = []
-        self._lock_stack: List[str] = []
         #: comprehension/generator nodes whose order cannot leak (they feed an
         #: order-insensitive reducer) or that are already sorted-wrapped
         self._order_safe: set = set()
@@ -248,10 +207,8 @@ class _Extractor(ast.NodeVisitor):
         if self._class_stack:
             self._class_stack[-1].methods.append(node.name)
         self._fn_stack.append(fn)
-        old_locks, self._lock_stack = self._lock_stack, []
         for statement in node.body:
             self.visit(statement)
-        self._lock_stack = old_locks
         self._fn_stack.pop()
 
     visit_FunctionDef = _visit_function
@@ -305,7 +262,7 @@ class _Extractor(ast.NodeVisitor):
         return ".".join(base)
 
     # ------------------------------------------------------------------ #
-    # assignments: taint, set-typing, attr types, locks
+    # assignments: taint, set-typing, attr types
     # ------------------------------------------------------------------ #
     def _classify_value(self, value: ast.AST) -> Optional[Tuple[str, str]]:
         if isinstance(value, ast.Call):
@@ -349,15 +306,12 @@ class _Extractor(ast.NodeVisitor):
         name = dotted(target)
         if name is None or value is None:
             return
-        lock_kind = _lock_ctor(value)
         set_valued = self._is_set_valued(value)
         classified = self._classify_value(value)
         if name.startswith("self.") and name.count(".") == 1 and self._class_stack:
             attr = name.split(".", 1)[1]
             cls = self._class_stack[-1]
-            if lock_kind is not None:
-                cls.lock_attrs[attr] = lock_kind
-            elif set_valued:
+            if set_valued:
                 if attr not in cls.set_attrs:
                     cls.set_attrs.append(attr)
             elif isinstance(value, ast.Call):
@@ -368,9 +322,7 @@ class _Extractor(ast.NodeVisitor):
         if "." in name:
             return
         if not self._fn_stack:
-            if lock_kind is not None:
-                self.facts.module_locks[name] = lock_kind
-            elif set_valued and name not in self.facts.module_sets:
+            if set_valued and name not in self.facts.module_sets:
                 self.facts.module_sets.append(name)
             return
         fn = self._fn_stack[-1]
@@ -398,31 +350,6 @@ class _Extractor(ast.NodeVisitor):
         if node.value is not None:
             self._record_assignment(node.target, node.value)
         self.generic_visit(node)
-
-    # ------------------------------------------------------------------ #
-    # locks
-    # ------------------------------------------------------------------ #
-    def _visit_with(self, node) -> None:
-        acquired: List[str] = []
-        for item in node.items:
-            lock = _lock_expr(item.context_expr)
-            if lock is None:
-                continue
-            if self._fn_stack:
-                self._fn_stack[-1].lock_acquires.append(
-                    LockAcquire(
-                        lock=lock, lineno=node.lineno, held=list(self._lock_stack)
-                    )
-                )
-            self._lock_stack.append(lock)
-            acquired.append(lock)
-        for statement in node.body:
-            self.visit(statement)
-        for _ in acquired:
-            self._lock_stack.pop()
-
-    visit_With = _visit_with
-    visit_AsyncWith = _visit_with
 
     # ------------------------------------------------------------------ #
     # calls: call graph, query sinks, order-safety contexts
@@ -460,7 +387,6 @@ class _Extractor(ast.NodeVisitor):
                             for kw in node.keywords
                             if kw.arg is not None
                         },
-                        held_locks=list(self._lock_stack),
                     )
                 )
             if isinstance(func, ast.Attribute) and func.attr in QUERY_METHODS:
@@ -595,7 +521,6 @@ __all__ = [
     "FunctionFacts",
     "ImportFact",
     "IterSite",
-    "LockAcquire",
     "ModuleFacts",
     "QuerySink",
     "dotted",

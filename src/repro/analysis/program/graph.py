@@ -15,9 +15,8 @@ and answers the questions the whole-program rules ask:
   via the ``self.bayes = BayesianCellModel(...)`` constructor assignment),
   constructor calls (``ClassName(...)`` → ``ClassName.__init__``) and local
   callback aliases (``cb = self._emit; cb(...)``).
-* **fixpoints** — which functions (transitively) return model-typed values,
-  which return sets, and which locks a function may acquire transitively
-  through its callees.  All three are small worklist iterations over the
+* **fixpoints** — which functions (transitively) return model-typed values
+  and which return sets.  Both are small worklist iterations over the
   compact fact records.
 
 Everything here is stdlib-only and name-based — the resolver trusts what the
@@ -61,7 +60,6 @@ class ProgramGraph:
         }
         self._returns_model: Optional[FrozenSet[Tuple[str, str]]] = None
         self._returns_set: Optional[FrozenSet[Tuple[str, str]]] = None
-        self._locks: Optional[Dict[Tuple[str, str], FrozenSet[str]]] = None
 
     # ------------------------------------------------------------------ #
     # module / function iteration helpers
@@ -141,7 +139,7 @@ class ProgramGraph:
             return SymbolRef(module=facts.module, qualname=name, kind="function")
         if name in facts.classes:
             return SymbolRef(module=facts.module, qualname=name, kind="class")
-        if name in facts.module_locks or name in facts.module_sets:
+        if name in facts.module_sets:
             return SymbolRef(module=facts.module, qualname=name, kind="value")
         return None
 
@@ -314,95 +312,6 @@ class ProgramGraph:
 
             self._returns_set = self._fixpoint_returns(direct)
         return self._returns_set
-
-    def transitive_locks(self) -> Dict[Tuple[str, str], FrozenSet[str]]:
-        """Lock ids each function may acquire, directly or through callees."""
-        if self._locks is not None:
-            return self._locks
-        direct: Dict[Tuple[str, str], Set[str]] = {}
-        edges: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
-        for facts, fn in self.functions():
-            key = (facts.module, fn.qualname)
-            direct[key] = {
-                lock_id
-                for lock_id in (
-                    self.lock_id(facts, fn, acquire.lock)
-                    for acquire in fn.lock_acquires
-                )
-                if lock_id is not None
-            }
-            targets: Set[Tuple[str, str]] = set()
-            for call in fn.calls:
-                ref = self.resolve_call(facts, fn, call.callee)
-                if ref is not None and ref.kind == "function":
-                    targets.add((ref.module, ref.qualname))
-            edges[key] = targets
-        closure = {key: set(locks) for key, locks in direct.items()}
-        changed = True
-        while changed:
-            changed = False
-            for key, targets in edges.items():
-                bucket = closure[key]
-                before = len(bucket)
-                for target in sorted(targets):
-                    bucket |= closure.get(target, set())
-                if len(bucket) != before:
-                    changed = True
-        self._locks = {key: frozenset(locks) for key, locks in closure.items()}
-        return self._locks
-
-    # ------------------------------------------------------------------ #
-    # lock identity
-    # ------------------------------------------------------------------ #
-    def lock_id(
-        self, facts: ModuleFacts, fn: FunctionFacts, expr: str
-    ) -> Optional[str]:
-        """Canonical cross-module identity of a lock expression, or ``None``.
-
-        ``self._lock`` inside class ``C`` of module ``M`` → ``"M.C._lock"``;
-        a module-level lock → ``"M.NAME"``; a lock on a constructor-typed
-        attribute → the owning class's id.  Unresolvable receivers return
-        ``None`` (no guessing).
-        """
-        head, _, rest = expr.partition(".")
-        if head in ("self", "cls"):
-            cls_name = self.enclosing_class(fn)
-            if cls_name is None or not rest:
-                return None
-            attr, _, tail = rest.partition(".")
-            if not tail:
-                return f"{facts.module}.{cls_name}.{attr}"
-            cls = self.class_of(facts.module, cls_name)
-            if cls is not None and attr in cls.attr_types and "." not in tail:
-                ctor = self.resolve_call(facts, fn, cls.attr_types[attr])
-                owner = self._class_of_ctor(ctor)
-                if owner is not None:
-                    return f"{owner.module}.{owner.qualname}.{tail}"
-            return None
-        if not rest:
-            if head in facts.module_locks:
-                return f"{facts.module}.{head}"
-            ref = self.resolve(facts.module, head)
-            if ref is not None and ref.kind == "value":
-                return f"{ref.module}.{ref.qualname}"
-            return f"{facts.module}.{head}"
-        return None
-
-    def lock_kind(self, lock_id: str) -> Optional[str]:
-        """``"Lock"`` / ``"RLock"`` for a resolved lock id, when known."""
-        module, _, tail = lock_id.rpartition(".")
-        facts = self.modules.get(module)
-        if facts is not None and tail in facts.module_locks:
-            return facts.module_locks[tail]
-        # class-attribute lock: id is "<module>.<Class>.<attr>"
-        owner_module, _, cls_attr = lock_id.rpartition(".")
-        cls_module, _, cls_name = owner_module.rpartition(".")
-        facts = self.modules.get(cls_module)
-        if facts is not None:
-            cls = facts.classes.get(cls_name)
-            if cls is not None and cls_attr in cls.lock_attrs:
-                return cls.lock_attrs[cls_attr]
-        return None
 
 
 def build_graph(modules: Iterable[ModuleFacts]) -> ProgramGraph:

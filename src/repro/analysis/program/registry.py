@@ -5,8 +5,8 @@ A per-file rule sees one module's AST; a :class:`ProgramRule` sees the whole
 :class:`~.graph.ProgramGraph` at once and emits findings anywhere in the
 tree.  Program rules run *after* every module's facts are available: they
 are pure functions of the graph, cheap next to parsing, and global by
-nature — a lock-order cycle or a cross-module taint flow has no single
-owning file.
+nature — a model that escapes the funnel through a helper in another
+module has no single owning file.
 """
 
 from __future__ import annotations

@@ -11,8 +11,6 @@ REP001    engine-funnel     all model traffic flows through
                             ``ExecutionPolicy.build_engine()``
 REP002    rng-discipline    no global-state NumPy RNG; every stochastic call
                             takes a seeded ``Generator``
-REP004    lock-discipline   attributes mutated under a ``self._lock`` block are
-                            never touched lock-free elsewhere in the class
 REP005    dict-round-trip   ``to_dict``/``from_dict`` pairs agree on their key
                             set (serialization cannot drift silently)
 REP008    clock-discipline  no wall-clock reads (``time.time()``/
@@ -20,17 +18,13 @@ REP008    clock-discipline  no wall-clock reads (``time.time()``/
                             durations/deadlines stay monotonic
 ========  ================  ====================================================
 
-REP001, REP002, REP004, REP005 and REP008 are per-file rules (one module at
-a time; REP003, REP006 and REP007 are retired and their ids are not reused);
-REP009–REP011 are whole-program rules run over the cross-module
+REP001, REP002, REP005 and REP008 are per-file rules (one module at a
+time); REP010 and REP011 are whole-program rules run over the cross-module
 :class:`~repro.analysis.program.graph.ProgramGraph`:
 
 ========  ================  ====================================================
 id        slug              contract
 ========  ================  ====================================================
-REP009    lock-ordering     the cross-module lock-acquisition graph is acyclic
-                            and no thread re-acquires a non-reentrant lock it
-                            already holds (static deadlock detection)
 REP010    funnel-escape     model-typed values cannot dodge the engine funnel
                             through helpers, returns or engine-named
                             parameters (interprocedural REP001)
@@ -38,24 +32,23 @@ REP011    iteration-order   no unordered set iteration feeds merged stats,
                             serialized artifacts or query order
                             (hash-order nondeterminism)
 ========  ================  ====================================================
+
+REP003, REP004, REP006, REP007 and REP009 are retired together with what
+they guarded; their ids are never reused.
 """
 
 from .clocks import ClockDisciplineRule
 from .flow import FunnelEscapeRule
 from .funnel import EngineFunnelRule
 from .iteration import IterationOrderRule
-from .lockorder import LockOrderingRule
-from .locks import LockDisciplineRule
 from .rng import RngDisciplineRule
 from .roundtrip import DictRoundTripRule
 
 __all__ = [
     "EngineFunnelRule",
     "RngDisciplineRule",
-    "LockDisciplineRule",
     "DictRoundTripRule",
     "ClockDisciplineRule",
-    "LockOrderingRule",
     "FunnelEscapeRule",
     "IterationOrderRule",
 ]

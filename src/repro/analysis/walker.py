@@ -168,7 +168,7 @@ def analyze_source(
 
     This is :func:`analyze_paths`' pipeline over a one-module program, so
     the whole-program rules run too and cross-function properties inside
-    one file (a lock-order inversion between two methods, a set iterated
+    one file (a model passed into an engine-named helper, a set iterated
     two functions away) are visible even without a multi-file tree.
     """
     from .program.build import analyze_sources

@@ -8,6 +8,7 @@ construction and independent components can be seeded independently.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Union
@@ -87,6 +88,23 @@ def require_bool(name: str, value: object, error: type = ConfigurationError) -> 
     """
     if not isinstance(value, bool):
         raise error(f"{name} must be a bool, got {type(value).__name__}")
+
+
+def require_finite(name: str, value: object, error: type = ConfigurationError) -> None:
+    """Raise ``error`` unless ``value`` is a finite int or float (not a ``bool``).
+
+    The one check for configured reals, run before any range check: NaN
+    fails every comparison, so ``threshold < 0`` lets it through, and an
+    infinite bound satisfies a one-sided range.  Python and NumPy ints and
+    floats pass.  The rejection is raised as the caller's own ``error`` class.
+    """
+    real = (int, float, np.integer, np.floating)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, real)
+        or (isinstance(value, (float, np.floating)) and not math.isfinite(value))
+    ):
+        raise error(f"{name} must be a finite number, got {value!r}")
 
 
 def clip01(x: np.ndarray) -> np.ndarray:

@@ -52,7 +52,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..config import EPSILON, RngLike, require_bool, require_int, spawn_seeds
+from ..config import (
+    EPSILON,
+    RngLike,
+    require_bool,
+    require_finite,
+    require_int,
+    spawn_seeds,
+)
 from ..engine.batching import BatchedQueryEngine, QueryStats
 from ..engine.population import (
     PROPOSAL_CAP_FACTOR,
@@ -115,8 +122,8 @@ class FuzzerConfig:
         every other subsystem.
 
     The three counts (``queries_per_seed``, ``neighbour_count``,
-    ``stall_limit``) must be Python ``int`` (not ``bool``), and
-    ``use_gradient`` a ``bool``.
+    ``stall_limit``) must be Python ``int`` (not ``bool``), the seven
+    real-valued fields finite numbers, and ``use_gradient`` a ``bool``.
     """
 
     epsilon: float = 0.1
@@ -137,6 +144,16 @@ class FuzzerConfig:
         for name in ("queries_per_seed", "neighbour_count", "stall_limit"):
             require_int(name, getattr(self, name), FuzzingError)
         require_bool("use_gradient", self.use_gradient, FuzzingError)
+        for name in (
+            "epsilon",
+            "naturalness_threshold",
+            "loss_weight",
+            "naturalness_weight",
+            "gradient_probability",
+            "min_energy",
+            "max_energy",
+        ):
+            require_finite(name, getattr(self, name), FuzzingError)
         if self.epsilon <= 0:
             raise FuzzingError("epsilon must be positive")
         if self.queries_per_seed <= 0:

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..config import RngLike, ensure_rng, require_bool, require_int
+from ..config import RngLike, ensure_rng, require_bool, require_finite, require_int
 from ..data.dataset import Dataset
 from ..data.partition import Partition
 from ..exceptions import ReliabilityError
@@ -104,8 +104,8 @@ class StoppingRule:
 
     Testing stops when the (conservative) pmi estimate meets the target, or
     when the campaign exhausts ``max_iterations`` or ``max_test_cases``.
-    Both caps must be Python ``int`` (not ``bool``), and ``conservative`` a
-    ``bool``.
+    ``target_pmi`` must be a finite number, both caps Python ``int`` (not
+    ``bool``), and ``conservative`` a ``bool``.
     """
 
     target_pmi: float = 0.02
@@ -115,6 +115,7 @@ class StoppingRule:
     max_test_cases: Optional[int] = None
 
     def __post_init__(self) -> None:
+        require_finite("target_pmi", self.target_pmi, ReliabilityError)
         if self.target_pmi <= 0:
             raise ReliabilityError("target_pmi must be positive")
         check_confidence(self.confidence)

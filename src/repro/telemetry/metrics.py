@@ -3,14 +3,10 @@
 The registry is get-or-create by name so instrumentation sites never
 need to pre-declare their metrics, and ``to_dict`` gives the JSON artifact
 shape.
-
-All updates are lock-guarded, so threads may record into one registry
-concurrently.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -28,17 +24,14 @@ class Counter:
 
     def __init__(self) -> None:
         self.value = 0.0
-        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
     def to_dict(self) -> dict:
-        with self._lock:
-            return {"type": self.kind, "value": self.value}
+        return {"type": self.kind, "value": self.value}
 
 
 class Gauge:
@@ -48,15 +41,12 @@ class Gauge:
 
     def __init__(self) -> None:
         self.value = 0.0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
+        self.value = float(value)
 
     def to_dict(self) -> dict:
-        with self._lock:
-            return {"type": self.kind, "value": self.value}
+        return {"type": self.kind, "value": self.value}
 
 
 class Histogram:
@@ -73,19 +63,16 @@ class Histogram:
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
-        idx = self._bucket_index(value)
-        with self._lock:
-            self.counts[idx] += 1
-            self.count += 1
-            self.sum += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
+        self.counts[self._bucket_index(value)] += 1
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     def _bucket_index(self, value: float) -> int:
         # Linear scan: 17 buckets, and instrumentation sites observe at
@@ -97,20 +84,18 @@ class Histogram:
 
     @property
     def mean(self) -> float:
-        with self._lock:
-            return self.sum / self.count if self.count else 0.0
+        return self.sum / self.count if self.count else 0.0
 
     def to_dict(self) -> dict:
-        with self._lock:
-            return {
-                "type": self.kind,
-                "count": self.count,
-                "sum": self.sum,
-                "min": self.min if self.count else None,
-                "max": self.max if self.count else None,
-                "bounds": list(self.bounds),
-                "counts": list(self.counts),
-            }
+        return {
+            "type": self.kind,
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min if self.count else None,
+            "max": self.max if self.count else None,
+            "bounds": list(self.bounds),
+            "counts": list(self.counts),
+        }
 
 
 class MetricsRegistry:
@@ -118,24 +103,21 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
+        return len(self._metrics)
 
     def _get_or_create(self, name: str, factory, kind: str):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = factory()
-                self._metrics[name] = metric
-            elif metric.kind != kind:
-                raise TypeError(
-                    f"metric {name!r} already registered as {metric.kind}, "
-                    f"requested {kind}"
-                )
-            return metric
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = factory()
+            self._metrics[name] = metric
+        elif metric.kind != kind:
+            raise TypeError(
+                f"metric {name!r} already registered as {metric.kind}, "
+                f"requested {kind}"
+            )
+        return metric
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter, "counter")
@@ -151,6 +133,6 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot, sorted by name for stable artifacts."""
-        with self._lock:
-            items = sorted(self._metrics.items())
-        return {name: metric.to_dict() for name, metric in items}
+        return {
+            name: metric.to_dict() for name, metric in sorted(self._metrics.items())
+        }

@@ -1,20 +1,19 @@
-"""Span records and the preallocated ring-buffer collector.
+"""Span records and the bounded ring collector.
 
 A :class:`Span` is a closed interval on the monotonic timeline with a
 name, a category (``app``, ``store``, ...) and a small free-form attribute
 dict.  Spans are immutable once recorded.
 
-:class:`TraceCollector` is the sink: a fixed-capacity preallocated list
-used as a ring, so recording a span is an index assignment and never
-allocates buffer storage on the hot path.  When the ring is full the
-oldest spans are overwritten and ``dropped`` counts the loss — telemetry
+:class:`TraceCollector` is the sink: a ``collections.deque`` bounded at
+``capacity``, so recording a span is one append.  When the ring is full
+the oldest spans fall off and ``dropped`` counts the loss — telemetry
 degrades by forgetting history, never by blocking or growing without
 bound.
 """
 
 from __future__ import annotations
 
-import threading
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -57,54 +56,33 @@ class Span:
 
 
 class TraceCollector:
-    """Fixed-capacity span sink backed by a preallocated ring.
+    """Fixed-capacity span sink backed by a bounded deque.
 
-    ``record`` is O(1) and lock-guarded.  When full, the oldest span is
-    overwritten and ``dropped`` is incremented.
+    ``record`` is O(1).  When full, the oldest span is discarded and
+    ``dropped`` is incremented.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._ring: list = [None] * capacity
-        self._next = 0
-        self._count = 0
+        self._ring: deque = deque(maxlen=capacity)
         self.dropped = 0
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._count
+        return len(self._ring)
 
     def record(self, span: Span) -> None:
-        with self._lock:
-            if self._count == self.capacity:
-                self.dropped += 1
-            else:
-                self._count += 1
-            self._ring[self._next] = span
-            self._next = (self._next + 1) % self.capacity
-
-    def _ordered(self) -> list:
-        # Callers (snapshot/drain) hold self._lock; this helper only exists
-        # to share the wraparound math between them.
-        start = self._next - self._count  # repro: allow[lock-discipline]
-        if start >= 0:
-            return self._ring[start : self._next]  # repro: allow[lock-discipline]
-        ring, stop = self._ring, self._next  # repro: allow[lock-discipline]
-        return [ring[i % self.capacity] for i in range(start, stop)]
+        if len(self._ring) == self.capacity:
+            self.dropped += 1
+        self._ring.append(span)
 
     def snapshot(self) -> list:
         """Spans in record order (oldest first); buffer is untouched."""
-        with self._lock:
-            return self._ordered()
+        return list(self._ring)
 
     def drain(self) -> list:
         """Spans in record order; clears the buffer (keeps ``dropped``)."""
-        with self._lock:
-            out = self._ordered()
-            self._ring = [None] * self.capacity
-            self._next = 0
-            self._count = 0
-            return out
+        out = list(self._ring)
+        self._ring.clear()
+        return out

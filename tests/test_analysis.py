@@ -54,16 +54,16 @@ def dedent(snippet: str) -> str:
 # registry / framework
 # --------------------------------------------------------------------------- #
 class TestFramework:
-    def test_five_per_file_rules_registered(self):
-        # REP003 (legacy-knob), REP006 (timeout-discipline) and REP007
-        # (shm-lifecycle) are retired; ids are never renumbered because
-        # baselines, SARIF fingerprints and pragmas key on them
-        assert sorted(registered_rules()) == [
-            "REP001", "REP002", "REP004", "REP005", "REP008",
-        ]
+    def test_four_per_file_rules_registered(self):
+        # REP003 (legacy-knob), REP004 (lock-discipline), REP006
+        # (timeout-discipline) and REP007 (shm-lifecycle) are retired; ids
+        # are never renumbered because baselines, SARIF fingerprints and
+        # pragmas key on them
+        assert sorted(registered_rules()) == ["REP001", "REP002", "REP005", "REP008"]
 
-    def test_three_program_rules_registered(self):
-        assert sorted(registered_program_rules()) == ["REP009", "REP010", "REP011"]
+    def test_two_program_rules_registered(self):
+        # REP009 (lock-ordering) is retired with the locks it ordered
+        assert sorted(registered_program_rules()) == ["REP010", "REP011"]
 
     def test_default_rules_are_fresh_instances_in_id_order(self):
         first, second = default_rules(), default_rules()
@@ -217,82 +217,6 @@ class TestRngDiscipline:
             """
         )
         assert analyze_source(source, APP_PATH) == []
-
-
-# --------------------------------------------------------------------------- #
-# REP004 lock-discipline
-# --------------------------------------------------------------------------- #
-LOCKED_CLASS = """
-class Engine:
-    def __init__(self):
-        self.stats = 0
-
-    def absorb(self, delta):
-        with self._lock:
-            self.stats += delta
-
-    def snapshot(self):
-        return self.stats
-"""
-
-
-class TestLockDiscipline:
-    def test_lock_free_access_to_guarded_attr_flagged(self):
-        findings = analyze_source(dedent(LOCKED_CLASS), APP_PATH)
-        assert len(findings) == 1
-        finding = findings[0]
-        assert (finding.rule, finding.line) == ("REP004", 10)
-        assert "Engine.snapshot touches self.stats" in finding.message
-        assert "Engine.absorb" in finding.message
-
-    def test_construction_methods_exempt(self):
-        # __init__ writes self.stats lock-free at line 3 and is not flagged
-        findings = analyze_source(dedent(LOCKED_CLASS), APP_PATH)
-        assert all(f.line != 3 for f in findings)
-
-    def test_consistent_locking_clean(self):
-        source = dedent(
-            """
-            class Engine:
-                def absorb(self, delta):
-                    with self._lock:
-                        self.stats += delta
-
-                def snapshot(self):
-                    with self._lock:
-                        return self.stats
-            """
-        )
-        assert analyze_source(source, APP_PATH) == []
-
-    def test_unguarded_config_reads_clean(self):
-        source = dedent(
-            """
-            class Engine:
-                def absorb(self, delta):
-                    with self._lock:
-                        self.stats += delta
-
-                def plan(self):
-                    return self.num_workers * 2
-            """
-        )
-        assert analyze_source(source, APP_PATH) == []
-
-    def test_method_call_receiver_counts_as_mutation(self):
-        source = dedent(
-            """
-            class Engine:
-                def absorb(self, delta):
-                    with self._lock:
-                        self.stats.merge(delta)
-
-                def snapshot(self):
-                    return self.stats
-            """
-        )
-        findings = analyze_source(source, APP_PATH)
-        assert [(f.rule, f.line) for f in findings] == [("REP004", 7)]
 
 
 # --------------------------------------------------------------------------- #
@@ -459,7 +383,7 @@ class TestPragmas:
         pragmas = collect_pragmas("x = 1  # repro: allow[REP001, rng-discipline]\n")
         assert is_suppressed(pragmas, 1, "REP001", "engine-funnel")
         assert is_suppressed(pragmas, 1, "REP002", "rng-discipline")
-        assert not is_suppressed(pragmas, 1, "REP004", "lock-discipline")
+        assert not is_suppressed(pragmas, 1, "REP008", "clock-discipline")
 
     def test_wrong_rule_pragma_does_not_suppress(self):
         source = self.VIOLATION.replace(
@@ -640,14 +564,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "REP001", "REP002", "REP004", "REP005",
-            "REP008", "REP009", "REP010", "REP011",
-        ):
+        for rule_id in ("REP001", "REP002", "REP005", "REP008", "REP010", "REP011"):
             assert rule_id in out
-        assert "REP003" not in out
-        assert "REP006" not in out
-        assert "REP007" not in out
+        for retired in ("REP003", "REP004", "REP006", "REP007", "REP009"):
+            assert retired not in out
 
     @pytest.mark.parametrize(
         "flags", [["--no-cache"], ["--jobs", "2"], ["--cache-dir", "d"]]
@@ -680,8 +600,8 @@ class TestSelfScan:
         assert len(baseline) == 0, "the shipped tree must carry no lint debt"
 
     def test_shipped_tree_has_no_findings(self):
-        # also the regression pin that REP004/REP005 (which currently
-        # find nothing in the tree) stay silent: any future hit fails here
+        # also the regression pin that REP005 (which currently finds
+        # nothing in the tree) stays silent: any future hit fails here
         result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
         assert result.findings == [], "\n".join(f.format() for f in result.findings)
         assert result.by_rule() == {}
@@ -694,7 +614,6 @@ class TestSelfScan:
         seeded = {
             "REP001": "def f(model, x):\n    return model.predict(x)\n",
             "REP002": "import numpy as np\nnp.random.seed(0)\n",
-            "REP004": dedent(LOCKED_CLASS),
             "REP005": dedent(
                 """
                 class C:
@@ -707,21 +626,6 @@ class TestSelfScan:
                 """
             ),
             "REP008": "stamp = time.time()\n",
-            "REP009": dedent(
-                """
-                import threading
-
-
-                class C:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-
-                    def f(self):
-                        with self._lock:
-                            with self._lock:
-                                pass
-                """
-            ),
             "REP010": dedent(
                 """
                 def run(engine, x):
@@ -737,156 +641,6 @@ class TestSelfScan:
         for rule_id, source in seeded.items():
             findings = analyze_source(source, APP_PATH)
             assert [f.rule for f in findings] == [rule_id]
-
-
-# --------------------------------------------------------------------------- #
-# REP009 lock-ordering (whole-program; single-module graphs via analyze_source)
-# --------------------------------------------------------------------------- #
-class TestLockOrdering:
-    def test_nested_reacquisition_of_plain_lock_flagged(self):
-        source = dedent(
-            """
-            import threading
-
-
-            class Engine:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def merge(self):
-                    with self._lock:
-                        with self._lock:
-                            pass
-            """
-        )
-        findings = analyze_source(source, APP_PATH)
-        assert [(f.rule, f.name) for f in findings] == [("REP009", "lock-ordering")]
-        assert "deadlocks itself" in findings[0].message
-
-    def test_rlock_reentry_clean(self):
-        source = dedent(
-            """
-            import threading
-
-
-            class Engine:
-                def __init__(self):
-                    self._lock = threading.RLock()
-
-                def merge(self):
-                    with self._lock:
-                        with self._lock:
-                            pass
-            """
-        )
-        assert analyze_source(source, APP_PATH) == []
-
-    def test_transitive_self_deadlock_through_call_flagged(self):
-        source = dedent(
-            """
-            import threading
-
-
-            class Engine:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def outer(self):
-                    with self._lock:
-                        self.inner()
-
-                def inner(self):
-                    with self._lock:
-                        pass
-            """
-        )
-        findings = analyze_source(source, APP_PATH)
-        assert [f.rule for f in findings] == ["REP009"]
-        assert "re-acquires" in findings[0].message
-
-    def test_cross_class_lock_cycle_flagged_on_both_paths(self):
-        source = dedent(
-            """
-            import threading
-
-
-            class Coordinator:
-                def __init__(self, supervisor):
-                    self._lock = threading.Lock()
-                    self._sup = Supervisor()
-
-                def merge(self):
-                    with self._lock:
-                        self._sup.replan()
-
-                def absorb(self):
-                    with self._lock:
-                        pass
-
-
-            class Supervisor:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def replan(self):
-                    with self._lock:
-                        pass
-
-                def harvest(self):
-                    with self._lock:
-                        coord = Coordinator(self)
-                        coord.absorb()
-            """
-        )
-        findings = analyze_source(source, APP_PATH)
-        assert {f.rule for f in findings} == {"REP009"}
-        assert len(findings) == 2, "one finding per edge of the cycle"
-        assert all("lock-order cycle" in f.message for f in findings)
-
-    def test_consistent_order_clean(self):
-        source = dedent(
-            """
-            import threading
-
-
-            class Coordinator:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._sup = Supervisor()
-
-                def merge(self):
-                    with self._lock:
-                        self._sup.replan()
-
-
-            class Supervisor:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def replan(self):
-                    with self._lock:
-                        pass
-            """
-        )
-        assert analyze_source(source, APP_PATH) == []
-
-    def test_pragma_blesses_impossible_interleaving(self):
-        source = dedent(
-            """
-            import threading
-
-
-            class Engine:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def merge(self):
-                    with self._lock:
-                        with self._lock:  # repro: allow[lock-ordering] fixture
-                            pass
-            """
-        )
-        assert analyze_source(source, APP_PATH) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -937,6 +691,24 @@ class TestFunnelEscape:
         findings = analyze_source(source, APP_PATH)
         assert [(f.rule, f.line) for f in findings] == [("REP010", 7)]
         assert "return value of get_model()" in findings[0].message
+
+    def test_query_in_with_header_flagged(self):
+        # a `with` header is walked like any other expression: the same
+        # query on a plain line and inside `with ...:` are both flagged
+        source = dedent(
+            """
+            def make_model():
+                model = load()
+                return model
+
+
+            def attack(x):
+                with open(make_model().predict(x)):
+                    return make_model().predict(x)
+            """
+        )
+        findings = analyze_source(source, APP_PATH)
+        assert [(f.rule, f.line) for f in findings] == [("REP010", 7), ("REP010", 8)]
 
     def test_engine_named_local_bound_to_model_flagged(self):
         source = dedent(
@@ -1232,11 +1004,11 @@ class TestExplain:
             assert sections["fix"], f"{rule.rule_id} docstring lacks Fix::"
 
     def test_explain_by_id_and_slug(self):
-        by_id = explain_rule("REP009")
-        by_slug = explain_rule("lock-ordering")
+        by_id = explain_rule("REP011")
+        by_slug = explain_rule("iteration-order")
         assert by_id == by_slug
         assert "Example:" in by_id and "Fix:" in by_id
-        assert "repro: allow[lock-ordering]" in by_id
+        assert "repro: allow[iteration-order]" in by_id
 
     def test_explain_unknown_rule_raises(self):
         with pytest.raises(ConfigurationError, match="unknown rule"):
@@ -1250,7 +1022,7 @@ class TestExplain:
 
     def test_cli_explain_unknown_rule_exits_two(self, capsys):
         # retired ids are unknown too: their rules are gone, never reassigned
-        for rule in ("nope", "REP003", "REP006", "REP007"):
+        for rule in ("nope", "REP003", "REP004", "REP006", "REP007", "REP009"):
             assert lint_main(["--explain", rule]) == 2
             assert "unknown rule" in capsys.readouterr().err
 
@@ -1398,8 +1170,7 @@ class TestSarif:
         log = render_sarif([])
         ids = [row["id"] for row in log["runs"][0]["tool"]["driver"]["rules"]]
         assert ids == sorted(ids)
-        for rule_id in ("REP001", "REP008", "REP009", "REP010", "REP011"):
-            assert rule_id in ids
+        assert ids == ["REP001", "REP002", "REP005", "REP008", "REP010", "REP011"]
 
     def test_rule_index_points_at_matching_descriptor(self, tmp_path):
         log = render_sarif(self._findings(tmp_path))

@@ -7,6 +7,7 @@ from repro.config import (
     clip01,
     ensure_rng,
     require_bool,
+    require_finite,
     require_int,
     spawn_rngs,
     spawn_seeds,
@@ -135,3 +136,43 @@ class TestRequireBool:
                 config_cls(**{field: value})
         for value in (True, False):
             assert getattr(config_cls(**{field: value}), field) is value
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize(
+        "value", [0, -3, 0.5, np.int64(4), np.float32(0.25), np.float64(2.0)]
+    )
+    def test_accepts_python_and_numpy_reals(self, value):
+        require_finite("weight", value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), np.float32("nan"), True, "0.5", None],
+    )
+    def test_rejects_everything_else_with_the_callers_error(self, value):
+        with pytest.raises(ConfigurationError, match="weight must be a finite number"):
+            require_finite("weight", value)
+        with pytest.raises(FuzzingError, match="weight must be a finite number"):
+            require_finite("weight", value, FuzzingError)
+
+    # NaN fails every comparison, so a range check alone lets it through:
+    # naturalness_threshold=nan would silently run the unconstrained ablation
+    @pytest.mark.parametrize(
+        "config_cls,field,error",
+        [
+            (FuzzerConfig, "epsilon", FuzzingError),
+            (FuzzerConfig, "naturalness_threshold", FuzzingError),
+            (FuzzerConfig, "loss_weight", FuzzingError),
+            (FuzzerConfig, "naturalness_weight", FuzzingError),
+            (FuzzerConfig, "gradient_probability", FuzzingError),
+            (FuzzerConfig, "min_energy", FuzzingError),
+            (FuzzerConfig, "max_energy", FuzzingError),
+            (StoppingRule, "target_pmi", ReliabilityError),
+        ],
+    )
+    def test_config_reals_reject_non_finite_values(self, config_cls, field, error):
+        for value in (float("nan"), float("inf"), -float("inf"), True):
+            with pytest.raises(error, match=f"{field} must be a finite number, got"):
+                config_cls(**{field: value})
+        default = getattr(config_cls(), field)
+        assert getattr(config_cls(**{field: np.float64(default)}), field) == default

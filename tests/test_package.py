@@ -101,3 +101,28 @@ def test_public_names_resolve_and_star_import_binds_all():
     exec("from repro import *", namespace)
     assert set(repro.__all__) <= set(namespace)
     assert namespace["LabeledBatch"] is repro.types.LabeledBatch
+
+
+#: Modules whose import means the program runs more than one thread or process.
+THREAD_MODULES = ("threading", "_thread", "concurrent.futures", "multiprocessing")
+
+
+def test_no_module_imports_threads():
+    import ast
+
+    from repro.analysis.program import extract_facts
+
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for imp in extract_facts(ast.parse(path.read_text("utf-8")), path).imports:
+            # `from concurrent import futures` imports concurrent.futures
+            name = f"{imp.module}.{imp.symbol}" if imp.symbol else imp.module
+            if any((name + ".").startswith(m + ".") for m in THREAD_MODULES):
+                where = f"{path.relative_to(SRC)}:{imp.lineno}"
+                offenders.append(f"{where} imports {name}")
+    assert not offenders, (
+        "the program runs on one thread, so telemetry holds no locks and the "
+        "linter has no lock rules; a change that brings threads back must "
+        "bring back their locks, the lock rules and a measured row that pays "
+        "for them:\n" + "\n".join(offenders)
+    )

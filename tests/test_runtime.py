@@ -463,6 +463,11 @@ class TestSpecCli:
             ),
             # a string flag is not a flag: "false" would be truthy
             (dict(self.SPEC, fuzzer={"use_gradient": "false"}), "spec section 'fuzzer'"),
+            # JSON's NaN would pass every range check
+            (
+                dict(self.SPEC, fuzzer={"naturalness_threshold": float("nan")}),
+                "spec section 'fuzzer'",
+            ),
         ):
             spec_path.write_text(json.dumps(bad))
             argv = ["--runs-dir", runs_dir, "run", "--spec", str(spec_path)]
