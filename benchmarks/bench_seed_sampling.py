@@ -13,6 +13,7 @@ from conftest import single_run
 
 from repro.attacks import PGD
 from repro.evaluation import format_table
+from repro.op import relative_density
 from repro.sampling import (
     OperationalSeedSampler,
     SurpriseWeight,
@@ -40,13 +41,13 @@ def _evaluate_samplers(scenario):
         "op+surprise": OperationalSeedSampler(profile=scenario.profile, weight_function=surprise),
     }
     probe = PGD(epsilon=0.1, num_steps=8)
-    mean_density = float(scenario.profile.density(scenario.operational_data.x).mean())
+    log_reference = scenario.profile.density(scenario.operational_data.x, log=True)
 
     rows = []
     for name, sampler in samplers.items():
         selection = sampler.select(scenario.operational_data, scenario.model, NUM_SEEDS, rng=7)
         attack = probe.run(scenario.model, selection.x, selection.y, rng=7)
-        density = scenario.profile.density(selection.x) / max(mean_density, 1e-12)
+        density = relative_density(scenario.profile.density(selection.x, log=True), log_reference)
         rows.append(
             {
                 "sampler": name,

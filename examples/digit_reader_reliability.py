@@ -21,6 +21,7 @@ from repro.core import OperationalTestingLoop, WorkflowConfig
 from repro.evaluation import campaign_to_rows, format_table, make_glyph_scenario
 from repro.fuzzing import FuzzerConfig
 from repro.nn import accuracy, weighted_accuracy
+from repro.op import relative_density
 from repro.reliability import (
     BetaPrior,
     CellRobustnessEvaluator,
@@ -43,7 +44,9 @@ def main() -> None:
 
     print("digit reader under test")
     print(f"  balanced test accuracy:      {accuracy(test.y, model.predict(test.x)):.3f}")
-    operational_weights = scenario.profile.density(test.x)
+    # relative, not raw, densities: the raw KDE overflows at MNIST's d = 784
+    log_density = scenario.profile.density(test.x, log=True)
+    operational_weights = relative_density(log_density, log_density)
     print(
         "  operational (OP-weighted) accuracy:"
         f" {weighted_accuracy(test.y, model.predict(test.x), operational_weights):.3f}"

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import RngLike, clip01
+from ..config import RngLike, clip01, require_finite
 from ..exceptions import AttackError, ShapeError
 from ..runtime.policy import ExecutionPolicy, policy_or_default
 from ..types import Classifier
@@ -78,6 +78,7 @@ class Attack:
     def __init__(
         self, epsilon: float = 0.1, policy: Optional[ExecutionPolicy] = None
     ) -> None:
+        require_finite("epsilon", epsilon, AttackError)
         if epsilon <= 0:
             raise AttackError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = epsilon

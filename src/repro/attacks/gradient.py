@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import RngLike, ensure_rng
+from ..config import RngLike, ensure_rng, require_finite
 from ..exceptions import AttackError
 from ..types import Classifier
 from .base import Attack, AttackResult
@@ -81,6 +81,7 @@ class PGD(Attack):
         if num_steps <= 0:
             raise AttackError("num_steps must be positive")
         self.step_size = step_size if step_size is not None else epsilon / 4
+        require_finite("step_size", self.step_size, AttackError)
         if self.step_size <= 0:
             raise AttackError("step_size must be positive")
         self.num_steps = num_steps

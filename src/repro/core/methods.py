@@ -29,12 +29,12 @@ import numpy as np
 from ..attacks.base import Attack
 from ..attacks.gradient import PGD
 from ..attacks.random_search import RandomFuzz
-from ..config import EPSILON, RngLike, ensure_rng
+from ..config import RngLike, ensure_rng
 from ..data.dataset import Dataset
 from ..exceptions import ConfigurationError
 from ..fuzzing.fuzzer import FuzzerConfig, OperationalFuzzer
 from ..naturalness.metrics import NaturalnessScorer
-from ..op.profile import OperationalProfile
+from ..op.profile import OperationalProfile, relative_density
 from ..runtime.policy import ExecutionPolicy
 from ..sampling.samplers import OperationalSeedSampler, SeedSampler, UniformSeedSampler
 from ..types import AdversarialExample, Classifier, DetectionResult
@@ -64,12 +64,10 @@ class DetectionMethod:
 def _normalised_density(
     profile: Optional[OperationalProfile], x: np.ndarray, reference: np.ndarray
 ) -> np.ndarray:
-    """Density of ``x`` scaled so the mean density over ``reference`` is one."""
+    """Density of ``x`` relative to the mean density over ``reference``."""
     if profile is None:
         return np.ones(len(x))
-    reference_density = profile.density(reference)
-    scale = max(float(reference_density.mean()), EPSILON)
-    return profile.density(x) / scale
+    return relative_density(profile.density(x, log=True), profile.density(reference, log=True))
 
 
 @dataclass

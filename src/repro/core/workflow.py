@@ -39,7 +39,7 @@ from ..runtime.policy import ExecutionPolicy, policy_or_default
 from ..store.checkpoint import campaign_fingerprint, read_checkpoint, write_checkpoint
 from ..naturalness.metrics import NaturalnessScorer, default_naturalness_scorer
 from ..nn.network import Sequential
-from ..op.profile import OperationalProfile
+from ..op.profile import OperationalProfile, relative_density
 from ..op.synthesis import OperationalDatasetSynthesizer
 from ..reliability.assessment import ReliabilityAssessor, ReliabilityEstimate, StoppingRule
 from ..retraining.adversarial_training import OperationalRetrainer, RetrainingConfig
@@ -254,16 +254,15 @@ class OperationalTestingLoop:
             self.last_estimate = estimate_before
             total_test_cases = 0
             start_iteration = 0
-        # the scale of the fuzzer's OP-density weights: fixed by the
-        # operational data and the profile, so one evaluation serves every
-        # iteration
-        mean_density = max(float(self.profile.density(operational_data.x).mean()), 1e-12)
+        # the fuzzer's OP-density weights are relative to the operational
+        # data, so one evaluation of its log densities serves every iteration
+        log_reference = self.profile.density(operational_data.x, log=True)
 
         for iteration in range(start_iteration, self.stopping_rule.max_iterations):
             with telemetry.span(f"iteration-{iteration}", "app",
                                 iteration=iteration):
                 iteration_report, current, estimate_after = self._run_iteration(
-                    iteration, current, operational_data, estimate_before, mean_density
+                    iteration, current, operational_data, estimate_before, log_reference
                 )
             total_test_cases += iteration_report.test_cases_used
             report.append(iteration_report)
@@ -294,7 +293,7 @@ class OperationalTestingLoop:
         model: Sequential,
         operational_data: Dataset,
         estimate_before: ReliabilityEstimate,
-        mean_density: float,
+        log_reference: np.ndarray,
     ) -> Tuple[IterationReport, Sequential, ReliabilityEstimate]:
         # ---- step 2: seed sampling -------------------------------------- #
         num_seeds = min(self.config.seeds_per_iteration, len(operational_data))
@@ -306,12 +305,12 @@ class OperationalTestingLoop:
             config=self.fuzzer_config,
             natural_pool=operational_data.x,
         )
-        densities = self.profile.density(selection.x)
+        densities = relative_density(self.profile.density(selection.x, log=True), log_reference)
         campaign = fuzzer.fuzz(
             model,
             selection.x,
             selection.y,
-            op_densities=densities / mean_density,
+            op_densities=densities,
             budget=self.config.test_budget_per_iteration,
             rng=self._rng,
         )

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..config import EPSILON, RngLike
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError, NotFittedError, ProfileError
 from ..nn.autoencoder import AutoencoderConfig, DenseAutoencoder
 from ..op.profile import EmpiricalProfile, OperationalProfile
 
@@ -55,8 +55,8 @@ class DensityNaturalness(NaturalnessScorer):
 
     When an operational profile is supplied its density is used directly;
     otherwise a KDE profile is fitted on the calibration pool.  Scores are the
-    density divided by the median density of the calibration pool, so natural
-    inputs score around 1 and off-manifold inputs score near 0.
+    density relative to the median of the calibration pool, taken in log
+    space, so natural inputs score around 1 and off-manifold inputs near 0.
     """
 
     def __init__(
@@ -72,7 +72,7 @@ class DensityNaturalness(NaturalnessScorer):
         self._bandwidth = bandwidth
         self._max_pool = max_pool
         self._rng = rng
-        self._median_density: Optional[float] = None
+        self._log_median: Optional[float] = None
 
     def fit(self, natural_x: np.ndarray) -> "DensityNaturalness":
         natural_x = np.atleast_2d(np.asarray(natural_x, dtype=float))
@@ -86,20 +86,20 @@ class DensityNaturalness(NaturalnessScorer):
                 idx = ensure_rng(self._rng).choice(len(pool), self._max_pool, replace=False)
                 pool = pool[idx]
             self._profile = EmpiricalProfile(pool, bandwidth=self._bandwidth)
-        densities = self._profile.density(natural_x)
-        self._median_density = float(np.median(densities))
-        if self._median_density <= 0:
-            self._median_density = float(np.mean(densities)) or EPSILON
+        log_median = float(np.median(self._profile.density(natural_x, log=True)))
+        if log_median == -np.inf:
+            raise ProfileError("half the calibration pool carries no operational density")
+        self._log_median = log_median
         return self
 
     def score(self, x: np.ndarray) -> np.ndarray:
         self._require_fitted()
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._profile.density(x) / max(self._median_density, EPSILON)
+        return np.exp(self._profile.density(x, log=True) - self._log_median)
 
     @property
     def is_fitted(self) -> bool:
-        return self._median_density is not None
+        return self._log_median is not None
 
 
 class ReconstructionNaturalness(NaturalnessScorer):

@@ -27,6 +27,7 @@ from .profile import (
     OperationalProfile,
     ground_truth_profile_for_clusters,
     profile_from_dataset,
+    relative_density,
 )
 from .synthesis import OperationalDatasetSynthesizer, synthesize_operational_dataset
 
@@ -50,6 +51,7 @@ __all__ = [
     "OperationalProfile",
     "ground_truth_profile_for_clusters",
     "profile_from_dataset",
+    "relative_density",
     "OperationalDatasetSynthesizer",
     "synthesize_operational_dataset",
 ]

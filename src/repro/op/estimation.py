@@ -225,7 +225,7 @@ class GMMProfileEstimator(ProfileEstimator):
         for _ in range(self.max_iterations):
             profile = GaussianMixtureProfile(weights, means, variances)
             responsibilities = profile.responsibilities(x)
-            ll = float(np.mean(profile.log_density(x)))
+            ll = float(np.mean(profile.density(x, log=True)))
 
             effective = responsibilities.sum(axis=0)
             if np.any(effective < EPSILON):

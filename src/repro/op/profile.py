@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import EPSILON, RngLike, ensure_rng, finite_rows
+from ..config import EPSILON, RngLike, ensure_rng, finite_rows, require_finite
 from ..data.dataset import Dataset
 from ..data.partition import Partition
 from ..exceptions import ProfileError, ShapeError
@@ -34,8 +34,8 @@ class OperationalProfile:
         """Dimensionality of the input space the profile is defined over."""
         raise NotImplementedError
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        """Return the (unnormalised) operational density at each row of ``x``."""
+    def density(self, x: np.ndarray, log: bool = False) -> np.ndarray:
+        """The (unnormalised) OP density at each row of ``x``, or its log with ``log``."""
         raise NotImplementedError
 
     def sample(self, size: int, rng: RngLike = None) -> np.ndarray:
@@ -73,17 +73,6 @@ class OperationalProfile:
             raise ProfileError("cell probability estimation produced no samples")
         return counts / total
 
-    def normalized_density(self, x: np.ndarray, reference: np.ndarray) -> np.ndarray:
-        """Density of ``x`` rescaled so the mean density of ``reference`` is one.
-
-        Useful for turning raw densities into interpretable relative weights.
-        """
-        ref = self.density(reference)
-        scale = float(np.mean(ref))
-        if scale <= 0:
-            scale = EPSILON
-        return self.density(x) / scale
-
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         """``x`` as a 2-D float array; :class:`DataError` names a non-finite row."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -92,6 +81,21 @@ class OperationalProfile:
                 f"profile expects {self.num_features} features, got {x.shape[1]}"
             )
         return finite_rows(x)
+
+
+def relative_density(log_density: np.ndarray, log_reference: np.ndarray) -> np.ndarray:
+    """Each row's density over the mean density of the reference rows, from logs.
+
+    ``exp(log_density - log mean exp(log_reference))`` stays finite where the
+    linear densities overflow (a KDE at d = 784).  A reference without OP
+    mass has no mean to divide by: :class:`ProfileError`.
+    """
+    log_reference = np.asarray(log_reference, dtype=float)
+    peak = np.max(log_reference, initial=-np.inf)
+    if peak == -np.inf:
+        raise ProfileError("the reference rows carry no operational density")
+    log_mean = peak + np.log(np.mean(np.exp(log_reference - peak)))
+    return np.exp(np.asarray(log_density, dtype=float) - log_mean)
 
 
 class GaussianMixtureProfile(OperationalProfile):
@@ -139,36 +143,26 @@ class GaussianMixtureProfile(OperationalProfile):
     def num_components(self) -> int:
         return len(self.weights)
 
-    def _log_component_densities(self, x: np.ndarray) -> np.ndarray:
-        """Return log N(x | mean_k, var_k) for every (row, component) pair."""
+    def _log_joint(self, x: np.ndarray) -> np.ndarray:
+        """Return log(w_k N(x | mean_k, var_k)) for every (row, component) pair."""
         x = self._check_input(x)
         diff = x[:, None, :] - self.means[None, :, :]
         inv_var = 1.0 / self.variances[None, :, :]
         log_det = np.sum(np.log(self.variances), axis=1)
         quad = np.sum(diff**2 * inv_var, axis=2)
         d = self.num_features
-        return -0.5 * (quad + log_det[None, :] + d * np.log(2 * np.pi))
+        log_comp = -0.5 * (quad + log_det[None, :] + d * np.log(2 * np.pi))
+        return log_comp + np.log(np.maximum(self.weights, EPSILON))[None, :]
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        log_comp = self._log_component_densities(x)
-        log_weights = np.log(np.maximum(self.weights, EPSILON))
-        stacked = log_comp + log_weights[None, :]
-        max_log = stacked.max(axis=1, keepdims=True)
-        return np.exp(max_log[:, 0]) * np.sum(np.exp(stacked - max_log), axis=1)
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        """Log of :meth:`density`, computed stably."""
-        log_comp = self._log_component_densities(x)
-        log_weights = np.log(np.maximum(self.weights, EPSILON))
-        stacked = log_comp + log_weights[None, :]
-        max_log = stacked.max(axis=1)
-        return max_log + np.log(np.sum(np.exp(stacked - max_log[:, None]), axis=1))
+    def density(self, x: np.ndarray, log: bool = False) -> np.ndarray:
+        stacked = self._log_joint(x)
+        peak = stacked.max(axis=1)
+        total = np.sum(np.exp(stacked - peak[:, None]), axis=1)
+        return peak + np.log(total) if log else np.exp(peak) * total
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component membership probabilities for each row of ``x``."""
-        log_comp = self._log_component_densities(x)
-        log_weights = np.log(np.maximum(self.weights, EPSILON))
-        stacked = log_comp + log_weights[None, :]
+        stacked = self._log_joint(x)
         stacked -= stacked.max(axis=1, keepdims=True)
         probs = np.exp(stacked)
         return probs / probs.sum(axis=1, keepdims=True)
@@ -241,11 +235,13 @@ class EmpiricalProfile(OperationalProfile):
         self.weights = weights
         if bandwidth is None:
             bandwidth = self._scott_bandwidth(samples)
+        require_finite("bandwidth", bandwidth, ProfileError)
         if bandwidth <= 0:
             raise ProfileError("bandwidth must be positive")
         self.bandwidth = float(bandwidth)
         # ||s||^2 of every pool row, the fixed half of density's distance expansion
         self._sq_norms = np.einsum("ij,ij->i", samples, samples)
+        require_finite("resample_noise", resample_noise, ProfileError)
         if resample_noise < 0:
             raise ProfileError("resample_noise must be non-negative")
         self.resample_noise = float(resample_noise)
@@ -262,7 +258,7 @@ class EmpiricalProfile(OperationalProfile):
     def num_features(self) -> int:
         return self.samples.shape[1]
 
-    def density(self, x: np.ndarray) -> np.ndarray:
+    def density(self, x: np.ndarray, log: bool = False) -> np.ndarray:
         """Gaussian KDE over the pool, with one isotropic bandwidth ``h``.
 
         Squared distances use the expansion ``||x||^2 + ||s||^2 - 2 x.s``
@@ -289,9 +285,9 @@ class EmpiricalProfile(OperationalProfile):
             )
             np.maximum(sq_dist, 0.0, out=sq_dist)
             log_kernel = log_norm - 0.5 * sq_dist / h2
-            max_log = log_kernel.max(axis=1, keepdims=True)
-            weighted = self.weights[None, :] * np.exp(log_kernel - max_log)
-            densities[start : start + block] = np.exp(max_log[:, 0]) * weighted.sum(axis=1)
+            peak = log_kernel.max(axis=1)
+            total = (self.weights[None, :] * np.exp(log_kernel - peak[:, None])).sum(axis=1)
+            densities[start : start + block] = peak + np.log(total) if log else np.exp(peak) * total
         return densities
 
     def sample(self, size: int, rng: RngLike = None) -> np.ndarray:
@@ -342,10 +338,11 @@ class CellProfile(OperationalProfile):
     def num_features(self) -> int:
         return self.partition.num_features
 
-    def density(self, x: np.ndarray) -> np.ndarray:
+    def density(self, x: np.ndarray, log: bool = False) -> np.ndarray:
         x = self._check_input(x)
-        cell_ids = self.partition.assign(x)
-        return self.probabilities[cell_ids]
+        probabilities = self.probabilities[self.partition.assign(x)]
+        with np.errstate(divide="ignore"):  # a cell without mass: log 0 = -inf
+            return np.log(probabilities) if log else probabilities
 
     def sample(self, size: int, rng: RngLike = None) -> np.ndarray:
         if size <= 0:
@@ -429,6 +426,7 @@ def profile_from_dataset(
 
 __all__ = [
     "OperationalProfile",
+    "relative_density",
     "GaussianMixtureProfile",
     "EmpiricalProfile",
     "CellProfile",

@@ -29,7 +29,7 @@ from ..exceptions import ConfigurationError, DataError
 from ..nn.network import Sequential
 from ..nn.optimizers import Adam
 from ..nn.trainer import Trainer, TrainerConfig
-from ..op.profile import OperationalProfile
+from ..op.profile import OperationalProfile, relative_density
 from ..types import AdversarialExample
 
 
@@ -154,11 +154,9 @@ class OperationalRetrainer:
     def _natural_weights(self, train_data: Dataset) -> np.ndarray:
         if self.profile is None or not self.config.weight_natural_data_by_op:
             return np.ones(len(train_data))
-        density = self.profile.density(train_data.x)
-        mean_density = max(float(density.mean()), EPSILON)
-        weights = density / mean_density
+        log_density = self.profile.density(train_data.x, log=True)
         # keep a floor so no natural sample is entirely forgotten
-        return np.maximum(weights, 0.1)
+        return np.maximum(relative_density(log_density, log_density), 0.1)
 
     def _ae_weights(
         self, adversarial_examples: Sequence[AdversarialExample]

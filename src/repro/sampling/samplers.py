@@ -16,11 +16,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..config import EPSILON, RngLike, ensure_rng
+from ..config import EPSILON, RngLike, ensure_rng, require_finite
 from ..data.dataset import Dataset
 from ..data.partition import Partition
 from ..exceptions import SamplingError
-from ..op.profile import OperationalProfile
+from ..op.profile import OperationalProfile, relative_density
 from ..runtime.policy import ExecutionPolicy
 from ..types import Classifier
 from .weights import WeightFunction, margin_weight
@@ -173,6 +173,8 @@ class OperationalSeedSampler(SeedSampler):
     name: str = "operational"
 
     def __post_init__(self) -> None:
+        require_finite("op_exponent", self.op_exponent, SamplingError)
+        require_finite("failure_exponent", self.failure_exponent, SamplingError)
         if self.op_exponent < 0 or self.failure_exponent < 0:
             raise SamplingError("exponents must be non-negative")
         if not 0.0 <= self.failure_floor < 1.0:
@@ -189,8 +191,8 @@ class OperationalSeedSampler(SeedSampler):
         generator = ensure_rng(rng)
 
         if self.profile is not None and self.op_exponent > 0:
-            density = self.profile.density(dataset.x)
-            density = density / max(float(density.mean()), EPSILON)
+            log_density = self.profile.density(dataset.x, log=True)
+            density = relative_density(log_density, log_density)
         else:
             density = np.ones(len(dataset))
 
@@ -290,8 +292,8 @@ class CellStratifiedSeedSampler(SeedSampler):
             raise SamplingError("stratified sampling selected no seeds")
         indices = np.asarray(selected[:num_seeds], dtype=int)
 
-        density = self.profile.density(dataset.x)
-        density = density / max(float(density.mean()), EPSILON)
+        log_density = self.profile.density(dataset.x, log=True)
+        density = relative_density(log_density, log_density)
         probabilities = np.zeros(len(dataset))
         probabilities[indices] = 1.0 / len(indices)
         return SeedSelection(

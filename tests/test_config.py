@@ -12,11 +12,25 @@ from repro.config import (
     spawn_rngs,
     spawn_seeds,
 )
+from repro.attacks import FGSM, PGD, BoundaryNudge, GaussianNoise, RandomFuzz
 from repro.core import WorkflowConfig
-from repro.exceptions import ConfigurationError, FuzzingError, ReliabilityError
+from repro.exceptions import (
+    AttackError,
+    ConfigurationError,
+    FuzzingError,
+    ProfileError,
+    ReliabilityError,
+    SamplingError,
+)
 from repro.fuzzing import FuzzerConfig
+from repro.op import EmpiricalProfile
 from repro.reliability import StoppingRule
 from repro.runtime import ExecutionPolicy
+from repro.sampling import OperationalSeedSampler
+
+
+def _empirical_profile(**kwargs):
+    return EmpiricalProfile(np.random.default_rng(0).random((20, 3)), **kwargs)
 
 
 class TestEnsureRng:
@@ -168,6 +182,19 @@ class TestRequireFinite:
             (FuzzerConfig, "min_energy", FuzzingError),
             (FuzzerConfig, "max_energy", FuzzingError),
             (StoppingRule, "target_pmi", ReliabilityError),
+            # FGSM(epsilon=nan) reported NaN rows as successes
+            (FGSM, "epsilon", AttackError),
+            (PGD, "epsilon", AttackError),
+            (PGD, "step_size", AttackError),
+            (RandomFuzz, "epsilon", AttackError),
+            (GaussianNoise, "epsilon", AttackError),
+            (BoundaryNudge, "epsilon", AttackError),
+            # a NaN bandwidth made every density NaN; a NaN resample_noise
+            # meant no noise, an infinite one clipped samples to a corner
+            (_empirical_profile, "bandwidth", ProfileError),
+            (_empirical_profile, "resample_noise", ProfileError),
+            (OperationalSeedSampler, "op_exponent", SamplingError),
+            (OperationalSeedSampler, "failure_exponent", SamplingError),
         ],
     )
     def test_config_reals_reject_non_finite_values(self, config_cls, field, error):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import OperationalTestingLoop, WorkflowConfig
+from repro.evaluation import make_glyph_scenario
 from repro.exceptions import ConfigurationError
 from repro.fuzzing import FuzzerConfig
 from repro.reliability import StoppingRule
@@ -179,3 +180,34 @@ class TestCacheAcrossRetraining:
         for with_cache, without in zip(cached_loop.detected_aes, plain_loop.detected_aes):
             np.testing.assert_array_equal(with_cache.seed, without.seed)
             np.testing.assert_array_equal(with_cache.perturbed, without.perturbed)
+
+
+class TestPaperDimension:
+    """The loop at MNIST's d = 784, where the KDE's log normaliser (above
+    1,100) overflows every linear density: weights and naturalness must come
+    from log densities."""
+
+    def test_glyph_loop_completes_at_d_784(self):
+        scenario = make_glyph_scenario(num_samples=300, image_size=28, epochs=2, rng=0)
+        assert scenario.train_data.num_features == 784
+        loop = OperationalTestingLoop(
+            profile=scenario.profile,
+            train_data=scenario.train_data,
+            partition=scenario.partition,
+            naturalness=scenario.naturalness,
+            fuzzer_config=FuzzerConfig(epsilon=0.1),
+            retraining_config=RetrainingConfig(epochs=2),
+            stopping_rule=StoppingRule(target_pmi=1e-9, max_iterations=1),
+            workflow_config=WorkflowConfig(
+                test_budget_per_iteration=200, seeds_per_iteration=10
+            ),
+            rng=0,
+        )
+        _, report = loop.run(scenario.model, scenario.operational_data)
+        assert report.num_iterations == 1
+        assert 0 < report.total_test_cases <= 200
+        assert np.isfinite(report.final_pmi)
+        operational = scenario.naturalness.score(scenario.operational_data.x)
+        assert np.all(np.isfinite(operational))
+        noise = scenario.naturalness.score(np.random.default_rng(0).random((100, 784)))
+        assert np.median(operational) > noise.max()

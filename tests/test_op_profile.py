@@ -14,6 +14,7 @@ from repro.op import (
     GaussianMixtureProfile,
     ground_truth_profile_for_clusters,
     profile_from_dataset,
+    relative_density,
 )
 
 
@@ -35,12 +36,6 @@ class TestGaussianMixtureProfile:
         heavy = gmm_profile.density(np.array([[0.3, 0.3]]))[0]
         light = gmm_profile.density(np.array([[0.7, 0.7]]))[0]
         assert heavy > light
-
-    def test_log_density_consistent(self, gmm_profile):
-        x = np.random.default_rng(0).random((10, 2))
-        np.testing.assert_allclose(
-            np.log(gmm_profile.density(x)), gmm_profile.log_density(x), atol=1e-9
-        )
 
     def test_responsibilities_sum_to_one(self, gmm_profile):
         x = np.random.default_rng(0).random((20, 2))
@@ -314,8 +309,54 @@ class TestFactories:
         with pytest.raises(ProfileError):
             profile_from_dataset(dataset, class_priors=[0.5, 0.5])
 
-    def test_normalized_density_reference_mean_one(self):
-        dataset = make_gaussian_clusters(300, num_classes=4, rng=0)
-        profile = profile_from_dataset(dataset)
-        values = profile.normalized_density(dataset.x, dataset.x)
-        assert np.mean(values) == pytest.approx(1.0, rel=0.2)
+
+def profile_and_rows(kind, d):
+    """A profile of ``kind`` at dimension ``d``, query rows and reference rows."""
+    rng = np.random.default_rng(d)
+    if kind == "cell":
+        partition = GridPartition(d, bins_per_dim=2, grid_dims=2)
+        profile = CellProfile(partition, np.array([0.4, 0.3, 0.2, 0.1]))
+        return profile, rng.random((20, d)), rng.random((30, d))
+    if kind == "gaussian-mixture":
+        profile = GaussianMixtureProfile(
+            np.array([0.6, 0.4]), rng.random((2, d)), np.full((2, d), 0.02)
+        )
+    else:
+        profile = EmpiricalProfile(rng.random((50, d)), weights=rng.random(50) + 0.1)
+    x = np.concatenate([profile.sample(10, rng=rng), rng.random((10, d))])
+    return profile, x, profile.sample(30, rng=rng)
+
+
+@pytest.mark.parametrize("d", [2, 144])
+@pytest.mark.parametrize("kind", ["gaussian-mixture", "empirical", "cell"])
+class TestRelativeDensity:
+    """One rule in log space, checked against its linear form where that is finite."""
+
+    def test_matches_density_over_reference_mean(self, kind, d):
+        profile, x, reference = profile_and_rows(kind, d)
+        np.testing.assert_allclose(
+            relative_density(profile.density(x, log=True), profile.density(reference, log=True)),
+            profile.density(x) / profile.density(reference).mean(),
+            rtol=1e-12,
+        )
+
+    def test_log_scale_is_log_of_density(self, kind, d):
+        profile, x, _ = profile_and_rows(kind, d)
+        np.testing.assert_allclose(
+            profile.density(x, log=True), np.log(profile.density(x)), rtol=1e-12
+        )
+
+
+@pytest.mark.parametrize("d", [2, 144])
+def test_zero_mass_reference_raises(d):
+    partition = GridPartition(d, bins_per_dim=2, grid_dims=2)
+    probabilities = np.zeros(4)
+    probabilities[partition.assign(np.full((1, d), 0.1))[0]] = 1.0
+    profile = CellProfile(partition, probabilities)
+    reference = np.random.default_rng(d).uniform(0.6, 1.0, size=(10, d))
+    assert np.all(profile.density(reference, log=True) == -np.inf)
+    with pytest.raises(ProfileError, match="no operational density"):
+        relative_density(profile.density(reference[:2], log=True), profile.density(reference, log=True))
+    # the median-relative naturalness has the same nothing to divide by
+    with pytest.raises(ProfileError, match="no operational density"):
+        DensityNaturalness(profile=profile).fit(reference)
