@@ -96,6 +96,11 @@ class Attack:
         """Attack a batch of seeds ``x`` with true labels ``y``."""
         raise NotImplementedError
 
+    @property
+    def max_queries_per_seed(self) -> int:
+        """The most queries :meth:`run` can charge one seed."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------ #
     # shared helpers
     # ------------------------------------------------------------------ #

@@ -23,6 +23,10 @@ class FGSM(Attack):
 
     name = "fgsm"
 
+    @property
+    def max_queries_per_seed(self) -> int:
+        return 2
+
     def run(
         self,
         model: Classifier,
@@ -87,6 +91,11 @@ class PGD(Attack):
         self.num_steps = num_steps
         self.random_start = random_start
         self.early_stop = early_stop
+
+    @property
+    def max_queries_per_seed(self) -> int:
+        # the start's prediction, then one gradient and one prediction a step
+        return 1 + 2 * self.num_steps
 
     def run(
         self,

@@ -57,6 +57,10 @@ class RandomFuzz(Attack):
         self.num_trials = num_trials
         self.early_stop = early_stop
 
+    @property
+    def max_queries_per_seed(self) -> int:
+        return 1 + self.num_trials  # the seed's prediction, then one per trial
+
     def run(
         self,
         model: Classifier,
@@ -101,6 +105,10 @@ class GaussianNoise(Attack):
             raise AttackError("num_trials must be positive")
         self.std_fraction = std_fraction
         self.num_trials = num_trials
+
+    @property
+    def max_queries_per_seed(self) -> int:
+        return 1 + self.num_trials  # the seed's prediction, then one per trial
 
     def run(
         self,
@@ -147,6 +155,12 @@ class BoundaryNudge(Attack):
             raise AttackError("num_directions and num_bisections must be positive")
         self.num_directions = num_directions
         self.num_bisections = num_bisections
+
+    @property
+    def max_queries_per_seed(self) -> int:
+        # the seed's prediction, one probe per direction until the first hit,
+        # then one per bisection level
+        return 1 + self.num_directions + self.num_bisections
 
     def run(
         self,

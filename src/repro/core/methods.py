@@ -21,8 +21,8 @@ candidate's naturalness so the comparison can score *operational* AEs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -61,13 +61,15 @@ class DetectionMethod:
             raise ConfigurationError(f"budget must be positive, got {budget}")
 
 
-def _normalised_density(
-    profile: Optional[OperationalProfile], x: np.ndarray, reference: np.ndarray
-) -> np.ndarray:
-    """Density of ``x`` relative to the mean density over ``reference``."""
+def _relative_to(
+    profile: Optional[OperationalProfile], reference: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Rows' densities relative to the mean density over ``reference`` (1
+    without a profile); the reference is evaluated once, here."""
     if profile is None:
-        return np.ones(len(x))
-    return relative_density(profile.density(x, log=True), profile.density(reference, log=True))
+        return lambda x: np.ones(len(x))
+    log_reference = profile.density(reference, log=True)
+    return lambda x: relative_density(profile.density(x, log=True), log_reference)
 
 
 @dataclass
@@ -115,6 +117,7 @@ class OperationalAEDetection(DetectionMethod):
             config=config,
             natural_pool=operational_data.x,
         )
+        relative = _relative_to(self.profile, operational_data.x)
 
         adversarial: List[AdversarialExample] = []
         used = 0
@@ -125,12 +128,11 @@ class OperationalAEDetection(DetectionMethod):
             num_seeds = max(1, remaining // config.queries_per_seed)
             num_seeds = min(num_seeds, len(operational_data))
             selection = sampler.select(operational_data, model, num_seeds, rng=generator)
-            densities = _normalised_density(self.profile, selection.x, operational_data.x)
             campaign = fuzzer.fuzz(
                 model,
                 selection.x,
                 selection.y,
-                op_densities=densities,
+                op_densities=relative(selection.x),
                 budget=remaining,
                 rng=generator,
             )
@@ -157,13 +159,17 @@ class AttackOnUniformSeeds(DetectionMethod):
     already have) rather than from the operational dataset.  The profile and
     scorer are used only *post hoc* to annotate what the attack found, so the
     comparison can ask how operationally relevant those AEs are.
+
+    Each round attacks only as many seeds as the remaining budget pays for at
+    the attack's :attr:`~repro.attacks.Attack.max_queries_per_seed`, so the
+    method never spends more than its budget; a budget below that bound
+    cannot pay for one seed and raises :class:`ConfigurationError`.
     """
 
-    attack: Optional[Attack] = None
+    attack: Attack = field(default_factory=lambda: PGD(epsilon=0.1, num_steps=10))
     profile: Optional[OperationalProfile] = None
     naturalness: Optional[NaturalnessScorer] = None
     seed_pool: Optional[Dataset] = None
-    queries_per_seed_estimate: int = 21
     name: str = "pgd-uniform-seeds"
 
     def detect(
@@ -174,20 +180,25 @@ class AttackOnUniformSeeds(DetectionMethod):
         rng: RngLike = None,
     ) -> DetectionResult:
         self._check_budget(budget)
+        per_seed = self.attack.max_queries_per_seed
+        if budget < per_seed:
+            raise ConfigurationError(
+                f"budget {budget} cannot pay for one seed: {self.attack.name} "
+                f"may charge up to {per_seed} queries a seed"
+            )
         generator = ensure_rng(rng)
-        attack = self.attack if self.attack is not None else PGD(epsilon=0.1, num_steps=10)
         pool = self.seed_pool if self.seed_pool is not None else operational_data
+        relative = _relative_to(self.profile, operational_data.x)
 
         adversarial: List[AdversarialExample] = []
         used = 0
         seeds_attacked = 0
-        while used < budget:
-            remaining = budget - used
-            num_seeds = max(1, remaining // max(self.queries_per_seed_estimate, 1))
-            num_seeds = min(num_seeds, len(pool))
+        # start only the seeds the remaining budget can pay for in full
+        while budget - used >= per_seed:
+            num_seeds = min((budget - used) // per_seed, len(pool))
             selection = UniformSeedSampler().select(pool, model, num_seeds, rng=generator)
-            result = attack.run(model, selection.x, selection.y, rng=generator)
-            densities = _normalised_density(self.profile, selection.x, operational_data.x)
+            result = self.attack.run(model, selection.x, selection.y, rng=generator)
+            densities = relative(selection.x)
             hits = np.flatnonzero(result.success)
             # annotate every successful AE with one batched naturalness call
             hit_naturalness = (
@@ -231,19 +242,8 @@ class AttackOnUniformSeeds(DetectionMethod):
 class RandomFuzzBaseline(AttackOnUniformSeeds):
     """Unguided random fuzzing from uniform seeds (black-box baseline)."""
 
+    attack: Attack = field(default_factory=lambda: RandomFuzz(epsilon=0.1, num_trials=20))
     name: str = "random-fuzz-uniform-seeds"
-
-    def detect(
-        self,
-        model: Classifier,
-        operational_data: Dataset,
-        budget: int,
-        rng: RngLike = None,
-    ) -> DetectionResult:
-        if self.attack is None:
-            self.attack = RandomFuzz(epsilon=0.1, num_trials=20)
-            self.queries_per_seed_estimate = 21
-        return super().detect(model, operational_data, budget, rng)
 
 
 @dataclass
@@ -279,7 +279,10 @@ class OperationalTestingBaseline(DetectionMethod):
         engine = policy.build_engine(model)
         selection = UniformSeedSampler().select(operational_data, engine, size, rng=generator)
         predictions = engine.predict(selection.x)
-        densities = _normalised_density(self.profile, selection.x, operational_data.x)
+        densities = relative_density(
+            self.profile.density(selection.x, log=True),
+            self.profile.density(operational_data.x, log=True),
+        )
         adversarial: List[AdversarialExample] = []
         failures = np.flatnonzero(predictions != selection.y)
         failure_naturalness = (

@@ -267,7 +267,7 @@ class BatchedQueryEngine:
     # naturalness scoring
     # ------------------------------------------------------------------ #
     def score_naturalness(self, x: np.ndarray) -> np.ndarray:
-        """Chunked naturalness scores for every row."""
+        """Chunked log naturalness scores for every row (the fuzzer's scale)."""
         if self.naturalness is None:
             raise ConfigurationError("engine was built without a naturalness scorer")
         x = finite_rows(np.atleast_2d(np.asarray(x, dtype=float)))
@@ -278,7 +278,7 @@ class BatchedQueryEngine:
         telemetry.count("engine.naturalness_rows", n)
         pieces = []
         for start, stop in _iter_chunks(n, self.batch_size):
-            pieces.append(np.asarray(self.naturalness.score(x[start:stop]), dtype=float))
+            pieces.append(np.asarray(self.naturalness.score(x[start:stop], log=True), dtype=float))
             self.stats.naturalness_calls += 1
             telemetry.count("engine.naturalness_calls")
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)

@@ -66,19 +66,19 @@ def pick_operator(
 
 def fitness_from_probs(
     label_probs: np.ndarray,
-    naturalness: np.ndarray,
+    log_naturalness: np.ndarray,
     loss_weight: float,
     naturalness_weight: float,
 ) -> np.ndarray:
-    """Search fitness mixing model loss with (log) naturalness, elementwise.
+    """Search fitness mixing model loss with log naturalness, elementwise.
 
     ``label_probs`` is the model's probability of each candidate's true
     label; scalars give the same bits as arrays.
     """
     loss = -np.log(np.maximum(label_probs, EPSILON))
-    return loss_weight * loss + naturalness_weight * np.log(
-        np.maximum(naturalness, EPSILON)
-    )
+    if not naturalness_weight:  # 0 * -inf (a cell without OP mass) is NaN
+        return loss_weight * loss
+    return loss_weight * loss + naturalness_weight * log_naturalness
 
 
 @dataclass
@@ -134,7 +134,7 @@ class _Population:
         self.batch = batch
         self.budget = np.array(batch.budgets, dtype=np.int64)
         self.current = np.array(batch.seeds, dtype=float)
-        self.floor = np.zeros(n)
+        self.log_floor = np.full(n, -np.inf)
         self.queries = np.zeros(n, dtype=np.int64)
         self.proposals = np.zeros(n, dtype=np.int64)
         self.stalled = np.zeros(n, dtype=np.int64)
@@ -269,16 +269,17 @@ class PopulationFuzzEngine:
         """Score and classify the raw seeds of newly admitted members (batched)."""
         batch = pop.batch
         seeds = batch.seeds[admitted]
-        naturalness = self.engine.score_naturalness(seeds)
+        log_naturalness = self.engine.score_naturalness(seeds)
         predictions = self.engine.predict(seeds)
-        pop.floor[admitted] = self.config.naturalness_threshold * naturalness
+        with np.errstate(divide="ignore"):  # threshold 0: log 0 = -inf, no floor
+            pop.log_floor[admitted] = np.log(self.config.naturalness_threshold) + log_naturalness
         pop.queries[admitted] = 1
         # a "natural failure": the seed itself is already misclassified
         failed = predictions != batch.labels[admitted]
         for member, prediction, seed_naturalness in zip(
             admitted[failed].tolist(),
             predictions[failed].tolist(),
-            naturalness[failed].tolist(),
+            np.exp(log_naturalness[failed]).tolist(),
         ):
             pop.detect(
                 member, batch.seeds[member].copy(), prediction, 0.0, seed_naturalness
@@ -344,16 +345,15 @@ class PopulationFuzzEngine:
 
         # one batched naturalness call gates every proposal of the round
         candidates = np.concatenate(blocks)
-        naturalness = self.engine.score_naturalness(candidates)
-        if cfg.naturalness_threshold > 0:
-            unnatural = naturalness < pop.floor[members]
-            pop.rejected[members[unnatural]] += 1
-            pop.stalled[members[unnatural]] += 1
-            natural = ~unnatural
-            members = members[natural]
-            candidates, naturalness = candidates[natural], naturalness[natural]
-            if not len(members):
-                return
+        log_naturalness = self.engine.score_naturalness(candidates)
+        unnatural = log_naturalness < pop.log_floor[members]
+        pop.rejected[members[unnatural]] += 1
+        pop.stalled[members[unnatural]] += 1
+        natural = ~unnatural
+        members = members[natural]
+        candidates, log_naturalness = candidates[natural], log_naturalness[natural]
+        if not len(members):
+            return
 
         # one batched forward pass yields every verdict and fitness at once
         probs = self.engine.predict_proba(candidates)
@@ -371,7 +371,7 @@ class PopulationFuzzEngine:
                     candidates[j],
                     int(predictions[j]),
                     distance,
-                    float(naturalness[j]),
+                    float(np.exp(log_naturalness[j])),
                 )
             pop.retire(members[hit])
 
@@ -379,7 +379,7 @@ class PopulationFuzzEngine:
         members, candidates = members[missed], candidates[missed]
         fitness = fitness_from_probs(
             probs[missed, labels[missed]],
-            naturalness[missed],
+            log_naturalness[missed],
             cfg.loss_weight,
             cfg.naturalness_weight,
         )

@@ -11,8 +11,9 @@ signals:
   directed gradient steps (:mod:`repro.fuzzing.mutations`);
 * a candidate is *accepted* as an operational AE only if it is misclassified
   and its naturalness score stays above ``naturalness_threshold`` times the
-  seed's own naturalness (the "constraint on naturalness / local OP");
-* the search is steered by a fitness that mixes the model loss with the
+  seed's own naturalness (the "constraint on naturalness / local OP"),
+  compared in log space so it holds where linear scores underflow;
+* the search is steered by a fitness that mixes the model loss with the log
   naturalness score, so the fuzzer climbs towards the decision boundary while
   staying on the data manifold;
 * the per-seed energy (query budget) is allocated proportionally to the
@@ -95,8 +96,9 @@ class FuzzerConfig:
         Minimum acceptable naturalness of an AE, as a fraction of the seed's
         own naturalness score.  Set to 0 to disable the constraint (ablation).
     loss_weight, naturalness_weight:
-        Mixing coefficients of the search fitness.  Setting
-        ``naturalness_weight`` to 0 recovers purely loss-guided search.
+        Mixing coefficients of the search fitness, of the model loss and the
+        log naturalness.  Setting ``naturalness_weight`` to 0 recovers
+        purely loss-guided search.
     use_gradient:
         Include the directed gradient mutation operator.
     gradient_probability:
@@ -202,18 +204,8 @@ class FuzzCampaignResult:
         return len(self.adversarial_examples) / len(self.per_seed)
 
     def validate_budget(self, budget: Optional[int]) -> None:
-        """Check the campaign's query-accounting invariants.
-
-        ``total_queries`` must equal the sum of the per-seed counts (it does
-        by construction; re-derived here defensively) and must never exceed
-        the global budget when one was given.
-        """
-        total = int(sum(r.queries for r in self.per_seed))
-        if total != self.total_queries:
-            raise FuzzingError(
-                f"per-seed query accounting is inconsistent: {total} vs "
-                f"{self.total_queries}"
-            )
+        """Raise :class:`FuzzingError` if the campaign spent more than ``budget``."""
+        total = self.total_queries
         if budget is not None and total > budget:
             raise FuzzingError(
                 f"campaign spent {total} queries, exceeding the budget of {budget}"
@@ -309,13 +301,13 @@ class OperationalFuzzer:
             budgets=np.maximum(1, np.rint(cfg.queries_per_seed * energies)).astype(int),
             rng_seeds=spawn_seeds(rng, len(seeds)),
             densities=op_densities,
+            neighbours=self._natural_neighbours_batch(seeds),
         )
         engine = cfg.policy.build_engine(model, naturalness=self.naturalness)
         self.last_query_stats = engine.stats
         if cfg.execution == "sequential":
             per_seed = self._fuzz_sequential(engine, batch, budget)
         else:
-            batch.neighbours = self._natural_neighbours_batch(seeds)
             population = PopulationFuzzEngine(engine, cfg, self.operators)
             per_seed = population.run(batch, budget=budget)
         result = FuzzCampaignResult(per_seed=per_seed)
@@ -329,7 +321,6 @@ class OperationalFuzzer:
         self, engine: BatchedQueryEngine, batch: SeedBatch, budget: Optional[int]
     ) -> List[SeedFuzzResult]:
         per_seed: List[SeedFuzzResult] = []
-        densities = batch.densities
         queries_remaining = budget if budget is not None else np.inf
         for index in range(len(batch)):
             if queries_remaining <= 0:
@@ -337,16 +328,7 @@ class OperationalFuzzer:
             seed_budget = int(batch.budgets[index])
             if np.isfinite(queries_remaining):
                 seed_budget = min(seed_budget, int(queries_remaining))
-            seed_budget = max(1, seed_budget)
-            seed_result = self._fuzz_one(
-                engine,
-                batch.seeds[index],
-                int(batch.labels[index]),
-                index,
-                seed_budget,
-                float(densities[index]) if densities is not None else None,
-                int(batch.rng_seeds[index]),
-            )
+            seed_result = self._fuzz_one(engine, batch, index, max(1, seed_budget))
             queries_remaining -= seed_result.queries
             per_seed.append(seed_result)
         return per_seed
@@ -363,14 +345,6 @@ class OperationalFuzzer:
         energies = op_densities / mean_density
         return np.clip(energies, self.config.min_energy, self.config.max_energy)
 
-    def _natural_neighbours(self, seed: np.ndarray) -> Optional[np.ndarray]:
-        if self._pool_tree is None or self.config.neighbour_count == 0:
-            return None
-        k = min(self.config.neighbour_count, len(self._pool))
-        _, indices = self._pool_tree.query(seed, k=k)
-        indices = np.atleast_1d(indices)
-        return self._pool[indices]
-
     def _natural_neighbours_batch(self, seeds: np.ndarray) -> Optional[np.ndarray]:
         """The ``(n, k, d)`` natural neighbours of every seed, from one
         vectorised KD-tree query."""
@@ -382,19 +356,16 @@ class OperationalFuzzer:
         return self._pool[np.asarray(indices).reshape(len(seeds), k)]
 
     def _fuzz_one(
-        self,
-        engine: BatchedQueryEngine,
-        seed: np.ndarray,
-        label: int,
-        seed_index: int,
-        seed_budget: int,
-        op_density: Optional[float],
-        rng_seed: int,
+        self, engine: BatchedQueryEngine, batch: SeedBatch, seed_index: int, seed_budget: int
     ) -> SeedFuzzResult:
         cfg = self.config
-        seed_naturalness = float(engine.score_naturalness(seed[None, :])[0])
-        naturalness_floor = cfg.naturalness_threshold * seed_naturalness
-        neighbours = self._natural_neighbours(seed)
+        seed = batch.seeds[seed_index]
+        label = int(batch.labels[seed_index])
+        op_density = float(batch.densities[seed_index]) if batch.densities is not None else None
+        neighbours = batch.neighbours[seed_index] if batch.neighbours is not None else None
+        seed_log_naturalness = engine.score_naturalness(seed[None, :])[0]
+        with np.errstate(divide="ignore"):  # threshold 0: log 0 = -inf, no floor
+            log_floor = np.log(cfg.naturalness_threshold) + seed_log_naturalness
 
         queries = 0
         rejected = 0
@@ -412,14 +383,14 @@ class OperationalFuzzer:
                 true_label=label,
                 predicted_label=prediction,
                 distance=0.0,
-                naturalness=seed_naturalness,
+                naturalness=float(np.exp(seed_log_naturalness)),
                 op_density=op_density,
                 method="operational-fuzzer",
                 queries=queries,
             )
             return SeedFuzzResult(seed_index, found, queries, 0.0, 0)
 
-        generator = np.random.default_rng(rng_seed)
+        generator = np.random.default_rng(int(batch.rng_seeds[seed_index]))
         directed = [op for op in self.operators if op.queries_model]
         undirected = [op for op in self.operators if not op.queries_model]
         stalled = 0
@@ -446,8 +417,8 @@ class OperationalFuzzer:
                 queries += 1
                 if queries >= seed_budget:
                     break
-            candidate_naturalness = float(engine.score_naturalness(candidate[None, :])[0])
-            if cfg.naturalness_threshold > 0 and candidate_naturalness < naturalness_floor:
+            candidate_log_naturalness = engine.score_naturalness(candidate[None, :])[0]
+            if candidate_log_naturalness < log_floor:
                 rejected += 1
                 stalled += 1
                 continue
@@ -464,7 +435,7 @@ class OperationalFuzzer:
                     true_label=label,
                     predicted_label=prediction,
                     distance=distance,
-                    naturalness=candidate_naturalness,
+                    naturalness=float(np.exp(candidate_log_naturalness)),
                     op_density=op_density,
                     method="operational-fuzzer",
                     queries=queries,
@@ -472,7 +443,7 @@ class OperationalFuzzer:
                 break
 
             fitness = fitness_from_probs(
-                probs[label], candidate_naturalness, cfg.loss_weight, cfg.naturalness_weight
+                probs[label], candidate_log_naturalness, cfg.loss_weight, cfg.naturalness_weight
             )
             if fitness > best_fitness:
                 best_fitness = fitness

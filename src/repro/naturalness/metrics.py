@@ -9,13 +9,17 @@ pool of natural data so that different scorers are comparable: a score of 1.0
 is the median naturalness of natural data and scores decay towards 0 as the
 input leaves the data manifold.
 
+Every scorer computes a log score and exponentiates it only for the linear
+default; ``score(x, log=True)`` returns the log itself, so rows whose linear
+score underflows to 0 (off the manifold at d = 784) stay distinct and ordered.
+
 Three scorers are provided:
 
 * :class:`DensityNaturalness` — kernel density (or any
   :class:`repro.op.OperationalProfile` density) relative to natural data.
 * :class:`ReconstructionNaturalness` — autoencoder reconstruction error
   (:class:`repro.nn.DenseAutoencoder`), a learned manifold-distance proxy.
-* :class:`CompositeNaturalness` — geometric mean of other scorers.
+* :class:`CompositeNaturalness` — unweighted geometric mean of other scorers.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ class NaturalnessScorer:
         """Calibrate the scorer on a pool of natural inputs."""
         raise NotImplementedError
 
-    def score(self, x: np.ndarray) -> np.ndarray:
-        """Return a naturalness score for each row of ``x``."""
+    def score(self, x: np.ndarray, log: bool = False) -> np.ndarray:
+        """Return a naturalness score for each row of ``x`` (its log with ``log=True``)."""
         raise NotImplementedError
 
     @property
@@ -92,10 +96,11 @@ class DensityNaturalness(NaturalnessScorer):
         self._log_median = log_median
         return self
 
-    def score(self, x: np.ndarray) -> np.ndarray:
+    def score(self, x: np.ndarray, log: bool = False) -> np.ndarray:
         self._require_fitted()
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.exp(self._profile.density(x, log=True) - self._log_median)
+        log_score = self._profile.density(x, log=True) - self._log_median
+        return log_score if log else np.exp(log_score)
 
     @property
     def is_fitted(self) -> bool:
@@ -142,10 +147,11 @@ class ReconstructionNaturalness(NaturalnessScorer):
         self._scale = max(spread, EPSILON, 0.1 * self._median_error)
         return self
 
-    def score(self, x: np.ndarray) -> np.ndarray:
+    def score(self, x: np.ndarray, log: bool = False) -> np.ndarray:
         self._require_fitted()
         errors = self._autoencoder.reconstruction_error(np.atleast_2d(np.asarray(x, dtype=float)))
-        return np.exp(-(errors - self._median_error) / self._scale)
+        log_score = -(errors - self._median_error) / self._scale
+        return log_score if log else np.exp(log_score)
 
     @property
     def is_fitted(self) -> bool:
@@ -153,24 +159,12 @@ class ReconstructionNaturalness(NaturalnessScorer):
 
 
 class CompositeNaturalness(NaturalnessScorer):
-    """Geometric mean of several scorers, optionally weighted."""
+    """Unweighted geometric mean of several scorers (the mean of their log scores)."""
 
-    def __init__(
-        self,
-        scorers: Sequence[NaturalnessScorer],
-        weights: Optional[Sequence[float]] = None,
-    ) -> None:
+    def __init__(self, scorers: Sequence[NaturalnessScorer]) -> None:
         if not scorers:
             raise ConfigurationError("CompositeNaturalness requires at least one scorer")
         self.scorers: List[NaturalnessScorer] = list(scorers)
-        if weights is None:
-            weights = [1.0] * len(self.scorers)
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(self.scorers),):
-            raise ConfigurationError("weights must have one entry per scorer")
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ConfigurationError("weights must be non-negative with positive sum")
-        self.weights = weights / weights.sum()
 
     def fit(self, natural_x: np.ndarray) -> "CompositeNaturalness":
         for scorer in self.scorers:
@@ -178,15 +172,11 @@ class CompositeNaturalness(NaturalnessScorer):
                 scorer.fit(natural_x)
         return self
 
-    def score(self, x: np.ndarray) -> np.ndarray:
+    def score(self, x: np.ndarray, log: bool = False) -> np.ndarray:
         self._require_fitted()
-        # convert once, then fold every scorer's log-scores in a single
-        # weighted matrix product instead of accumulating python-side
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        log_scores = np.log(
-            np.maximum(np.stack([scorer.score(x) for scorer in self.scorers]), EPSILON)
-        )
-        return np.exp(self.weights @ log_scores)
+        log_score = np.mean([scorer.score(x, log=True) for scorer in self.scorers], axis=0)
+        return log_score if log else np.exp(log_score)
 
     @property
     def is_fitted(self) -> bool:

@@ -65,6 +65,50 @@ class TestAllAttacks:
             factory().run(trained_cluster_model, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
+#: a few settings of every attack, with the most queries each can charge a seed
+QUERY_BOUNDS = [
+    ("fgsm", lambda: FGSM(epsilon=0.05), 2),
+    ("fgsm-wide", lambda: FGSM(epsilon=0.3), 2),
+    ("pgd-3", lambda: PGD(epsilon=0.15, num_steps=3), 7),
+    ("pgd-8-exhaustive", lambda: PGD(epsilon=0.05, num_steps=8, early_stop=False), 17),
+    ("pgd-5-fixed-start", lambda: PGD(epsilon=0.3, num_steps=5, random_start=False), 11),
+    ("random-fuzz-7", lambda: RandomFuzz(epsilon=0.05, num_trials=7), 8),
+    (
+        "random-fuzz-12-exhaustive",
+        lambda: RandomFuzz(epsilon=0.3, num_trials=12, early_stop=False),
+        13,
+    ),
+    ("gaussian-noise-6", lambda: GaussianNoise(epsilon=0.05, num_trials=6), 7),
+    ("gaussian-noise-9", lambda: GaussianNoise(epsilon=0.3, std_fraction=1.0, num_trials=9), 10),
+    (
+        "boundary-nudge-3-2",
+        lambda: BoundaryNudge(epsilon=0.05, num_directions=3, num_bisections=2),
+        6,
+    ),
+    (
+        "boundary-nudge-6-5",
+        lambda: BoundaryNudge(epsilon=0.3, num_directions=6, num_bisections=5),
+        12,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "factory,bound", [b[1:] for b in QUERY_BOUNDS], ids=[b[0] for b in QUERY_BOUNDS]
+)
+def test_no_seed_is_charged_past_the_stated_bound(
+    factory, bound, trained_cluster_model, correctly_classified
+):
+    x, y = correctly_classified
+    attack = factory()
+    assert attack.max_queries_per_seed == bound
+    result = attack.run(trained_cluster_model, x, y, rng=0)
+    assert result.queries_per_seed.max() <= bound
+    if not getattr(attack, "early_stop", True):
+        # an exhaustive attack charges every seed the whole bound
+        assert np.all(result.queries_per_seed == bound)
+
+
 class TestGradientAttacks:
     def test_pgd_roughly_as_strong_as_fgsm(self, trained_cluster_model, correctly_classified):
         x, y = correctly_classified

@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.exceptions import ConfigurationError
 from repro.fuzzing import FuzzerConfig
+from repro.sampling import UniformSeedSampler
 from repro.types import AdversarialExample, DetectionResult
 
 
@@ -45,8 +46,7 @@ class TestDetectionMethods:
             assert isinstance(result, DetectionResult)
             assert result.method == method.name
             assert result.budget == budget
-            # allow one seed's worth of overshoot
-            assert result.test_cases_used <= budget + 30
+            assert result.test_cases_used <= budget
             assert result.seeds_attacked > 0
             for ae in result.adversarial_examples:
                 assert ae.true_label != ae.predicted_label
@@ -60,6 +60,50 @@ class TestDetectionMethods:
             for ae in result.adversarial_examples:
                 prediction = trained_cluster_model.predict(np.atleast_2d(ae.perturbed))[0]
                 assert prediction == ae.predicted_label
+
+    @pytest.mark.parametrize("kind", ["operational", "attack"])
+    def test_reference_density_is_evaluated_once_per_detect(
+        self,
+        kind,
+        monkeypatch,
+        cluster_profile,
+        cluster_naturalness,
+        clusters_split,
+        trained_cluster_model,
+        operational_cluster_data,
+    ):
+        # the operational data's densities are the reference of every round's
+        # relative densities; they do not change between rounds
+        data = operational_cluster_data
+        density, select = type(cluster_profile).density, UniformSeedSampler.select
+        reference_evaluations, rounds = [], []
+
+        def counting_density(profile, x, log=False):
+            reference_evaluations.append(x is data.x)
+            return density(profile, x, log=log)
+
+        def counting_select(sampler, *args, **kwargs):
+            rounds.append(args)
+            return select(sampler, *args, **kwargs)
+
+        monkeypatch.setattr(type(cluster_profile), "density", counting_density)
+        monkeypatch.setattr(UniformSeedSampler, "select", counting_select)
+        if kind == "operational":
+            method = OperationalAEDetection(
+                profile=cluster_profile,
+                naturalness=cluster_naturalness,
+                fuzzer_config=FuzzerConfig(queries_per_seed=20),
+                sampler=UniformSeedSampler(),
+            )
+        else:
+            method = AttackOnUniformSeeds(
+                profile=cluster_profile,
+                naturalness=cluster_naturalness,
+                seed_pool=clusters_split[0],
+            )
+        method.detect(trained_cluster_model, data, 2000, rng=0)
+        assert len(rounds) >= 2
+        assert sum(reference_evaluations) == 1
 
     def test_proposed_method_finds_aes(
         self, cluster_profile, cluster_naturalness, trained_cluster_model, operational_cluster_data
@@ -90,6 +134,16 @@ class TestDetectionMethods:
         for method in all_methods:
             with pytest.raises(ConfigurationError):
                 method.detect(trained_cluster_model, operational_cluster_data, 0)
+
+    def test_budget_below_one_seed_raises(
+        self, cluster_profile, trained_cluster_model, operational_cluster_data
+    ):
+        method = AttackOnUniformSeeds(profile=cluster_profile)  # default PGD: at most 21 a seed
+        with pytest.raises(ConfigurationError, match="up to 21"):
+            method.detect(trained_cluster_model, operational_cluster_data, 20, rng=0)
+        result = method.detect(trained_cluster_model, operational_cluster_data, 21, rng=0)
+        assert result.seeds_attacked == 1
+        assert result.test_cases_used <= 21
 
     def test_operational_testing_counts_only_natural_failures(
         self, cluster_profile, cluster_naturalness, trained_cluster_model, operational_cluster_data

@@ -187,8 +187,11 @@ class TestPaperDimension:
     1,100) overflows every linear density: weights and naturalness must come
     from log densities."""
 
-    def test_glyph_loop_completes_at_d_784(self):
-        scenario = make_glyph_scenario(num_samples=300, image_size=28, epochs=2, rng=0)
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return make_glyph_scenario(num_samples=300, image_size=28, epochs=2, rng=0)
+
+    def test_glyph_loop_completes_at_d_784(self, scenario):
         assert scenario.train_data.num_features == 784
         loop = OperationalTestingLoop(
             profile=scenario.profile,
@@ -211,3 +214,12 @@ class TestPaperDimension:
         assert np.all(np.isfinite(operational))
         noise = scenario.naturalness.score(np.random.default_rng(0).random((100, 784)))
         assert np.median(operational) > noise.max()
+
+    def test_log_naturalness_ranks_noise_at_d_784(self, scenario):
+        # every linear score of these rows underflows to 0; their log scores
+        # stay distinct, so naturalness still orders them
+        noise = np.random.default_rng(0).random((100, 784))
+        log_noise = scenario.naturalness.score(noise, log=True)
+        assert len(np.unique(log_noise)) == 100
+        log_operational = scenario.naturalness.score(scenario.operational_data.x, log=True)
+        assert log_noise.max() < np.median(log_operational)

@@ -11,7 +11,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.engine import BatchedQueryEngine, QueryCache, QueryStats, as_query_engine
+from repro.engine import (
+    BatchedQueryEngine,
+    QueryCache,
+    QueryStats,
+    as_query_engine,
+    fitness_from_probs,
+)
 from repro.evaluation import make_scenario
 from repro.exceptions import ConfigurationError, DataError, FuzzingError
 from repro.fuzzing import FuzzerConfig, OperationalFuzzer
@@ -136,7 +142,7 @@ class TestBatchedQueryEngine:
             trained_cluster_model, naturalness=cluster_naturalness, batch_size=6
         )
         scores = engine.score_naturalness(x)
-        np.testing.assert_allclose(scores, cluster_naturalness.score(x), rtol=1e-12)
+        np.testing.assert_allclose(scores, cluster_naturalness.score(x, log=True), rtol=1e-12)
         assert engine.stats.naturalness_calls == int(np.ceil(len(x) / 6))
 
     def test_score_naturalness_requires_scorer(self, trained_cluster_model, engine_inputs):
@@ -166,6 +172,21 @@ class TestBatchedQueryEngine:
                 BatchedQueryEngine(trained_cluster_model, cache=cache)
             with pytest.raises(ConfigurationError, match="cache must be a bool"):
                 as_query_engine(trained_cluster_model, cache=cache)
+
+
+class TestFitness:
+    def test_zero_naturalness_weight_ignores_minus_inf_log_naturalness(self):
+        # a candidate in a cell without OP mass has log naturalness -inf;
+        # purely loss-guided search must still rank it by its loss
+        probs = np.array([0.5, 0.25, 1.0])
+        log_naturalness = np.array([-np.inf, -3.0, -np.inf])
+        fitness = fitness_from_probs(probs, log_naturalness, 2.0, 0.0)
+        np.testing.assert_array_equal(fitness, 2.0 * -np.log(probs))
+        assert fitness_from_probs(0.25, -np.inf, 2.0, 0.0) == 2.0 * -np.log(0.25)
+
+    def test_fitness_adds_weighted_log_naturalness(self):
+        fitness = fitness_from_probs(np.array([0.5]), np.array([-3.0]), 1.0, 0.5)
+        np.testing.assert_array_equal(fitness, -np.log(0.5) - 1.5)
 
 
 class TestQueryStats:

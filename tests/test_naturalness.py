@@ -93,16 +93,42 @@ class TestCompositeNaturalness:
     def test_weights_validation(self):
         with pytest.raises(ConfigurationError):
             CompositeNaturalness([])
-        with pytest.raises(ConfigurationError):
-            CompositeNaturalness([DensityNaturalness()], weights=[1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            CompositeNaturalness([DensityNaturalness()], weights=[-1.0])
 
     def test_is_fitted_reflects_members(self, natural_2d):
         composite = CompositeNaturalness([DensityNaturalness(rng=0)])
         assert not composite.is_fitted
         composite.fit(natural_2d)
         assert composite.is_fitted
+
+
+SCORERS = {
+    "density": lambda: DensityNaturalness(rng=0),
+    "reconstruction": lambda: ReconstructionNaturalness(rng=0),
+    "composite": lambda: CompositeNaturalness(
+        [DensityNaturalness(rng=0), ReconstructionNaturalness(rng=0)]
+    ),
+}
+
+
+class TestLogScores:
+    """``score(x, log=True)`` is the log of the linear score, computed
+    without exponentiating it."""
+
+    @pytest.mark.parametrize("kind", sorted(SCORERS))
+    @pytest.mark.parametrize("d", [2, 144])
+    def test_log_score_is_the_log_of_the_linear_score(self, kind, d, natural_2d):
+        natural = natural_2d
+        if d == 144:
+            natural = make_glyph_digits(200, image_size=12, num_classes=4, rng=1).x
+        scorer = SCORERS[kind]().fit(natural)
+        noise = np.random.default_rng(4).random((50, natural.shape[1]))
+        x = np.concatenate([natural[:50], noise])
+        log_scores = scorer.score(x, log=True)
+        linear = scorer.score(x)
+        assert np.all(np.isfinite(log_scores))
+        positive = linear > 0
+        assert positive.sum() >= 50
+        np.testing.assert_allclose(log_scores[positive], np.log(linear[positive]), rtol=1e-12)
 
 
 class TestDefaultScorer:

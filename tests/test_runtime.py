@@ -149,7 +149,7 @@ class TestBackendRegistry:
         assert ExecutionPolicy().build_engine(engine, cluster_naturalness) is engine
         x = operational_cluster_data.x[:12]
         np.testing.assert_array_equal(
-            engine.score_naturalness(x), cluster_naturalness.score(x)
+            engine.score_naturalness(x), cluster_naturalness.score(x, log=True)
         )
 
 
