@@ -1,8 +1,8 @@
-"""Setuptools shim so ``pip install -e .`` works with older tooling.
+"""Setuptools metadata so ``pip install -e .`` works with older tooling.
 
-All project metadata lives in ``pyproject.toml``; this file only exists to
-enable legacy editable installs in environments without network access to
-fetch modern build backends.
+This file holds all of the project's packaging metadata; there is no
+``pyproject.toml``.  Everything else runs from a checkout with
+``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

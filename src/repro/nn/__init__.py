@@ -1,98 +1,37 @@
 """Numpy deep-learning substrate used by the operational-AE testing pipeline.
 
-The package provides everything the paper's machinery needs from a DL
-framework: layered feed-forward networks with full backpropagation (including
-gradients with respect to inputs), losses with per-sample weights, first-order
-optimisers, a mini-batch trainer, weight serialisation, common architectures
-and a dense autoencoder for naturalness scoring.
+The package provides what the paper's loop trains and queries: a ReLU
+multi-layer perceptron classifier with full backpropagation (including
+gradients with respect to inputs), losses with per-sample weights, the Adam
+optimiser, a mini-batch trainer and a dense autoencoder for naturalness
+scoring.
 """
 
 from .autoencoder import AutoencoderConfig, DenseAutoencoder
-from .initializers import initialize
-from .layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    Layer,
-    LeakyReLU,
-    MaxPool2D,
-    ReLU,
-    Reshape,
-    Sigmoid,
-    Softmax,
-    Tanh,
-    activation_from_name,
-)
-from .losses import (
-    Loss,
-    MeanSquaredError,
-    NegativeLogLikelihood,
-    SoftmaxCrossEntropy,
-    loss_from_name,
-)
-from .metrics import (
-    accuracy,
-    confusion_matrix,
-    cross_entropy,
-    per_class_accuracy,
-    precision_recall_f1,
-    prediction_margin,
-    weighted_accuracy,
-)
-from .models import (
-    build_cnn_classifier,
-    build_logistic_regression,
-    build_mlp_classifier,
-)
+from .layers import Dense, Layer, ReLU, Sigmoid
+from .losses import Loss, MeanSquaredError, SoftmaxCrossEntropy
+from .metrics import accuracy, prediction_margin, weighted_accuracy
+from .models import build_mlp_classifier
 from .network import Sequential
-from .optimizers import SGD, Adam, Optimizer, RMSProp, optimizer_from_name
-from .serialization import load_weights, save_weights
-from .trainer import Trainer, TrainerConfig, TrainingHistory
+from .optimizers import Adam
+from .trainer import Trainer, TrainerConfig
 
 __all__ = [
     "AutoencoderConfig",
     "DenseAutoencoder",
-    "initialize",
-    "BatchNorm",
-    "Conv2D",
     "Dense",
-    "Dropout",
-    "Flatten",
     "Layer",
-    "LeakyReLU",
-    "MaxPool2D",
     "ReLU",
-    "Reshape",
     "Sigmoid",
-    "Softmax",
-    "Tanh",
-    "activation_from_name",
     "Loss",
     "MeanSquaredError",
-    "NegativeLogLikelihood",
     "SoftmaxCrossEntropy",
-    "loss_from_name",
     "accuracy",
-    "confusion_matrix",
-    "cross_entropy",
-    "per_class_accuracy",
-    "precision_recall_f1",
     "prediction_margin",
     "weighted_accuracy",
-    "build_cnn_classifier",
-    "build_logistic_regression",
     "build_mlp_classifier",
     "Sequential",
-    "SGD",
     "Adam",
-    "Optimizer",
-    "RMSProp",
-    "optimizer_from_name",
-    "load_weights",
-    "save_weights",
     "Trainer",
     "TrainerConfig",
-    "TrainingHistory",
 ]

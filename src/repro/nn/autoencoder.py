@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..config import RngLike, ensure_rng, spawn_rngs
+from ..config import RngLike, ensure_rng, require_finite, require_int, spawn_rngs
 from ..exceptions import ConfigurationError, NotFittedError
 from .layers import Dense, ReLU, Sigmoid
 from .losses import MeanSquaredError
@@ -34,9 +34,13 @@ class AutoencoderConfig:
     epochs: int = 30
     batch_size: int = 64
     learning_rate: float = 1e-3
-    sigmoid_output: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("latent_dim", "epochs", "batch_size"):
+            require_int(name, getattr(self, name))
+        for width in self.hidden_sizes:
+            require_int("hidden_sizes", width)
+        require_finite("learning_rate", self.learning_rate)
         if self.latent_dim <= 0:
             raise ConfigurationError("latent_dim must be positive")
         if any(h <= 0 for h in self.hidden_sizes):
@@ -81,8 +85,7 @@ class DenseAutoencoder:
             layers.append(ReLU())
             rng_index += 1
         layers.append(Dense(decoder_dims[-2], decoder_dims[-1], rng=rngs[rng_index]))
-        if cfg.sigmoid_output:
-            layers.append(Sigmoid())
+        layers.append(Sigmoid())
         return Sequential(layers, loss=MeanSquaredError())
 
     def fit(self, x: np.ndarray) -> "DenseAutoencoder":
@@ -106,7 +109,7 @@ class DenseAutoencoder:
         """Return the autoencoder reconstruction of each row of ``x``."""
         self._require_fitted()
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.network.forward(x, training=False)
+        return self.network.forward(x)
 
     def reconstruction_error(self, x: np.ndarray) -> np.ndarray:
         """Per-sample mean squared reconstruction error (lower = more natural)."""

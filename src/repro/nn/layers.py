@@ -10,22 +10,18 @@ loss with respect to the *input*, which falls out of the same chain.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..config import DEFAULT_DTYPE, RngLike, ensure_rng
 from ..exceptions import ConfigurationError, ShapeError
-from .initializers import initialize
 
 
 class Layer:
     """Base class for all layers."""
 
-    #: Whether the layer owns trainable parameters.
-    trainable: bool = False
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Compute the layer output for a batch ``x``."""
         raise NotImplementedError
 
@@ -41,39 +37,36 @@ class Layer:
         """Return gradients matching :meth:`parameters` after a backward pass."""
         return {}
 
-    def output_dim(self, input_dim: int) -> int:
-        """Return the flattened output dimension given a flattened input dimension."""
-        return input_dim
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
 
 class Dense(Layer):
-    """Fully connected affine layer ``y = x W + b``."""
+    """Fully connected affine layer ``y = x W + b``.
 
-    trainable = True
+    ``W`` is drawn from ``normal(0, sqrt(2 / out_features))`` and ``b``
+    starts at zero.  He et al.'s scale divides by the fan-in
+    (``in_features``); this one divides by the fan-out, so a wide input
+    layer starts larger than He's (``Dense(144, 64)``: 0.177 against
+    0.118).  Changing the scale would change every trained model.
+    """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        weight_init: str = "he",
-        rng: RngLike = None,
-    ) -> None:
+    def __init__(self, in_features: int, out_features: int, rng: RngLike = None) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ConfigurationError(
                 f"Dense dimensions must be positive, got ({in_features}, {out_features})"
             )
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = initialize((in_features, out_features), weight_init, rng)
+        self.weight = ensure_rng(rng).normal(
+            0.0, np.sqrt(2.0 / out_features), size=(in_features, out_features)
+        ).astype(DEFAULT_DTYPE)
         self.bias = np.zeros(out_features, dtype=DEFAULT_DTYPE)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
         self._input: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
                 f"Dense expected input of shape (n, {self.in_features}), got {x.shape}"
@@ -94,9 +87,6 @@ class Dense(Layer):
     def gradients(self) -> Dict[str, np.ndarray]:
         return {"weight": self.grad_weight, "bias": self.grad_bias}
 
-    def output_dim(self, input_dim: int) -> int:
-        return self.out_features
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dense({self.in_features}, {self.out_features})"
 
@@ -107,29 +97,12 @@ class ReLU(Layer):
     def __init__(self) -> None:
         self._mask: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return grad_output * self._mask
-
-
-class LeakyReLU(Layer):
-    """Leaky rectified linear unit with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        if negative_slope < 0:
-            raise ConfigurationError("negative_slope must be >= 0")
-        self.negative_slope = negative_slope
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
 
 
 class Sigmoid(Layer):
@@ -138,7 +111,7 @@ class Sigmoid(Layer):
     def __init__(self) -> None:
         self._output: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         positive = x >= 0
         out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
@@ -151,338 +124,4 @@ class Sigmoid(Layer):
         return grad_output * self._output * (1.0 - self._output)
 
 
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._output = np.tanh(x)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - self._output**2)
-
-
-class Softmax(Layer):
-    """Numerically stable softmax over the last axis.
-
-    Usually cross-entropy is fused with softmax in
-    :class:`repro.nn.losses.SoftmaxCrossEntropy`; this standalone layer exists
-    for models that expose probabilities directly.
-    """
-
-    def __init__(self) -> None:
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        self._output = exp / exp.sum(axis=-1, keepdims=True)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        s = self._output
-        dot = np.sum(grad_output * s, axis=-1, keepdims=True)
-        return s * (grad_output - dot)
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at inference time."""
-
-    def __init__(self, rate: float = 0.5, rng: RngLike = None) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = ensure_rng(rng)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
-class BatchNorm(Layer):
-    """Batch normalisation over feature columns with running statistics."""
-
-    trainable = True
-
-    def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5) -> None:
-        if num_features <= 0:
-            raise ConfigurationError("num_features must be positive")
-        if not 0.0 < momentum < 1.0:
-            raise ConfigurationError("momentum must be in (0, 1)")
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = np.ones(num_features, dtype=DEFAULT_DTYPE)
-        self.beta = np.zeros(num_features, dtype=DEFAULT_DTYPE)
-        self.grad_gamma = np.zeros_like(self.gamma)
-        self.grad_beta = np.zeros_like(self.beta)
-        self.running_mean = np.zeros(num_features, dtype=DEFAULT_DTYPE)
-        self.running_var = np.ones(num_features, dtype=DEFAULT_DTYPE)
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"BatchNorm expected {self.num_features} features, got {x.shape[1]}"
-            )
-        if training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        std = np.sqrt(var + self.eps)
-        x_hat = (x - mean) / std
-        self._cache = (x_hat, std, x - mean)
-        return self.gamma * x_hat + self.beta
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x_hat, std, centered = self._cache
-        n = grad_output.shape[0]
-        self.grad_gamma = np.sum(grad_output * x_hat, axis=0)
-        self.grad_beta = np.sum(grad_output, axis=0)
-        dx_hat = grad_output * self.gamma
-        dvar = np.sum(dx_hat * centered * -0.5 / std**3, axis=0)
-        dmean = np.sum(-dx_hat / std, axis=0) + dvar * np.mean(-2.0 * centered, axis=0)
-        return dx_hat / std + dvar * 2.0 * centered / n + dmean / n
-
-    def parameters(self) -> Dict[str, np.ndarray]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def gradients(self) -> Dict[str, np.ndarray]:
-        return {"gamma": self.grad_gamma, "beta": self.grad_beta}
-
-
-class Flatten(Layer):
-    """Flatten any trailing axes into a single feature axis."""
-
-    def __init__(self) -> None:
-        self._input_shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._input_shape)
-
-
-class Reshape(Layer):
-    """Reshape a flat feature axis into a target shape (excluding batch)."""
-
-    def __init__(self, target_shape: Tuple[int, ...]) -> None:
-        if any(int(s) <= 0 for s in target_shape):
-            raise ConfigurationError(f"target_shape entries must be positive, got {target_shape}")
-        self.target_shape = tuple(int(s) for s in target_shape)
-        self._input_shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._input_shape = x.shape
-        expected = int(np.prod(self.target_shape))
-        if int(np.prod(x.shape[1:])) != expected:
-            raise ShapeError(
-                f"cannot reshape features of size {int(np.prod(x.shape[1:]))} "
-                f"into {self.target_shape}"
-            )
-        return x.reshape((x.shape[0],) + self.target_shape)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._input_shape)
-
-    def output_dim(self, input_dim: int) -> int:
-        return int(np.prod(self.target_shape))
-
-
-def _im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int
-) -> Tuple[np.ndarray, int, int]:
-    """Rearrange image patches into columns for convolution via matmul."""
-    n, c, h, w = x.shape
-    out_h = (h + 2 * padding - kernel) // stride + 1
-    out_w = (w + 2 * padding - kernel) // stride + 1
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.zeros((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
-    for i in range(kernel):
-        i_max = i + stride * out_h
-        for j in range(kernel):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-    return cols, out_h, out_w
-
-
-def _col2im(
-    cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    padding: int,
-    out_h: int,
-    out_w: int,
-) -> np.ndarray:
-    """Inverse of :func:`_im2col`, scattering column gradients back to images."""
-    n, c, h, w = input_shape
-    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kernel):
-        i_max = i + stride * out_h
-        for j in range(kernel):
-            j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
-
-
-class Conv2D(Layer):
-    """2-D convolution over ``(n, channels, height, width)`` inputs."""
-
-    trainable = True
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int = 3,
-        stride: int = 1,
-        padding: int = 1,
-        weight_init: str = "he",
-        rng: RngLike = None,
-    ) -> None:
-        if min(in_channels, out_channels, kernel_size, stride) <= 0 or padding < 0:
-            raise ConfigurationError("invalid Conv2D hyper-parameters")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
-        self.weight = initialize((out_channels, fan_in), weight_init, rng).reshape(
-            out_channels, in_channels, kernel_size, kernel_size
-        )
-        self.bias = np.zeros(out_channels, dtype=DEFAULT_DTYPE)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int], int, int]] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"Conv2D expected (n, {self.in_channels}, h, w), got {x.shape}"
-            )
-        cols, out_h, out_w = _im2col(x, self.kernel_size, self.stride, self.padding)
-        w_mat = self.weight.reshape(self.out_channels, -1)
-        out = cols @ w_mat.T + self.bias
-        out = out.reshape(x.shape[0], out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        self._cache = (cols, x.shape, out_h, out_w)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cols, input_shape, out_h, out_w = self._cache
-        n = input_shape[0]
-        grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
-        w_mat = self.weight.reshape(self.out_channels, -1)
-        self.grad_weight = (grad_mat.T @ cols).reshape(self.weight.shape)
-        self.grad_bias = grad_mat.sum(axis=0)
-        grad_cols = grad_mat @ w_mat
-        return _col2im(
-            grad_cols, input_shape, self.kernel_size, self.stride, self.padding, out_h, out_w
-        )
-
-    def parameters(self) -> Dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
-
-    def gradients(self) -> Dict[str, np.ndarray]:
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
-
-
-class MaxPool2D(Layer):
-    """Max pooling over ``(n, channels, height, width)`` inputs."""
-
-    def __init__(self, pool_size: int = 2, stride: Optional[int] = None) -> None:
-        if pool_size <= 0:
-            raise ConfigurationError("pool_size must be positive")
-        self.pool_size = pool_size
-        self.stride = stride or pool_size
-        self._cache = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        k, s = self.pool_size, self.stride
-        out_h = (h - k) // s + 1
-        out_w = (w - k) // s + 1
-        out = np.zeros((n, c, out_h, out_w), dtype=x.dtype)
-        mask = np.zeros_like(x, dtype=bool)
-        for i in range(out_h):
-            for j in range(out_w):
-                window = x[:, :, i * s : i * s + k, j * s : j * s + k]
-                flat = window.reshape(n, c, -1)
-                arg = flat.argmax(axis=2)
-                out[:, :, i, j] = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
-                local_mask = np.zeros_like(flat, dtype=bool)
-                np.put_along_axis(local_mask, arg[:, :, None], True, axis=2)
-                mask[:, :, i * s : i * s + k, j * s : j * s + k] |= local_mask.reshape(window.shape)
-        self._cache = (x.shape, mask, out_h, out_w)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        input_shape, mask, out_h, out_w = self._cache
-        k, s = self.pool_size, self.stride
-        grad_input = np.zeros(input_shape, dtype=grad_output.dtype)
-        for i in range(out_h):
-            for j in range(out_w):
-                window_mask = mask[:, :, i * s : i * s + k, j * s : j * s + k]
-                grad_input[:, :, i * s : i * s + k, j * s : j * s + k] += (
-                    window_mask * grad_output[:, :, i, j][:, :, None, None]
-                )
-        return grad_input
-
-
-def activation_from_name(name: str) -> Layer:
-    """Create an activation layer from its lowercase name."""
-    table = {
-        "relu": ReLU,
-        "leaky_relu": LeakyReLU,
-        "sigmoid": Sigmoid,
-        "tanh": Tanh,
-        "softmax": Softmax,
-    }
-    if name not in table:
-        raise ConfigurationError(
-            f"unknown activation {name!r}; expected one of {sorted(table)}"
-        )
-    return table[name]()
-
-
-__all__ = [
-    "Layer",
-    "Dense",
-    "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
-    "Dropout",
-    "BatchNorm",
-    "Flatten",
-    "Reshape",
-    "Conv2D",
-    "MaxPool2D",
-    "activation_from_name",
-]
+__all__ = ["Layer", "Dense", "ReLU", "Sigmoid"]

@@ -8,7 +8,7 @@ their operational-profile density.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -139,59 +139,4 @@ class MeanSquaredError(Loss):
         return 2.0 * self._diff * self._weights.reshape(shape) / (n * per_feature)
 
 
-class NegativeLogLikelihood(Loss):
-    """Cross-entropy on probabilities that are already normalised."""
-
-    def __init__(self) -> None:
-        self._probs: Optional[np.ndarray] = None
-        self._targets: Optional[np.ndarray] = None
-        self._weights: Optional[np.ndarray] = None
-
-    def forward(
-        self,
-        predictions: np.ndarray,
-        targets: np.ndarray,
-        sample_weight: Optional[np.ndarray] = None,
-    ) -> float:
-        targets = np.asarray(targets, dtype=int)
-        n = predictions.shape[0]
-        if targets.shape != (n,):
-            raise ShapeError(f"targets must have shape ({n},), got {targets.shape}")
-        weights = _normalise_sample_weight(n, sample_weight)
-        picked = predictions[np.arange(n), targets]
-        self._probs = predictions
-        self._targets = targets
-        self._weights = weights
-        return float(np.mean(-np.log(np.maximum(picked, EPSILON)) * weights))
-
-    def backward(self) -> np.ndarray:
-        if self._probs is None:
-            raise ShapeError("backward called before forward on NegativeLogLikelihood")
-        n = self._probs.shape[0]
-        grad = np.zeros_like(self._probs)
-        picked = np.maximum(self._probs[np.arange(n), self._targets], EPSILON)
-        grad[np.arange(n), self._targets] = -1.0 / picked
-        grad *= self._weights[:, None]
-        return grad / n
-
-
-def loss_from_name(name: str) -> Loss:
-    """Create a loss object from its lowercase name."""
-    table = {
-        "cross_entropy": SoftmaxCrossEntropy,
-        "softmax_cross_entropy": SoftmaxCrossEntropy,
-        "mse": MeanSquaredError,
-        "nll": NegativeLogLikelihood,
-    }
-    if name not in table:
-        raise ShapeError(f"unknown loss {name!r}; expected one of {sorted(table)}")
-    return table[name]()
-
-
-__all__ = [
-    "Loss",
-    "SoftmaxCrossEntropy",
-    "MeanSquaredError",
-    "NegativeLogLikelihood",
-    "loss_from_name",
-]
+__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError"]

@@ -1,12 +1,9 @@
-"""Classification metrics used by the trainer, reliability assessor and benches."""
+"""Classification metrics used by the reliability assessor, seed weights and examples."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
-from ..config import EPSILON
 from ..exceptions import ShapeError
 
 
@@ -50,55 +47,6 @@ def weighted_accuracy(
     return float(np.sum((y_true == y_pred) * weights) / total)
 
 
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, num_classes: Optional[int] = None
-) -> np.ndarray:
-    """Return the ``(num_classes, num_classes)`` confusion matrix (rows = truth)."""
-    y_true = np.asarray(y_true, dtype=int)
-    y_pred = np.asarray(y_pred, dtype=int)
-    _check_pair(y_true, y_pred)
-    if num_classes is None:
-        num_classes = int(max(y_true.max(initial=0), y_pred.max(initial=0))) + 1
-    matrix = np.zeros((num_classes, num_classes), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        matrix[t, p] += 1
-    return matrix
-
-
-def per_class_accuracy(
-    y_true: np.ndarray, y_pred: np.ndarray, num_classes: Optional[int] = None
-) -> np.ndarray:
-    """Accuracy computed separately for each true class (NaN-free: 0 if unseen)."""
-    matrix = confusion_matrix(y_true, y_pred, num_classes)
-    totals = matrix.sum(axis=1)
-    correct = np.diag(matrix)
-    return np.where(totals > 0, correct / np.maximum(totals, 1), 0.0)
-
-
-def precision_recall_f1(
-    y_true: np.ndarray, y_pred: np.ndarray, num_classes: Optional[int] = None
-) -> Dict[str, np.ndarray]:
-    """Per-class precision, recall and F1 scores."""
-    matrix = confusion_matrix(y_true, y_pred, num_classes)
-    true_pos = np.diag(matrix).astype(float)
-    predicted = matrix.sum(axis=0).astype(float)
-    actual = matrix.sum(axis=1).astype(float)
-    precision = true_pos / np.maximum(predicted, EPSILON)
-    recall = true_pos / np.maximum(actual, EPSILON)
-    f1 = 2 * precision * recall / np.maximum(precision + recall, EPSILON)
-    return {"precision": precision, "recall": recall, "f1": f1}
-
-
-def cross_entropy(probs: np.ndarray, y_true: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true labels under ``probs``."""
-    probs = np.asarray(probs, dtype=float)
-    y_true = np.asarray(y_true, dtype=int)
-    if probs.ndim != 2 or probs.shape[0] != y_true.shape[0]:
-        raise ShapeError("probs must be (n, k) matching y_true length")
-    picked = probs[np.arange(len(y_true)), y_true]
-    return float(np.mean(-np.log(np.maximum(picked, EPSILON))))
-
-
 def prediction_margin(probs: np.ndarray, y_true: np.ndarray) -> np.ndarray:
     """Margin = p(true class) - max p(other class); negative means misclassified."""
     probs = np.asarray(probs, dtype=float)
@@ -113,12 +61,4 @@ def prediction_margin(probs: np.ndarray, y_true: np.ndarray) -> np.ndarray:
     return true_probs - best_other
 
 
-__all__ = [
-    "accuracy",
-    "weighted_accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
-    "precision_recall_f1",
-    "cross_entropy",
-    "prediction_margin",
-]
+__all__ = ["accuracy", "weighted_accuracy", "prediction_margin"]

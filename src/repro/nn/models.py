@@ -1,34 +1,17 @@
-"""Factory functions for the model architectures used throughout the repo.
+"""The classifier every scenario, experiment and example trains.
 
-Three classifier families cover the paper's use cases:
-
-* :func:`build_mlp_classifier` — the workhorse for low-dimensional synthetic
-  benchmarks and for the flattened glyph images.
-* :func:`build_cnn_classifier` — a small convolutional network for square
-  image inputs, demonstrating that the testing pipeline is architecture
-  agnostic.
-* :func:`build_logistic_regression` — a deliberately weak linear baseline with
-  many adversarial examples, useful for exercising detection code paths.
+:func:`build_mlp_classifier` builds a ReLU multi-layer perceptron over
+flattened inputs: the low-dimensional synthetic benchmarks and the glyph
+images alike.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..config import RngLike, spawn_rngs
 from ..exceptions import ConfigurationError
-from .layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool2D,
-    ReLU,
-    Reshape,
-)
+from .layers import Dense, ReLU
 from .losses import SoftmaxCrossEntropy
 from .network import Sequential
 
@@ -37,8 +20,6 @@ def build_mlp_classifier(
     input_dim: int,
     num_classes: int,
     hidden_sizes: Sequence[int] = (64, 32),
-    dropout: float = 0.0,
-    batch_norm: bool = False,
     rng: RngLike = None,
 ) -> Sequential:
     """Build a multi-layer perceptron classifier emitting logits.
@@ -51,95 +32,28 @@ def build_mlp_classifier(
         Number of output classes.
     hidden_sizes:
         Width of each hidden layer, in order.
-    dropout:
-        Dropout rate applied after every hidden activation (0 disables it).
-    batch_norm:
-        Whether to insert batch normalisation after every hidden affine layer.
     rng:
-        Seed or generator controlling weight initialisation and dropout masks.
+        Seed or generator controlling weight initialisation.  It draws
+        ``2 * len(hidden_sizes) + 1`` child seeds: hidden layer ``i`` is
+        initialised from child ``2 * i`` and the output layer from the last.
+        Callers that go on to train with the same generator depend on the
+        length of this draw.
     """
     if input_dim <= 0 or num_classes <= 1:
         raise ConfigurationError(
             f"need input_dim > 0 and num_classes > 1, got {input_dim}, {num_classes}"
         )
-    rngs = spawn_rngs(rng, len(hidden_sizes) + len(hidden_sizes) + 1)
-    rng_index = 0
+    rngs = spawn_rngs(rng, 2 * len(hidden_sizes) + 1)
     layers = []
     previous = input_dim
-    for width in hidden_sizes:
+    for index, width in enumerate(hidden_sizes):
         if width <= 0:
             raise ConfigurationError(f"hidden layer width must be positive, got {width}")
-        layers.append(Dense(previous, width, rng=rngs[rng_index]))
-        rng_index += 1
-        if batch_norm:
-            layers.append(BatchNorm(width))
+        layers.append(Dense(previous, width, rng=rngs[2 * index]))
         layers.append(ReLU())
-        if dropout > 0:
-            layers.append(Dropout(dropout, rng=rngs[rng_index]))
-        rng_index += 1
         previous = width
-    layers.append(Dense(previous, num_classes, rng=rngs[rng_index]))
+    layers.append(Dense(previous, num_classes, rng=rngs[-1]))
     return Sequential(layers, loss=SoftmaxCrossEntropy())
 
 
-def build_logistic_regression(
-    input_dim: int, num_classes: int, rng: RngLike = None
-) -> Sequential:
-    """Build a single affine layer classifier (multinomial logistic regression)."""
-    if input_dim <= 0 or num_classes <= 1:
-        raise ConfigurationError(
-            f"need input_dim > 0 and num_classes > 1, got {input_dim}, {num_classes}"
-        )
-    return Sequential(
-        [Dense(input_dim, num_classes, weight_init="xavier", rng=rng)],
-        loss=SoftmaxCrossEntropy(),
-    )
-
-
-def build_cnn_classifier(
-    image_size: int,
-    num_classes: int,
-    channels: int = 1,
-    conv_channels: Sequence[int] = (8, 16),
-    dense_width: int = 64,
-    rng: RngLike = None,
-) -> Sequential:
-    """Build a small convolutional classifier for flattened square images.
-
-    The network accepts flattened inputs of dimension
-    ``channels * image_size * image_size`` (the library convention) and
-    internally reshapes them to ``(n, channels, image_size, image_size)``.
-    """
-    if image_size < 4:
-        raise ConfigurationError(f"image_size must be at least 4, got {image_size}")
-    if num_classes <= 1:
-        raise ConfigurationError(f"num_classes must be > 1, got {num_classes}")
-    rngs = spawn_rngs(rng, len(conv_channels) + 2)
-    layers = [Reshape((channels, image_size, image_size))]
-    in_channels = channels
-    spatial = image_size
-    for index, out_channels in enumerate(conv_channels):
-        layers.append(
-            Conv2D(in_channels, out_channels, kernel_size=3, stride=1, padding=1, rng=rngs[index])
-        )
-        layers.append(ReLU())
-        layers.append(MaxPool2D(pool_size=2))
-        in_channels = out_channels
-        spatial //= 2
-        if spatial < 2:
-            raise ConfigurationError(
-                "too many conv/pool stages for this image size; reduce conv_channels"
-            )
-    layers.append(Flatten())
-    flattened = in_channels * spatial * spatial
-    layers.append(Dense(flattened, dense_width, rng=rngs[-2]))
-    layers.append(ReLU())
-    layers.append(Dense(dense_width, num_classes, rng=rngs[-1]))
-    return Sequential(layers, loss=SoftmaxCrossEntropy())
-
-
-__all__ = [
-    "build_mlp_classifier",
-    "build_logistic_regression",
-    "build_cnn_classifier",
-]
+__all__ = ["build_mlp_classifier"]

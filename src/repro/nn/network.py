@@ -8,12 +8,12 @@ gradient of the loss with respect to an *input* — the key primitive of RQ3.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..config import DEFAULT_DTYPE
-from ..exceptions import ConfigurationError, NotFittedError, ShapeError
+from ..exceptions import ConfigurationError, ShapeError
 from .layers import Layer
 from .losses import Loss, SoftmaxCrossEntropy
 
@@ -36,12 +36,11 @@ class Sequential:
             raise ConfigurationError("Sequential requires at least one layer")
         self.layers: List[Layer] = list(layers)
         self.loss: Loss = loss if loss is not None else SoftmaxCrossEntropy()
-        self._trained = False
 
     # ------------------------------------------------------------------ #
     # forward / backward
     # ------------------------------------------------------------------ #
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the full forward pass and return the final layer output (logits)."""
         if (
             isinstance(x, np.ndarray)
@@ -55,7 +54,7 @@ class Sequential:
         if out.ndim == 1:
             out = out[None, :]
         for layer in self.layers:
-            out = layer.forward(out, training=training)
+            out = layer.forward(out)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -70,7 +69,7 @@ class Sequential:
     # ------------------------------------------------------------------ #
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         """Return raw logits for a batch (no softmax applied)."""
-        return self.forward(x, training=False)
+        return self.forward(x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Return softmax class probabilities, shape ``(n, num_classes)``."""
@@ -86,20 +85,10 @@ class Sequential:
         x: np.ndarray,
         y: np.ndarray,
         sample_weight: Optional[np.ndarray] = None,
-        training: bool = False,
     ) -> float:
         """Return the mean loss of the network on ``(x, y)``."""
-        logits = self.forward(x, training=training)
+        logits = self.forward(x)
         return self.loss.forward(logits, y, sample_weight=sample_weight)
-
-    def per_sample_loss(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Return the cross-entropy loss of each sample individually."""
-        probs = self.predict_proba(x)
-        y = np.asarray(y, dtype=int)
-        if y.shape[0] != probs.shape[0]:
-            raise ShapeError("x and y disagree on batch size in per_sample_loss")
-        picked = probs[np.arange(len(y)), y]
-        return -np.log(np.maximum(picked, 1e-12))
 
     def loss_input_gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of the mean loss with respect to the inputs ``x``.
@@ -113,7 +102,7 @@ class Sequential:
         single = x_arr.ndim == 1
         batch = x_arr[None, :] if single else x_arr
         y_arr = np.atleast_1d(np.asarray(y, dtype=int))
-        logits = self.forward(batch, training=False)
+        logits = self.forward(batch)
         self.loss.forward(logits, y_arr)
         grad = self.backward(self.loss.backward())
         return grad[0] if single else grad
@@ -128,7 +117,7 @@ class Sequential:
         sample_weight: Optional[np.ndarray] = None,
     ) -> float:
         """Run forward + backward, leaving parameter gradients in the layers."""
-        logits = self.forward(x, training=True)
+        logits = self.forward(x)
         value = self.loss.forward(logits, y, sample_weight=sample_weight)
         self.backward(self.loss.backward())
         return value
@@ -163,29 +152,6 @@ class Sequential:
                         f"{params[name].shape} vs {value.shape}"
                     )
                 params[name][...] = value
-
-    def num_parameters(self) -> int:
-        """Total number of trainable scalar parameters."""
-        return int(
-            sum(param.size for layer in self.layers for param in layer.parameters().values())
-        )
-
-    # ------------------------------------------------------------------ #
-    # bookkeeping
-    # ------------------------------------------------------------------ #
-    @property
-    def is_trained(self) -> bool:
-        """Whether a Trainer has marked this network as trained."""
-        return self._trained
-
-    def mark_trained(self) -> None:
-        """Record that the network has been through at least one fit."""
-        self._trained = True
-
-    def require_trained(self) -> None:
-        """Raise :class:`NotFittedError` unless the network has been trained."""
-        if not self._trained:
-            raise NotFittedError("the network has not been trained yet")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(repr(layer) for layer in self.layers)

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..attacks.gradient import PGD
-from ..config import EPSILON, RngLike, ensure_rng
+from ..config import EPSILON, RngLike, ensure_rng, require_bool, require_finite, require_int
 from ..data.dataset import Dataset
 from ..exceptions import ConfigurationError, DataError
 from ..nn.network import Sequential
@@ -56,8 +56,6 @@ class RetrainingConfig:
     weight_natural_data_by_op:
         Whether the original training data is re-weighted by the OP density
         (aligning the training distribution with operation) or kept uniform.
-    from_scratch:
-        Re-initialise and retrain instead of fine-tuning the current weights.
     """
 
     epochs: int = 10
@@ -66,9 +64,13 @@ class RetrainingConfig:
     ae_replication: int = 3
     ae_weight_boost: float = 2.0
     weight_natural_data_by_op: bool = True
-    from_scratch: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "ae_replication"):
+            require_int(name, getattr(self, name))
+        for name in ("learning_rate", "ae_weight_boost"):
+            require_finite(name, getattr(self, name))
+        require_bool("weight_natural_data_by_op", self.weight_natural_data_by_op)
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ConfigurationError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
@@ -117,16 +119,12 @@ class OperationalRetrainer:
         if len(train_data) == 0:
             raise DataError("cannot retrain on an empty training set")
         model = network if in_place else copy.deepcopy(network)
-        if self.config.from_scratch:
-            self._reinitialise(model)
-
         x, y, weights = self._build_training_mix(train_data, adversarial_examples)
         trainer = Trainer(
             optimizer=Adam(learning_rate=self.config.learning_rate),
             config=TrainerConfig(
                 epochs=self.config.epochs,
                 batch_size=self.config.batch_size,
-                shuffle=True,
             ),
             rng=self._rng,
         )
@@ -138,19 +136,6 @@ class OperationalRetrainer:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _reinitialise(self, model: Sequential) -> None:
-        from ..nn.initializers import initialize
-
-        for layer in model.layers:
-            params = layer.parameters()
-            for name, value in params.items():
-                if name in ("bias", "beta"):
-                    value[...] = 0.0
-                elif name == "gamma":
-                    value[...] = 1.0
-                else:
-                    value[...] = initialize(value.shape, "he", self._rng)
-
     def _natural_weights(self, train_data: Dataset) -> np.ndarray:
         if self.profile is None or not self.config.weight_natural_data_by_op:
             return np.ones(len(train_data))
@@ -210,6 +195,13 @@ class StandardAdversarialTrainer:
         learning_rate: float = 5e-4,
         rng: RngLike = None,
     ) -> None:
+        for name, count in (
+            ("epochs", epochs),
+            ("batch_size", batch_size),
+            ("pgd_steps", pgd_steps),
+        ):
+            require_int(name, count)
+        require_finite("learning_rate", learning_rate)
         if epochs <= 0 or batch_size <= 0:
             raise ConfigurationError("epochs and batch_size must be positive")
         if learning_rate <= 0:
@@ -243,7 +235,6 @@ class StandardAdversarialTrainer:
                 result = self.attack.run(model, batch_x, batch_y, rng=self._rng)
                 model.train_step_gradients(result.adversarial_x, batch_y)
                 optimizer.step(model.layers)
-        model.mark_trained()
         return model
 
 

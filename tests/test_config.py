@@ -23,8 +23,10 @@ from repro.exceptions import (
     SamplingError,
 )
 from repro.fuzzing import FuzzerConfig
+from repro.nn import Adam, AutoencoderConfig, TrainerConfig
 from repro.op import EmpiricalProfile
 from repro.reliability import StoppingRule
+from repro.retraining import RetrainingConfig, StandardAdversarialTrainer
 from repro.runtime import ExecutionPolicy
 from repro.sampling import OperationalSeedSampler
 
@@ -119,6 +121,30 @@ class TestRequireInt:
         with pytest.raises(FuzzingError, match="count must be an integer"):
             require_int("count", value, FuzzingError)
 
+    # a fractional count reached range() in Trainer.fit as a TypeError, and
+    # epochs=True silently trained one epoch
+    @pytest.mark.parametrize(
+        "config_cls,field,error",
+        [
+            (TrainerConfig, "epochs", ConfigurationError),
+            (TrainerConfig, "batch_size", ConfigurationError),
+            (AutoencoderConfig, "latent_dim", ConfigurationError),
+            (AutoencoderConfig, "epochs", ConfigurationError),
+            (AutoencoderConfig, "batch_size", ConfigurationError),
+            (RetrainingConfig, "epochs", ConfigurationError),
+            (RetrainingConfig, "batch_size", ConfigurationError),
+            (RetrainingConfig, "ae_replication", ConfigurationError),
+            (StandardAdversarialTrainer, "epochs", ConfigurationError),
+            (StandardAdversarialTrainer, "batch_size", ConfigurationError),
+            (StandardAdversarialTrainer, "pgd_steps", ConfigurationError),
+        ],
+    )
+    def test_config_counts_reject_non_integers(self, config_cls, field, error):
+        for value in (2.5, 2.0, True, "2"):
+            with pytest.raises(error, match=f"{field} must be an integer, got"):
+                config_cls(**{field: value})
+        config_cls(**{field: 3})
+
 
 class TestRequireBool:
     def test_accepts_python_bools(self):
@@ -142,6 +168,7 @@ class TestRequireBool:
             (WorkflowConfig, "reassess_with_monte_carlo", ConfigurationError),
             (ExecutionPolicy, "cache", ConfigurationError),
             (ExecutionPolicy, "telemetry", ConfigurationError),
+            (RetrainingConfig, "weight_natural_data_by_op", ConfigurationError),
         ],
     )
     def test_config_flags_reject_non_bools(self, config_cls, field, error):
@@ -195,6 +222,15 @@ class TestRequireFinite:
             (_empirical_profile, "resample_noise", ProfileError),
             (OperationalSeedSampler, "op_exponent", SamplingError),
             (OperationalSeedSampler, "failure_exponent", SamplingError),
+            # Adam(learning_rate=nan) turned every weight NaN on its first step
+            (Adam, "learning_rate", ConfigurationError),
+            (Adam, "beta1", ConfigurationError),
+            (Adam, "beta2", ConfigurationError),
+            (Adam, "eps", ConfigurationError),
+            (AutoencoderConfig, "learning_rate", ConfigurationError),
+            (RetrainingConfig, "learning_rate", ConfigurationError),
+            (RetrainingConfig, "ae_weight_boost", ConfigurationError),
+            (StandardAdversarialTrainer, "learning_rate", ConfigurationError),
         ],
     )
     def test_config_reals_reject_non_finite_values(self, config_cls, field, error):

@@ -26,7 +26,6 @@ class TestScenarios:
         scenario = small_clusters
         assert len(scenario.train_data) > 0
         assert len(scenario.operational_data) > 0
-        assert scenario.model.is_trained
         assert scenario.naturalness.is_fitted
         assert scenario.partition.num_cells > 0
         assert scenario.operational_priors.sum() == pytest.approx(1.0)

@@ -75,8 +75,8 @@ class TestMutations:
         label = int(operational_cluster_data.y[0])
         context = _context(trained_cluster_model, seed, label)
         candidate = GradientMutation(step_fraction=0.5).propose(context)
-        before = trained_cluster_model.per_sample_loss(seed[None, :], [label])[0]
-        after = trained_cluster_model.per_sample_loss(candidate[None, :], [label])[0]
+        before = trained_cluster_model.compute_loss(seed[None, :], [label])
+        after = trained_cluster_model.compute_loss(candidate[None, :], [label])
         assert after >= before - 1e-9
 
     def test_interpolation_falls_back_without_neighbours(

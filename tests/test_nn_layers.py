@@ -4,21 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.nn.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    LeakyReLU,
-    MaxPool2D,
-    ReLU,
-    Reshape,
-    Sigmoid,
-    Softmax,
-    Tanh,
-    activation_from_name,
-)
+from repro.nn.layers import Dense, ReLU, Sigmoid
 
 
 def numerical_input_gradient(layer, x, grad_output, eps=1e-5):
@@ -29,8 +15,8 @@ def numerical_input_gradient(layer, x, grad_output, eps=1e-5):
         plus[index] += eps
         minus = x.copy()
         minus[index] -= eps
-        f_plus = np.sum(layer.forward(plus, training=False) * grad_output)
-        f_minus = np.sum(layer.forward(minus, training=False) * grad_output)
+        f_plus = np.sum(layer.forward(plus) * grad_output)
+        f_minus = np.sum(layer.forward(minus) * grad_output)
         grad[index] = (f_plus - f_minus) / (2 * eps)
     return grad
 
@@ -90,14 +76,11 @@ class TestDense:
         assert set(layer.parameters()) == {"weight", "bias"}
         assert set(layer.gradients()) == {"weight", "bias"}
 
-    def test_output_dim(self):
-        assert Dense(3, 7, rng=0).output_dim(3) == 7
-
 
 @pytest.mark.parametrize(
     "layer_factory",
-    [ReLU, lambda: LeakyReLU(0.1), Sigmoid, Tanh, Softmax],
-    ids=["relu", "leaky", "sigmoid", "tanh", "softmax"],
+    [ReLU, Sigmoid],
+    ids=["relu", "sigmoid"],
 )
 def test_activation_gradients_match_numerical(layer_factory):
     rng = np.random.default_rng(3)
@@ -115,188 +98,8 @@ class TestActivations:
         out = ReLU().forward(np.array([[-1.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 2.0]])
 
-    def test_leaky_relu_negative_slope(self):
-        out = LeakyReLU(0.1).forward(np.array([[-1.0, 2.0]]))
-        np.testing.assert_allclose(out, [[-0.1, 2.0]])
-
-    def test_leaky_relu_invalid_slope(self):
-        with pytest.raises(ConfigurationError):
-            LeakyReLU(-0.5)
-
     def test_sigmoid_range_and_stability(self):
         out = Sigmoid().forward(np.array([[-1000.0, 0.0, 1000.0]]))
         assert np.all(out >= 0) and np.all(out <= 1)
         assert out[0, 1] == pytest.approx(0.5)
 
-    def test_softmax_rows_sum_to_one(self):
-        out = Softmax().forward(np.random.default_rng(0).normal(size=(5, 7)))
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-12)
-
-    def test_tanh_range(self):
-        out = Tanh().forward(np.array([[-50.0, 50.0]]))
-        np.testing.assert_allclose(out, [[-1.0, 1.0]], atol=1e-6)
-
-    def test_activation_from_name(self):
-        assert isinstance(activation_from_name("relu"), ReLU)
-        with pytest.raises(ConfigurationError):
-            activation_from_name("swish")
-
-
-class TestDropout:
-    def test_identity_at_inference(self):
-        x = np.random.default_rng(0).random((10, 5))
-        out = Dropout(0.5, rng=0).forward(x, training=False)
-        np.testing.assert_allclose(out, x)
-
-    def test_training_zeroes_some_units(self):
-        x = np.ones((100, 20))
-        out = Dropout(0.5, rng=0).forward(x, training=True)
-        assert np.sum(out == 0) > 0
-
-    def test_expected_scale_preserved(self):
-        x = np.ones((200, 50))
-        out = Dropout(0.4, rng=0).forward(x, training=True)
-        assert np.mean(out) == pytest.approx(1.0, rel=0.1)
-
-    def test_backward_uses_same_mask(self):
-        layer = Dropout(0.5, rng=0)
-        x = np.ones((20, 10))
-        out = layer.forward(x, training=True)
-        grad = layer.backward(np.ones_like(x))
-        np.testing.assert_allclose(grad, out)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ConfigurationError):
-            Dropout(1.0)
-
-
-class TestBatchNorm:
-    def test_training_normalises(self):
-        rng = np.random.default_rng(0)
-        layer = BatchNorm(4)
-        x = rng.normal(5.0, 3.0, size=(200, 4))
-        out = layer.forward(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=0), np.zeros(4), atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=0), np.ones(4), atol=1e-2)
-
-    def test_inference_uses_running_stats(self):
-        rng = np.random.default_rng(0)
-        layer = BatchNorm(3, momentum=0.5)
-        for _ in range(20):
-            layer.forward(rng.normal(2.0, 1.0, size=(64, 3)), training=True)
-        out = layer.forward(np.full((1, 3), 2.0), training=False)
-        assert np.all(np.abs(out) < 1.0)
-
-    def test_gradient_matches_numerical(self):
-        rng = np.random.default_rng(4)
-        layer = BatchNorm(3)
-        x = rng.random((6, 3)) + 0.5
-        grad_output = rng.random((6, 3))
-
-        def forward_sum(x_in):
-            return np.sum(layer.forward(x_in, training=True) * grad_output)
-
-        layer.forward(x, training=True)
-        analytic = layer.backward(grad_output)
-        eps = 1e-5
-        numerical = np.zeros_like(x)
-        for index in np.ndindex(*x.shape):
-            plus, minus = x.copy(), x.copy()
-            plus[index] += eps
-            minus[index] -= eps
-            numerical[index] = (forward_sum(plus) - forward_sum(minus)) / (2 * eps)
-        np.testing.assert_allclose(analytic, numerical, atol=1e-4)
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(ShapeError):
-            BatchNorm(3).forward(np.zeros((2, 4)), training=True)
-
-    def test_invalid_config(self):
-        with pytest.raises(ConfigurationError):
-            BatchNorm(0)
-        with pytest.raises(ConfigurationError):
-            BatchNorm(3, momentum=1.5)
-
-
-class TestShapes:
-    def test_flatten_roundtrip(self):
-        layer = Flatten()
-        x = np.random.default_rng(0).random((3, 2, 4, 4))
-        out = layer.forward(x)
-        assert out.shape == (3, 32)
-        back = layer.backward(out)
-        assert back.shape == x.shape
-
-    def test_reshape_roundtrip(self):
-        layer = Reshape((2, 3, 3))
-        x = np.random.default_rng(0).random((5, 18))
-        out = layer.forward(x)
-        assert out.shape == (5, 2, 3, 3)
-        assert layer.backward(out).shape == x.shape
-
-    def test_reshape_bad_size(self):
-        with pytest.raises(ShapeError):
-            Reshape((2, 3, 3)).forward(np.zeros((5, 10)))
-
-    def test_reshape_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            Reshape((0, 3))
-
-    def test_reshape_output_dim(self):
-        assert Reshape((2, 3, 3)).output_dim(18) == 18
-
-
-class TestConv2D:
-    def test_forward_shape_with_padding(self):
-        layer = Conv2D(1, 4, kernel_size=3, padding=1, rng=0)
-        out = layer.forward(np.random.default_rng(0).random((2, 1, 8, 8)))
-        assert out.shape == (2, 4, 8, 8)
-
-    def test_forward_shape_without_padding(self):
-        layer = Conv2D(2, 3, kernel_size=3, padding=0, rng=0)
-        out = layer.forward(np.random.default_rng(0).random((2, 2, 6, 6)))
-        assert out.shape == (2, 3, 4, 4)
-
-    def test_wrong_channels_rejected(self):
-        layer = Conv2D(2, 3, rng=0)
-        with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 1, 6, 6)))
-
-    def test_input_gradient_matches_numerical(self):
-        rng = np.random.default_rng(5)
-        layer = Conv2D(1, 2, kernel_size=3, padding=1, rng=0)
-        x = rng.random((2, 1, 5, 5))
-        grad_output_shape = layer.forward(x).shape
-        grad_output = rng.random(grad_output_shape)
-        layer.forward(x)
-        analytic = layer.backward(grad_output)
-        numerical = numerical_input_gradient(layer, x, grad_output)
-        np.testing.assert_allclose(analytic, numerical, atol=1e-5)
-
-    def test_invalid_config(self):
-        with pytest.raises(ConfigurationError):
-            Conv2D(0, 3)
-
-
-class TestMaxPool2D:
-    def test_forward_shape(self):
-        layer = MaxPool2D(pool_size=2)
-        out = layer.forward(np.random.default_rng(0).random((2, 3, 8, 8)))
-        assert out.shape == (2, 3, 4, 4)
-
-    def test_picks_maximum(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = MaxPool2D(pool_size=2).forward(x)
-        np.testing.assert_allclose(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_backward_routes_gradient_to_max(self):
-        layer = MaxPool2D(pool_size=2)
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        layer.forward(x)
-        grad = layer.backward(np.ones((1, 1, 2, 2)))
-        assert grad[0, 0, 1, 1] == 1.0  # value 5 was the max of its window
-        assert grad[0, 0, 0, 0] == 0.0
-
-    def test_invalid_pool_size(self):
-        with pytest.raises(ConfigurationError):
-            MaxPool2D(0)

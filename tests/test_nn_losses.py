@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.nn.losses import (
-    MeanSquaredError,
-    NegativeLogLikelihood,
-    SoftmaxCrossEntropy,
-    loss_from_name,
-)
+from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
 
 
 class TestSoftmaxCrossEntropy:
@@ -122,38 +117,3 @@ class TestMeanSquaredError:
         skewed = loss.forward(predictions, targets, sample_weight=np.array([2.0, 0.0]))
         assert skewed > balanced
 
-
-class TestNegativeLogLikelihood:
-    def test_matches_manual(self):
-        loss = NegativeLogLikelihood()
-        probs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        targets = np.array([0, 1])
-        expected = -np.mean(np.log([0.9, 0.8]))
-        assert loss.forward(probs, targets) == pytest.approx(expected)
-
-    def test_gradient_sign(self):
-        loss = NegativeLogLikelihood()
-        probs = np.array([[0.5, 0.5]])
-        loss.forward(probs, np.array([0]))
-        grad = loss.backward()
-        assert grad[0, 0] < 0  # increasing the true-class probability lowers loss
-        assert grad[0, 1] == 0.0
-
-    def test_backward_before_forward(self):
-        with pytest.raises(ShapeError):
-            NegativeLogLikelihood().backward()
-
-    def test_target_shape_error(self):
-        with pytest.raises(ShapeError):
-            NegativeLogLikelihood().forward(np.full((3, 2), 0.5), np.array([0, 1]))
-
-
-class TestLossRegistry:
-    def test_known_names(self):
-        assert isinstance(loss_from_name("cross_entropy"), SoftmaxCrossEntropy)
-        assert isinstance(loss_from_name("mse"), MeanSquaredError)
-        assert isinstance(loss_from_name("nll"), NegativeLogLikelihood)
-
-    def test_unknown_name(self):
-        with pytest.raises(ShapeError):
-            loss_from_name("hinge")

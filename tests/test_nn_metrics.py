@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.nn.metrics import (
-    accuracy,
-    confusion_matrix,
-    cross_entropy,
-    per_class_accuracy,
-    precision_recall_f1,
-    prediction_margin,
-    weighted_accuracy,
-)
+from repro.nn.metrics import accuracy, prediction_margin, weighted_accuracy
 
 
 class TestAccuracy:
@@ -51,65 +43,6 @@ class TestWeightedAccuracy:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             weighted_accuracy(np.array([0, 1]), np.array([0, 1]), np.array([1.0]))
-
-
-class TestConfusionMatrix:
-    def test_basic(self):
-        matrix = confusion_matrix(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]))
-        np.testing.assert_array_equal(matrix, [[1, 1], [0, 2]])
-
-    def test_explicit_num_classes(self):
-        matrix = confusion_matrix(np.array([0]), np.array([0]), num_classes=3)
-        assert matrix.shape == (3, 3)
-        assert matrix.sum() == 1
-
-    def test_rows_sum_to_class_counts(self):
-        rng = np.random.default_rng(0)
-        y_true = rng.integers(0, 4, 100)
-        y_pred = rng.integers(0, 4, 100)
-        matrix = confusion_matrix(y_true, y_pred, num_classes=4)
-        np.testing.assert_array_equal(matrix.sum(axis=1), np.bincount(y_true, minlength=4))
-
-
-class TestPerClassAccuracy:
-    def test_values(self):
-        y_true = np.array([0, 0, 1, 1])
-        y_pred = np.array([0, 1, 1, 1])
-        np.testing.assert_allclose(per_class_accuracy(y_true, y_pred), [0.5, 1.0])
-
-    def test_unseen_class_is_zero(self):
-        values = per_class_accuracy(np.array([0]), np.array([0]), num_classes=3)
-        np.testing.assert_allclose(values, [1.0, 0.0, 0.0])
-
-
-class TestPrecisionRecallF1:
-    def test_perfect_scores(self):
-        y = np.array([0, 1, 2, 0, 1, 2])
-        scores = precision_recall_f1(y, y)
-        np.testing.assert_allclose(scores["precision"], np.ones(3))
-        np.testing.assert_allclose(scores["recall"], np.ones(3))
-        np.testing.assert_allclose(scores["f1"], np.ones(3))
-
-    def test_known_values(self):
-        y_true = np.array([0, 0, 1, 1])
-        y_pred = np.array([0, 1, 1, 1])
-        scores = precision_recall_f1(y_true, y_pred)
-        assert scores["precision"][1] == pytest.approx(2 / 3)
-        assert scores["recall"][0] == pytest.approx(0.5)
-
-
-class TestCrossEntropy:
-    def test_confident_correct_is_small(self):
-        probs = np.array([[0.99, 0.01], [0.01, 0.99]])
-        assert cross_entropy(probs, np.array([0, 1])) < 0.02
-
-    def test_matches_manual(self):
-        probs = np.array([[0.5, 0.5]])
-        assert cross_entropy(probs, np.array([0])) == pytest.approx(np.log(2))
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            cross_entropy(np.zeros(3), np.array([0]))
 
 
 class TestPredictionMargin:

@@ -1,36 +1,19 @@
-"""Tests for repro.nn.models, serialization and the autoencoder."""
+"""Tests for repro.nn.models and the autoencoder."""
 
-import os
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.data import make_gaussian_clusters
-from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
-from repro.nn import (
-    Adam,
-    AutoencoderConfig,
-    DenseAutoencoder,
-    Trainer,
-    TrainerConfig,
-    accuracy,
-    build_cnn_classifier,
-    build_logistic_regression,
-    build_mlp_classifier,
-    load_weights,
-    save_weights,
-)
-from repro.nn.serialization import flat_dict_to_weights, weights_to_flat_dict
+from repro.exceptions import ConfigurationError, NotFittedError
+from repro.nn import Adam, AutoencoderConfig, DenseAutoencoder, build_mlp_classifier
 
 
 class TestModelFactories:
     def test_mlp_output_shape(self):
         model = build_mlp_classifier(10, 3, hidden_sizes=(8, 4), rng=0)
         assert model.predict_logits(np.zeros((2, 10))).shape == (2, 3)
-
-    def test_mlp_with_dropout_and_batchnorm(self):
-        model = build_mlp_classifier(6, 2, hidden_sizes=(8,), dropout=0.3, batch_norm=True, rng=0)
-        assert model.predict(np.random.default_rng(0).random((4, 6))).shape == (4,)
 
     def test_mlp_invalid_args(self):
         with pytest.raises(ConfigurationError):
@@ -45,102 +28,17 @@ class TestModelFactories:
         b = build_mlp_classifier(4, 2, rng=7).predict_logits(np.ones((1, 4)))
         np.testing.assert_allclose(a, b)
 
-    def test_logistic_regression(self):
-        model = build_logistic_regression(5, 3, rng=0)
-        assert model.num_parameters() == 5 * 3 + 3
-        with pytest.raises(ConfigurationError):
-            build_logistic_regression(5, 1)
-
-    def test_cnn_forward_and_gradient(self):
-        model = build_cnn_classifier(8, 3, conv_channels=(4,), dense_width=16, rng=0)
-        x = np.random.default_rng(0).random((2, 64))
-        assert model.predict_logits(x).shape == (2, 3)
-        grad = model.loss_input_gradient(x, np.array([0, 1]))
-        assert grad.shape == x.shape
-        assert np.any(grad != 0)
-
-    def test_cnn_trains_a_little(self):
-        rng = np.random.default_rng(0)
-        x = rng.random((60, 64))
-        y = (x[:, :32].mean(axis=1) > x[:, 32:].mean(axis=1)).astype(int)
-        model = build_cnn_classifier(8, 2, conv_channels=(4,), dense_width=8, rng=1)
-        Trainer(Adam(0.01), TrainerConfig(epochs=5, batch_size=16), rng=0).fit(model, x, y)
-        assert accuracy(y, model.predict(x)) > 0.55
-
-    def test_cnn_invalid_args(self):
-        with pytest.raises(ConfigurationError):
-            build_cnn_classifier(3, 2)
-        with pytest.raises(ConfigurationError):
-            build_cnn_classifier(8, 1)
-        with pytest.raises(ConfigurationError):
-            build_cnn_classifier(8, 3, conv_channels=(4, 8, 16, 32))
-
-
-class TestSerialization:
-    def test_flat_dict_roundtrip(self):
-        model = build_mlp_classifier(4, 3, hidden_sizes=(5,), rng=0)
-        weights = model.get_weights()
-        flat = weights_to_flat_dict(weights)
-        restored = flat_dict_to_weights(flat)
-        assert len(restored) >= 1
-        np.testing.assert_allclose(restored[0]["weight"], weights[0]["weight"])
-
-    def test_flat_dict_empty(self):
-        assert flat_dict_to_weights({}) == []
-
-    def test_flat_dict_malformed_key(self):
-        with pytest.raises(ShapeError):
-            flat_dict_to_weights({"weight": np.zeros(2)})
-        with pytest.raises(ShapeError):
-            flat_dict_to_weights({"x::y::z": np.zeros(2), "abc": np.zeros(1)})
-
-    def test_save_load_roundtrip(self, tmp_path):
-        model = build_mlp_classifier(6, 3, hidden_sizes=(8,), rng=0)
-        x = np.random.default_rng(0).random((4, 6))
-        expected = model.predict_logits(x)
-        path = os.path.join(tmp_path, "weights", "model.npz")
-        save_weights(model, path)
-        other = build_mlp_classifier(6, 3, hidden_sizes=(8,), rng=99)
-        assert not np.allclose(expected, other.predict_logits(x))
-        load_weights(other, path)
-        np.testing.assert_allclose(expected, other.predict_logits(x))
-
-    def test_load_into_wrong_architecture(self, tmp_path):
-        model = build_mlp_classifier(6, 3, hidden_sizes=(8,), rng=0)
-        path = os.path.join(tmp_path, "model.npz")
-        save_weights(model, path)
-        other = build_mlp_classifier(6, 3, hidden_sizes=(12,), rng=0)
-        with pytest.raises(ShapeError):
-            load_weights(other, path)
-
-    def test_save_load_accepts_pathlib_path(self, tmp_path):
-        model = build_mlp_classifier(6, 3, hidden_sizes=(8,), rng=0)
-        x = np.random.default_rng(0).random((4, 6))
-        expected = model.predict_logits(x)
-        path = tmp_path / "model.npz"  # pathlib.Path, not str
-        save_weights(model, path)
-        other = build_mlp_classifier(6, 3, hidden_sizes=(8,), rng=99)
-        load_weights(other, path)
-        np.testing.assert_allclose(expected, other.predict_logits(x))
-
-    def test_save_creates_missing_parent_directories_for_path(self, tmp_path):
-        model = build_mlp_classifier(4, 2, hidden_sizes=(5,), rng=0)
-        path = tmp_path / "a" / "b" / "c" / "model.npz"  # none of a/b/c exist
-        save_weights(model, path)
-        assert path.exists()
-        other = build_mlp_classifier(4, 2, hidden_sizes=(5,), rng=1)
-        load_weights(other, path)
-        x = np.random.default_rng(2).random((3, 4))
-        np.testing.assert_allclose(model.predict_logits(x), other.predict_logits(x))
-
-    def test_save_relative_path_without_directory(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        model = build_mlp_classifier(4, 2, hidden_sizes=(5,), rng=0)
-        save_weights(model, "bare.npz")  # no parent component at all
-        other = build_mlp_classifier(4, 2, hidden_sizes=(5,), rng=1)
-        load_weights(other, "bare.npz")
-        x = np.random.default_rng(2).random((3, 4))
-        np.testing.assert_allclose(model.predict_logits(x), other.predict_logits(x))
+    def test_mlp_initial_weights_are_pinned(self):
+        # plain Generator draws, so the same bits on every host: hidden layer
+        # i starts from child seed 2i and the output layer from the last
+        model = build_mlp_classifier(4, 3, hidden_sizes=(8, 4), rng=7)
+        digest = hashlib.sha256()
+        for layer in model.get_weights():
+            for name in sorted(layer):
+                digest.update(np.ascontiguousarray(layer[name]).tobytes())
+        assert digest.hexdigest() == (
+            "32edd8b9fe2a9f88e0696df1510d79fd0c9eff9fec5331cdd1c49c8d774468ac"
+        )
 
 
 def reference_autoencoder_fit(autoencoder, x):
@@ -154,7 +52,7 @@ def reference_autoencoder_fit(autoencoder, x):
         order = autoencoder._rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = x[order[start : start + batch_size]]
-            network.loss.forward(network.forward(batch, training=True), batch)
+            network.loss.forward(network.forward(batch), batch)
             network.backward(network.loss.backward())
             optimizer.step(network.layers)
     autoencoder._fitted = True
@@ -220,5 +118,7 @@ class TestAutoencoder:
             AutoencoderConfig(latent_dim=0)
         with pytest.raises(ConfigurationError):
             AutoencoderConfig(hidden_sizes=(0,))
+        with pytest.raises(ConfigurationError, match="hidden_sizes must be an integer"):
+            AutoencoderConfig(hidden_sizes=(8, 2.5))
         with pytest.raises(ConfigurationError):
             DenseAutoencoder(0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
+from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import Sequential
@@ -25,10 +25,6 @@ class TestConstruction:
         network = Sequential([Dense(2, 2, rng=0)])
         assert isinstance(network.loss, SoftmaxCrossEntropy)
 
-    def test_num_parameters(self, small_network):
-        # (3*8 + 8) + (8*4 + 4)
-        assert small_network.num_parameters() == (3 * 8 + 8) + (8 * 4 + 4)
-
 
 class TestForwardPredict(object):
     def test_logits_shape(self, small_network):
@@ -49,17 +45,6 @@ class TestForwardPredict(object):
         np.testing.assert_array_equal(
             small_network.predict(x), small_network.predict_proba(x).argmax(axis=1)
         )
-
-    def test_per_sample_loss_matches_mean_loss(self, small_network):
-        x = np.random.default_rng(2).random((7, 3))
-        y = np.random.default_rng(3).integers(0, 4, size=7)
-        per_sample = small_network.per_sample_loss(x, y)
-        assert per_sample.shape == (7,)
-        assert np.mean(per_sample) == pytest.approx(small_network.compute_loss(x, y), rel=1e-6)
-
-    def test_per_sample_loss_shape_error(self, small_network):
-        with pytest.raises(ShapeError):
-            small_network.per_sample_loss(np.zeros((3, 3)), np.zeros(2, dtype=int))
 
 
 class TestInputGradient:
@@ -126,13 +111,6 @@ class TestWeights:
 
 
 class TestTrainingState:
-    def test_require_trained(self, small_network):
-        with pytest.raises(NotFittedError):
-            small_network.require_trained()
-        small_network.mark_trained()
-        small_network.require_trained()
-        assert small_network.is_trained
-
     def test_train_step_returns_loss_and_sets_gradients(self, small_network):
         x = np.random.default_rng(7).random((8, 3))
         y = np.random.default_rng(8).integers(0, 4, size=8)

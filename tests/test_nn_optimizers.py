@@ -7,7 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.nn.layers import Dense
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import Sequential
-from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp, optimizer_from_name
+from repro.nn.optimizers import Adam
 
 
 def _train_toy_problem(optimizer, steps=200, seed=0):
@@ -20,42 +20,6 @@ def _train_toy_problem(optimizer, steps=200, seed=0):
         network.train_step_gradients(x, y)
         optimizer.step(network.layers)
     return network.compute_loss(x, y)
-
-
-class TestSGD:
-    def test_reduces_loss(self):
-        assert _train_toy_problem(SGD(learning_rate=0.5)) < 0.2
-
-    def test_momentum_reduces_loss(self):
-        assert _train_toy_problem(SGD(learning_rate=0.2, momentum=0.9)) < 0.2
-
-    def test_nesterov_reduces_loss(self):
-        assert _train_toy_problem(SGD(learning_rate=0.2, momentum=0.9, nesterov=True)) < 0.2
-
-    def test_nesterov_without_momentum_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SGD(momentum=0.0, nesterov=True)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ConfigurationError):
-            SGD(momentum=1.0)
-
-    def test_weight_decay_shrinks_weights(self):
-        layer = Dense(3, 3, rng=0)
-        layer.grad_weight = np.zeros_like(layer.weight)
-        layer.grad_bias = np.zeros_like(layer.bias)
-        before = np.linalg.norm(layer.weight)
-        optimizer = SGD(learning_rate=0.1, weight_decay=0.5)
-        optimizer.step([layer])
-        assert np.linalg.norm(layer.weight) < before
-
-    def test_weight_decay_not_applied_to_bias(self):
-        layer = Dense(3, 3, rng=0)
-        layer.bias[...] = 1.0
-        layer.grad_weight = np.zeros_like(layer.weight)
-        layer.grad_bias = np.zeros_like(layer.bias)
-        SGD(learning_rate=0.1, weight_decay=0.5).step([layer])
-        np.testing.assert_allclose(layer.bias, np.ones(3))
 
 
 class TestAdam:
@@ -72,52 +36,14 @@ class TestAdam:
         with pytest.raises(ConfigurationError):
             Adam(eps=0.0)
 
-    def test_reset_clears_state(self):
-        optimizer = Adam()
-        layer = Dense(2, 2, rng=0)
-        layer.grad_weight = np.ones_like(layer.weight)
-        layer.grad_bias = np.ones_like(layer.bias)
-        optimizer.step([layer])
-        assert optimizer._state
-        optimizer.reset()
-        assert not optimizer._state
-        assert optimizer._step_count == 0
-
-
-class TestRMSProp:
-    def test_reduces_loss(self):
-        assert _train_toy_problem(RMSProp(learning_rate=0.02)) < 0.3
-
-    def test_invalid_rho(self):
-        with pytest.raises(ConfigurationError):
-            RMSProp(rho=1.0)
-
 
 class TestCommon:
     def test_learning_rate_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            SGD(learning_rate=0.0)
-
-    def test_weight_decay_must_be_non_negative(self):
-        with pytest.raises(ConfigurationError):
-            Adam(weight_decay=-0.1)
-
-    def test_optimizer_base_is_abstract(self):
-        layer = Dense(2, 2, rng=0)
-        layer.grad_weight = np.zeros_like(layer.weight)
-        layer.grad_bias = np.zeros_like(layer.bias)
-        with pytest.raises(NotImplementedError):
-            Optimizer(learning_rate=0.1).step([layer])
-
-    def test_registry(self):
-        assert isinstance(optimizer_from_name("sgd"), SGD)
-        assert isinstance(optimizer_from_name("adam", learning_rate=0.1), Adam)
-        assert isinstance(optimizer_from_name("rmsprop"), RMSProp)
-        with pytest.raises(ConfigurationError):
-            optimizer_from_name("adagrad")
+            Adam(learning_rate=0.0)
 
     def test_non_trainable_layers_skipped(self):
         from repro.nn.layers import ReLU
 
-        optimizer = SGD(learning_rate=0.1)
+        optimizer = Adam(learning_rate=0.1)
         optimizer.step([ReLU()])  # must not raise

@@ -22,7 +22,7 @@ from repro.fuzzing import (
     SparseMutation,
 )
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.metrics import accuracy, confusion_matrix, prediction_margin
+from repro.nn.metrics import accuracy, prediction_margin
 from repro.op import hellinger_distance, js_divergence, kl_divergence, total_variation
 from repro.reliability import BayesianCellModel, BetaPrior, CellPosterior
 
@@ -110,15 +110,6 @@ class TestMetricProperties:
     @given(arrays(np.int64, (20,), elements=st.integers(0, 4)))
     def test_accuracy_reflexive(self, y):
         assert accuracy(y, y) == 1.0
-
-    @given(
-        arrays(np.int64, (30,), elements=st.integers(0, 3)),
-        arrays(np.int64, (30,), elements=st.integers(0, 3)),
-    )
-    def test_confusion_matrix_total(self, y_true, y_pred):
-        matrix = confusion_matrix(y_true, y_pred, num_classes=4)
-        assert matrix.sum() == 30
-        assert np.all(matrix >= 0)
 
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=2, max_value=6))
     def test_prediction_margin_bounds(self, n, k):

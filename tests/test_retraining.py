@@ -121,17 +121,6 @@ class TestOperationalRetrainer:
         )
         assert retrained is not trained_cluster_model
 
-    def test_from_scratch_reinitialises(self, trained_cluster_model, clusters_split, detected_aes):
-        train, _ = clusters_split
-        config = RetrainingConfig(epochs=1, from_scratch=True)
-        retrained = OperationalRetrainer(config=config, rng=0).retrain(
-            trained_cluster_model, train, detected_aes
-        )
-        assert not np.allclose(
-            retrained.get_weights()[0]["weight"],
-            trained_cluster_model.get_weights()[0]["weight"],
-        )
-
     def test_empty_training_set_rejected(self, trained_cluster_model, clusters_split):
         train, _ = clusters_split
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), train.num_classes)

@@ -475,6 +475,21 @@ class TestSpecCli:
             assert message in capsys.readouterr().err
             assert RunRegistry(runs_dir).runs() == []
 
+    def test_fractional_scenario_epochs_mark_the_run_failed(self, tmp_path, capsys):
+        # the scenario section is read only when the campaign is built, so
+        # the run is registered; the trainer's config then names the count,
+        # where range() in Trainer.fit raised a bare TypeError
+        from repro.store import RunRegistry
+        from repro.store.cli import main as cli_main
+
+        runs_dir = str(tmp_path / "runs")
+        spec_path = tmp_path / "campaign.json"
+        spec = dict(self.SPEC, scenario={"name": "two-moons", "epochs": 2.5})
+        spec_path.write_text(json.dumps(spec))
+        assert cli_main(["--runs-dir", runs_dir, "run", "--spec", str(spec_path)]) == 1
+        assert "epochs must be an integer" in capsys.readouterr().err
+        assert RunRegistry(runs_dir).get("run-0001").status == "failed"
+
     def test_from_run_requires_stored_spec(self, tmp_path, capsys):
         from repro.store import RunRegistry
         from repro.store.cli import main as cli_main
