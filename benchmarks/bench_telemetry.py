@@ -3,11 +3,14 @@
 Runs a bulk workload (one big naturalness + ``predict_proba`` sweep
 on the medium glyph scenario) with telemetry off and on through the
 in-process query engine, and records the wall-time ratio and the result
-checksums.  Each arm takes the **minimum of the sweeps repeated for
-a fixed time**, and measurement rounds **alternate the arm order** (off→on,
-on→off, …) keeping per-arm minima — the overhead bound is a property of the
-instrumentation, so neither scheduling noise nor monotonic thermal drift
-must be allowed to masquerade as telemetry cost.
+checksums.  The two arms are timed **sweep by sweep, interleaved**: each
+pair runs one sweep with telemetry off and one with it on, back to back,
+and the order alternates from pair to pair (off→on, on→off, …).  The
+overhead is the **median of the per-pair on/off ratios**.  A load spike or
+a slow drift of the shared host then lands on both sweeps of a pair alike
+and cancels in its ratio, and the median ignores the pairs it does not
+cancel in; the bound is a property of the instrumentation, so host noise
+must not masquerade as telemetry cost.
 
 Two properties are validator-enforced when the section is embedded in
 ``BENCH_fuzzer.json`` (see ``benchmarks/bench_fuzzer_snapshot.py``):
@@ -16,6 +19,10 @@ Two properties are validator-enforced when the section is embedded in
   extra wall time on every row;
 * ``checksums_identical`` — telemetry on and off produce bit-identical
   results (the observability layer never perturbs the computation).
+
+In a row, ``rounds`` counts the off/on pairs and ``repeats`` the sweeps of
+each arm (one per pair); ``telemetry_off_s`` and ``telemetry_on_s`` are
+each arm's median sweep.
 
 Standalone use::
 
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -38,27 +46,12 @@ from repro.runtime import ExecutionPolicy
 SEED = 2021
 BULK_ROWS = 2048
 BATCH_SIZE = 256
-#: Minimum over repeats on both arms: the bound is about instrumentation
-#: cost, not scheduler jitter, and min is the standard noise-robust
-#: statistic for it.  Each arm of a round repeats the sweep for at least
-#: ARM_SECONDS, not a fixed count: the sweep takes ~50 ms, and the minimum
-#: of a few such sweeps still moves by more than the 3% being gated.
-ARM_SECONDS = 7.0
-MIN_REPEATS = 5
+#: Timed sweeps of both arms add up to at least MEASURE_SECONDS: four of the
+#: old 7 s arm blocks.  A sweep takes ~45 ms, so that is ~300 pairs.
+MEASURE_SECONDS = 28.0
+MIN_PAIRS = 10
 #: The validator-enforced ceiling: telemetry adds <3% wall time.
 MAX_OVERHEAD_RATIO = 1.03
-#: A load spike or thermal drift during one arm's block inflates the ratio
-#: even under a minimum over repeats (the two arms run as sequential
-#: blocks, so sustained contention lands asymmetrically — and a host that warms
-#: monotonically always penalises whichever arm runs second).  Two
-#: defences: rounds alternate the arm order (off→on, then on→off, …) so
-#: drift cancels, and since noise can only *inflate* a minimum, each round
-#: keeps the per-arm minimum.  At least two rounds always run (one per
-#: order); rounds continue while the ratio sits above COMFORT_RATIO, so a
-#: row that ships stopped clear of the ceiling, not a rounding error away.
-MIN_ROUNDS = 2
-MAX_ROUNDS = 4
-COMFORT_RATIO = 1.02
 
 
 def _bulk(scenario) -> np.ndarray:
@@ -78,61 +71,49 @@ def _sweep(engine, bulk) -> tuple:
     return elapsed, float(naturalness.sum()) + float(probs.sum())
 
 
-def _measure(engine, bulk) -> dict:
-    """Fastest sweep of ARM_SECONDS of repeats, and the checksum, for one
-    telemetry state.
-
-    The first (untimed) sweep warms the engine — lazy imports and
-    allocator pools are one-time costs, not the steady-state overhead this
-    measures.
-    """
-    _sweep(engine, bulk)
-    times, checksums = [], set()
-    while len(times) < MIN_REPEATS or sum(times) < ARM_SECONDS:
+def _sweep_on(engine, bulk) -> tuple:
+    """One sweep inside a fresh telemetry session; the session comes back
+    for its record counts.  Opening and closing it falls outside the timed
+    region."""
+    with telemetry.session() as sess:
         elapsed, checksum = _sweep(engine, bulk)
-        times.append(elapsed)
-        checksums.add(checksum)
-    assert len(checksums) == 1, "bulk sweep is not deterministic"
-    return {"wall_time_s": min(times), "checksum": checksums.pop(), "repeats": len(times)}
+    return elapsed, checksum, sess
 
 
 def _row(mode: str, scenario, policy: ExecutionPolicy) -> dict:
     bulk = _bulk(scenario)
-    off_s = on_s = float("inf")
-    rounds = 0
-    repeats = []
     engine = scenario.query_engine(policy=policy)
+    # one untimed sweep per arm warms the engine: lazy imports and allocator
+    # pools are one-time costs, not the steady-state overhead this measures
+    _sweep(engine, bulk)
+    _sweep_on(engine, bulk)
 
-    def measure_on():
-        with telemetry.session() as sess:
-            on = _measure(engine, bulk)
-        return on, sess
-
-    for rounds in range(1, MAX_ROUNDS + 1):
-        if rounds % 2:
-            off = _measure(engine, bulk)
-            on, sess = measure_on()
-        else:
-            on, sess = measure_on()
-            off = _measure(engine, bulk)
-        checksum_identical = off["checksum"] == on["checksum"]
-        repeats += [off["repeats"], on["repeats"]]
-        off_s = min(off_s, off["wall_time_s"])
-        on_s = min(on_s, on["wall_time_s"])
-        if rounds >= MIN_ROUNDS and on_s / max(off_s, 1e-9) < COMFORT_RATIO:
-            break
-    ratio = on_s / max(off_s, 1e-9)
+    off_times, on_times, ratios = [], [], []
+    checksums = {"off": set(), "on": set()}
+    while len(ratios) < MIN_PAIRS or sum(off_times) + sum(on_times) < MEASURE_SECONDS:
+        if len(ratios) % 2:  # on→off
+            on_s, on_sum, sess = _sweep_on(engine, bulk)
+            off_s, off_sum = _sweep(engine, bulk)
+        else:  # off→on
+            off_s, off_sum = _sweep(engine, bulk)
+            on_s, on_sum, sess = _sweep_on(engine, bulk)
+        off_times.append(off_s)
+        on_times.append(on_s)
+        ratios.append(on_s / max(off_s, 1e-9))
+        checksums["off"].add(off_sum)
+        checksums["on"].add(on_sum)
+    assert len(checksums["off"]) == 1, "bulk sweep is not deterministic"
+    checksum = checksums["off"].pop()
     return {
         "mode": mode,
         "rows": int(BULK_ROWS),
-        # the fewest sweeps behind any arm's per-round minimum
-        "repeats": min(repeats),
-        "rounds": rounds,
-        "telemetry_off_s": round(off_s, 4),
-        "telemetry_on_s": round(on_s, 4),
-        "overhead_ratio": round(ratio, 4),
-        "checksums_identical": checksum_identical,
-        "checksum": round(off["checksum"], 6),
+        "repeats": len(off_times),
+        "rounds": len(ratios),
+        "telemetry_off_s": round(statistics.median(off_times), 4),
+        "telemetry_on_s": round(statistics.median(on_times), 4),
+        "overhead_ratio": round(statistics.median(ratios), 4),
+        "checksums_identical": checksums["on"] == {checksum},
+        "checksum": round(checksum, 6),
         "spans_recorded": len(sess.spans),
         "metrics_recorded": len(sess.metrics),
     }
@@ -145,7 +126,8 @@ def telemetry_section() -> dict:
     rows = [_row("in-process", scenario, ExecutionPolicy(batch_size=BATCH_SIZE))]
     return {
         "description": "bulk naturalness+predict sweep, telemetry on vs off "
-        f"(min of {ARM_SECONDS:g} s of repeats per arm and round)",
+        f"(median of the on/off ratios of interleaved sweep pairs, "
+        f"{MEASURE_SECONDS:g} s of sweeps)",
         "max_overhead_ratio": MAX_OVERHEAD_RATIO,
         "rows": rows,
     }

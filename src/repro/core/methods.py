@@ -22,7 +22,7 @@ candidate's naturalness so the comparison can score *operational* AEs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,13 +63,16 @@ class DetectionMethod:
 
 def _relative_to(
     profile: Optional[OperationalProfile], reference: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Rows' densities relative to the mean density over ``reference`` (1
-    without a profile); the reference is evaluated once, here."""
+) -> Tuple[Optional[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The reference rows' log densities (``None`` without a profile), and
+    rows' densities relative to their mean (1 without a profile); the
+    reference is evaluated once, here."""
     if profile is None:
-        return lambda x: np.ones(len(x))
+        return None, lambda x: np.ones(len(x))
     log_reference = profile.density(reference, log=True)
-    return lambda x: relative_density(profile.density(x, log=True), log_reference)
+    return log_reference, lambda x: relative_density(
+        profile.density(x, log=True), log_reference
+    )
 
 
 @dataclass
@@ -117,7 +120,9 @@ class OperationalAEDetection(DetectionMethod):
             config=config,
             natural_pool=operational_data.x,
         )
-        relative = _relative_to(self.profile, operational_data.x)
+        log_reference, relative = _relative_to(self.profile, operational_data.x)
+        # a sampler on the method's own profile reuses the reference densities
+        shared = getattr(sampler, "profile", None) is self.profile
 
         adversarial: List[AdversarialExample] = []
         used = 0
@@ -127,7 +132,10 @@ class OperationalAEDetection(DetectionMethod):
             remaining = budget - used
             num_seeds = max(1, remaining // config.queries_per_seed)
             num_seeds = min(num_seeds, len(operational_data))
-            selection = sampler.select(operational_data, model, num_seeds, rng=generator)
+            selection = sampler.select(
+                operational_data, model, num_seeds, rng=generator,
+                log_density=log_reference if shared else None,
+            )
             campaign = fuzzer.fuzz(
                 model,
                 selection.x,
@@ -188,7 +196,7 @@ class AttackOnUniformSeeds(DetectionMethod):
             )
         generator = ensure_rng(rng)
         pool = self.seed_pool if self.seed_pool is not None else operational_data
-        relative = _relative_to(self.profile, operational_data.x)
+        _, relative = _relative_to(self.profile, operational_data.x)
 
         adversarial: List[AdversarialExample] = []
         used = 0

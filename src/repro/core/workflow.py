@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -254,15 +255,22 @@ class OperationalTestingLoop:
             self.last_estimate = estimate_before
             total_test_cases = 0
             start_iteration = 0
-        # the fuzzer's OP-density weights are relative to the operational
-        # data, so one evaluation of its log densities serves every iteration
+        # the loop's OP-density invariants, each evaluated at most once per
+        # run: the operational rows' log densities (the fuzzer's reference,
+        # and the weights of a sampler on the loop's profile) and, once an
+        # iteration first retrains, the training rows' (the retrainer's
+        # weights)
         log_reference = self.profile.density(operational_data.x, log=True)
+        log_train = functools.cache(
+            lambda: self.profile.density(self.train_data.x, log=True)
+        )
 
         for iteration in range(start_iteration, self.stopping_rule.max_iterations):
             with telemetry.span(f"iteration-{iteration}", "app",
                                 iteration=iteration):
                 iteration_report, current, estimate_after = self._run_iteration(
-                    iteration, current, operational_data, estimate_before, log_reference
+                    iteration, current, operational_data, estimate_before,
+                    log_reference, log_train,
                 )
             total_test_cases += iteration_report.test_cases_used
             report.append(iteration_report)
@@ -294,10 +302,16 @@ class OperationalTestingLoop:
         operational_data: Dataset,
         estimate_before: ReliabilityEstimate,
         log_reference: np.ndarray,
+        log_train: Callable[[], np.ndarray],
     ) -> Tuple[IterationReport, Sequential, ReliabilityEstimate]:
         # ---- step 2: seed sampling -------------------------------------- #
         num_seeds = min(self.config.seeds_per_iteration, len(operational_data))
-        selection = self.sampler.select(operational_data, model, num_seeds, rng=self._rng)
+        # only a sampler on the loop's own profile can reuse its densities
+        shared = getattr(self.sampler, "profile", None) is self.profile
+        selection = self.sampler.select(
+            operational_data, model, num_seeds, rng=self._rng,
+            log_density=log_reference if shared else None,
+        )
 
         # ---- step 3: naturalness-guided fuzzing -------------------------- #
         fuzzer = OperationalFuzzer(
@@ -319,7 +333,17 @@ class OperationalTestingLoop:
 
         # ---- step 4: OP-aware retraining --------------------------------- #
         if new_aes:
-            model = self.retrainer.retrain(model, self.train_data, self.detected_aes)
+            retrainer = self.retrainer
+            # only a retrainer that weights the training rows by the loop's
+            # profile reads their densities
+            shared = (
+                retrainer.profile is self.profile
+                and retrainer.config.weight_natural_data_by_op
+            )
+            model = retrainer.retrain(
+                model, self.train_data, self.detected_aes,
+                log_density=log_train() if shared else None,
+            )
 
         # ---- step 5: reliability assessment ------------------------------ #
         estimate_after = self.assessor.assess(model, operational_data, rng=self._rng)

@@ -285,8 +285,8 @@ def _place_glyph(
     gh, gw = glyph.shape
     top = (image_size - gh) // 2 + shift[0]
     left = (image_size - gw) // 2 + shift[1]
-    top = int(np.clip(top, 0, image_size - gh))
-    left = int(np.clip(left, 0, image_size - gw))
+    top = min(max(top, 0), image_size - gh)
+    left = min(max(left, 0), image_size - gw)
     image[top : top + gh, left : left + gw] = glyph
     return image
 
@@ -331,7 +331,8 @@ def make_glyph_digits(
         intensity = 1.0 - generator.random() * intensity_jitter
         image = image * intensity
         image = image + generator.normal(0.0, noise, size=image.shape)
-        images[i] = clip01(image).ravel()
+        images[i] = image.ravel()
+    np.clip(images, 0.0, 1.0, out=images)
     return Dataset(
         images,
         labels,

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..config import EPSILON, RngLike, ensure_rng, finite_rows, require_finite
 from ..data.dataset import Dataset
+from ..data.distances import squared_distance_blocks, squared_norms
 from ..data.partition import Partition
 from ..exceptions import ProfileError, ShapeError
 
@@ -240,7 +241,7 @@ class EmpiricalProfile(OperationalProfile):
             raise ProfileError("bandwidth must be positive")
         self.bandwidth = float(bandwidth)
         # ||s||^2 of every pool row, the fixed half of density's distance expansion
-        self._sq_norms = np.einsum("ij,ij->i", samples, samples)
+        self._sq_norms = squared_norms(samples)
         require_finite("resample_noise", resample_noise, ProfileError)
         if resample_noise < 0:
             raise ProfileError("resample_noise must be non-negative")
@@ -261,9 +262,11 @@ class EmpiricalProfile(OperationalProfile):
     def density(self, x: np.ndarray, log: bool = False) -> np.ndarray:
         """Gaussian KDE over the pool, with one isotropic bandwidth ``h``.
 
-        Squared distances use the expansion ``||x||^2 + ||s||^2 - 2 x.s``
-        (scikit-learn's ``euclidean_distances``): one matrix product per
-        block of 256 rows, clamped at zero against cancellation.  A row's
+        Squared distances come from the clamped expansion
+        ``||x||^2 + ||s||^2 - 2 x.s`` in
+        :func:`~repro.data.distances.squared_distance_blocks`, one matrix
+        product per block of 256 rows, which the nearest-anchor assignment
+        of :class:`~repro.data.partition.AnchorPartition` shares.  A row's
         density therefore depends, in its last bits, on the rows that share
         its call: a row scored alone and inside a block agree to a relative
         ``16 eps (||x||^2 + max ||s||^2) / h^2`` (measured: under 1e-12 at
@@ -275,19 +278,12 @@ class EmpiricalProfile(OperationalProfile):
         d = self.num_features
         log_norm = -0.5 * d * np.log(2 * np.pi * h2)
         densities = np.zeros(len(x))
-        block = 256
-        for start in range(0, len(x), block):
-            chunk = x[start : start + block]
-            sq_dist = (
-                np.einsum("ij,ij->i", chunk, chunk)[:, None]
-                + self._sq_norms[None, :]
-                - 2.0 * (chunk @ self.samples.T)
-            )
-            np.maximum(sq_dist, 0.0, out=sq_dist)
+        for start, sq_dist in squared_distance_blocks(x, self.samples, self._sq_norms):
             log_kernel = log_norm - 0.5 * sq_dist / h2
             peak = log_kernel.max(axis=1)
             total = (self.weights[None, :] * np.exp(log_kernel - peak[:, None])).sum(axis=1)
-            densities[start : start + block] = peak + np.log(total) if log else np.exp(peak) * total
+            rows = slice(start, start + len(sq_dist))
+            densities[rows] = peak + np.log(total) if log else np.exp(peak) * total
         return densities
 
     def sample(self, size: int, rng: RngLike = None) -> np.ndarray:

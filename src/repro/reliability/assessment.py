@@ -161,7 +161,8 @@ class ReliabilityAssessor:
     confidence:
         One-sided credible level of the reported bounds.
     op_samples:
-        Monte Carlo samples used to discretise the profile onto the partition.
+        Monte Carlo samples used to discretise the profile onto the partition
+        (an ``int``).
     policy:
         :class:`~repro.runtime.ExecutionPolicy` for evidence collection
         (threaded into the default evaluator and the Monte Carlo estimator).
@@ -180,6 +181,7 @@ class ReliabilityAssessor:
         rng: RngLike = None,
     ) -> None:
         check_confidence(confidence)
+        require_int("op_samples", op_samples, ReliabilityError)
         self.policy = policy_or_default(
             policy, ExecutionPolicy(), "ReliabilityAssessor", ReliabilityError
         )

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
+from ..config import require_finite
 from ..exceptions import ReliabilityError
 from .cells import CellEvidenceTable
 
@@ -30,12 +31,15 @@ class BetaPrior:
     The default ``Beta(1, 9)`` encodes a weak prior belief that roughly 10 %
     of inputs in an arbitrary cell could be mishandled — deliberately
     pessimistic for unexplored cells, quickly overridden by evidence.
+    Both parameters must be finite positive numbers.
     """
 
     alpha: float = 1.0
     beta: float = 9.0
 
     def __post_init__(self) -> None:
+        require_finite("alpha", self.alpha, ReliabilityError)
+        require_finite("beta", self.beta, ReliabilityError)
         if self.alpha <= 0 or self.beta <= 0:
             raise ReliabilityError("Beta prior parameters must be positive")
 

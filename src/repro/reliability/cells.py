@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..config import RngLike, ensure_rng
+from ..config import RngLike, ensure_rng, require_finite, require_int
 from ..data.dataset import Dataset
 from ..data.partition import Partition
 from ..exceptions import ReliabilityError
@@ -122,10 +122,10 @@ class CellRobustnessEvaluator:
     partition:
         Cell partition of the input space.
     samples_per_cell:
-        Test points drawn inside each evaluated cell.
+        Test points drawn inside each evaluated cell (a positive ``int``).
     perturbation_radius:
         Radius of the perturbations applied around labelled points when
-        sampling test points (defaults to the cell radius).
+        sampling test points (defaults to the cell radius); finite when set.
     include_center:
         Also evaluate the labelled points themselves (counts towards trials).
     policy:
@@ -143,8 +143,11 @@ class CellRobustnessEvaluator:
     ) -> None:
         from ..runtime.policy import ExecutionPolicy, policy_or_default
 
+        require_int("samples_per_cell", samples_per_cell, ReliabilityError)
         if samples_per_cell <= 0:
             raise ReliabilityError("samples_per_cell must be positive")
+        if perturbation_radius is not None:
+            require_finite("perturbation_radius", perturbation_radius, ReliabilityError)
         self.policy = policy_or_default(
             policy, ExecutionPolicy(), "CellRobustnessEvaluator", ReliabilityError
         )

@@ -100,6 +100,7 @@ class OperationalRetrainer:
         train_data: Dataset,
         adversarial_examples: Sequence[AdversarialExample],
         in_place: bool = False,
+        log_density: Optional[np.ndarray] = None,
     ) -> Sequential:
         """Return a retrained copy of ``network`` (or modify it in place).
 
@@ -115,11 +116,20 @@ class OperationalRetrainer:
         in_place:
             When ``True`` the passed network is fine-tuned directly; otherwise
             a deep copy is trained and returned, leaving the original intact.
+        log_density:
+            Log OP density of every row of ``train_data`` under the
+            retrainer's ``profile``, from one ``profile.density(train_data.x,
+            log=True)`` call.  A caller that retrains repeatedly on the same
+            data passes it so it is evaluated once; it is read only when the
+            natural data is weighted by the OP, and evaluated here when
+            omitted.
         """
         if len(train_data) == 0:
             raise DataError("cannot retrain on an empty training set")
         model = network if in_place else copy.deepcopy(network)
-        x, y, weights = self._build_training_mix(train_data, adversarial_examples)
+        x, y, weights = self._build_training_mix(
+            train_data, adversarial_examples, log_density
+        )
         trainer = Trainer(
             optimizer=Adam(learning_rate=self.config.learning_rate),
             config=TrainerConfig(
@@ -136,10 +146,18 @@ class OperationalRetrainer:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _natural_weights(self, train_data: Dataset) -> np.ndarray:
+    def _natural_weights(
+        self, train_data: Dataset, log_density: Optional[np.ndarray]
+    ) -> np.ndarray:
         if self.profile is None or not self.config.weight_natural_data_by_op:
             return np.ones(len(train_data))
-        log_density = self.profile.density(train_data.x, log=True)
+        if log_density is None:
+            log_density = self.profile.density(train_data.x, log=True)
+        elif np.shape(log_density) != (len(train_data),):
+            raise DataError(
+                f"log_density has shape {np.shape(log_density)}; expected one "
+                f"entry per training row, ({len(train_data)},)"
+            )
         # keep a floor so no natural sample is entirely forgotten
         return np.maximum(relative_density(log_density, log_density), 0.1)
 
@@ -159,10 +177,11 @@ class OperationalRetrainer:
         self,
         train_data: Dataset,
         adversarial_examples: Sequence[AdversarialExample],
+        log_density: Optional[np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs: List[np.ndarray] = [train_data.x]
         ys: List[np.ndarray] = [train_data.y]
-        ws: List[np.ndarray] = [self._natural_weights(train_data)]
+        ws: List[np.ndarray] = [self._natural_weights(train_data, log_density)]
         if adversarial_examples:
             ae_x = np.stack([np.asarray(ae.perturbed, dtype=float) for ae in adversarial_examples])
             ae_y = np.asarray([ae.true_label for ae in adversarial_examples], dtype=int)

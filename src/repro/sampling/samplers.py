@@ -67,8 +67,16 @@ class SeedSampler:
         model: Classifier,
         num_seeds: int,
         rng: RngLike = None,
+        log_density: Optional[np.ndarray] = None,
     ) -> SeedSelection:
-        """Select ``num_seeds`` seeds from ``dataset`` for testing."""
+        """Select ``num_seeds`` seeds from ``dataset`` for testing.
+
+        ``log_density`` is the log OP density of every row of ``dataset``
+        under the sampler's own profile, from one ``profile.density(dataset.x,
+        log=True)`` call; a caller that already holds it passes it so the
+        sampler does not evaluate it again.  Without it, a sampler that
+        needs it evaluates it.
+        """
         raise NotImplementedError
 
     @staticmethod
@@ -77,6 +85,23 @@ class SeedSampler:
             raise SamplingError(f"num_seeds must be positive, got {num_seeds}")
         if len(dataset) == 0:
             raise SamplingError("cannot sample seeds from an empty dataset")
+
+    @staticmethod
+    def _log_density(
+        profile: OperationalProfile,
+        dataset: Dataset,
+        log_density: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """The passed ``log_density`` (one entry per row), else ``profile``'s."""
+        if log_density is None:
+            return profile.density(dataset.x, log=True)
+        log_density = np.asarray(log_density, dtype=float)
+        if log_density.shape != (len(dataset),):
+            raise SamplingError(
+                f"log_density has shape {log_density.shape}; expected one "
+                f"entry per dataset row, ({len(dataset)},)"
+            )
+        return log_density
 
     def _funnel(self, model: Classifier):
         """Query engine over ``model`` via the sampler's execution policy.
@@ -115,6 +140,7 @@ class UniformSeedSampler(SeedSampler):
         model: Classifier,
         num_seeds: int,
         rng: RngLike = None,
+        log_density: Optional[np.ndarray] = None,
     ) -> SeedSelection:
         self._check_budget(dataset, num_seeds)
         generator = ensure_rng(rng)
@@ -186,12 +212,18 @@ class OperationalSeedSampler(SeedSampler):
         model: Classifier,
         num_seeds: int,
         rng: RngLike = None,
+        log_density: Optional[np.ndarray] = None,
     ) -> SeedSelection:
+        """Draw seeds by OP density times failure weight.
+
+        A passed ``log_density`` (see :meth:`SeedSampler.select`) is read
+        only while the density term is on.
+        """
         self._check_budget(dataset, num_seeds)
         generator = ensure_rng(rng)
 
         if self.profile is not None and self.op_exponent > 0:
-            log_density = self.profile.density(dataset.x, log=True)
+            log_density = self._log_density(self.profile, dataset, log_density)
             density = relative_density(log_density, log_density)
         else:
             density = np.ones(len(dataset))
@@ -251,6 +283,7 @@ class CellStratifiedSeedSampler(SeedSampler):
         model: Classifier,
         num_seeds: int,
         rng: RngLike = None,
+        log_density: Optional[np.ndarray] = None,
     ) -> SeedSelection:
         self._check_budget(dataset, num_seeds)
         generator = ensure_rng(rng)
@@ -292,7 +325,7 @@ class CellStratifiedSeedSampler(SeedSampler):
             raise SamplingError("stratified sampling selected no seeds")
         indices = np.asarray(selected[:num_seeds], dtype=int)
 
-        log_density = self.profile.density(dataset.x, log=True)
+        log_density = self._log_density(self.profile, dataset, log_density)
         density = relative_density(log_density, log_density)
         probabilities = np.zeros(len(dataset))
         probabilities[indices] = 1.0 / len(indices)

@@ -1,5 +1,7 @@
 """Tests for the detection methods and the comparison harness."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,10 @@ from repro.core import (
     OperationalTestingBaseline,
     RandomFuzzBaseline,
 )
+from repro.evaluation import make_clusters_scenario
 from repro.exceptions import ConfigurationError
 from repro.fuzzing import FuzzerConfig
-from repro.sampling import UniformSeedSampler
+from repro.sampling import OperationalSeedSampler, UniformSeedSampler
 from repro.types import AdversarialExample, DetectionResult
 
 
@@ -104,6 +107,46 @@ class TestDetectionMethods:
         method.detect(trained_cluster_model, data, 2000, rng=0)
         assert len(rounds) >= 2
         assert sum(reference_evaluations) == 1
+
+    def test_default_sampler_reuses_the_reference_densities(self, monkeypatch):
+        # one evaluation of the 1,000 operational rows' densities serves every
+        # sampling round (14 in this setting if each round made its own), with
+        # the same detections as a sampler that scores with its own equal profile
+        scenario = make_clusters_scenario(rng=2021)
+        profile, data = scenario.profile, scenario.operational_data
+
+        def detect(sampler=None):
+            method = OperationalAEDetection(
+                profile=profile,
+                naturalness=scenario.naturalness,
+                fuzzer_config=FuzzerConfig(queries_per_seed=20),
+                sampler=sampler,
+            )
+            return method.detect(scenario.model, data, 2000, rng=0)
+
+        own = detect(OperationalSeedSampler(profile=copy.deepcopy(profile)))
+        density, select = type(profile).density, OperationalSeedSampler.select
+        full_evaluations, rounds = [], []
+
+        def counting_density(instance, x, log=False):
+            full_evaluations.append(x is data.x)
+            return density(instance, x, log=log)
+
+        def counting_select(sampler, *args, **kwargs):
+            rounds.append(kwargs["log_density"])
+            return select(sampler, *args, **kwargs)
+
+        monkeypatch.setattr(type(profile), "density", counting_density)
+        monkeypatch.setattr(OperationalSeedSampler, "select", counting_select)
+        shared = detect()
+        assert len(rounds) > 1 and all(log is not None for log in rounds)
+        assert sum(full_evaluations) == 1
+        assert shared.test_cases_used == own.test_cases_used
+        assert shared.seeds_attacked == own.seeds_attacked
+        assert len(shared.adversarial_examples) == len(own.adversarial_examples) > 0
+        for mine, theirs in zip(shared.adversarial_examples, own.adversarial_examples):
+            np.testing.assert_array_equal(mine.perturbed, theirs.perturbed)
+            assert mine.op_density == theirs.op_density
 
     def test_proposed_method_finds_aes(
         self, cluster_profile, cluster_naturalness, trained_cluster_model, operational_cluster_data

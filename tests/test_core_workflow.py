@@ -1,15 +1,19 @@
 """Integration tests for the five-step operational testing loop (Figure 1)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.core import OperationalTestingLoop, WorkflowConfig
 from repro.evaluation import make_glyph_scenario
 from repro.exceptions import ConfigurationError
-from repro.fuzzing import FuzzerConfig
+from repro.fuzzing import FuzzerConfig, OperationalFuzzer
+from repro.fuzzing.fuzzer import FuzzCampaignResult
 from repro.reliability import StoppingRule
 from repro.retraining import RetrainingConfig
 from repro.runtime import ExecutionPolicy
+from repro.sampling import OperationalSeedSampler
 from repro.types import CampaignReport
 
 
@@ -223,3 +227,94 @@ class TestPaperDimension:
         assert len(np.unique(log_noise)) == 100
         log_operational = scenario.naturalness.score(scenario.operational_data.x, log=True)
         assert log_noise.max() < np.median(log_operational)
+
+
+class TestLoopDensityInvariants:
+    """One run evaluates the operational rows' OP log densities once and the
+    training rows' at most once: the sampler and the retrainer reuse the
+    loop's, with the same bits as their own evaluations."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return make_glyph_scenario(num_samples=750, rng=2021)
+
+    def _run(self, scenario, monkeypatch, sampler_profile=None, retrainer_profile=None):
+        """A 2-iteration run; the loop profile's full-row density evaluations
+        by rows, and the keyword arguments of every ``select`` call."""
+        profile, data, train = scenario.profile, scenario.operational_data, scenario.train_data
+        evaluations = {"operational": 0, "train": 0}
+        density = type(profile).density
+
+        def counting_density(instance, x, log=False):
+            if instance is profile and x is data.x:
+                evaluations["operational"] += 1
+            elif instance is profile and x is train.x:
+                evaluations["train"] += 1
+            return density(instance, x, log=log)
+
+        monkeypatch.setattr(type(profile), "density", counting_density)
+        loop = OperationalTestingLoop(
+            profile=profile,
+            train_data=train,
+            partition=scenario.partition,
+            naturalness=scenario.naturalness,
+            sampler=(
+                OperationalSeedSampler(profile=sampler_profile)
+                if sampler_profile is not None
+                else None
+            ),
+            fuzzer_config=FuzzerConfig(epsilon=0.1),
+            retraining_config=RetrainingConfig(epochs=2),
+            stopping_rule=StoppingRule(target_pmi=1e-9, max_iterations=2),
+            workflow_config=WorkflowConfig(
+                test_budget_per_iteration=300, seeds_per_iteration=20
+            ),
+            rng=0,
+        )
+        if retrainer_profile is not None:
+            loop.retrainer.profile = retrainer_profile
+        select_kwargs = []
+        select = loop.sampler.select
+
+        def spying_select(*args, **kwargs):
+            select_kwargs.append(kwargs)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(loop.sampler, "select", spying_select)
+        _, report = loop.run(scenario.model, data)
+        return loop, report, evaluations, select_kwargs
+
+    def test_each_invariant_is_evaluated_once(self, scenario, monkeypatch):
+        _, report, evaluations, select_kwargs = self._run(scenario, monkeypatch)
+        assert report.num_iterations == 2
+        assert all(it.aes_detected > 0 for it in report.iterations)  # both retrain
+        # 3 and 2 if the sampler and the retrainer made their own
+        assert evaluations == {"operational": 1, "train": 1}
+        assert all(kwargs["log_density"] is not None for kwargs in select_kwargs)
+
+    def test_a_run_without_aes_evaluates_no_training_density(self, scenario, monkeypatch):
+        monkeypatch.setattr(
+            OperationalFuzzer, "fuzz", lambda self, *args, **kwargs: FuzzCampaignResult()
+        )
+        _, report, evaluations, _ = self._run(scenario, monkeypatch)
+        assert report.total_aes == 0
+        assert evaluations == {"operational": 1, "train": 0}
+
+    def test_reuse_moves_no_bit(self, scenario, monkeypatch):
+        # a sampler and a retrainer on an equal copy of the profile score
+        # with their own evaluations; the campaign is bit-identical
+        other = copy.deepcopy(scenario.profile)
+        shared_loop, shared, _, _ = self._run(scenario, monkeypatch)
+        own_loop, own, evaluations, select_kwargs = self._run(
+            scenario, monkeypatch, sampler_profile=other, retrainer_profile=other
+        )
+        assert all(kwargs["log_density"] is None for kwargs in select_kwargs)
+        assert evaluations == {"operational": 1, "train": 0}
+        assert own.total_aes == shared.total_aes > 0
+        for mine, theirs in zip(own.iterations, shared.iterations):
+            assert mine.test_cases_used == theirs.test_cases_used
+            assert mine.pmi_after == theirs.pmi_after
+            assert mine.notes["pmi_upper_after"] == theirs.notes["pmi_upper_after"]
+        for mine, theirs in zip(own_loop.detected_aes, shared_loop.detected_aes):
+            np.testing.assert_array_equal(mine.perturbed, theirs.perturbed)
+            assert mine.op_density == theirs.op_density

@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,16 @@ class TestGlyphDigits:
     def test_invalid_args(self, kwargs):
         with pytest.raises(ConfigurationError):
             make_glyph_digits(**{"num_samples": 10, **kwargs})
+
+    @pytest.mark.parametrize(
+        "image_size, digest", [(12, "9eaba99ba0493b84"), (28, "67fc9b426083cd51")]
+    )
+    def test_output_bytes_are_pinned(self, image_size, digest):
+        # the images and labels of the loop benchmark's scenario size, at
+        # d = 144 and at MNIST's d = 784
+        dataset = make_glyph_digits(750, image_size=image_size, rng=2021)
+        data = dataset.x.tobytes() + dataset.y.astype(np.int64).tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 class TestShapeScenes:

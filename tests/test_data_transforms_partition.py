@@ -18,7 +18,7 @@ from repro.data import (
     make_glyph_digits,
     uniform_noise,
 )
-from repro.exceptions import ConfigurationError, ShapeError
+from repro.exceptions import ConfigurationError, DataError, ShapeError
 
 
 RNG = np.random.default_rng(0)
@@ -176,6 +176,14 @@ class TestGridPartition:
         with pytest.raises(ConfigurationError):
             partition.sample_in_cell(0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # unchecked, the int cast puts a NaN row in cell 4 and an inf row in
+        # cell 32, with only a RuntimeWarning
+        x = np.array([[0.2, 0.3], [0.5, bad]])
+        with pytest.raises(DataError, match="row 1"):
+            GridPartition(2, bins_per_dim=8).assign(x)
+
 
 class TestAnchorPartition:
     def test_assign_to_nearest_anchor(self):
@@ -205,6 +213,48 @@ class TestAnchorPartition:
             partition.cell_center(3)
         with pytest.raises(ConfigurationError):
             partition.cell_radius(-1)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, True, "0.1"])
+    def test_radius_must_be_a_finite_number(self, radius):
+        # unchecked, radius=nan fails only later, in sample_in_cell
+        with pytest.raises(ConfigurationError, match="radius"):
+            AnchorPartition(np.zeros((2, 2)), radius=radius)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_anchor_rejected(self, bad):
+        anchors = np.array([[0.1, 0.1], [bad, 0.9]])
+        with pytest.raises(DataError, match="row 1"):
+            AnchorPartition(anchors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # argmin over a NaN distance row would answer cell 0
+        partition = AnchorPartition(np.array([[0.1, 0.1], [0.9, 0.9]]))
+        with pytest.raises(DataError, match="row 2"):
+            partition.assign(np.array([[0.0, 0.0], [1.0, 1.0], [bad, 0.5]]))
+
+    def test_exact_tie_goes_to_lowest_anchor(self):
+        partition = AnchorPartition(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        np.testing.assert_array_equal(partition.assign(np.array([[0.5, 0.0]])), [0])
+
+    @pytest.mark.parametrize("d", [2, 144, 784])
+    def test_duplicate_anchors_go_to_lowest_index(self, d):
+        rng = np.random.default_rng(d)
+        distinct = rng.random((5, d))
+        # anchor 3 repeats anchor 1, anchor 6 repeats anchor 4
+        anchors = distinct[[0, 1, 2, 1, 3, 4, 3]]
+        x = np.concatenate([distinct, distinct + rng.normal(0, 0.01, (5, d))])
+        cells = AnchorPartition(anchors).assign(x)
+        assert not np.isin(cells, [3, 6]).any()
+        np.testing.assert_array_equal(cells[:5], [0, 1, 2, 4, 5])
+
+    def test_assign_crosses_block_boundaries(self):
+        # rows beyond the first 256-row block are assigned like the rest
+        anchors = RNG.random((7, 4))
+        x = RNG.random((600, 4))
+        exact = ((x[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        np.testing.assert_array_equal(AnchorPartition(anchors).assign(x), exact)
+        assert AnchorPartition(anchors).assign(np.zeros((0, 4))).shape == (0,)
 
 
 class TestBuildPartition:

@@ -9,7 +9,7 @@ from scipy import stats
 from scipy.special import betaincinv
 
 from repro.config import clip01, ensure_rng
-from repro.data import Dataset, GridPartition
+from repro.data import AnchorPartition, Dataset, GridPartition
 from repro.exceptions import ReliabilityError
 from repro.engine import BatchedQueryEngine, QueryStats
 from repro.engine.batching import _iter_chunks
@@ -191,6 +191,43 @@ class TestPartitionProperties:
         partition = GridPartition(2, bins_per_dim=bins)
         cell_id = cell_index % partition.num_cells
         assert partition.assign(partition.cell_center(cell_id)[None, :])[0] == cell_id
+
+    @given(
+        st.sampled_from([2, 144, 784]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from([1.0, 30.0]),
+        st.sampled_from(["uniform", "near-anchor", "midpoint"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_anchor_assign_matches_exact_argmin(self, d, num_anchors, num_rows, scale, kind, seed):
+        """The GEMM expansion picks the exact nearest anchor, except where the
+        two nearest lie within the expansion's stated tolerance: entries
+        within ``(d + 2) eps (||x||^2 + ||a||^2)`` of exact, and the
+        broadcast reference within ``(d + 3) eps`` of the same scale."""
+        rng = np.random.default_rng(seed)
+        anchors = rng.random((num_anchors, d)) * scale
+        if kind == "uniform":
+            x = rng.random((num_rows, d)) * scale
+        else:
+            first = anchors[rng.integers(num_anchors, size=num_rows)]
+            second = anchors[rng.integers(num_anchors, size=num_rows)]
+            x = first if kind == "near-anchor" else (first + second) / 2
+            x = x + rng.normal(0.0, 10.0 ** rng.uniform(-12, -2), size=x.shape)
+        exact = ((x[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
+        cells = AnchorPartition(anchors).assign(x)
+
+        tol = 2 * (2 * d + 5) * np.finfo(float).eps * (
+            (x**2).sum(axis=1) + (anchors**2).sum(axis=1).max()
+        )
+        ordered = np.sort(exact, axis=1)
+        gap = ordered[:, 1] - ordered[:, 0] if num_anchors > 1 else np.full(num_rows, np.inf)
+        clear = gap > tol
+        np.testing.assert_array_equal(cells[clear], exact.argmin(axis=1)[clear])
+        # a row inside the tolerance still lands on one of its nearest anchors
+        near = exact[np.arange(num_rows), cells] - ordered[:, 0]
+        assert np.all(near <= tol)
 
 
 # --------------------------------------------------------------------------- #

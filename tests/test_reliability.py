@@ -99,6 +99,16 @@ class TestCellRobustnessEvaluator:
         with pytest.raises(ReliabilityError):
             CellRobustnessEvaluator(GridPartition(2, 4), samples_per_cell=0)
 
+    @pytest.mark.parametrize("count", [True, 2.5, "10"])
+    def test_samples_per_cell_must_be_an_int(self, count):
+        with pytest.raises(ReliabilityError, match="samples_per_cell"):
+            CellRobustnessEvaluator(GridPartition(2, 4), samples_per_cell=count)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, True])
+    def test_perturbation_radius_must_be_finite_when_set(self, radius):
+        with pytest.raises(ReliabilityError, match="perturbation_radius"):
+            CellRobustnessEvaluator(GridPartition(2, 4), perturbation_radius=radius)
+
 
 class TestBayesianCellModel:
     def test_posterior_mean_between_prior_and_mle(self):
@@ -124,6 +134,15 @@ class TestBayesianCellModel:
     def test_invalid_prior(self):
         with pytest.raises(ReliabilityError):
             BetaPrior(alpha=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"alpha": np.nan}, {"beta": np.nan}, {"beta": np.inf}, {"alpha": True}]
+    )
+    def test_prior_parameters_must_be_finite(self, kwargs):
+        # unchecked, alpha=nan gives a NaN pmi and beta=inf a NaN pmi_upper,
+        # with no error
+        with pytest.raises(ReliabilityError, match="must be a finite number"):
+            BetaPrior(**kwargs)
 
     def test_invalid_confidence(self):
         posterior = BayesianCellModel().posterior_for(10, 1)
@@ -340,6 +359,11 @@ class TestReliabilityAssessor:
     def test_invalid_confidence(self, cluster_profile):
         with pytest.raises(ReliabilityError):
             ReliabilityAssessor(GridPartition(2, 4), cluster_profile, confidence=1.0)
+
+    @pytest.mark.parametrize("count", [True, 2.5, 4096.0])
+    def test_op_samples_must_be_an_int(self, count, cluster_profile):
+        with pytest.raises(ReliabilityError, match="op_samples"):
+            ReliabilityAssessor(GridPartition(2, 4), cluster_profile, op_samples=count)
 
 
 class TestStoppingRule:

@@ -127,6 +127,25 @@ class TestOperationalRetrainer:
         with pytest.raises(DataError):
             OperationalRetrainer(rng=0).retrain(trained_cluster_model, empty, [])
 
+    def test_passed_log_density_gives_the_same_model(
+        self, trained_cluster_model, clusters_split, detected_aes, cluster_profile
+    ):
+        train, _ = clusters_split
+
+        def retrain(**kwargs):
+            retrainer = OperationalRetrainer(
+                config=RetrainingConfig(epochs=2), profile=cluster_profile, rng=0
+            )
+            return retrainer.retrain(trained_cluster_model, train, detected_aes, **kwargs)
+
+        own = retrain().get_weights()
+        passed = retrain(log_density=cluster_profile.density(train.x, log=True)).get_weights()
+        for mine, theirs in zip(own, passed):
+            for key in mine:
+                np.testing.assert_array_equal(mine[key], theirs[key])
+        with pytest.raises(DataError, match="log_density"):
+            retrain(log_density=np.zeros(len(train) - 1))
+
 
 class TestStandardAdversarialTrainer:
     def test_improves_pgd_robustness(self, trained_cluster_model, clusters_split):

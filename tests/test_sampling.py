@@ -170,6 +170,39 @@ class TestOperationalSampler:
         with pytest.raises(SamplingError):
             OperationalSeedSampler(failure_floor=1.0)
 
+    @pytest.mark.parametrize("kind", ["operational", "stratified"])
+    def test_passed_log_density_gives_the_same_selection(
+        self, kind, trained_cluster_model, operational_cluster_data, cluster_profile
+    ):
+        from repro.data import GridPartition
+
+        data = operational_cluster_data
+        sampler = (
+            OperationalSeedSampler(profile=cluster_profile)
+            if kind == "operational"
+            else CellStratifiedSeedSampler(
+                partition=GridPartition(2, bins_per_dim=4), profile=cluster_profile
+            )
+        )
+        own = sampler.select(data, trained_cluster_model, 20, rng=0)
+        passed = sampler.select(
+            data, trained_cluster_model, 20, rng=0,
+            log_density=cluster_profile.density(data.x, log=True),
+        )
+        for field in ("indices", "probabilities", "op_density", "failure_weight"):
+            np.testing.assert_array_equal(getattr(passed, field), getattr(own, field))
+
+    @pytest.mark.parametrize("length_change", [-1, 1])
+    def test_log_density_of_the_wrong_length_rejected(
+        self, length_change, trained_cluster_model, operational_cluster_data, cluster_profile
+    ):
+        data = operational_cluster_data
+        with pytest.raises(SamplingError, match="log_density"):
+            OperationalSeedSampler(profile=cluster_profile).select(
+                data, trained_cluster_model, 5, rng=0,
+                log_density=np.zeros(len(data) + length_change),
+            )
+
 
 class TestCellStratifiedSampler:
     def test_covers_high_mass_cells(
