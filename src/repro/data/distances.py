@@ -42,14 +42,25 @@ def squared_distance_blocks(
     ``sq_dist[i, j]`` is the clamped squared distance of ``x[start + i]`` to
     ``points[j]``; ``points_sq_norms`` is ``squared_norms(points)``, computed
     once by the caller.
+
+    Every block is computed in the same two buffers, allocated once per call,
+    so a block is valid only until the next one is yielded and the caller may
+    overwrite it in place.  Per-block temporaries would make a call's peak
+    several blocks deep, and freeing them hands that memory back to the
+    operating system to be faulted in again by the next call.  The in-place
+    steps round exactly as the expression ``(||x||^2 + ||s||^2) - 2 (x.s)``.
     """
+    rows = min(BLOCK_ROWS, len(x))
+    sq_buffer = np.empty((rows, len(points)))
+    cross_buffer = np.empty((rows, len(points)))
     for start in range(0, len(x), BLOCK_ROWS):
         chunk = x[start : start + BLOCK_ROWS]
-        sq_dist = (
-            squared_norms(chunk)[:, None]
-            + points_sq_norms[None, :]
-            - 2.0 * (chunk @ points.T)
-        )
+        sq_dist = sq_buffer[: len(chunk)]
+        cross = cross_buffer[: len(chunk)]
+        np.add(squared_norms(chunk)[:, None], points_sq_norms[None, :], out=sq_dist)
+        np.matmul(chunk, points.T, out=cross)
+        cross *= 2.0
+        sq_dist -= cross
         np.maximum(sq_dist, 0.0, out=sq_dist)
         yield start, sq_dist
 

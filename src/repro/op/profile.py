@@ -279,9 +279,17 @@ class EmpiricalProfile(OperationalProfile):
         log_norm = -0.5 * d * np.log(2 * np.pi * h2)
         densities = np.zeros(len(x))
         for start, sq_dist in squared_distance_blocks(x, self.samples, self._sq_norms):
-            log_kernel = log_norm - 0.5 * sq_dist / h2
+            # log_norm - 0.5 * sq_dist / h2, then the shifted kernel, all in
+            # the block's buffer: the same roundings, no block-sized temporary
+            log_kernel = sq_dist
+            log_kernel *= 0.5
+            log_kernel /= h2
+            np.subtract(log_norm, log_kernel, out=log_kernel)
             peak = log_kernel.max(axis=1)
-            total = (self.weights[None, :] * np.exp(log_kernel - peak[:, None])).sum(axis=1)
+            log_kernel -= peak[:, None]
+            kernel = np.exp(log_kernel, out=log_kernel)
+            kernel *= self.weights
+            total = kernel.sum(axis=1)
             rows = slice(start, start + len(sq_dist))
             densities[rows] = peak + np.log(total) if log else np.exp(peak) * total
         return densities

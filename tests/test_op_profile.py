@@ -105,6 +105,34 @@ class TestEmpiricalProfile:
         skewed = EmpiricalProfile(samples, weights=np.array([0.9, 0.1]), bandwidth=0.05)
         assert skewed.density(np.array([[0.2, 0.2]]))[0] > skewed.density(np.array([[0.8, 0.8]]))[0]
 
+    @pytest.mark.parametrize("log", [False, True])
+    def test_density_rounds_as_the_block_expression(self, log):
+        # the in-place kernel must give the bits of the plain expression,
+        # evaluated block by block, over several blocks and a short last one
+        rng = np.random.default_rng(0)
+        samples = rng.random((300, 144))
+        weights = rng.random(300)
+        x = rng.random((600, 144))
+        profile = EmpiricalProfile(samples, weights=weights)
+        h2 = profile.bandwidth**2
+        log_norm = -0.5 * 144 * np.log(2 * np.pi * h2)
+        sq_norms = np.einsum("ij,ij->i", samples, samples)
+        expected = np.zeros(len(x))
+        for start in range(0, len(x), 256):
+            chunk = x[start : start + 256]
+            sq_dist = (
+                np.einsum("ij,ij->i", chunk, chunk)[:, None]
+                + sq_norms[None, :]
+                - 2.0 * (chunk @ samples.T)
+            )
+            np.maximum(sq_dist, 0.0, out=sq_dist)
+            log_kernel = log_norm - 0.5 * sq_dist / h2
+            peak = log_kernel.max(axis=1)
+            total = (profile.weights[None, :] * np.exp(log_kernel - peak[:, None])).sum(axis=1)
+            rows = slice(start, start + len(chunk))
+            expected[rows] = peak + np.log(total) if log else np.exp(peak) * total
+        assert np.array_equal(profile.density(x, log=log), expected)
+
     def test_sampling_respects_weights(self):
         samples = np.array([[0.0, 0.0], [1.0, 1.0]])
         profile = EmpiricalProfile(
